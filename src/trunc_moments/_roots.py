@@ -1,0 +1,99 @@
+"""Bracketed root finding for the package's monotone 1-D solves.
+
+``brentq`` ports scipy's Brent solver step for step (same ``xtol +
+rtol*|x|`` stopping rule, same roots bit for bit), so the package need not
+import ``scipy.optimize``; ``expand`` and ``scan`` find its bracket.  All
+three fail with a ValueError naming the quantity and the range searched.
+"""
+
+import math
+
+RTOL = 8.9e-16  # just above 4 * machine epsilon, the floor scipy accepts
+
+
+def _fail(what: str, a: float, b: float) -> ValueError:
+    return ValueError(f"no {what} in [{min(a, b):.6g}, {max(a, b):.6g}]")
+
+
+def _straddles(fa: float, fb: float) -> bool:
+    return fa <= 0.0 <= fb or fb <= 0.0 <= fa  # False if either is NaN
+
+
+def brentq(f, a: float, b: float, fa: float | None = None,
+           fb: float | None = None, *, what: str,
+           xtol: float = 1e-300) -> float:
+    """Root of f in [a, b]; fa and fb are f(a) and f(b) if already known."""
+    xpre, xcur = float(a), float(b)
+    fpre = f(xpre) if fa is None else fa
+    fcur = f(xcur) if fb is None else fb
+    if not _straddles(fpre, fcur):
+        raise _fail(what, a, b)
+    xblk, fblk, spre, scur = xpre, fpre, 0.0, 0.0  # returns xpre if fpre == 0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless interpolation earns a short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:  # inf or NaN in C: bisect
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+        if fcur != fcur:
+            break
+    raise _fail(what, a, b)
+
+
+def expand(f, a: float, b: float, *, increasing: bool, what: str,
+           tiny: float = 1e-300, huge: float = 1e300, factor: float = 2.0):
+    """Widen [a, b], a < b, until f, monotone in the stated direction,
+    changes sign over it; returns (a, b, f(a), f(b)).  The endpoint on the
+    root's side moves away from the other by ``factor`` (dividing towards 0,
+    never across it) while its magnitude stays in [tiny, huge]."""
+    fa, fb = f(a), f(b)
+    while not _straddles(fa, fb):
+        beyond_b = (fb < 0.0) == increasing
+        x = b if beyond_b else a
+        x = x * factor if (x > 0.0) == beyond_b else x / factor
+        if fa != fa or fb != fb or not tiny <= abs(x) <= huge:
+            raise _fail(what, a, b)
+        if beyond_b:
+            b, fb = x, f(x)
+        else:
+            a, fa = x, f(x)
+    return a, b, fa, fb
+
+
+def scan(f, grid, *, what: str):
+    """First cell of ``grid`` over which f changes sign, as (a, b, f(a),
+    f(b)); a cell is skipped if f is NaN or raises at either end."""
+    prev = None
+    for x in grid:
+        try:
+            fx = f(x)
+        except (ValueError, ArithmeticError):
+            fx = math.nan
+        if prev is not None and _straddles(prev[1], fx):
+            return prev[0], x, prev[1], fx
+        prev = None if fx != fx else (x, fx)
+    raise _fail(what, min(grid), max(grid))

@@ -23,10 +23,10 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate
+from operator import sub
 
-from scipy.optimize import brentq
-
-from . import utgd
+from . import _roots, utgd
 from .specfun import lambert_w0
 from .utgd import Side, TruncatedGaussianSpec, _core, _polyval, \
     _VHAT_NUM, _VHAT_DEN, _SERIES_CUT, normalized_variance
@@ -142,7 +142,12 @@ def solve_U_approx1(vhat: float, params: ApproxFn1Params = APPROX1_SET_II,
     u = 0.0
     prev_step = 0.0
     for it in range(maxiter):
-        u_next = 1.0 - (lg / params.alpha(u)) ** (1.0 / params.beta(u))
+        alpha = params.alpha(u)
+        if not alpha > 0.0:  # U far below -100: the power turns complex
+            raise ValueError(
+                f"vhat={vhat:.15g} is beyond approximating function 1's "
+                f"validity U in [-100, 0.9] (recursion reached U={u:.6g})")
+        u_next = 1.0 - (lg / alpha) ** (1.0 / params.beta(u))
         step = u_next - u
         if step * prev_step < 0.0:  # oscillating: damp
             u_next = u + 0.5 * step
@@ -164,6 +169,9 @@ def _sigma_approx2_unchecked(U: float) -> float:
     return U / math.sqrt(lambert_w0(1.0 / (2.0 * math.pi * (1.0 - U) ** 2)))
 
 
+_APPROX2_GRID = (1.0 - 1e-13, *accumulate([0.9] + [0.02] * 19, sub))
+
+
 def solve_U_approx2(vhat: float, tol: float = 1e-12) -> float:
     """Normalized location whose function-2 variance equals vhat.
 
@@ -178,19 +186,12 @@ def solve_U_approx2(vhat: float, tol: float = 1e-12) -> float:
         s = _sigma_approx2_unchecked(u)
         return s * s - (vhat + 1.0 - u)
 
-    # g < 0 at U -> 1-; scan down for a sign change (the bracket may start
-    # slightly below 0.9 when vhat sits at the dispatch boundary)
-    hi = 1.0 - 1e-13
-    lo = None
-    u = 0.9
-    while u > 0.5:
-        if g(u) > 0.0:
-            lo = u
-            break
-        u -= 0.02
-    if lo is None:
-        raise ValueError(f"no function-2 fixed point for vhat={vhat}")
-    return float(brentq(g, lo, hi, xtol=tol, rtol=8.9e-16))
+    # g < 0 at U -> 1-; scan down from there by 0.02 for a sign change (the
+    # bracket may start slightly below 0.9 when vhat sits at the dispatch
+    # boundary), then solve between that U and U -> 1- (g is monotone)
+    what = f"function-2 location U for vhat={vhat:g}"
+    _, lo, _, glo = _roots.scan(g, _APPROX2_GRID, what=what)
+    return _roots.brentq(g, lo, _APPROX2_GRID[0], glo, what=what, xtol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +203,12 @@ def r_from_variance(vhat_target: float) -> float:
     if not 0.0 < vhat_target < 1.0:
         raise ValueError("normalized variance must lie in (0, 1)")
     # vhat decreases monotonically from 1 (r -> -inf) to 0 (r -> +inf)
-    lo, hi = -1.0, 1.0
-    while normalized_variance(hi) > vhat_target:
-        hi *= 2.0
-    while normalized_variance(lo) < vhat_target:
-        lo *= 2.0
-    return float(brentq(lambda r: normalized_variance(r) - vhat_target,
-                        lo, hi, xtol=1e-300, rtol=8.9e-16))
+    def f(r: float) -> float:
+        return normalized_variance(r) - vhat_target
+
+    what = f"offset r with normalized variance {vhat_target:g}"
+    return _roots.brentq(f, *_roots.expand(
+        f, -1.0, 1.0, increasing=False, what=what), what=what)
 
 
 def sigma_newton(target_var: float, mu: float, a: float, M: float,
@@ -236,20 +236,11 @@ def sigma_newton(target_var: float, mu: float, a: float, M: float,
     def f(r: float) -> float:
         return (d / r) ** 2 * _core(r)[2] - target_var
 
-    sgn = math.copysign(1.0, d)
-    lo, hi = sgn * 1e-8, sgn
-    while f(hi) > 0.0:
-        hi *= 2.0
-        if abs(hi) > 1e12:
-            raise ValueError("no Form I root: target variance too small")
-    while f(lo) < 0.0:
-        lo /= 2.0
-        if abs(lo) < 1e-280:
-            raise ValueError("no Form I root: target variance too large")
-    if sgn < 0:
-        lo, hi = hi, lo
-    r = float(brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16))
-    return d / r
+    lo, hi = (1e-8, 1.0) if d > 0.0 else (-1.0, -1e-8)
+    what = f"Form I offset r for variance {target_var:g} at mu={mu:g}"
+    bracket = _roots.expand(f, lo, hi, increasing=d < 0.0, what=what,
+                            tiny=1e-280, huge=1e12)
+    return d / _roots.brentq(f, *bracket, what=what)
 
 
 def dsigma1_dmu(r: float) -> float:
@@ -268,6 +259,15 @@ def dsigma1_dmu(r: float) -> float:
     return t * dn / (r * t * dn - 2.0 * n)
 
 
+def _intersect(mu: float, s1: float, s2: float, k1: float, k2: float,
+               lines: str = "tangents") -> tuple[float, float]:
+    """Where the lines through (mu, s1) and (mu, s2), slopes k1, k2, cross."""
+    if k1 == k2:
+        raise ValueError(f"{lines} are parallel at mu={mu}")
+    mu0 = mu + (s2 - s1) / (k1 - k2)
+    return mu0, s1 + k1 * (mu0 - mu)
+
+
 def two_point(M: float, target_var: float, a: float,
               mu1: float, mu2: float) -> CalibrationResult:
     """Intersect the secants of the two sigma(mu) level curves sampled at
@@ -280,10 +280,7 @@ def two_point(M: float, target_var: float, a: float,
     s22 = sigma_newton(target_var, mu2, a, M, VarianceForm.II)
     k1 = (s12 - s11) / (mu2 - mu1)
     k2 = (s22 - s21) / (mu2 - mu1)
-    if k1 == k2:
-        raise ValueError("secants are parallel; sampling points degenerate")
-    mu0 = mu1 + (s21 - s11) / (k1 - k2)
-    sigma0 = s11 + k1 * (mu0 - mu1)
+    mu0, sigma0 = _intersect(mu1, s11, s21, k1, k2, "secants")
     return _finish(mu0, sigma0, M, target_var, a, Method.TWO_POINT, 1)
 
 
@@ -301,10 +298,7 @@ def point_slope(M: float, target_var: float, a: float, mu1: float,
         s2 = sigma_newton(target_var, mu, a, M, VarianceForm.II)
         k1 = dsigma1_dmu((mu - a) / s1)
         k2 = s2 / (mu - a)  # Form II curve is the exact line through (a, 0)
-        if k1 == k2:
-            raise ValueError("tangents are parallel at mu={mu}")
-        mu0 = mu + (s2 - s1) / (k1 - k2)
-        sigma0 = s1 + k1 * (mu0 - mu)
+        mu0, sigma0 = _intersect(mu, s1, s2, k1, k2)
         mu = mu0
     return _finish(mu0, sigma0, M, target_var, a, Method.POINT_SLOPE, rounds)
 
@@ -334,9 +328,18 @@ def calibrate_approx2(M: float, target_var: float, a: float) -> CalibrationResul
 def approx_switch_vhat() -> float:
     """Normalized variance on the congruent manifold at U = 0.9 -- the
     handover point between the two approximating functions."""
-    r = float(brentq(lambda r: r / _core(r)[1] - 0.9, 0.0, 10.0,
-                     xtol=1e-15, rtol=8.9e-16))
+    r = _roots.brentq(lambda r: r / _core(r)[1] - 0.9, 0.0, 10.0,
+                      what="offset r at U = 0.9", xtol=1e-15)
     return normalized_variance(r)
+
+
+def _approx_seed(M: float, target_var: float, a: float) -> tuple[Method, float]:
+    """Approximating function valid at this target, and the mu it seeds."""
+    d = M - a
+    vhat = target_var / (d * d)
+    if vhat >= approx_switch_vhat():
+        return Method.APPROX1, a + solve_U_approx1(vhat) * d
+    return Method.APPROX2, a + solve_U_approx2(vhat) * d
 
 
 def calibrate_auto(M: float, target_var: float, a: float,
@@ -354,13 +357,7 @@ def calibrate_auto(M: float, target_var: float, a: float,
     d = M - a
     if not 0.0 < target_var < d * d:
         raise ValueError("target variance must lie in (0, (M-a)**2)")
-    vhat = target_var / (d * d)
-    if vhat >= approx_switch_vhat():
-        seed = Method.APPROX1
-        mu = a + solve_U_approx1(vhat) * d
-    else:
-        seed = Method.APPROX2
-        mu = a + solve_U_approx2(vhat) * d
+    seed, mu = _approx_seed(M, target_var, a)
     rounds = 0
     result = None
     while rounds < max_rounds:

@@ -22,11 +22,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from scipy.optimize import brentq
 from scipy.special import gammaln
 
+from . import _roots
 from .specfun import (gamma_generalized, gamma_lower, gamma_upper,
                       log_gamma_upper)
+from .utgd import _polyval
 
 __all__ = [
     "ChiKind",
@@ -258,11 +259,10 @@ _WALLIS_1MG2 = (
     -0.0008087158203125, -0.002262115478515625)
 
 
-def _poly(coef, w: float) -> float:
-    acc = 0.0
-    for c in reversed(coef):
-        acc = acc * w + c
-    return acc
+def _var_untruncated(M: float, n: float) -> float:
+    # complete-gamma variance expression, continued to any non-pole n
+    ratio = math.gamma(n / 2.0) / math.gamma((n + 1.0) / 2.0)
+    return M * M * (0.5 * n * ratio * ratio - 1.0)
 
 
 def vmax_fixed_n(M: float, n: float) -> float:
@@ -275,11 +275,10 @@ def vmax_fixed_n(M: float, n: float) -> float:
     if n < -2.0:
         return M * M / (n * (n + 2.0))
     if n <= 180.0:
-        ratio = math.gamma(n / 2.0) / math.gamma((n + 1.0) / 2.0)
-        return M * M * (0.5 * n * ratio * ratio - 1.0)
+        return _var_untruncated(M, n)
     w = 2.0 / n
-    g = _poly(_WALLIS_G, w)
-    return M * M * _poly(_WALLIS_1MG2, w) / (g * g)
+    g = _polyval(_WALLIS_G, w)
+    return M * M * _polyval(_WALLIS_1MG2, w) / (g * g)
 
 
 def nvmx_approx(r_abs: float,
@@ -375,18 +374,10 @@ def chi_calibrate(M: float, target_var: float, n: float,
     def g(r: float) -> float:
         return chi_var_form2(M, r, n, kind) - target_var
 
-    lo, hi = 1e-10, 1.0
-    if kind is ChiKind.INNER:
-        while g(hi) > 0.0:
-            hi *= 2.0
-            if hi > 1e6:
-                raise RuntimeError("bracket expansion failed")
-    else:
-        while g(hi) < 0.0:
-            hi *= 2.0
-            if hi > 1e6:
-                raise RuntimeError("bracket expansion failed")
-    r = float(brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16))
+    what = f"offset |r| with {kind.value}-truncation variance {target_var:g}"
+    bracket = _roots.expand(g, 1e-10, 1.0, increasing=kind is ChiKind.OUTER,
+                            what=what, huge=1e6)
+    r = _roots.brentq(g, *bracket, what=what, xtol=1e-14)
     sigma = chi_sigma_from_mean(M, r, n, kind)
     return r, sigma, r * sigma
 
@@ -397,14 +388,6 @@ def _sigma_limit_ratio(M: float, n: float) -> float:
         return (M / _SQRT2) * math.exp(gammaln(n / 2.0)
                                        - gammaln((n + 1.0) / 2.0))
     return (M / _SQRT2) * math.gamma(n / 2.0) / math.gamma((n + 1.0) / 2.0)
-
-
-def _var_untruncated(M: float, n: float) -> float:
-    # complete-gamma variance expression, continued to any non-pole n
-    if n > 0.0:
-        return vmax_fixed_n(M, n)
-    ratio = math.gamma(n / 2.0) / math.gamma((n + 1.0) / 2.0)
-    return M * M * (0.5 * n * ratio * ratio - 1.0)
 
 
 def chi_limits(n: float, kind: ChiKind, which: LimitDirection | str,
@@ -442,7 +425,7 @@ def chi_limits(n: float, kind: ChiKind, which: LimitDirection | str,
         return var, sigma, a
     if is_pole_even:
         raise ValueError(f"outer r->inf limits have a pole at n={n}")
-    var = _var_untruncated(M, n)
+    var = vmax_fixed_n(M, n) if n > 0.0 else _var_untruncated(M, n)
     sigma = _sigma_limit_ratio(M, n)
     a = math.inf if not (n < 0.0 and float(n).is_integer()) else math.nan
     return var, sigma, a

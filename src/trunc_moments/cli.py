@@ -25,8 +25,8 @@ import sys
 
 import numpy as np
 
-from . import calibrate, chi, tables, utgd
-from .calibrate import CalibrationResult, Method
+from . import _roots, calibrate, chi, tables, utgd
+from .calibrate import Method
 from .chi import ChiKind, ScaledChiSpec
 from .utgd import Side, TruncatedGaussianSpec
 
@@ -79,13 +79,6 @@ def _add_precision(p: argparse.ArgumentParser) -> None:
 # calibrate-gauss
 # ---------------------------------------------------------------------------
 
-def _approx_seed_mu(M: float, target_var: float, a: float) -> float:
-    vhat = target_var / (M - a) ** 2
-    if vhat >= calibrate.approx_switch_vhat():
-        return a + calibrate.solve_U_approx1(vhat) * (M - a)
-    return a + calibrate.solve_U_approx2(vhat) * (M - a)
-
-
 def cmd_calibrate_gauss(args) -> int:
     M, v, a = args.mean, args.var, args.cutoff
     side = Side(args.side)
@@ -114,20 +107,14 @@ def cmd_calibrate_gauss(args) -> int:
             res = calibrate.calibrate_approx1(M_l, v, a)
         elif method is Method.APPROX2:
             res = calibrate.calibrate_approx2(M_l, v, a)
-        elif method is Method.TWO_POINT:
+        else:  # the two intersection methods, seeded like calibrate_auto
             if mu1 is None:
-                mu1 = _approx_seed_mu(M_l, v, a)
-            if mu2 is None:
-                mu2 = mu1 + 0.02 * d
-            res = calibrate.two_point(M_l, v, a, mu1, mu2)
-        elif method is Method.POINT_SLOPE:
-            if mu1 is None:
-                mu1 = _approx_seed_mu(M_l, v, a)
-            res = calibrate.point_slope(M_l, v, a, mu1, rounds=args.rounds)
-        else:
-            parser_err = f"method {args.method!r} has no summary-statistics form"
-            print(parser_err, file=sys.stderr)
-            return EXIT_USAGE
+                mu1 = calibrate._approx_seed(M_l, v, a)[1]
+            if method is Method.TWO_POINT:
+                res = calibrate.two_point(M_l, v, a, mu1,
+                                          mu1 + 0.02 * d if mu2 is None else mu2)
+            else:
+                res = calibrate.point_slope(M_l, v, a, mu1, rounds=args.rounds)
     except ValueError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -157,84 +144,65 @@ def cmd_calibrate_gauss(args) -> int:
 # calibrate-chi
 # ---------------------------------------------------------------------------
 
+def _double_sigma(M: float, n: float, lo: float, up: float) -> float:
+    """The sigma that puts the mean of the window [lo, up] at M."""
+    if not lo < M < up:
+        raise ValueError(f"the doubly truncated mean is confined to "
+                         f"({lo:g}, {up:g}); got {M:g}")
+
+    # the window pins the mean between its endpoints, and the mean grows
+    # with sigma; bracket by expansion
+    def f(sigma: float) -> float:
+        try:
+            return chi.chi_raw_moment(
+                ScaledChiSpec(sigma, n, lower=lo, upper=up,
+                              kind=ChiKind.DOUBLE), 1) - M
+        except ZeroDivisionError:
+            # window mass underflows when sigma << lower; the conditional
+            # mean collapses onto the lower edge in that limit
+            return lo - M
+
+    what = f"sigma giving mean {M:g} on [{lo:g}, {up:g}] at n={n:g}"
+    bracket = _roots.expand(f, up * 1e-6, up, increasing=True, what=what,
+                            huge=up * 1e12, factor=4.0)
+    return _roots.brentq(f, *bracket, what=what)
+
+
 def cmd_calibrate_chi(args) -> int:
     kind = ChiKind(args.trunc)
-    M, v, n = args.mean, args.var, args.dim
-    if kind is ChiKind.DOUBLE:
-        if args.lower is None or args.upper is None:
-            print("calibrate-chi: error: --trunc double requires --lower "
-                  "and --upper", file=sys.stderr)
-            return EXIT_USAGE
-        return _calibrate_chi_double(args)
+    M, v, n, lo, up = args.mean, args.var, args.dim, args.lower, args.upper
+    if kind is ChiKind.DOUBLE and (lo is None or up is None):
+        print("calibrate-chi: error: --trunc double requires --lower "
+              "and --upper", file=sys.stderr)
+        return EXIT_USAGE
+    if kind is ChiKind.DOUBLE and not 0.0 <= lo < up:
+        print("calibrate-chi: error: need 0 <= lower < upper", file=sys.stderr)
+        return EXIT_USAGE
     try:
-        r_abs, sigma, a = chi.chi_calibrate(M, v, n, kind)
+        if kind is ChiKind.DOUBLE:
+            sigma = _double_sigma(M, n, lo, up)
+            r_abs, a = lo / sigma, lo
+            spec = ScaledChiSpec(sigma, n, lower=lo, upper=up, kind=kind)
+        else:
+            r_abs, sigma, a = chi.chi_calibrate(M, v, n, kind)
+            spec = (ScaledChiSpec(sigma, n, lower=a, kind=kind)
+                    if kind is ChiKind.INNER
+                    else ScaledChiSpec(sigma, n, upper=a, kind=kind))
     except ValueError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    spec = (ScaledChiSpec(sigma, n, lower=a, kind=kind) if kind is ChiKind.INNER
-            else ScaledChiSpec(sigma, n, upper=a, kind=kind))
-    mean = chi_mean = chi.chi_raw_moment(spec, 1)
+    mean = chi.chi_raw_moment(spec, 1)
     var = chi.chi_var_form1(spec)
     _emit_json({
         "r": r_abs,
         "sigma": sigma,
         "cutoff": a,
+        **({"upper": up} if kind is ChiKind.DOUBLE else {}),
         "dim": n,
         "trunc": kind.value,
         "achieved_mean": mean,
         "achieved_var": var,
-        "residuals": {"mean": abs(chi_mean - M) / M, "var": abs(var - v) / v},
-    }, args.precision)
-    return EXIT_OK
-
-
-def _calibrate_chi_double(args) -> int:
-    from scipy.optimize import brentq
-
-    M, n, lo, up = args.mean, args.dim, args.lower, args.upper
-    if not 0.0 <= lo < up:
-        print("calibrate-chi: error: need 0 <= lower < upper", file=sys.stderr)
-        return EXIT_USAGE
-    if not lo < M < up:
-        print(f"infeasible: the doubly truncated mean is confined to "
-              f"({lo:g}, {up:g}); got {M:g}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-
-    def mean_at(sigma: float) -> float:
-        try:
-            return chi.chi_raw_moment(
-                ScaledChiSpec(sigma, n, lower=lo, upper=up,
-                              kind=ChiKind.DOUBLE), 1)
-        except ZeroDivisionError:
-            # window mass underflows when sigma << lower; the conditional
-            # mean collapses onto the lower edge in that limit
-            return lo
-
-    # the window pins the mean between its endpoints; bracket by expansion
-    s_lo, s_hi = up * 1e-6, up
-    while mean_at(s_hi) < M and s_hi < up * 1e12:
-        s_hi *= 4.0
-    try:
-        sigma = float(brentq(lambda s: mean_at(s) - M, s_lo, s_hi,
-                             xtol=1e-300, rtol=8.9e-16))
-    except ValueError:
-        print(f"infeasible: no sigma reproduces mean {M:g} on [{lo:g}, {up:g}] "
-              f"at n={n:g}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    spec = ScaledChiSpec(sigma, n, lower=lo, upper=up, kind=ChiKind.DOUBLE)
-    mean = chi.chi_raw_moment(spec, 1)
-    var = chi.chi_var_form1(spec)
-    _emit_json({
-        "r": lo / sigma,
-        "sigma": sigma,
-        "cutoff": lo,
-        "upper": up,
-        "dim": n,
-        "trunc": "double",
-        "achieved_mean": mean,
-        "achieved_var": var,
-        "residuals": {"mean": abs(mean - M) / M,
-                      "var": abs(var - args.var) / args.var},
+        "residuals": {"mean": abs(mean - M) / M, "var": abs(var - v) / v},
     }, args.precision)
     return EXIT_OK
 
@@ -314,38 +282,31 @@ def _read_column(path: str, selector: str) -> list[float]:
 
 
 def _solve_scalar(f, lo: float, hi: float):
-    """Root of f on an expanding log-spaced scan of [lo, hi]; None if no
-    sign change shows up."""
-    from scipy.optimize import brentq
-
-    grid = np.geomspace(lo, hi, 200)
-    vals = [f(g) for g in grid]
-    for i in range(len(grid) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if math.isnan(va) or math.isnan(vb):
-            continue
-        if va == 0.0:
-            return float(grid[i])
-        if va * vb < 0.0:
-            return float(brentq(f, grid[i], grid[i + 1],
-                                xtol=1e-300, rtol=8.9e-16))
-    return None
+    """Root of f in the first sign-changing cell of a log-spaced scan of
+    [lo, hi]; None if no sign change shows up."""
+    try:
+        grid = np.geomspace(lo, hi, 200).tolist()
+        return _roots.brentq(f, *_roots.scan(f, grid, what="sigma"),
+                             what="sigma")
+    except ValueError:
+        return None
 
 
-def _fit_gauss(values: np.ndarray, a: float, warnings: list[str]):
-    M = float(values.mean())
-    v = float(values.var(ddof=1))
+_ESTIMATES = ("mean_based", "form1", "form2")
+
+
+def _fit_gauss(M: float, v: float, a: float, warnings: list[str]):
     d = M - a
-    est = {"mean_based": None, "form1": None, "form2": None}
+    est = dict.fromkeys(_ESTIMATES)
     if not d > 0.0:
         warnings.append("sample mean does not exceed the cutoff; no "
                         "left-truncated Gaussian fits")
-        return M, v, est, None
+        return est, None
     if v >= d * d:
         warnings.append(
             f"sample variance {v:g} exceeds the attainable bound "
             f"(mean - cutoff)^2 = {d * d:g}; model anomalous")
-        return M, v, est, None
+        return est, None
     auto = calibrate.calibrate_auto(M, v, a)
     mu0 = auto.mu0
     # three single-functional sigma estimates at the calibrated location
@@ -371,13 +332,11 @@ def _fit_gauss(values: np.ndarray, a: float, warnings: list[str]):
              / math.erfc(-(mu0 - a) / sigma / math.sqrt(2.0)))
         return utgd.density(mean, spec.r, a, x, h)
 
-    return M, v, est, model_density
+    return est, model_density
 
 
-def _fit_chi(values: np.ndarray, n: float, lo: float | None,
+def _fit_chi(M: float, v: float, n: float, lo: float | None,
              up: float | None, warnings: list[str]):
-    M = float(values.mean())
-    v = float(values.var(ddof=1))
     if lo is not None and up is not None:
         kind, a1, a2 = ChiKind.DOUBLE, lo, up
     elif up is not None:
@@ -388,7 +347,7 @@ def _fit_chi(values: np.ndarray, n: float, lo: float | None,
     def spec(sigma: float) -> ScaledChiSpec:
         return ScaledChiSpec(sigma, n, lower=a1, upper=a2, kind=kind)
 
-    est = {"mean_based": None, "form1": None, "form2": None}
+    est = dict.fromkeys(_ESTIMATES)
     s_hi = max(M, a1, 0.0 if math.isinf(a2) else a2) * 1e3 + 1.0
     est["mean_based"] = _solve_scalar(
         lambda s: chi.chi_raw_moment(spec(s), 1) - M, M * 1e-6, s_hi)
@@ -419,16 +378,13 @@ def _fit_chi(values: np.ndarray, n: float, lo: float | None,
     def model_density(x: float) -> float:
         return chi.chi_density(spec(sigma), x) if sigma is not None else 0.0
 
-    return M, v, est, model_density, implied_cutoff
+    return est, model_density, implied_cutoff
 
 
 def cmd_fit(args) -> int:
     try:
         data = _read_column(args.input, args.column)
-    except OSError as exc:
-        print(f"fit: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"fit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -450,27 +406,20 @@ def cmd_fit(args) -> int:
         warnings.append(f"insufficient data: {values.size} rows in the "
                         "window (need 30); reporting sample moments only")
 
-    implied_cutoff = None
+    M, v = float(values.mean()), float(values.var(ddof=1))
+    est, model_density, implied_cutoff = dict.fromkeys(_ESTIMATES), None, None
     if args.model == "gauss":
         a = args.lower if args.lower is not None else float(values.min())
-        if refused:
-            M, v = float(values.mean()), float(values.var(ddof=1))
-            est, model_density = \
-                {"mean_based": None, "form1": None, "form2": None}, None
-        else:
-            M, v, est, model_density = _fit_gauss(values, a, warnings)
+        if not refused:
+            est, model_density = _fit_gauss(M, v, a, warnings)
         window = {"lower": a, "upper": args.upper}
     else:
         if args.dim is None:
             print("fit: error: --model chi requires --dim", file=sys.stderr)
             return EXIT_USAGE
-        if refused:
-            M, v = float(values.mean()), float(values.var(ddof=1))
-            est, model_density = \
-                {"mean_based": None, "form1": None, "form2": None}, None
-        else:
-            M, v, est, model_density, implied_cutoff = _fit_chi(
-                values, args.dim, args.lower, args.upper, warnings)
+        if not refused:
+            est, model_density, implied_cutoff = _fit_chi(
+                M, v, args.dim, args.lower, args.upper, warnings)
         window = {"lower": args.lower, "upper": args.upper}
 
     present = [s for s in est.values() if s is not None]
@@ -583,9 +532,6 @@ def build_parser() -> _Parser:
     p.add_argument("--upper", type=float, default=None)
     p.add_argument("--bins", type=int, default=None,
                    help="histogram bin count (default Freedman-Diaconis)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="accepted for interface stability; fitting is "
-                        "deterministic")
     _add_precision(p)
     p.set_defaults(func=cmd_fit)
 

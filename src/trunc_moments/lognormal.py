@@ -23,9 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
-from .calibrate import CalibrationResult, Method
+from . import _roots
+from .calibrate import CalibrationResult, Method, _intersect
 from .specfun import exp_r2_half_xi, xi
 from .utgd import _core
 
@@ -55,8 +54,24 @@ def log_xi(z: float) -> float:
     return -0.5 * z * z + math.log(float(exp_r2_half_xi(z)))
 
 
+def _log_xi_steps(r: float, sigma: float) -> tuple[float, float]:
+    """log xi(r + sigma) - log xi(r) and log xi(r + 2 sigma) - log xi(r).
+
+    In the left tail log xi(z) ~ -z**2/2; that part of each step is taken
+    in closed form, so the small second differences the variance forms
+    need are not lost in the rounding of two large logs.
+    """
+    if r < -1.0 and r + 2.0 * sigma < 37.0:
+        l0, l1, l2 = (math.log(float(exp_r2_half_xi(r + k * sigma)))
+                      for k in (0.0, 1.0, 2.0))
+        return (l1 - l0 - sigma * (r + 0.5 * sigma),
+                l2 - l0 - 2.0 * sigma * (r + sigma))
+    lx0 = log_xi(r)
+    return log_xi(r + sigma) - lx0, log_xi(r + 2.0 * sigma) - lx0
+
+
 def _log_mean_y(mu: float, sigma: float, r: float) -> float:
-    return 0.5 * sigma * sigma + mu + log_xi(r + sigma) - log_xi(r)
+    return 0.5 * sigma * sigma + mu + _log_xi_steps(r, sigma)[0]
 
 
 def back_moments(mu: float, sigma: float, a: float) -> LognormalMoments:
@@ -73,25 +88,21 @@ def back_moments(mu: float, sigma: float, a: float) -> LognormalMoments:
 
 
 def _log_var_form1(mu: float, sigma: float, r: float) -> float:
-    lx0 = log_xi(r)
-    lx1 = log_xi(r + sigma)
-    lx2 = log_xi(r + 2.0 * sigma)
+    d1, d2 = _log_xi_steps(r, sigma)
     s2 = sigma * sigma
     # Var = E[Y^2] - E[Y]^2, with the second-moment term factored out;
     # q -> 0- as sigma -> 0, so 1 - e^q goes through expm1
-    q = -s2 + 2.0 * lx1 - lx2 - lx0
+    q = -s2 + 2.0 * d1 - d2
     if q > -1e-12:
         # the log-xi second difference is pure rounding noise here; use the
         # delta-method limit Var(y) ~ e^{2 mu} sigma**2 Q(r) instead
         q = -s2 * _core(r)[2]
-    return 2.0 * s2 + 2.0 * mu + lx2 - lx0 + math.log(-math.expm1(q))
+    return 2.0 * s2 + 2.0 * mu + d2 + math.log(-math.expm1(q))
 
 
 def _log_var_form2(mu: float, sigma: float, r: float, log_M_y: float) -> float:
-    lx0 = log_xi(r)
-    lx1 = log_xi(r + sigma)
-    lx2 = log_xi(r + 2.0 * sigma)
-    arg = -2.0 * mu + 2.0 * log_M_y + lx2 + 3.0 * lx0 - 4.0 * lx1
+    d1, d2 = _log_xi_steps(r, sigma)
+    arg = -2.0 * mu + 2.0 * log_M_y + d2 - 4.0 * d1
     # arg = log(1 + Var/M_y^2); near sigma -> 0 it sinks into rounding noise
     # of the log-xi differences, so switch to the delta-method limit there
     if abs(arg) < 1e-12:
@@ -155,28 +166,20 @@ def lognormal_slopes(mu: float, sigma: float, a: float,
     return slope1, num2 / den2
 
 
+_SIGMA_GRID = [10.0 ** (-6.0 + 7.8 * i / 160.0) for i in range(161)]
+
+
 def _solve_sigma(log_var_at_sigma, target_log_var: float) -> float:
-    """Bracket-and-bisect for sigma on one log-variance level curve.
+    """The sigma at which one log-variance level curve meets the target.
 
     The curves are only defined where the expm1/log1p arguments stay in
     range, so the scan skips NaN cells instead of trusting a fixed bracket.
     """
-    grid = [10.0 ** (-6.0 + 7.8 * i / 160.0) for i in range(161)]
-    prev_s = prev_g = None
-    for s in grid:
-        try:
-            g = log_var_at_sigma(s) - target_log_var
-        except (ValueError, OverflowError):
-            g = math.nan
-        if math.isnan(g):
-            prev_s = prev_g = None
-            continue
-        if prev_g is not None and g * prev_g <= 0.0:
-            return float(brentq(
-                lambda x: log_var_at_sigma(x) - target_log_var,
-                prev_s, s, xtol=1e-300, rtol=8.9e-16))
-        prev_s, prev_g = s, g
-    raise ValueError("no sigma reproduces the target variance at this mu")
+    def g(s: float) -> float:
+        return log_var_at_sigma(s) - target_log_var
+
+    what = "sigma reproducing the target variance at this mu"
+    return _roots.brentq(g, *_roots.scan(g, _SIGMA_GRID, what=what), what=what)
 
 
 def calibrate_original(M_y: float, var_y: float, a: float, mu_seed: float,
@@ -205,10 +208,7 @@ def calibrate_original(M_y: float, var_y: float, a: float, mu_seed: float,
             target)
         k1 = lognormal_slopes(mu, s1, a, M_y)[0]
         k2 = lognormal_slopes(mu, s2, a, M_y)[1]
-        if k1 == k2:
-            raise ValueError(f"tangents are parallel at mu={mu}")
-        mu0 = mu + (s2 - s1) / (k1 - k2)
-        sigma0 = s1 + k1 * (mu0 - mu)
+        mu0, sigma0 = _intersect(mu, s1, s2, k1, k2)
         gap = abs(s2 - s1)
         growth = growth + 1 if gap > gap_prev else 0
         if growth >= 3:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .chi import ChiKind, ScaledChiSpec
+from .chi import ScaledChiSpec
 from .utgd import Side, TruncatedGaussianSpec
 
 __all__ = ["OracleEstimate", "SampleSummary", "quad_moment", "sample_truncated"]

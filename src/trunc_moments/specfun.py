@@ -82,6 +82,30 @@ def _gamma_lower_series(s: float, x: float) -> float:
             return x**s * total
 
 
+# ln Gamma(1 + e) / e = -euler_gamma + sum_{n >= 2} (-1)^n zeta(n)/n e^(n-1)
+_LGAMMA1P_OVER_E = [-np.euler_gamma] + [
+    (-1) ** n * float(sc.zeta(n)) / n for n in range(2, 9)]
+
+
+def _gamma_upper_near_pole(s: float, x: float) -> float:
+    # s = e - k with 0 < |e| < 1e-3: Gamma(s) and the k-th term of the lower
+    # series both carry a 1/e pole, which cancels catastrophically in
+    # Gamma(s) - gamma(s, x); subtract the two poles analytically instead
+    k = round(-s)
+    e = s + k
+    acc = 0.0
+    for c in reversed(_LGAMMA1P_OVER_E):
+        acc = acc * e + c
+    lg = e * acc - sum(math.log1p(-e / j) for j in range(1, k + 1))
+    head = (math.expm1(lg) - math.expm1(e * math.log(x))) / e
+    total, term = 0.0, 1.0  # term = (-x)^j / j!
+    for j in range(30):
+        if j != k:
+            total += term / (s + j)
+        term *= -x / (j + 1)
+    return head * (-1) ** k / math.factorial(k) - x**s * total
+
+
 def _gamma_upper_cf(s: float, x: float) -> float:
     # Legendre continued fraction with modified Lentz; reliable for x >= ~0.25
     # at any real order, including negative integers
@@ -148,6 +172,8 @@ def gamma_upper(s: float, x: float) -> float:
             return _gamma_upper_int_recurrence(k, x)
         return _gamma_upper_cf(s, x)
     if x < _GAMMA_SERIES_X:
+        if abs(s + round(-s)) < 1e-3:
+            return _gamma_upper_near_pole(s, x)
         return float(sc.gamma(s)) - _gamma_lower_series(s, x)
     return _gamma_upper_cf(s, x)
 

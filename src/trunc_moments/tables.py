@@ -86,58 +86,45 @@ def build_table(name: str) -> list[str]:
 
 # -- plot-ready sweeps -------------------------------------------------------
 
+def _kurtosis_row(r: float, p: int) -> str:
+    sk, ku, _, _ = utgd.skewness_kurtosis(1.0, r, 0.0)
+    return f"{r:.{p}g}\t{sk:.{p}f}\t{ku:.{p}f}"
+
+
+def _nvmx_row(r: float, p: int) -> str:
+    rep = chi.nvmx_search(1.0, r)
+    return (f"{r:.{p}g}\t{chi.nvmx_approx(r):.{p}f}\t{rep.n_vmx_real:.{p}f}"
+            f"\t{rep.vmax_real:.{p}f}\t{chi.vmax_fixed_r_approx(r):.{p}f}")
+
+
+# figure: (default min, max, step), header, row at x with p digits
+_FIGURES = {
+    "var-vs-r": ((-5.0, 5.0, 0.05), "r\tvar", lambda r, p:
+                 f"{r:.{p}g}\t{utgd.var_form2(1.0, r, 0.0):.{p}f}"),
+    "dvar-vs-r": ((-5.0, 5.0, 0.05), "r\tdvar_dr", lambda r, p:
+                  f"{r:.{p}g}\t{utgd.dvar_dr(1.0, r, 0.0):.{p}f}"),
+    "kurtosis": ((-5.0, 5.0, 0.05), "r\tskewness\tkurtosis", _kurtosis_row),
+    "slope-form1": ((-5.0, 5.0, 0.05), "r\tdsigma1_dmu", lambda r, p:
+                    f"{r:.{p}g}\t{dsigma1_dmu(r):.{p}f}"),
+    "nvmx-vs-r": ((0.05, 5.0, 0.05),
+                  "r\tn_vmx_fit\tn_vmx_real\tvmax_real\tvmax_fit", _nvmx_row),
+    "vmax-vs-n": ((0.25, 30.0, 0.25), "n\tvmax", lambda n, p:
+                  f"{n:.{p}g}\t{chi.vmax_fixed_n(1.0, n):.{p}f}"),
+}
+
+
 def plot_series(figure: str, lo: float | None, hi: float | None,
                 step: float | None, precision: int) -> list[str]:
     """Columnar data sufficient to re-plot the named figure."""
-
-    def frange(a, b, s):
-        out = []
-        x = a
-        while x <= b + 1e-12:
-            out.append(round(x / s) * s if s < 1 else x)
-            x += s
-        return out
-
-    p = precision
-    if figure == "var-vs-r":
-        a, b, s = lo if lo is not None else -5.0, hi if hi is not None else 5.0, step or 0.05
-        rows = ["r\tvar"]
-        rows += [f"{r:.{p}g}\t{utgd.var_form2(1.0, r, 0.0):.{p}f}"
-                 for r in frange(a, b, s)]
-        return rows
-    if figure == "dvar-vs-r":
-        a, b, s = lo if lo is not None else -5.0, hi if hi is not None else 5.0, step or 0.05
-        rows = ["r\tdvar_dr"]
-        rows += [f"{r:.{p}g}\t{utgd.dvar_dr(1.0, r, 0.0):.{p}f}"
-                 for r in frange(a, b, s)]
-        return rows
-    if figure == "kurtosis":
-        a, b, s = lo if lo is not None else -5.0, hi if hi is not None else 5.0, step or 0.05
-        rows = ["r\tskewness\tkurtosis"]
-        for r in frange(a, b, s):
-            sk, ku, _, _ = utgd.skewness_kurtosis(1.0, r, 0.0)
-            rows.append(f"{r:.{p}g}\t{sk:.{p}f}\t{ku:.{p}f}")
-        return rows
-    if figure == "slope-form1":
-        a, b, s = lo if lo is not None else -5.0, hi if hi is not None else 5.0, step or 0.05
-        rows = ["r\tdsigma1_dmu"]
-        rows += [f"{r:.{p}g}\t{dsigma1_dmu(r):.{p}f}" for r in frange(a, b, s)]
-        return rows
-    if figure == "nvmx-vs-r":
-        a, b, s = lo if lo is not None else 0.05, hi if hi is not None else 5.0, step or 0.05
-        rows = ["r\tn_vmx_fit\tn_vmx_real\tvmax_real\tvmax_fit"]
-        for r in frange(a, b, s):
-            rep = chi.nvmx_search(1.0, r)
-            rows.append(f"{r:.{p}g}\t{chi.nvmx_approx(r):.{p}f}"
-                        f"\t{rep.n_vmx_real:.{p}f}\t{rep.vmax_real:.{p}f}"
-                        f"\t{chi.vmax_fixed_r_approx(r):.{p}f}")
-        return rows
-    if figure == "vmax-vs-n":
-        a, b, s = lo if lo is not None else 0.25, hi if hi is not None else 30.0, step or 0.25
-        rows = ["n\tvmax"]
-        rows += [f"{n:.{p}g}\t{chi.vmax_fixed_n(1.0, n):.{p}f}"
-                 for n in frange(a, b, s)]
-        return rows
-    raise ValueError(
-        f"unknown figure {figure!r}; choose from ['var-vs-r', 'dvar-vs-r', "
-        "'kurtosis', 'slope-form1', 'nvmx-vs-r', 'vmax-vs-n']")
+    if figure not in _FIGURES:
+        raise ValueError(f"unknown figure {figure!r}; choose from "
+                         f"{list(_FIGURES)}")
+    (x, end, s), header, row = _FIGURES[figure]
+    x = x if lo is None else lo
+    end = end if hi is None else hi
+    s = step or s
+    rows = [header]
+    while x <= end + 1e-12:
+        rows.append(row(round(x / s) * s if s < 1 else x, precision))
+        x += s
+    return rows

@@ -2,7 +2,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trunc_moments import chi, oracle
@@ -131,6 +131,9 @@ class TestSigmaAndForms:
                lambda n: abs(n) > 0.01),  # n = 0 is a gamma pole
            st.sampled_from([ChiKind.INNER, ChiKind.OUTER]))
     @settings(max_examples=60, deadline=None)
+    # one ulp above n = -5, Gamma((n+1)/2) sits next to its pole at -2
+    @example(r_abs=0.05, n=-4.999999999999999, kind=ChiKind.INNER)
+    @example(r_abs=0.1, n=-2.0000000000001, kind=ChiKind.INNER)
     def test_form_congruence(self, r_abs, n, kind):
         if kind is ChiKind.OUTER and n < 0.05:
             return  # outer mass collapses as n -> 0; covered by the opt-in
@@ -160,6 +163,24 @@ class TestCalibrate:
             chi_calibrate(1.0, 0.6, 1.0)
         with pytest.raises(ValueError, match="confined"):
             chi_calibrate(1.0, 0.5, 2.0, ChiKind.OUTER)
+
+    @pytest.mark.parametrize("n", [50.0, 200.0])
+    def test_high_dimension_roundtrip(self, n):
+        # the variance is flat to rounding over |r| <= 1 at such n
+        target = 0.5 * vmax_fixed_n(1.0, n)
+        r, sigma, a = chi_calibrate(1.0, target, n)
+        assert chi_var_form2(1.0, r, n) == pytest.approx(target, rel=1e-10)
+
+    def test_target_at_the_supremum_edge(self):
+        # the root lies below the initial bracket's |r| = 1e-10 end
+        target = 0.99999 * vmax_fixed_n(1.0, 0.5)
+        try:
+            r, sigma, a = chi_calibrate(1.0, target, 0.5)
+        except ValueError as exc:
+            assert str(exc).startswith("no offset |r|")
+        else:
+            assert chi_var_form2(1.0, r, 0.5) == pytest.approx(target,
+                                                               rel=1e-12)
 
     @given(st.floats(min_value=0.5, max_value=8.0),
            st.floats(min_value=0.05, max_value=0.9))

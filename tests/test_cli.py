@@ -79,6 +79,19 @@ def test_calibrate_gauss_infeasible(capsys):
     assert "(0, 1)" in err
 
 
+@pytest.mark.parametrize("var", ["1e-14", "0.999999999999"])
+def test_calibrate_gauss_out_of_seed_range(capsys, var):
+    # beyond both approximating functions' reach the diagnostic is named;
+    # no solver message leaks and no traceback escapes
+    code, out, err = run(capsys, "calibrate-gauss", "--mean", "1",
+                         "--var", var, "--cutoff", "0")
+    assert code == 2
+    assert err.startswith("infeasible: ")
+    assert "different signs" not in err
+    assert ("function-2 location U" if var == "1e-14"
+            else "validity U in [-100, 0.9]") in err
+
+
 def test_calibrate_gauss_approx_only(capsys):
     # a bare approximation leaves visible residuals -> flagged on stderr
     code, doc, err = run_json(capsys, "calibrate-gauss", "--mean", "1.8",
@@ -129,6 +142,15 @@ def test_calibrate_chi_infeasible(capsys):
                          "--var", "0.6", "--dim", "1")
     assert code == 2
     assert "maximal variance" in err
+
+
+def test_calibrate_chi_double_unattainable_mean(capsys):
+    # for n = 1 the window mean tops out at its midpoint as sigma -> inf
+    code, out, err = run(capsys, "calibrate-chi", "--mean", "1.8", "--var",
+                         "0.1", "--dim", "1", "--trunc", "double",
+                         "--lower", "1", "--upper", "2")
+    assert code == 2
+    assert err.startswith("infeasible: no sigma")
 
 
 def test_calibrate_chi_double(capsys):
@@ -216,6 +238,21 @@ def test_fit_header_column(capsys, tmp_path):
     assert est["mean_based"] == pytest.approx(3.14, rel=0.05)
     assert est["form1"] == pytest.approx(3.14, rel=0.05)
     assert doc["rmse_vs_data"] < 0.05
+
+
+def test_fit_chi_double_window(capsys, tmp_path):
+    # small trial sigmas empty the window (its mass underflows); the scan
+    # for the sigma estimates must step over them
+    f = tmp_path / "radii.txt"
+    rng = np.random.default_rng(3)
+    _write_column(f, (1.5 * np.abs(rng.normal(size=4000))).tolist())
+    code, doc, err = run_json(capsys, "fit", "--input", str(f), "--model",
+                              "chi", "--dim", "1", "--lower", "0.5",
+                              "--upper", "4.0")
+    assert code == 0
+    est = doc["sigma_estimates"]
+    assert est["mean_based"] == pytest.approx(1.5, rel=0.05)
+    assert est["form1"] == pytest.approx(1.5, rel=0.05)
 
 
 def test_fit_chi_requires_dim(capsys, tmp_path):

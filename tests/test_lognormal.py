@@ -2,7 +2,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trunc_moments import lognormal
@@ -74,6 +74,9 @@ class TestLogVarForms:
            st.floats(min_value=0.05, max_value=2.5),
            st.floats(min_value=-3.0, max_value=3.0))
     @settings(max_examples=60)
+    # deep cutoffs (r near -79 and -75), where log xi is ~ -r**2/2
+    @example(mu=-1.0, sigma=0.05078125, a=3.0)
+    @example(mu=-1.75, sigma=0.05, a=2.0)
     def test_congruence(self, mu, sigma, a):
         lv1, lv2 = log_var_forms(mu, sigma, a)
         # the xi-difference rounding noise is amplified when sigma is small

@@ -1,0 +1,129 @@
+import math
+import os
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from scipy.optimize import brentq as scipy_brentq
+
+import trunc_moments
+from trunc_moments import _roots
+from trunc_moments.utgd import normalized_variance
+
+CASES = [
+    (lambda x: x ** 3 - 2.0, 0.0, 3.0, 1e-300),
+    (lambda x: x ** 3 - 2.0, 3.0, -5.0, 1e-6),
+    (lambda x: math.exp(x) - 1.0 - 1e-9, -1.0, 40.0, 1e-300),
+    (lambda x: math.tanh(x - 0.3) * 1e-200, -7.0, 2.0, 1e-14),
+    (lambda x: math.atan(x) - 1.5, -1.0, 1e6, 1e-12),
+    (lambda x: normalized_variance(x) - 0.25, -1.0, 4.0, 1e-300),
+    (lambda x: normalized_variance(x) - 1e-12, 1.0, 2.0 ** 21, 1e-300),
+    (lambda x: math.copysign(abs(x - 0.7) ** 0.3, x - 0.7), 0.0, 5.0, 1e-300),
+    (lambda x: 1e300 * (x - 1.0 / 3.0), 0.0, 1.0, 1e-15),
+]
+
+
+def _scipy(f, a, b, xtol):
+    return scipy_brentq(f, a, b, xtol=xtol, rtol=_roots.RTOL)
+
+
+@pytest.mark.parametrize("f,a,b,xtol", CASES)
+def test_brentq_matches_scipy_bitwise(f, a, b, xtol):
+    assert _roots.brentq(f, a, b, what="x", xtol=xtol) == _scipy(f, a, b, xtol)
+
+
+def test_brentq_matches_scipy_on_random_brackets():
+    rng = np.random.default_rng(11)
+    shapes = [lambda c: lambda x: x ** 3 - c ** 3,
+              lambda c: lambda x: math.atan(x) - math.atan(c),
+              lambda c: lambda x: math.tanh(x - c) * 1e-200,
+              lambda c: lambda x: math.copysign(abs(x - c) ** 0.3, x - c)]
+    for i in range(400):
+        c = float(rng.uniform(-3.0, 3.0))
+        f = shapes[i % len(shapes)](c)
+        a = c - float(10.0 ** rng.uniform(-8.0, 2.0))
+        b = c + float(10.0 ** rng.uniform(-8.0, 2.0))
+        xtol = float(10.0 ** rng.uniform(-300.0, -1.0))
+        got = _roots.brentq(f, a, b, what="x", xtol=xtol)
+        assert got == _scipy(f, a, b, xtol), i
+
+
+def test_brentq_uses_supplied_endpoint_values():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - 0.25
+
+    assert _roots.brentq(f, 0.0, 1.0, -0.25, 0.75, what="x") == 0.25
+    assert 0.0 not in calls and 1.0 not in calls
+
+
+def test_brentq_names_quantity_and_range():
+    with pytest.raises(ValueError, match=r"no widget in \[1, 2\]"):
+        _roots.brentq(lambda x: x, 1.0, 2.0, what="widget")
+    with pytest.raises(ValueError, match="no widget"):
+        _roots.brentq(lambda x: math.nan if x > 0.1 else x - 0.5, 0.0, 1.0,
+                      what="widget")
+
+
+@pytest.mark.parametrize("increasing,a,root,want", [
+    (True, -1.0, 100.0, (-1.0, 128.0)),       # b grows outwards
+    (True, -1.0, -3.0, (-4.0, 1.0)),          # a grows outwards
+    (False, 1e-3, 1e-9, (1e-3 / 2 ** 20, 1.0)),  # a shrinks towards 0
+])
+def test_expand_moves_the_endpoint_on_the_root_side(increasing, a, root,
+                                                    want):
+    sign = 1.0 if increasing else -1.0
+    a, b, fa, fb = _roots.expand(lambda x: sign * (x - root), a, 1.0,
+                                 increasing=increasing, what="x")
+    assert (a, b) == want
+    assert fa * fb <= 0.0
+
+
+def test_expand_follows_the_stated_direction_on_flat_curves():
+    # |f| is equal at both ends, so only the stated monotonicity says that
+    # the root lies beyond b
+    def step(x):
+        return 1.0 if x < 5.0 else -1.0
+
+    assert _roots.expand(step, 1e-3, 1.0, increasing=False, what="x") == \
+        (1e-3, 8.0, 1.0, -1.0)
+
+
+def test_expand_stops_at_its_limit():
+    with pytest.raises(ValueError, match=r"no x in \[0\.5, 1024\]"):
+        _roots.expand(lambda x: x - 1e9, 0.5, 1.0, increasing=True, what="x",
+                      huge=1024.0)
+
+
+def test_scan_skips_undefined_cells():
+    grid = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+
+    def f(x, root):
+        if x == 2.0:
+            raise OverflowError
+        return math.nan if x == 5.0 else x - root
+
+    assert _roots.scan(lambda x: f(x, 3.5), grid, what="x") == \
+        (3.0, 4.0, -0.5, 0.5)
+    # the sign changes only over cells with an undefined endpoint
+    for root in (1.5, 4.5):
+        with pytest.raises(ValueError, match=r"no x in \[0, 6\]"):
+            _roots.scan(lambda x: f(x, root), grid, what="x")
+
+
+def test_import_leaves_optimize_and_integrate_unloaded():
+    src = str(pathlib.Path(trunc_moments.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, trunc_moments\n"
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate')"
+            " if m in sys.modules))\n"
+            "import trunc_moments.oracle\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -54,7 +54,9 @@ class TestGammaUpper:
             assert gamma_upper(0.5, x) == pytest.approx(
                 math.sqrt(math.pi) * math.erfc(math.sqrt(x)), rel=1e-13)
 
-    @pytest.mark.parametrize("s", [-0.5, -1.5, -3.0, -6.0])
+    @pytest.mark.parametrize("s", [-0.5, -1.5, -3.0, -6.0,
+                                   # next to the poles of Gamma(s)
+                                   -1e-12, -1.000000000001, -1.999999999999999])
     @pytest.mark.parametrize("x", [0.05, 0.8, 2.3, 30.0])
     def test_negative_s_vs_mpmath(self, s, x):
         want = float(mpmath.gammainc(s, x, mpmath.inf))
