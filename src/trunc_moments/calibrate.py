@@ -13,8 +13,10 @@ Two closed-form approximating functions give cheap starting points:
 * fn 2: sigma ~ U / sqrt(W(1/(2*pi*(1-U)**2))) via the Lambert W function;
   good for weak truncation (U in [0.9, 1)).
 
-Exact refinement uses the two-point secant method or the point-slope
-(tangent-intersection) method on the sigma(mu) curves.
+Refinement uses the two-point secant method or the point-slope
+(tangent-intersection) method on the sigma(mu) curves.  ``calibrate_auto``
+needs neither: vhat depends on the offset r = (mu - a)/sigma alone, so it
+inverts vhat(r) exactly and reads sigma off the mean.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from operator import sub
 from . import _roots, utgd
 from .specfun import lambert_w0
 from .utgd import Side, TruncatedGaussianSpec, _core, _polyval, \
-    _VHAT_NUM, _VHAT_DEN, _SERIES_CUT, normalized_variance
+    _VHAT_NUM, _VHAT_DEN_MINUS_NUM, _SERIES_CUT, normalized_variance
 
 __all__ = [
     "ApproxFn1Params",
@@ -88,8 +90,7 @@ class Method(str, Enum):
     APPROX2 = "approx2"
     TWO_POINT = "two-point"
     POINT_SLOPE = "point-slope"
-    NEWTON_FORM_I = "newton-form1"
-    NEWTON_FORM_II = "newton-form2"
+    EXACT = "exact"
 
 
 class VarianceForm(str, Enum):
@@ -107,7 +108,6 @@ class CalibrationResult:
     var_resid: float
     mean_achieved: float
     var_achieved: float
-    seed_method: Method | None = None
 
 
 def _finish(mu0: float, sigma0: float, M: float, target_var: float, a: float,
@@ -255,7 +255,7 @@ def dsigma1_dmu(r: float) -> float:
     u = 1.0 / (r * r)
     t = _core(r)[0]
     n = _polyval(_VHAT_NUM, u)
-    dn = _polyval([de - nu for de, nu in zip(_VHAT_DEN, _VHAT_NUM)], u)
+    dn = _polyval(_VHAT_DEN_MINUS_NUM, u)
     return t * dn / (r * t * dn - 2.0 * n)
 
 
@@ -343,27 +343,19 @@ def _approx_seed(M: float, target_var: float, a: float) -> tuple[Method, float]:
 
 
 def calibrate_auto(M: float, target_var: float, a: float,
-                   side: Side = Side.LEFT,
-                   resid_tol: float = 1e-12, max_rounds: int = 5) -> CalibrationResult:
-    """Full pipeline: approximate seed, then point-slope refinement until
-    both moment residuals drop below resid_tol (or max_rounds is hit)."""
+                   side: Side = Side.LEFT) -> CalibrationResult:
+    """Exact calibration over the whole attainable range 0 < Var < (M-a)**2:
+    r solves vhat(r) = Var/(M-a)**2, then sigma = (M-a)/s(r) and
+    mu = a + r*sigma."""
     side = Side(side)
     if side is Side.RIGHT:
-        res = calibrate_auto(2.0 * a - M, target_var, a, Side.LEFT,
-                             resid_tol, max_rounds)
+        res = calibrate_auto(2.0 * a - M, target_var, a)
         mean = 2.0 * a - res.mean_achieved
         return replace(res, mu0=2.0 * a - res.mu0, mean_achieved=mean,
                        mean_resid=abs(mean - M) / (abs(M) or 1.0))
     d = M - a
-    if not 0.0 < target_var < d * d:
-        raise ValueError("target variance must lie in (0, (M-a)**2)")
-    seed, mu = _approx_seed(M, target_var, a)
-    rounds = 0
-    result = None
-    while rounds < max_rounds:
-        rounds += 1
-        result = point_slope(M, target_var, a, mu, rounds=1)
-        mu = result.mu0
-        if result.mean_resid <= resid_tol and result.var_resid <= resid_tol:
-            break
-    return replace(result, iterations=rounds, seed_method=seed)
+    if not (d > 0.0 and 0.0 < target_var < d * d):
+        raise ValueError("need M > a and a target variance in (0, (M-a)**2)")
+    r = r_from_variance(target_var / (d * d))
+    sigma = d / _core(r)[1]
+    return _finish(a + r * sigma, sigma, M, target_var, a, Method.EXACT, 1)

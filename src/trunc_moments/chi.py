@@ -294,8 +294,8 @@ def nvmx_approx(r_abs: float,
 def nvmx_search(M: float, r_abs: float) -> VmaxReport:
     """Exact vmx dimensionality by golden-section maximization, seeded by
     the fitted estimate; also reports the best flanking integer >= 1."""
-    if not r_abs > 0.0:
-        raise ValueError("|r| must be positive")
+    if not 0.0 < r_abs < math.inf:
+        raise ValueError(f"|r| must be positive and finite, got {r_abs:g}")
 
     def v(n: float) -> float:
         return chi_var_form2(1.0, r_abs, n, ChiKind.INNER)
@@ -377,7 +377,7 @@ def chi_calibrate(M: float, target_var: float, n: float,
     what = f"offset |r| with {kind.value}-truncation variance {target_var:g}"
     bracket = _roots.expand(g, 1e-10, 1.0, increasing=kind is ChiKind.OUTER,
                             what=what, huge=1e6)
-    r = _roots.brentq(g, *bracket, what=what, xtol=1e-14)
+    r = _roots.brentq(g, *bracket, what=what)
     sigma = chi_sigma_from_mean(M, r, n, kind)
     return r, sigma, r * sigma
 

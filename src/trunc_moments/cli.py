@@ -107,7 +107,7 @@ def cmd_calibrate_gauss(args) -> int:
             res = calibrate.calibrate_approx1(M_l, v, a)
         elif method is Method.APPROX2:
             res = calibrate.calibrate_approx2(M_l, v, a)
-        else:  # the two intersection methods, seeded like calibrate_auto
+        else:  # the two intersection methods, seeded by fn 1 or fn 2
             if mu1 is None:
                 mu1 = calibrate._approx_seed(M_l, v, a)[1]
             if method is Method.TWO_POINT:
@@ -129,13 +129,11 @@ def cmd_calibrate_gauss(args) -> int:
         "achieved_mean": mean,
         "achieved_var": res.var_achieved,
         "method": res.method.value,
-        "seed_method": res.seed_method.value if res.seed_method else None,
         "iterations": res.iterations,
         "residuals": {"mean": res.mean_resid, "var": res.var_resid},
     }, args.precision)
     if max(res.mean_resid, res.var_resid) > 1e-8:
-        print("warning: residuals exceed 1e-8 (approximate method or too "
-              "few refinement rounds)", file=sys.stderr)
+        print("warning: residuals exceed 1e-8", file=sys.stderr)
         return EXIT_INFEASIBLE
     return EXIT_OK
 
@@ -212,7 +210,11 @@ def cmd_calibrate_chi(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_vmax(args) -> int:
-    rep = chi.nvmx_search(args.mean, args.r)
+    try:
+        rep = chi.nvmx_search(args.mean, args.r)
+    except ValueError as exc:
+        print(f"vmax: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     n_fit = chi.nvmx_approx(args.r)
     payload = {
         "r": args.r,
@@ -307,8 +309,11 @@ def _fit_gauss(M: float, v: float, a: float, warnings: list[str]):
             f"sample variance {v:g} exceeds the attainable bound "
             f"(mean - cutoff)^2 = {d * d:g}; model anomalous")
         return est, None
-    auto = calibrate.calibrate_auto(M, v, a)
-    mu0 = auto.mu0
+    try:
+        mu0 = calibrate.calibrate_auto(M, v, a).mu0
+    except ValueError as exc:
+        warnings.append(str(exc))
+        return est, None
     # three single-functional sigma estimates at the calibrated location
     est["mean_based"] = utgd.sigma_from_mean_r(M, 0.0, a) if mu0 == a else \
         _solve_scalar(

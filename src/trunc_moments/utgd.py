@@ -58,9 +58,9 @@ __all__ = [
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
-# Below this the direct t/s/Q route loses more than ~1e-11 relative and the
-# asymptotic series in u = 1/r**2 takes over.
-_SERIES_CUT = -20.0
+# Below this the asymptotic series in u = 1/r**2 beats the direct t/s/Q
+# route (their errors against mpmath cross near r = -10.5).
+_SERIES_CUT = -11.0
 
 
 class Side(str, Enum):
@@ -107,7 +107,7 @@ class MomentSummary:
 
 
 # ---------------------------------------------------------------------------
-# asymptotic-series coefficients (exact integers, ascending powers of u)
+# asymptotic-series coefficients (exact integer algebra, ascending powers of u)
 # ---------------------------------------------------------------------------
 
 def _series_coefficients(order: int):
@@ -156,11 +156,16 @@ def _series_coefficients(order: int):
     assert pk[:4] == [0, 0, 0, 0]
     k_coef = pk[4:]
 
-    return psi, phi, n_coef, d_coef, s_coef, k_coef
+    # dN/du, dD/du and D - N are formed on the exact integers too; only then
+    # is each coefficient rounded to a float, once instead of in every call
+    dn, dd = ([k * c for k, c in enumerate(p)][1:] for p in (n_coef, d_coef))
+    d_minus_n = [de - nu for de, nu in zip(d_coef, n_coef)]
+    return [[float(c) for c in p] for p in (
+        psi, phi, n_coef, d_coef, s_coef, k_coef, dn, dd, d_minus_n)]
 
 
-(_PSI, _PHI, _VHAT_NUM, _VHAT_DEN,
- _SKEW_NUM, _KURT_NUM) = _series_coefficients(16)
+(_PSI, _PHI, _VHAT_NUM, _VHAT_DEN, _SKEW_NUM, _KURT_NUM,
+ _VHAT_NUM_D, _VHAT_DEN_D, _VHAT_DEN_MINUS_NUM) = _series_coefficients(16)
 
 
 def _polyval(coef_ascending, u: float) -> float:
@@ -168,14 +173,6 @@ def _polyval(coef_ascending, u: float) -> float:
     for c in reversed(coef_ascending):
         acc = acc * u + c
     return acc
-
-
-def _polyder(coef_ascending):
-    return [k * c for k, c in enumerate(coef_ascending)][1:]
-
-
-_VHAT_NUM_D = _polyder(_VHAT_NUM)
-_VHAT_DEN_D = _polyder(_VHAT_DEN)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 import math
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -125,6 +126,22 @@ class TestApproximations:
             assert abs(sigma_approx2(U) - exact) / exact < 0.009
 
 
+def _mp_mean_var(mu, sigma, a, side):
+    """Mean and variance of the truncated Gaussian (mu, sigma, a, side),
+    from the closed forms in mpmath.  1 - r*t - t**2 cancels about
+    2*log10(r**2) digits, so the working precision grows with r."""
+    r = (mu - a) / sigma if side is Side.LEFT else (a - mu) / sigma
+    with mpmath.workdps(40 + int(2 * math.log10(1.0 + r * r))):
+        r_ = (mpmath.mpf(mu) - a) / sigma
+        if side is Side.RIGHT:
+            r_ = -r_
+        t = mpmath.sqrt(2 / mpmath.pi) / (mpmath.exp(r_ ** 2 / 2)
+                                          * mpmath.erfc(-r_ / mpmath.sqrt(2)))
+        s = sigma * (r_ + t)
+        mean = a + s if side is Side.LEFT else a - s
+        return float(mean), float(sigma ** 2 * (1 - r_ * t - t * t))
+
+
 def _s_of(r):
     return r + utgd.inverse_mills(r)
 
@@ -179,18 +196,22 @@ class TestAutoPipeline:
     @pytest.mark.parametrize("case,seed", [(A, Method.APPROX1),
                                            (B, Method.APPROX2)])
     def test_converges_and_picks_seed(self, case, seed):
+        # the seed still starts the CLI's two-point and point-slope runs;
+        # calibrate_auto itself inverts vhat(r) exactly
         M, v, a = case
+        assert calibrate._approx_seed(M, v, a)[0] is seed
         res = calibrate_auto(M, v, a)
-        assert res.seed_method is seed
+        assert res.method is Method.EXACT
         assert res.mean_resid < 1e-12
         assert res.var_resid < 1e-12
-        assert res.iterations <= 3
 
     def test_rejects_unattainable(self):
         with pytest.raises(ValueError):
             calibrate_auto(1.0, 1.1, 0.0)
         with pytest.raises(ValueError):
             calibrate_auto(1.0, -0.1, 0.0)
+        with pytest.raises(ValueError, match="M > a"):
+            calibrate_auto(-1.0, 0.5, 0.0)
 
     def test_right_side(self):
         res = calibrate_auto(-1.3, 3.0, 1.0, side=Side.RIGHT)
@@ -207,6 +228,26 @@ class TestAutoPipeline:
         res = calibrate_auto(M, vhat * d * d, a)
         assert res.mean_resid < 1e-10
         assert res.var_resid < 1e-10
+
+    @given(st.floats(min_value=-12.0, max_value=math.log10(0.5)),
+           st.booleans(), st.sampled_from(Side),
+           st.floats(min_value=-2.0, max_value=2.0),
+           st.floats(min_value=0.1, max_value=5.0))
+    @example(-12.0, False, Side.LEFT, 0.0, 1.0)
+    @example(-12.0, True, Side.LEFT, 0.0, 1.0)
+    @example(-12.0, False, Side.RIGHT, 0.0, 1.0)
+    @example(-12.0, True, Side.RIGHT, 0.0, 1.0)
+    @settings(max_examples=40, deadline=None)
+    def test_roundtrip_whole_range(self, log10_gap, near_one, side, a, d):
+        # vhat, or 1 - vhat, is 10**log10_gap: both tails of (0, 1)
+        gap = 10.0 ** log10_gap
+        vhat = 1.0 - gap if near_one else gap
+        M = a + d if side is Side.LEFT else a - d
+        V = vhat * d * d
+        res = calibrate_auto(M, V, a, side=side)
+        mean, var = _mp_mean_var(res.mu0, res.sigma0, a, side)
+        assert abs(mean - M) / d < 1e-10
+        assert abs(var - V) / V < 1e-10
 
 
 def test_switch_point_value():

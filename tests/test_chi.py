@@ -182,6 +182,17 @@ class TestCalibrate:
             assert chi_var_form2(1.0, r, 0.5) == pytest.approx(target,
                                                                rel=1e-12)
 
+    def test_tiny_root_is_placed_to_relative_precision(self):
+        # the root |r| ~ 3.4e-21 sits far below any absolute tolerance
+        # above 1e-20; check the variance there against mpmath
+        target = 0.9999999999 * vmax_fixed_n(1.0, 0.5)
+        r, sigma, a = chi_calibrate(1.0, target, 0.5)
+        with mpmath.workdps(50):
+            y = mpmath.mpf(r) ** 2 / 2
+            g = [mpmath.gammainc(mpmath.mpf(k) / 4, y) for k in (1, 3, 5)]
+            want = float(g[0] * g[2] / g[1] ** 2 - 1)
+        assert want == pytest.approx(target, rel=1e-13)
+
     @given(st.floats(min_value=0.5, max_value=8.0),
            st.floats(min_value=0.05, max_value=0.9))
     @settings(max_examples=30, deadline=None)

@@ -69,7 +69,7 @@ def test_calibrate_gauss_auto(capsys):
     assert doc["achieved_mean"] == pytest.approx(1.3)
     assert doc["achieved_var"] == pytest.approx(3.0)
     assert doc["residuals"]["mean"] < 1e-10
-    assert doc["seed_method"] == "approx1"
+    assert doc["method"] == "exact"
 
 
 def test_calibrate_gauss_infeasible(capsys):
@@ -81,15 +81,24 @@ def test_calibrate_gauss_infeasible(capsys):
 
 @pytest.mark.parametrize("var", ["1e-14", "0.999999999999"])
 def test_calibrate_gauss_out_of_seed_range(capsys, var):
-    # beyond both approximating functions' reach the diagnostic is named;
+    # beyond an approximating function's reach its diagnostic is named;
     # no solver message leaks and no traceback escapes
+    method = "approx2" if var == "1e-14" else "approx1"
     code, out, err = run(capsys, "calibrate-gauss", "--mean", "1",
-                         "--var", var, "--cutoff", "0")
+                         "--var", var, "--cutoff", "0", "--method", method)
     assert code == 2
     assert err.startswith("infeasible: ")
     assert "different signs" not in err
     assert ("function-2 location U" if var == "1e-14"
             else "validity U in [-100, 0.9]") in err
+
+
+def test_calibrate_gauss_auto_beyond_the_seeds(capsys):
+    # the exact inversion needs no seed, so auto reaches vhat = 1e-14
+    code, doc, err = run_json(capsys, "calibrate-gauss", "--mean", "1",
+                              "--var", "1e-14", "--cutoff", "0")
+    assert code == 0
+    assert doc["residuals"]["var"] < 1e-12
 
 
 def test_calibrate_gauss_approx_only(capsys):
@@ -99,7 +108,7 @@ def test_calibrate_gauss_approx_only(capsys):
                               "--method", "approx2")
     assert code == 2
     assert doc["sigma"] == pytest.approx(0.68720795, abs=1.5e-8)
-    assert "residuals exceed" in err
+    assert err == "warning: residuals exceed 1e-8\n"
 
 
 def test_calibrate_gauss_right_side_mirror(capsys):
@@ -176,6 +185,14 @@ def test_vmax_velocity_window(capsys):
     assert doc["n_vmx_real"] == pytest.approx(10.89379775, abs=1e-6)
     assert doc["vmax_int"] == pytest.approx(0.03622777, abs=1.5e-8)
     assert doc["n_vmx"] == doc["n_vmx_real"]
+
+
+@pytest.mark.parametrize("r", ["0", "nan", "inf"])
+def test_vmax_rejects_bad_r(capsys, r):
+    code, out, err = run(capsys, "vmax", "--r", r)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("vmax: error: |r| must be positive and finite")
 
 
 def test_vmax_integer_selection(capsys):
@@ -282,6 +299,27 @@ def test_fit_gauss_recovers_sigma(capsys, tmp_path):
     for key in ("mean_based", "form1", "form2"):
         assert est[key] == pytest.approx(2.5, rel=0.03), key
     assert doc["divergence"] < 0.03
+
+
+def test_fit_gauss_far_above_cutoff(capsys, tmp_path):
+    # vhat ~ 0.01 lies below approximating function 2's reach; the exact
+    # calibration needs no seed there
+    f = tmp_path / "far.txt"
+    _write_column(f, np.random.default_rng(3).normal(10.0, 1.0, 5000))
+    code, doc, err = run_json(capsys, "fit", "--input", str(f),
+                              "--model", "gauss", "--lower", "0")
+    assert code == 0
+    assert doc["sigma_estimates"]["form2"] == pytest.approx(1.0, rel=0.03)
+
+
+def test_fit_gauss_constant_sample(capsys, tmp_path):
+    f = tmp_path / "flat.txt"
+    _write_column(f, [2.0] * 40)
+    code, doc, err = run_json(capsys, "fit", "--input", str(f),
+                              "--model", "gauss", "--lower", "0")
+    assert code == 0
+    assert doc["sigma_estimates"]["form2"] is None
+    assert any("target variance" in w for w in doc["warnings"])
 
 
 # ---------------------------------------------------------------------------

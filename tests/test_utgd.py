@@ -69,6 +69,20 @@ def test_dvhat_matches_finite_difference(r):
     assert utgd.dnormalized_variance_dr(r) == pytest.approx(fd, rel=5e-6)
 
 
+@pytest.mark.parametrize("r", [-20.0, -18.5, -16.0, -14.0, -12.5, -11.0])
+def test_dvhat_against_mpmath(r):
+    # [-20, -11] is series zone: the direct formula was off by up to 2e-6
+    # relative here (r = -16 is a slope-table row)
+    with mpmath.workdps(60):
+        def vhat(x):
+            t = mpmath.sqrt(2 / mpmath.pi) / (mpmath.exp(x ** 2 / 2)
+                                              * mpmath.erfc(-x / mpmath.sqrt(2)))
+            return (1 - x * t - t * t) / (x + t) ** 2
+
+        want = float(mpmath.diff(vhat, mpmath.mpf(r)))
+    assert utgd.dnormalized_variance_dr(r) == pytest.approx(want, rel=1e-12)
+
+
 def test_dvar_asymptotes():
     # -2/r^3 on the right, 4/r^3 on the left
     r = 1024.0
