@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from scipy.special import gammaln
-
 from . import _roots
 from .specfun import (gamma_generalized, gamma_lower, gamma_upper,
                       log_gamma_upper)
@@ -292,35 +290,31 @@ def nvmx_approx(r_abs: float,
 
 
 def nvmx_search(M: float, r_abs: float) -> VmaxReport:
-    """Exact vmx dimensionality by golden-section maximization, seeded by
-    the fitted estimate; also reports the best flanking integer >= 1."""
+    """Exact vmx dimensionality: the root of dV/dn, bracketed around the
+    fitted estimate; also reports the best flanking integer >= 1."""
     if not 0.0 < r_abs < math.inf:
         raise ValueError(f"|r| must be positive and finite, got {r_abs:g}")
 
     def v(n: float) -> float:
         return chi_var_form2(1.0, r_abs, n, ChiKind.INNER)
 
-    guess = nvmx_approx(r_abs)
-    lo = max(guess - 5.0, -1.0 + 1e-6)
-    hi = guess + 5.0
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = v(x1), v(x2)
-    for _ in range(200):
-        if hi - lo <= 1e-10:
-            break
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = v(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = v(x1)
-    else:
-        raise RuntimeError("vmx search failed to converge")
-    n_real = 0.5 * (lo + hi)
+    def slope(m: float) -> float:
+        # 12h dV/dn at n = m - 1 by the four-point symmetric quotient.  A
+        # maximum search stalls near sqrt(eps) on a peak this flat; the
+        # slope's sign change locates it to ~1e-9.  The cap on h keeps
+        # n - 2h above -1, where the inner variance stops existing.
+        n = m - 1.0
+        h = min(1e-3 * max(1.0, abs(n)), 0.4 * m)
+        return 8.0 * (v(n + h) - v(n - h)) - (v(n + 2.0 * h) - v(n - 2.0 * h))
+
+    # work in m = n + 1 > 0, so that widening towards 0 never leaves n > -1
+    m = nvmx_approx(r_abs) + 1.0
+    what = f"variance-maximizing dimension at |r|={r_abs:g}"
+    bracket = _roots.expand(slope, 0.95 * m, 1.05 * m, increasing=False,
+                            what=what)
+    # the quotient's rounding noise already blurs the root by 1e-12 to 4e-9,
+    # so Brent stops at 1e-11 instead of bisecting that noise
+    n_real = _roots.brentq(slope, *bracket, what=what, xtol=1e-11) - 1.0
     cands = {max(1, math.floor(n_real)), max(1, math.ceil(n_real))}
     n_int = max(cands, key=v)
     return VmaxReport(r_abs=r_abs, n_vmx_real=n_real, n_vmx_int=n_int,
@@ -385,8 +379,8 @@ def chi_calibrate(M: float, target_var: float, n: float,
 def _sigma_limit_ratio(M: float, n: float) -> float:
     # M * Gamma(n/2) / (sqrt(2) * Gamma((n+1)/2)) via loggamma when possible
     if n > 0.0:
-        return (M / _SQRT2) * math.exp(gammaln(n / 2.0)
-                                       - gammaln((n + 1.0) / 2.0))
+        return (M / _SQRT2) * math.exp(math.lgamma(n / 2.0)
+                                       - math.lgamma((n + 1.0) / 2.0))
     return (M / _SQRT2) * math.gamma(n / 2.0) / math.gamma((n + 1.0) / 2.0)
 
 

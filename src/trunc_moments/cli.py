@@ -23,8 +23,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import _roots, calibrate, chi, tables, utgd
 from .calibrate import Method
 from .chi import ChiKind, ScaledChiSpec
@@ -40,6 +38,33 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _finite(text: str) -> float:
+    """argparse type: a finite float (NaN and inf reach no solver)."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return x
+
+
+def _positive(cast):
+    """argparse type: a positive ``cast`` (int or float), for counts and
+    steps."""
+    def parse(text: str):
+        try:
+            x = cast(text)
+        except ValueError:
+            x = math.nan
+        if not 0 < x < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"expected a positive {cast.__name__}, got {text!r}")
+        return x
+    return parse
 
 
 def _default_precision() -> int:
@@ -286,6 +311,8 @@ def _read_column(path: str, selector: str) -> list[float]:
 def _solve_scalar(f, lo: float, hi: float):
     """Root of f in the first sign-changing cell of a log-spaced scan of
     [lo, hi]; None if no sign change shows up."""
+    import numpy as np
+
     try:
         grid = np.geomspace(lo, hi, 200).tolist()
         return _roots.brentq(f, *_roots.scan(f, grid, what="sigma"),
@@ -387,6 +414,8 @@ def _fit_chi(M: float, v: float, n: float, lo: float | None,
 
 
 def cmd_fit(args) -> int:
+    import numpy as np  # only fit needs numpy; it costs ~0.15 s to import
+
     try:
         data = _read_column(args.input, args.column)
     except (OSError, ValueError) as exc:
@@ -494,35 +523,35 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("calibrate-gauss",
                        help="solve (mu, sigma) from mean/variance targets")
-    p.add_argument("--mean", type=float, required=True)
-    p.add_argument("--var", type=float, required=True)
-    p.add_argument("--cutoff", type=float, required=True)
+    p.add_argument("--mean", type=_finite, required=True)
+    p.add_argument("--var", type=_finite, required=True)
+    p.add_argument("--cutoff", type=_finite, required=True)
     p.add_argument("--side", choices=[s.value for s in Side], default="left")
     p.add_argument("--method", default="auto",
                    choices=["auto", "approx1", "approx2", "two-point",
                             "point-slope"])
-    p.add_argument("--mu1", type=float, default=None)
-    p.add_argument("--mu2", type=float, default=None)
-    p.add_argument("--rounds", type=int, default=3)
+    p.add_argument("--mu1", type=_finite, default=None)
+    p.add_argument("--mu2", type=_finite, default=None)
+    p.add_argument("--rounds", type=_positive(int), default=3)
     _add_precision(p)
     p.set_defaults(func=cmd_calibrate_gauss)
 
     p = sub.add_parser("calibrate-chi",
                        help="solve (r, sigma, cutoff) of a chi model")
-    p.add_argument("--mean", type=float, required=True)
-    p.add_argument("--var", type=float, required=True)
-    p.add_argument("--dim", type=float, required=True)
+    p.add_argument("--mean", type=_finite, required=True)
+    p.add_argument("--var", type=_finite, required=True)
+    p.add_argument("--dim", type=_finite, required=True)
     p.add_argument("--trunc", choices=[k.value for k in ChiKind],
                    default="inner")
-    p.add_argument("--lower", type=float, default=None)
-    p.add_argument("--upper", type=float, default=None)
+    p.add_argument("--lower", type=_finite, default=None)
+    p.add_argument("--upper", type=_finite, default=None)
     _add_precision(p)
     p.set_defaults(func=cmd_calibrate_chi)
 
     p = sub.add_parser("vmax",
                        help="variance-maximizing dimension at fixed |r|")
     p.add_argument("--r", type=float, required=True)
-    p.add_argument("--mean", type=float, default=1.0)
+    p.add_argument("--mean", type=_finite, default=1.0)
     p.add_argument("--integer-n", action="store_true")
     _add_precision(p)
     p.set_defaults(func=cmd_vmax)
@@ -532,10 +561,10 @@ def build_parser() -> _Parser:
     p.add_argument("--column", default="1",
                    help="1-based index or header name (default 1)")
     p.add_argument("--model", choices=["gauss", "chi"], required=True)
-    p.add_argument("--dim", type=float, default=None)
-    p.add_argument("--lower", type=float, default=None)
-    p.add_argument("--upper", type=float, default=None)
-    p.add_argument("--bins", type=int, default=None,
+    p.add_argument("--dim", type=_finite, default=None)
+    p.add_argument("--lower", type=_finite, default=None)
+    p.add_argument("--upper", type=_finite, default=None)
+    p.add_argument("--bins", type=_positive(int), default=None,
                    help="histogram bin count (default Freedman-Diaconis)")
     _add_precision(p)
     p.set_defaults(func=cmd_fit)
@@ -546,9 +575,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("plot-data", help="emit plot-ready sweep data as TSV")
     p.add_argument("--figure", required=True)
-    p.add_argument("--min", type=float, default=None)
-    p.add_argument("--max", type=float, default=None)
-    p.add_argument("--step", type=float, default=None)
+    p.add_argument("--min", type=_finite, default=None)
+    p.add_argument("--max", type=_finite, default=None)
+    p.add_argument("--step", type=_positive(float), default=None)
     _add_precision(p)
     p.set_defaults(func=cmd_plot_data)
 

@@ -1,6 +1,7 @@
 """Scalar special functions used throughout the package.
 
-Everything here is a thin, carefully-range-managed layer over scipy.special:
+The Gaussian functions need only the standard library's ``math.erfc``; the
+incomplete gammas build on scipy.special, imported on their first call:
 
 * ``xi`` -- the shifted error function erf(r/sqrt(2)) + 1, i.e. twice the
   Gaussian upper-tail mass to the right of -r.  Evaluated through erfc so the
@@ -20,9 +21,7 @@ NaN inputs propagate to NaN results.  Domain violations raise ValueError.
 from __future__ import annotations
 
 import math
-
-import numpy as np
-import scipy.special as sc
+from functools import cache
 
 __all__ = [
     "xi",
@@ -35,11 +34,50 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
 # series/continued-fraction split for order <= 0; below this x the power
 # series converges in a handful of terms, above it the Legendre continued
 # fraction is both fast and stable
 _GAMMA_SERIES_X = 0.25
+
+# erfcx switches to its asymptotic series here: erfc(x) is still a normal
+# double (it turns subnormal near x = 26.5) and the series' first omitted
+# term, 17!!/(2x^2)^9, is below 1e-20
+_ERFCX_SERIES_X = 26.0
+
+
+@cache
+def _sc():
+    # scipy.special costs about 0.3 s to import and only the incomplete
+    # gammas need it, so it loads on their first call
+    import scipy.special
+    return scipy.special
+
+
+def _erfcx(x: float) -> float:
+    # exp(x^2) * erfc(x) to about 1 ulp.  x^2 is split exactly into hi + lo
+    # (Veltkamp/Dekker), so exp sees no rounded argument: exp(hi + lo) =
+    # exp(hi) * (1 + lo) to far below an ulp, as |lo| <= ulp(hi)/2.
+    if x < _ERFCX_SERIES_X:
+        c = 134217729.0 * x  # 2**27 + 1
+        xh = c - (c - x)
+        xl = x - xh
+        hi = x * x
+        lo = ((xh * xh - hi) + 2.0 * xh * xl) + xl * xl
+        try:
+            y = math.exp(hi) * math.erfc(x)
+        except OverflowError:  # x < -26.6: the true value exceeds double range
+            return math.inf
+        # exp(inf) does not raise: |x| > 1e154 leaves hi = inf and lo = nan
+        return y if y == math.inf else y + y * lo
+    # erfcx(x) ~ 1/(x sqrt(pi)) * sum_k (2k-1)!! / (-2x^2)^k; w = 1/(2x^2)
+    # is formed without squaring x, which overflows for x > 1e154
+    w = 0.5 / x / x
+    acc = 1.0
+    for k in range(8, 0, -1):
+        acc = 1.0 - (2 * k - 1) * w * acc
+    return _INV_SQRT_PI / x * acc
 
 
 def xi(r: float) -> float:
@@ -47,10 +85,7 @@ def xi(r: float) -> float:
 
     Strictly positive for all finite r; underflows to 0 near r ~ -38.5.
     """
-    r = float(r)
-    if math.isnan(r):
-        return math.nan
-    return float(sc.erfc(-r / _SQRT2))
+    return math.erfc(-float(r) / _SQRT2)
 
 
 def exp_r2_half_xi(r: float) -> float:
@@ -61,11 +96,7 @@ def exp_r2_half_xi(r: float) -> float:
     only sane evaluation path.  Decays like -sqrt(2/pi)/r as r -> -inf and
     returns +inf once the true value exceeds double range (r > ~37.7).
     """
-    r = float(r)
-    if math.isnan(r):
-        return math.nan
-    with np.errstate(over="ignore"):
-        return float(sc.erfcx(-r / _SQRT2))
+    return _erfcx(-float(r) / _SQRT2)
 
 
 def _gamma_lower_series(s: float, x: float) -> float:
@@ -83,8 +114,12 @@ def _gamma_lower_series(s: float, x: float) -> float:
 
 
 # ln Gamma(1 + e) / e = -euler_gamma + sum_{n >= 2} (-1)^n zeta(n)/n e^(n-1)
-_LGAMMA1P_OVER_E = [-np.euler_gamma] + [
-    (-1) ** n * float(sc.zeta(n)) / n for n in range(2, 9)]
+_EULER_GAMMA = 0.5772156649015329
+_ZETA_2_TO_8 = (1.6449340668482264, 1.2020569031595942, 1.0823232337111381,
+                1.03692775514337, 1.0173430619844492, 1.008349277381923,
+                1.0040773561979444)
+_LGAMMA1P_OVER_E = [-_EULER_GAMMA] + [
+    (-1) ** n * z / n for n, z in enumerate(_ZETA_2_TO_8, start=2)]
 
 
 def _gamma_upper_near_pole(s: float, x: float) -> float:
@@ -134,7 +169,7 @@ def _gamma_upper_cf(s: float, x: float) -> float:
 def _gamma_upper_int_recurrence(k: int, x: float) -> float:
     # Gamma(-k, x) for integer k >= 0, walked down from Gamma(0,x) = E1(x).
     # Downward is the stable direction: the target grows as the order drops.
-    g = float(sc.exp1(x))
+    g = float(_sc().exp1(x))
     s = 0.0
     emx = math.exp(-x)
     for _ in range(k):
@@ -160,10 +195,11 @@ def gamma_upper(s: float, x: float) -> float:
         raise ValueError(f"gamma_upper requires x >= 0, got x={x}")
     if x == 0.0:
         if s > 0.0:
-            return float(sc.gamma(s))
+            return float(_sc().gamma(s))
         raise ValueError("gamma_upper(s, 0) diverges for s <= 0")
     if s > 0.0:
         if s <= 170.0:
+            sc = _sc()
             return float(sc.gammaincc(s, x)) * float(sc.gamma(s))
         return math.exp(log_gamma_upper(s, x))
     if s == math.floor(s):
@@ -174,7 +210,7 @@ def gamma_upper(s: float, x: float) -> float:
     if x < _GAMMA_SERIES_X:
         if abs(s + round(-s)) < 1e-3:
             return _gamma_upper_near_pole(s, x)
-        return float(sc.gamma(s)) - _gamma_lower_series(s, x)
+        return float(_sc().gamma(s)) - _gamma_lower_series(s, x)
     return _gamma_upper_cf(s, x)
 
 
@@ -190,6 +226,7 @@ def log_gamma_upper(s: float, x: float) -> float:
         return math.nan
     if s <= 0.0:
         raise ValueError("log_gamma_upper requires s > 0")
+    sc = _sc()
     if x == 0.0:
         return float(sc.gammaln(s))
     q = float(sc.gammaincc(s, x))
@@ -223,10 +260,11 @@ def gamma_lower(s: float, x: float) -> float:
     if x == 0.0:
         return 0.0
     if s > 0.0:
+        sc = _sc()
         return float(sc.gammainc(s, x)) * float(sc.gamma(s))
     if x < 8.0:
         return _gamma_lower_series(s, x)
-    return float(sc.gamma(s)) - gamma_upper(s, x)
+    return float(_sc().gamma(s)) - gamma_upper(s, x)
 
 
 def gamma_generalized(s: float, y1: float, y2: float) -> float:
@@ -243,13 +281,14 @@ def gamma_generalized(s: float, y1: float, y2: float) -> float:
         raise ValueError(f"gamma_generalized requires 0 <= y1 < y2, got ({y1}, {y2})")
     if math.isinf(y2):
         return gamma_upper(s, y1) if y1 > 0.0 else (
-            float(sc.gamma(s)) if s > 0.0 else math.inf
+            float(_sc().gamma(s)) if s > 0.0 else math.inf
         )
     if y1 == 0.0:
         return gamma_lower(s, y2)
     if s > 0.0 and s <= 170.0:
         # difference of regularized lower values: less cancellation when both
         # cutoffs sit in the tail
+        sc = _sc()
         return float(sc.gamma(s)) * float(sc.gammainc(s, y2) - sc.gammainc(s, y1))
     return gamma_upper(s, y1) - gamma_upper(s, y2)
 

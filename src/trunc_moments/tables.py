@@ -122,7 +122,9 @@ def plot_series(figure: str, lo: float | None, hi: float | None,
     (x, end, s), header, row = _FIGURES[figure]
     x = x if lo is None else lo
     end = end if hi is None else hi
-    s = step or s
+    s = s if step is None else step
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"step must be positive and finite, got {s:g}")
     rows = [header]
     while x <= end + 1e-12:
         rows.append(row(round(x / s) * s if s < 1 else x, precision))

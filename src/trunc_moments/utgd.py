@@ -31,8 +31,6 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .specfun import exp_r2_half_xi
 
 __all__ = [
@@ -61,6 +59,9 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 # Below this the asymptotic series in u = 1/r**2 beats the direct t/s/Q
 # route (their errors against mpmath cross near r = -10.5).
 _SERIES_CUT = -11.0
+# The derivative cancels harder in the direct zone and less in the series,
+# so its errors against mpmath cross higher, near 1e-8 at r = -9.75.
+_DVHAT_SERIES_CUT = -9.75
 
 
 class Side(str, Enum):
@@ -184,9 +185,8 @@ def _core(r: float) -> tuple[float, float, float]:
     if math.isnan(r):
         return math.nan, math.nan, math.nan
     if r > _SERIES_CUT:
-        with np.errstate(over="ignore"):
-            e = float(exp_r2_half_xi(r))
-        t = _SQRT_2_OVER_PI / e  # underflows to 0 for r > ~38; correct limit
+        # underflows to 0 for r > ~38; correct limit
+        t = _SQRT_2_OVER_PI / exp_r2_half_xi(r)
         return t, r + t, 1.0 - r * t - t * t
     u = 1.0 / (r * r)
     psi = _polyval(_PSI, u)
@@ -217,7 +217,7 @@ def dnormalized_variance_dr(r: float) -> float:
     """d/dr of ``normalized_variance``; negative everywhere."""
     if math.isnan(r):
         return math.nan
-    if r > _SERIES_CUT:
+    if r > _DVHAT_SERIES_CUT:
         t, s, q = _core(r)
         # exact reduction of d(Q/s**2)/dr via t' = -t*s, Q' = t*(s**2 - Q)
         return t + q * (t * s - 2.0) / (s * s * s)

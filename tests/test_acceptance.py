@@ -297,8 +297,8 @@ def test_criterion_08_vmx_fit_quality():
     # The published accuracy claims do NOT survive a high-precision search:
     # the variance is extremely flat around its argmax (the curvature there
     # is ~0.02, so mislocating n_vmx by 3% costs under 2e-5 in variance),
-    # and the fit was anchored to argmax locations that a tight
-    # golden-section search (confirmed by 40-digit quadrature) places
+    # and the fit was anchored to argmax locations that the exact search
+    # (a root of dV/dn, within 4e-9 of mpmath up to |r| = 5) places
     # elsewhere.  Both envelopes are therefore measured honestly here and
     # asserted at the claimed bounds; the n-fit claim holds only for
     # n_vmx >~ 1.7 and the vmax claim only for r >~ 0.25 — near r = 0 the

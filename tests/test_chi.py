@@ -233,9 +233,24 @@ class TestVmax:
     def test_search_matches_velocity_example(self):
         rep = nvmx_search(1.0, 2.2)
         assert rep.n_vmx_int == 11
-        assert rep.n_vmx_real == pytest.approx(10.89379775, abs=1e-6)
+        assert rep.n_vmx_real == pytest.approx(10.89380099, abs=1e-6)  # mpmath
         assert rep.vmax_int == pytest.approx(0.03622777, abs=1e-8)
         assert nvmx_approx(2.2) == pytest.approx(10.887, abs=5e-4)
+
+    @pytest.mark.parametrize("r", [0.05, 0.3, 1.0, 2.0, 5.0])
+    def test_search_against_mpmath(self, r):
+        # a maximum search on this flat peak stalled 1.8e-5 off at |r| = 5
+        rep = nvmx_search(1.0, r)
+        with mpmath.workdps(40):
+            def v(n):
+                y = mpmath.mpf(r) ** 2 / 2
+                g0, g1, g2 = (mpmath.gammainc((n + k) / 2, y) for k in (0, 1, 2))
+                return g0 * g2 / (g1 * g1) - 1
+
+            want = mpmath.findroot(lambda n: mpmath.diff(v, n),
+                                   mpmath.mpf(rep.n_vmx_real))
+            assert rep.n_vmx_real == pytest.approx(float(want), abs=1e-8)
+            assert rep.vmax_real == pytest.approx(float(v(want)), rel=1e-12)
 
     def test_search_small_r(self):
         rep = nvmx_search(1.0, 0.1)

@@ -1,11 +1,15 @@
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from trunc_moments import cli
+import trunc_moments
+from trunc_moments import cli, tables
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -54,6 +58,50 @@ def test_plot_data_kurtosis(capsys):
 def test_plot_data_unknown_figure(capsys):
     code, out, err = run(capsys, "plot-data", "--figure", "bogus")
     assert code == 1
+
+
+def run_cli(*argv, timeout=60):
+    """The CLI in a fresh interpreter; ``timeout`` turns a hang into a
+    failure."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(pathlib.Path(trunc_moments.__file__).parents[1]),
+                    env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "trunc_moments", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=timeout)
+
+
+@pytest.mark.parametrize("option, argv", [
+    # a negative step never ended (its memory grew without bound) and a zero
+    # step quietly became the default
+    ("--step", ["plot-data", "--figure", "var-vs-r", "--step", "-0.1"]),
+    ("--step", ["plot-data", "--figure", "var-vs-r", "--step", "0"]),
+    # these exited 2 (infeasible), or 0 with a null answer
+    ("--rounds", ["calibrate-gauss", "--mean", "1", "--var", "0.3",
+                  "--cutoff", "0", "--method", "point-slope", "--rounds", "0"]),
+    ("--mean", ["calibrate-gauss", "--mean", "nan", "--var", "0.3",
+                "--cutoff", "0"]),
+    ("--var", ["calibrate-gauss", "--mean", "1", "--var", "nan",
+               "--cutoff", "0"]),
+    ("--dim", ["calibrate-chi", "--mean", "1", "--var", "0.1", "--dim", "nan"]),
+    ("--mean", ["vmax", "--r", "1", "--mean", "nan"]),
+    ("--bins", ["fit", "--input", "unread.csv", "--model", "gauss",
+                "--bins", "-1"]),
+])
+def test_rejects_bad_numbers(option, argv):
+    proc = run_cli(*argv, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert f"error: argument {option}: expected a " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("step", [0.0, -0.1, math.inf, math.nan])
+def test_plot_series_rejects_bad_step(step):
+    # min > max, so that a missing check returns a header instead of looping
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        tables.plot_series("var-vs-r", 1.0, 0.0, step, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +230,7 @@ def test_vmax_velocity_window(capsys):
     code, doc, err = run_json(capsys, "vmax", "--r", "2.2")
     assert code == 0
     assert doc["n_vmx_int"] == 11
-    assert doc["n_vmx_real"] == pytest.approx(10.89379775, abs=1e-6)
+    assert doc["n_vmx_real"] == pytest.approx(10.89380099, abs=1e-6)  # mpmath
     assert doc["vmax_int"] == pytest.approx(0.03622777, abs=1.5e-8)
     assert doc["n_vmx"] == doc["n_vmx_real"]
 

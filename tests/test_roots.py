@@ -115,7 +115,7 @@ def test_scan_skips_undefined_cells():
             _roots.scan(lambda x: f(x, root), grid, what="x")
 
 
-def test_import_leaves_optimize_and_integrate_unloaded():
+def test_import_leaves_optimize_and_integrate_unloaded(tmp_path):
     src = str(pathlib.Path(trunc_moments.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -127,3 +127,26 @@ def test_import_leaves_optimize_and_integrate_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+    # the Gaussian path runs on the standard library: numpy and scipy load
+    # only when a chi calibration or a fit needs them
+    sample = tmp_path / "sample.csv"
+    rng = np.random.default_rng(5)
+    sample.write_text("\n".join(map(repr, rng.normal(1.0, 1.0, 500).tolist())))
+    code = ("import contextlib, io, sys\n"
+            "import trunc_moments, trunc_moments.cli as cli\n"
+            "def run(*argv):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        return cli.main(list(argv))\n"
+            "rc = run('calibrate-gauss', '--mean', '1.3', '--var', '3',"
+            " '--cutoff', '-1')\n"
+            "print(rc, sorted({m.split('.')[0] for m in sys.modules}"
+            " & {'numpy', 'scipy'}))\n"
+            "print(run('calibrate-chi', '--mean', '1', '--var', '0.1',"
+            " '--dim', '3'))\n"
+            f"print(run('fit', '--input', {str(sample)!r}, '--model', 'gauss',"
+            " '--lower', '0'))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True,
+                         timeout=120).stdout
+    assert out.split("\n")[:3] == ["0 []", "0", "0"]

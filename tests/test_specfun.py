@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import pytest
@@ -35,6 +36,34 @@ def test_scaled_xi_deep_tail():
     want = mpmath.exp(800) * mpmath.erfc(40 / mpmath.sqrt(2))
     assert got == pytest.approx(float(want), rel=1e-14)
     assert exp_r2_half_xi(-1e6) > 0.0
+
+
+def test_scaled_xi_and_xi_against_mpmath():
+    # x = -r/sqrt(2) over [-26.6, 1e150], log-spaced beyond 10 (sparser past
+    # 1e50, where mpmath's erfc is slow); scipy's erfcx was off by up to
+    # 5.7e-14 here, for it rounds x**2 before exp
+    xs = ([k / 8 for k in range(-213, 81)]
+          + [10 ** (k / 4) for k in range(5, 200)]
+          + [10.0 ** k for k in range(50, 151, 5)])
+    with mpmath.workdps(40):
+        for x in xs:
+            r = -x * SQRT2
+            x = mpmath.mpf(-r / SQRT2)  # the argument the functions see
+            want = mpmath.erfc(x)
+            assert exp_r2_half_xi(r) == pytest.approx(
+                float(mpmath.exp(x * x) * want), rel=1e-15, abs=0)
+            if x < 26.5:  # erfc(x) is subnormal beyond
+                assert xi(r) == pytest.approx(float(want), rel=1e-15, abs=0)
+
+
+def test_scaled_xi_overflow_and_nan():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert exp_r2_half_xi(40.0) == math.inf
+        assert exp_r2_half_xi(1e200) == math.inf
+        assert exp_r2_half_xi(-1e300) > 0.0
+        assert math.isnan(exp_r2_half_xi(math.nan))
+        assert math.isnan(xi(math.nan))
 
 
 @given(st.floats(min_value=-30.0, max_value=8.0))

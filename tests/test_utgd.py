@@ -69,10 +69,15 @@ def test_dvhat_matches_finite_difference(r):
     assert utgd.dnormalized_variance_dr(r) == pytest.approx(fd, rel=5e-6)
 
 
-@pytest.mark.parametrize("r", [-20.0, -18.5, -16.0, -14.0, -12.5, -11.0])
+@pytest.mark.parametrize("r", [-20.0, -18.5, -16.0, -14.0, -12.5, -11.0,
+                               -10.75, -10.59, -10.25, -10.0, -9.75, -9.5,
+                               -9.0, -8.5, -8.0])
 def test_dvhat_against_mpmath(r):
     # [-20, -11] is series zone: the direct formula was off by up to 2e-6
-    # relative here (r = -16 is a slope-table row)
+    # relative here (r = -16 is a slope-table row).  On (-11, -8] both routes
+    # cancel; the derivative's own cut at -9.75, where their errors cross,
+    # holds it to 1.0e-8 (the direct formula was 2.4e-8 off near -10.59).
+    rel = 1e-12 if r <= -11.0 else 1.5e-8
     with mpmath.workdps(60):
         def vhat(x):
             t = mpmath.sqrt(2 / mpmath.pi) / (mpmath.exp(x ** 2 / 2)
@@ -80,7 +85,7 @@ def test_dvhat_against_mpmath(r):
             return (1 - x * t - t * t) / (x + t) ** 2
 
         want = float(mpmath.diff(vhat, mpmath.mpf(r)))
-    assert utgd.dnormalized_variance_dr(r) == pytest.approx(want, rel=1e-12)
+    assert utgd.dnormalized_variance_dr(r) == pytest.approx(want, rel=rel)
 
 
 def test_dvar_asymptotes():
