@@ -18,6 +18,7 @@ Calibration and fit output is JSON on stdout; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -261,60 +262,93 @@ def cmd_vmax(args) -> int:
 # fit
 # ---------------------------------------------------------------------------
 
-def _read_column(path: str, selector: str) -> list[float]:
-    """One numeric column from a UTF-8 CSV/whitespace file.
+def _read_column(path: str, selector: str, lower: float | None = None,
+                 upper: float | None = None) -> list[float]:
+    """One numeric column from a UTF-8 CSV/whitespace file, in one pass.
 
-    '#' lines are comments; the column is picked by 1-based index or header
-    name; any non-numeric data row is an error naming the line.
+    Blank and '#' lines are skipped; the first other line decides CSV (it
+    holds a comma) or whitespace, and is a header if the column is picked
+    by name or its cell in the column does not parse.  Values outside
+    [lower, upper] are dropped as they are read, so memory follows the
+    rows kept.  The first data row that lacks the column or holds a
+    non-numeric cell in it is an error naming its line.
     """
     with open(path, encoding="utf-8") as fh:
-        lines = [(i + 1, ln.strip()) for i, ln in enumerate(fh)]
-    rows = [(no, ln) for no, ln in lines if ln and not ln.startswith("#")]
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    split = (lambda s: [c.strip() for c in s.split(",")]) \
-        if "," in rows[0][1] else (lambda s: s.split())
+        lines = enumerate(fh, 1)
+        for no, first in lines:
+            first = first.strip()
+            if first and not first.startswith("#"):
+                break
+        else:
+            raise ValueError(f"{path}: no data rows")
+        sep = "," if "," in first else None
+        split = (lambda s: [c.strip() for c in s.split(",")]) if sep \
+            else str.split
 
-    idx: int | None = None
-    try:
-        idx = int(selector) - 1
-        if idx < 0:
-            raise ValueError(f"column index must be >= 1, got {selector}")
-    except ValueError as exc:
-        if "column index" in str(exc):
-            raise
-    header = split(rows[0][1])
-    if idx is None:
-        if selector not in header:
-            raise ValueError(f"{path}: no column named {selector!r} in header")
-        idx = header.index(selector)
-        rows = rows[1:]
-    else:
         try:
-            float(header[idx] if idx < len(header) else "")
-        except (ValueError, IndexError):
-            rows = rows[1:]  # header row present, skip it
-
-    out = []
-    for no, ln in rows:
-        cells = split(ln)
-        if idx >= len(cells):
-            raise ValueError(f"{path}: line {no}: missing column {idx + 1}")
-        try:
-            out.append(float(cells[idx]))
+            idx = int(selector) - 1
         except ValueError:
-            raise ValueError(
-                f"{path}: line {no}: non-numeric value {cells[idx]!r}") from None
+            idx = None
+        else:
+            if idx < 0:
+                raise ValueError(f"column index must be >= 1, got {selector}")
+        cells = split(first)
+        first_is_data = False  # else it is a header
+        if idx is None:
+            if selector not in cells:
+                raise ValueError(
+                    f"{path}: no column named {selector!r} in header")
+            idx = cells.index(selector)
+        elif idx < len(cells):
+            try:
+                float(cells[idx])
+                first_is_data = True
+            except ValueError:
+                pass
+        if first_is_data:
+            lines = itertools.chain([(no, first)], lines)
+
+        def parse(no: int, line: str) -> float | None:
+            """The value on line ``no``, None for a blank or '#' line."""
+            line = line.strip()
+            if not line or line.startswith("#"):
+                return None
+            cells = split(line)
+            if idx >= len(cells):
+                raise ValueError(
+                    f"{path}: line {no}: missing column {idx + 1}")
+            try:
+                return float(cells[idx])
+            except ValueError:
+                raise ValueError(f"{path}: line {no}: non-numeric value "
+                                 f"{cells[idx]!r}") from None
+
+        out = []
+        keep = out.append
+        for no, line in lines:
+            # float() strips the same whitespace as parse(), so where the
+            # plain split reads a number it is parse()'s number; '#' lines
+            # and lines it cannot read go to parse()
+            x = None
+            if "#" not in line:
+                try:
+                    x = float(line.split(sep)[idx])
+                except (ValueError, IndexError):
+                    pass
+            if x is None:
+                x = parse(no, line)
+                if x is None:
+                    continue
+            if (lower is None or x >= lower) and (upper is None or x <= upper):
+                keep(x)
     return out
 
 
 def _solve_scalar(f, lo: float, hi: float):
-    """Root of f in the first sign-changing cell of a log-spaced scan of
-    [lo, hi]; None if no sign change shows up."""
-    import numpy as np
-
+    """Root of f in the first sign-changing cell of a 200-point log-spaced
+    scan of [lo, hi]; None if no sign change shows up."""
+    grid = [lo * (hi / lo) ** (k / 199) for k in range(200)]
     try:
-        grid = np.geomspace(lo, hi, 200).tolist()
         return _roots.brentq(f, *_roots.scan(f, grid, what="sigma"),
                              what="sigma")
     except ValueError:
@@ -322,6 +356,10 @@ def _solve_scalar(f, lo: float, hi: float):
 
 
 _ESTIMATES = ("mean_based", "form1", "form2")
+# which estimate each model's density curve (and so the RMSE) uses, first
+# present wins
+_MODEL_SIGMA = {"gauss": ("form2", "form1", "mean_based"),
+                "chi": ("mean_based", "form1")}
 
 
 def _fit_gauss(M: float, v: float, a: float, warnings: list[str]):
@@ -337,13 +375,27 @@ def _fit_gauss(M: float, v: float, a: float, warnings: list[str]):
             f"(mean - cutoff)^2 = {d * d:g}; model anomalous")
         return est, None
     try:
-        mu0 = calibrate.calibrate_auto(M, v, a).mu0
+        res = calibrate.calibrate_auto(M, v, a)
     except ValueError as exc:
         warnings.append(str(exc))
         return est, None
     # three single-functional sigma estimates at the calibrated location
-    est["mean_based"] = utgd.sigma_from_mean_r(M, 0.0, a) if mu0 == a else \
-        _solve_scalar(
+    mu0, sigma0 = res.mu0, res.sigma0
+    r0 = (mu0 - a) / sigma0
+    t = utgd.inverse_mills(r0)
+    # at fixed mu0 the mean moves with sigma at the rate t*(1 + r*(r + t));
+    # once the truncated mass is so small that the rounding of M alone moves
+    # the root by more than 1e-8 relative, the mean pins no sigma
+    if r0 > 0.0 and abs(M) * sys.float_info.epsilon > \
+            1e-8 * sigma0 * t * (1.0 + r0 * (r0 + t)):
+        warnings.append(
+            f"mean-based estimate omitted: the truncated mass "
+            f"{0.5 * math.erfc(r0 / math.sqrt(2.0)):.3g} (r = {r0:.3g}) is "
+            f"too small for the sample mean to determine sigma")
+    elif mu0 == a:
+        est["mean_based"] = utgd.sigma_from_mean_r(M, 0.0, a)
+    else:
+        est["mean_based"] = _solve_scalar(
             lambda s: utgd.mean_from_params(TruncatedGaussianSpec(mu0, s, a)) - M,
             1e-6 * d, 1e3 * d)
     try:
@@ -353,18 +405,15 @@ def _fit_gauss(M: float, v: float, a: float, warnings: list[str]):
                                               calibrate.VarianceForm.II)
     except ValueError as exc:
         warnings.append(str(exc))
-    sigma = est["form2"] or est["form1"] or est["mean_based"]
 
-    def model_density(x: float) -> float:
-        if sigma is None:
-            return 0.0
+    def density(sigma: float, x: float) -> float:
         spec = TruncatedGaussianSpec(mu0, sigma, a)
         mean = utgd.mean_from_params(spec)
         h = (math.sqrt(2.0 / math.pi) / sigma
              / math.erfc(-(mu0 - a) / sigma / math.sqrt(2.0)))
         return utgd.density(mean, spec.r, a, x, h)
 
-    return est, model_density
+    return est, density
 
 
 def _fit_chi(M: float, v: float, n: float, lo: float | None,
@@ -405,35 +454,29 @@ def _fit_chi(M: float, v: float, n: float, lo: float | None,
             else:
                 warnings.append(f"anomalous: {exc}")
 
-    sigma = est["mean_based"] or est["form1"]
+    def density(sigma: float, x: float) -> float:
+        return chi.chi_density(spec(sigma), x)
 
-    def model_density(x: float) -> float:
-        return chi.chi_density(spec(sigma), x) if sigma is not None else 0.0
-
-    return est, model_density, implied_cutoff
+    return est, density, implied_cutoff
 
 
 def cmd_fit(args) -> int:
-    import numpy as np  # only fit needs numpy; it costs ~0.15 s to import
-
     try:
-        data = _read_column(args.input, args.column)
+        data = _read_column(args.input, args.column, args.lower, args.upper)
     except (OSError, ValueError) as exc:
         print(f"fit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    values = np.asarray(data, dtype=float)
-    if args.lower is not None:
-        values = values[values >= args.lower]
-    if args.upper is not None:
-        values = values[values <= args.upper]
-    if values.size == 0:
+    if not data:
         print("fit: the truncation window contains no data", file=sys.stderr)
         return EXIT_INFEASIBLE
-    if values.size < 2:
+    if len(data) < 2:
         print("fit: need at least two rows for a variance", file=sys.stderr)
         return EXIT_INFEASIBLE
 
+    import numpy as np  # only the moments and the histogram need numpy
+
+    values = np.asarray(data, dtype=float)
+    del data  # 32 B a row; freed before scipy and the histogram allocate
     warnings: list[str] = []
     refused = values.size < 30
     if refused:
@@ -441,31 +484,34 @@ def cmd_fit(args) -> int:
                         "window (need 30); reporting sample moments only")
 
     M, v = float(values.mean()), float(values.var(ddof=1))
-    est, model_density, implied_cutoff = dict.fromkeys(_ESTIMATES), None, None
+    est, density, implied_cutoff = dict.fromkeys(_ESTIMATES), None, None
     if args.model == "gauss":
         a = args.lower if args.lower is not None else float(values.min())
         if not refused:
-            est, model_density = _fit_gauss(M, v, a, warnings)
+            est, density = _fit_gauss(M, v, a, warnings)
         window = {"lower": a, "upper": args.upper}
     else:
         if args.dim is None:
             print("fit: error: --model chi requires --dim", file=sys.stderr)
             return EXIT_USAGE
         if not refused:
-            est, model_density, implied_cutoff = _fit_chi(
+            est, density, implied_cutoff = _fit_chi(
                 M, v, args.dim, args.lower, args.upper, warnings)
         window = {"lower": args.lower, "upper": args.upper}
 
     present = [s for s in est.values() if s is not None]
     divergence = (max(present) - min(present)) / min(present) \
         if len(present) >= 2 else None
+    model_sigma = next((k for k in _MODEL_SIGMA[args.model]
+                        if est[k] is not None), None)
 
     rmse = None
-    if model_density is not None and any(est.values()):
+    if model_sigma is not None:
+        sigma = est[model_sigma]
         bins = args.bins if args.bins else "fd"
         hist, edges = np.histogram(values, bins=bins, density=True)
         centers = 0.5 * (edges[1:] + edges[:-1])
-        model = np.array([model_density(c) for c in centers])
+        model = np.array([density(sigma, c) for c in centers])
         # both curves integrate to 1 over the window by construction
         rmse = float(np.sqrt(np.mean((hist - model) ** 2)))
 
@@ -477,6 +523,7 @@ def cmd_fit(args) -> int:
         "sample_mean": M,
         "sample_var": v,
         "sigma_estimates": est,
+        "model_sigma": model_sigma,
         "divergence": divergence,
         "implied_cutoff": implied_cutoff,
         "rmse_vs_data": rmse,

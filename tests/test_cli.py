@@ -268,6 +268,7 @@ def test_fit_insufficient_data(capsys, tmp_path):
     assert any("insufficient data" in w for w in doc["warnings"])
     assert doc["sigma_estimates"] == {"mean_based": None, "form1": None,
                                       "form2": None}
+    assert doc["model_sigma"] is None
     assert doc["sample_mean"] == pytest.approx(3.0)
 
 
@@ -277,7 +278,17 @@ def test_fit_empty_window(capsys, tmp_path):
     code, out, err = run(capsys, "fit", "--input", str(f),
                          "--model", "gauss", "--lower", "10")
     assert code == 2
-    assert "no data" in err
+    assert "the truncation window contains no data" in err
+
+
+def test_fit_no_data_rows(capsys, tmp_path):
+    # a file with nothing to read is a usage error, not an empty window
+    f = tmp_path / "data.txt"
+    f.write_text("# header comment only\n\n")
+    code, out, err = run(capsys, "fit", "--input", str(f),
+                         "--model", "gauss", "--lower", "10")
+    assert code == 1
+    assert f"fit: error: {f}: no data rows" in err
 
 
 def test_fit_bad_row_reports_line(capsys, tmp_path):
@@ -302,6 +313,7 @@ def test_fit_header_column(capsys, tmp_path):
     est = doc["sigma_estimates"]
     assert est["mean_based"] == pytest.approx(3.14, rel=0.05)
     assert est["form1"] == pytest.approx(3.14, rel=0.05)
+    assert doc["model_sigma"] == "mean_based"
     assert doc["rmse_vs_data"] < 0.05
 
 
@@ -347,6 +359,7 @@ def test_fit_gauss_recovers_sigma(capsys, tmp_path):
     for key in ("mean_based", "form1", "form2"):
         assert est[key] == pytest.approx(2.5, rel=0.03), key
     assert doc["divergence"] < 0.03
+    assert doc["model_sigma"] == "form2"
 
 
 def test_fit_gauss_far_above_cutoff(capsys, tmp_path):
@@ -357,7 +370,14 @@ def test_fit_gauss_far_above_cutoff(capsys, tmp_path):
     code, doc, err = run_json(capsys, "fit", "--input", str(f),
                               "--model", "gauss", "--lower", "0")
     assert code == 0
-    assert doc["sigma_estimates"]["form2"] == pytest.approx(1.0, rel=0.03)
+    est = doc["sigma_estimates"]
+    assert est["form2"] == pytest.approx(1.0, rel=0.03)
+    # the cutoff sits ~10 sigma below: the mean pins no sigma there, so no
+    # mean-based root is reported and the two variance forms agree
+    assert est["mean_based"] is None
+    assert any("truncated mass" in w for w in doc["warnings"])
+    assert doc["divergence"] is not None and 0.0 <= doc["divergence"] < 1e-8
+    assert doc["model_sigma"] == "form2"
 
 
 def test_fit_gauss_constant_sample(capsys, tmp_path):
