@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import _roots
-from .specfun import (gamma_generalized, gamma_lower, gamma_upper,
-                      log_gamma_upper)
+from .specfun import (_dompart, _gamma_inc, gamma_generalized, gamma_lower,
+                      gamma_upper, log_gamma_upper)
 from .utgd import _polyval
 
 __all__ = [
@@ -218,10 +218,48 @@ def chi_sigma_from_mean(M: float, r_abs: float, n: float,
     return (M / _SQRT2) * num / den
 
 
+def _wallis(s: float) -> float:
+    # Gamma(s + 1/2) / (Gamma(s) sqrt(s))
+    if s >= 50.0:
+        return _polyval(_WALLIS_G, 1.0 / s)
+    return math.gamma(s + 0.5) / math.gamma(s) / math.sqrt(s)
+
+
+def _inner_ratio_m1(s: float, y: float) -> float:
+    # Gamma(s, y) Gamma(s+1, y) / Gamma(s+1/2, y)^2 - 1 for s > 0, from two
+    # incomplete gammas: Gamma(s+1, y) = s Gamma(s, y) + y^s e^-y.  Above
+    # about y = s both come scaled, H = Gamma(., y) e^y y^-., which never
+    # underflows; below it as regularized Q, with
+    # Q(s+1, y) = Q(s, y) + y^s e^-y / Gamma(s+1) and the complete gammas
+    # folded into the Wallis ratio.
+    if y == 0.0:
+        return vmax_fixed_n(1.0, 2.0 * s)
+    # s + 1/2 rounds where it crosses a power of 2; moving s by that ulp
+    # too keeps the orders exactly 1/2 apart, which the ratio is far more
+    # sensitive to (about 2n psi(s) times more) than to s itself
+    a = s + 0.5
+    s = a - 0.5
+    _, q0, h0 = _gamma_inc(s, y)
+    _, q1, h1 = _gamma_inc(a, y)
+    if h0 is not None and h1 is not None:
+        return h0 * (s * h0 + 1.0) / (y * h1 * h1) - 1.0
+    g = _wallis(s)
+    return q0 * (q0 + _dompart(s, y)) / (g * g * q1 * q1) - 1.0
+
+
 def chi_var_form2(M: float, r_abs: float, n: float,
                   kind: ChiKind = ChiKind.INNER,
                   extended: bool = False) -> float:
-    """Variance from (M, |r|, n) without solving for sigma first."""
+    """Variance from (M, |r|, n) without solving for sigma first.
+
+    Inner truncation with n > 0 takes the ratio of two incomplete gammas
+    directly, so no large logarithms cancel.  Its absolute error against
+    mpmath is at most 2e-14 (M^2 + V), V the variance, for |r| up to 1000
+    and n up to 1e6: the rounding of a ratio near 1 from which 1 is
+    subtracted.  Relative to V that grows like n, as V nears M^2/(2n)
+    (at n = 2.5e5 and |r| = 500 it allows 2.8e-8; 5.4e-11 is measured),
+    and like r^4 deep in the tail, where V nears M^2/r^4.
+    """
     kind = ChiKind(kind)
     if kind is ChiKind.DOUBLE:
         raise ValueError("double truncation is parameterized by cutoffs, not r")
@@ -230,10 +268,7 @@ def chi_var_form2(M: float, r_abs: float, n: float,
                          "set extended=True for the analytic continuation")
     y = r_abs * r_abs / 2.0
     if kind is ChiKind.INNER and n > 0.0:
-        lr = (log_gamma_upper(n / 2.0, y)
-              + log_gamma_upper((n + 2.0) / 2.0, y)
-              - 2.0 * log_gamma_upper((n + 1.0) / 2.0, y))
-        return M * M * math.expm1(lr)
+        return M * M * _inner_ratio_m1(n / 2.0, y)
     g0 = _mass(kind, n / 2.0, y, y)
     g1 = _mass(kind, (n + 1.0) / 2.0, y, y)
     g2 = _mass(kind, (n + 2.0) / 2.0, y, y)

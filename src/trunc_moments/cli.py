@@ -271,7 +271,8 @@ def _read_column(path: str, selector: str, lower: float | None = None,
     by name or its cell in the column does not parse.  Values outside
     [lower, upper] are dropped as they are read, so memory follows the
     rows kept.  The first data row that lacks the column or holds a
-    non-numeric cell in it is an error naming its line.
+    non-numeric or non-finite (nan, inf) cell in it is an error naming its
+    line, and so is a file without data rows, a header alone included.
     """
     with open(path, encoding="utf-8") as fh:
         lines = enumerate(fh, 1)
@@ -318,29 +319,38 @@ def _read_column(path: str, selector: str, lower: float | None = None,
                 raise ValueError(
                     f"{path}: line {no}: missing column {idx + 1}")
             try:
-                return float(cells[idx])
+                x = float(cells[idx])
             except ValueError:
                 raise ValueError(f"{path}: line {no}: non-numeric value "
                                  f"{cells[idx]!r}") from None
+            if not math.isfinite(x):
+                raise ValueError(f"{path}: line {no}: non-finite value "
+                                 f"{cells[idx]!r}")
+            return x
 
         out = []
         keep = out.append
+        seen = False
         for no, line in lines:
             # float() strips the same whitespace as parse(), so where the
-            # plain split reads a number it is parse()'s number; '#' lines
-            # and lines it cannot read go to parse()
+            # plain split reads a finite number it is parse()'s number; '#'
+            # lines, lines it cannot read and nan or inf (where x - x is
+            # nan, so true) go to parse()
             x = None
             if "#" not in line:
                 try:
                     x = float(line.split(sep)[idx])
                 except (ValueError, IndexError):
                     pass
-            if x is None:
+            if x is None or x - x:
                 x = parse(no, line)
                 if x is None:
                     continue
+            seen = True
             if (lower is None or x >= lower) and (upper is None or x <= upper):
                 keep(x)
+    if not seen:
+        raise ValueError(f"{path}: no data rows")
     return out
 
 
@@ -476,7 +486,7 @@ def cmd_fit(args) -> int:
     import numpy as np  # only the moments and the histogram need numpy
 
     values = np.asarray(data, dtype=float)
-    del data  # 32 B a row; freed before scipy and the histogram allocate
+    del data  # 32 B a row; freed before the histogram allocates
     warnings: list[str] = []
     refused = values.size < 30
     if refused:

@@ -1,7 +1,6 @@
 """Scalar special functions used throughout the package.
 
-The Gaussian functions need only the standard library's ``math.erfc``; the
-incomplete gammas build on scipy.special, imported on their first call:
+Everything here runs on the standard library's ``math`` module:
 
 * ``xi`` -- the shifted error function erf(r/sqrt(2)) + 1, i.e. twice the
   Gaussian upper-tail mass to the right of -r.  Evaluated through erfc so the
@@ -10,8 +9,11 @@ incomplete gammas build on scipy.special, imported on their first call:
   is 0 * inf garbage for |r| beyond ~38; routed through the scaled
   complementary error function it is exact down to arbitrarily negative r.
 * upper/lower/generalized incomplete gamma for *real* order, including
-  order <= 0 where scipy's gammaincc gives up.  Negative order is needed for
-  truncated chi distributions continued to negative dimension counts.
+  order <= 0, where the regularized ratios are useless.  Negative order is
+  needed for truncated chi distributions continued to negative dimension
+  counts.  For s > 0 they rest on pure-Python regularized P(s, x) and
+  Q(s, x): power series, Legendre continued fraction and Temme's uniform
+  expansion (Gil, Segura & Temme 2012; DiDonato & Morris 1986).
 * ``lambert_w0`` -- principal branch Lambert W on [0, inf), by Halley
   iteration.
 
@@ -21,7 +23,6 @@ NaN inputs propagate to NaN results.  Domain violations raise ValueError.
 from __future__ import annotations
 
 import math
-from functools import cache
 
 __all__ = [
     "xi",
@@ -37,22 +38,18 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
 # series/continued-fraction split for order <= 0; below this x the power
-# series converges in a handful of terms, above it the Legendre continued
-# fraction is both fast and stable
-_GAMMA_SERIES_X = 0.25
+# series converges in a few dozen terms with little cancellation, above it
+# the Legendre continued fraction needs fewer than about 80 steps
+_GAMMA_SERIES_X = 1.5
+# away from integer orders Gamma(s, x) = Gamma(s) - gamma(s, x) cancels as
+# x grows, and the series of gamma(s, x) itself alternates; past this x the
+# continued fraction, and Gamma(s) minus it, keep more digits
+_COMPLEMENT_X = 1.0
 
 # erfcx switches to its asymptotic series here: erfc(x) is still a normal
 # double (it turns subnormal near x = 26.5) and the series' first omitted
 # term, 17!!/(2x^2)^9, is below 1e-20
 _ERFCX_SERIES_X = 26.0
-
-
-@cache
-def _sc():
-    # scipy.special costs about 0.3 s to import and only the incomplete
-    # gammas need it, so it loads on their first call
-    import scipy.special
-    return scipy.special
 
 
 def _erfcx(x: float) -> float:
@@ -113,25 +110,39 @@ def _gamma_lower_series(s: float, x: float) -> float:
             return x**s * total
 
 
-# ln Gamma(1 + e) / e = -euler_gamma + sum_{n >= 2} (-1)^n zeta(n)/n e^(n-1)
+# ln Gamma(1 + e) = -log1p(e) + (1 - euler_gamma) e
+#                   + sum_{n >= 2} (-1)^n (zeta(n) - 1)/n e^n,
+# A&S 6.1.33; zeta(n) - 1 < 2^(1-n), so 19 terms reach 1e-20 at |e| = 1/4
 _EULER_GAMMA = 0.5772156649015329
-_ZETA_2_TO_8 = (1.6449340668482264, 1.2020569031595942, 1.0823232337111381,
-                1.03692775514337, 1.0173430619844492, 1.008349277381923,
-                1.0040773561979444)
-_LGAMMA1P_OVER_E = [-_EULER_GAMMA] + [
-    (-1) ** n * z / n for n, z in enumerate(_ZETA_2_TO_8, start=2)]
+_ZETA_M1 = (0.6449340668482264, 0.2020569031595943, 0.08232323371113819,
+            0.03692775514336993, 0.01734306198444914, 0.008349277381922827,
+            0.00407735619794434, 0.0020083928260822143, 0.0009945751278180853,
+            0.0004941886041194645, 0.0002460865533080483,
+            0.00012271334757848915, 6.124813505870483e-05,
+            3.058823630702049e-05, 1.528225940865187e-05,
+            7.637197637899763e-06, 3.81729326499984e-06,
+            1.908212716553939e-06, 9.539620338727962e-07)
+_LGAMMA1P = tuple((-1) ** n * z / n for n, z in enumerate(_ZETA_M1, start=2))
+# orders closer than this to 0, -1, -2, ... subtract the pole analytically
+_POLE_E = 0.25
+
+
+def _lgamma1p(e: float) -> float:
+    # ln Gamma(1 + e) to full relative precision for |e| <= 1/4, where
+    # math.lgamma is accurate only in absolute terms
+    acc = 0.0
+    for c in reversed(_LGAMMA1P):
+        acc = acc * e + c
+    return (acc * e + 1.0 - _EULER_GAMMA) * e - math.log1p(e)
 
 
 def _gamma_upper_near_pole(s: float, x: float) -> float:
-    # s = e - k with 0 < |e| < 1e-3: Gamma(s) and the k-th term of the lower
-    # series both carry a 1/e pole, which cancels catastrophically in
+    # s = e - k with |e| < 1/4 and x < 1.5: Gamma(s) and the k-th term of the
+    # lower series both carry a 1/e pole, which cancels in
     # Gamma(s) - gamma(s, x); subtract the two poles analytically instead
     k = round(-s)
     e = s + k
-    acc = 0.0
-    for c in reversed(_LGAMMA1P_OVER_E):
-        acc = acc * e + c
-    lg = e * acc - sum(math.log1p(-e / j) for j in range(1, k + 1))
+    lg = _lgamma1p(e) - sum(math.log1p(-e / j) for j in range(1, k + 1))
     head = (math.expm1(lg) - math.expm1(e * math.log(x))) / e
     total, term = 0.0, 1.0  # term = (-x)^j / j!
     for j in range(30):
@@ -142,8 +153,9 @@ def _gamma_upper_near_pole(s: float, x: float) -> float:
 
 
 def _gamma_upper_cf(s: float, x: float) -> float:
-    # Legendre continued fraction with modified Lentz; reliable for x >= ~0.25
-    # at any real order, including negative integers
+    # Gamma(s, x) e^x x^-s by the Legendre continued fraction with modified
+    # Lentz; reliable for x >= ~0.25 at any real order, including negative
+    # integers
     tiny = 1e-300
     b = x + 1.0 - s
     c = 1.0 / tiny
@@ -163,13 +175,26 @@ def _gamma_upper_cf(s: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < 1e-16:
             break
-    return math.exp(-x + s * math.log(x)) * h
+    return h
+
+
+def _e1_series(x: float) -> float:
+    # exponential integral E1 = Gamma(0, x) by the series
+    # -euler_gamma - ln x - sum_k (-x)^k / (k k!), for x below
+    # _GAMMA_SERIES_X; the continued fraction covers larger x
+    total, term, k = 0.0, 1.0, 0
+    while True:
+        k += 1
+        term *= -x / k
+        total += term / k
+        if abs(term) < 1e-17 * k:
+            return -_EULER_GAMMA - math.log(x) - total
 
 
 def _gamma_upper_int_recurrence(k: int, x: float) -> float:
     # Gamma(-k, x) for integer k >= 0, walked down from Gamma(0,x) = E1(x).
     # Downward is the stable direction: the target grows as the order drops.
-    g = float(_sc().exp1(x))
+    g = _e1_series(x)
     s = 0.0
     emx = math.exp(-x)
     for _ in range(k):
@@ -178,14 +203,187 @@ def _gamma_upper_int_recurrence(k: int, x: float) -> float:
     return g
 
 
+# -- regularized P(s, x) and Q(s, x) for s > 0 ---------------------------------
+#
+# The domains follow Gil, Segura & Temme, SIAM J. Sci. Comput. 34 (2012)
+# A2965: P first, by its power series, where s exceeds alpha(x) (about
+# x + 1/4), so that Q = 1 - P keeps its digits; Q first elsewhere, by the
+# Legendre continued fraction, or by the pole-free small-x form below x = 1.
+# For s >= 20 with x/s in [0.3, 2.35] both series converge slowly and
+# Temme's uniform expansion takes over (DiDonato & Morris, ACM TOMS 12
+# (1986) 377, use the same split).
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LN_HALF = math.log(0.5)
+_TEMME_S = 20.0
+_TEMME_LO, _TEMME_HI = 0.3, 2.35
+# Taylor coefficients f_1 .. f_26 of f(eta) = eta / (lambda - 1), where
+# eta^2/2 = lambda - 1 - ln(lambda); derived in exact rational arithmetic
+_TEMME_F = (
+    -0.3333333333333333, 0.08333333333333333, -0.014814814814814815,
+    0.0011574074074074073, 0.0003527336860670194, -0.0001787551440329218,
+    3.919263178522438e-05, -2.185448510679992e-06, -1.85406221071516e-06,
+    8.296711340953087e-07, -1.7665952736826078e-07, 6.707853543401498e-09,
+    1.0261809784240309e-08, -4.382036018453353e-09, 9.14769958223679e-10,
+    -2.5514193994946248e-11, -5.830772132550426e-11, 2.4361948020667415e-11,
+    -5.0276692801141755e-12, 1.1004392031956135e-13, 3.371763262400985e-13,
+    -1.392388722418162e-13, 2.8534893807047445e-14, -5.139111834242572e-16,
+    -1.9752288294349442e-15, 8.099521156704561e-16)
+# ln Gamma*(s) = sum_k B_2k / (2k (2k - 1) s^(2k-1)), the Stirling series;
+# eight terms are below 1e-17 from s = 10 up
+_STIRLING = (0.08333333333333333, -0.002777777777777778,
+             0.0007936507936507937, -0.0005952380952380953,
+             0.0008417508417508417, -0.0019175269175269176,
+             0.00641025641025641, -0.029550653594771242)
+# (f_m, m + 1) for m = 24 .. 1, the steps of _temme_sum's recursion
+_TEMME_STEPS = tuple((_TEMME_F[m - 1], m + 1.0) for m in range(24, 0, -1))
+# lambda - 1 - ln(lambda) = 2t^2/(1 - t) - 2 t^3 (1/3 + t^2/5 + ...) with
+# t = mu/(2 + mu), mu = lambda - 1: no cancellation for small |mu|
+_ATANH_TAIL = tuple(1.0 / k for k in range(35, 1, -2))
+
+
+def _phi(s: float, x: float) -> float:
+    # lambda - 1 - ln(lambda) with lambda = x/s, to a few ulps: its error
+    # times s is the error of Temme's exponent
+    mu = (x - s) / s
+    t = mu / (2.0 + mu)
+    if abs(t) > 1.0 / 3.0:  # mu outside [-1/2, 1]: about 3 ulps cancel
+        return mu - math.log(x / s)
+    t2 = t * t
+    acc = 0.0
+    for c in _ATANH_TAIL:
+        acc = acc * t2 + c
+    return 2.0 * t2 / (1.0 - t) - 2.0 * t * t2 * acc
+
+
+def _gamma_star(s: float) -> float:
+    # Gamma(s) / (sqrt(2 pi) s^(s - 1/2) e^-s), for s >= 10
+    w = 1.0 / (s * s)
+    acc = 0.0
+    for c in reversed(_STIRLING):
+        acc = acc * w + c
+    return math.exp(acc / s)
+
+
+def _dompart(s: float, x: float) -> float:
+    # x^s e^-x / Gamma(s + 1), the factor in front of both series; through
+    # s (lambda - 1 - ln lambda) for large s, whose powers would overflow
+    if x < 700.0 and (s < 10.0 or s < 170.0 and abs(s * math.log(x)) < 700.0):
+        return x**s * math.exp(-x) / math.gamma(s + 1.0)
+    if s < 10.0:
+        return math.exp(s * math.log(x) - x - math.lgamma(s + 1.0))
+    return (math.exp(-s * _phi(s, x))
+            / (_SQRT_2PI * math.sqrt(s) * _gamma_star(s)))
+
+
+def _gamma_p_series(s: float, x: float) -> float:
+    # P(s, x) / dompart = sum_k x^k / ((s+1) ... (s+k)); all terms are
+    # positive, and they rise while s + k < x, so the test waits for them
+    # to fall
+    total = term = 1.0
+    k = s
+    while term > 1e-17 * total:  # two terms a test: a spare one is harmless
+        k += 1.0
+        term *= x / k
+        total += term
+        k += 1.0
+        term *= x / k
+        total += term
+    return total
+
+
+def _temme_sum(s: float, eta: float) -> float:
+    # sum_k C_k(eta) s^-k of Temme's expansion, as sum_m b_m eta^m with the
+    # backward recursion of Gil, Segura & Temme,
+    # b_{m-1} = f_m + (m+1) b_{m+1} / s, run alongside Horner's rule
+    inv = 1.0 / s
+    b2, b1 = _TEMME_F[25], _TEMME_F[24]  # b_25, b_24
+    acc = b2 * eta + b1
+    for fm, c in _TEMME_STEPS:
+        b2, b1 = b1, fm + c * inv * b2
+        acc = acc * eta + b1
+    return acc / (1.0 + b2 * inv)  # b2 is b_1 by now
+
+
+def _gamma_inc(s: float, x: float, lower: bool = False):
+    """(P, Q, H) for s > 0 and x > 0.
+
+    P and Q are the regularized incomplete gammas.  H = Gamma(s, x) e^x x^-s
+    is given where Q is computed first (x above about s), since there Q
+    underflows long before Gamma(s, x) does; it is None elsewhere.  With
+    ``lower`` only P need be accurate: the series then runs on up to
+    x = s + 8, where it is cheaper than the continued fraction and its
+    positive terms keep P exact while 1 - P loses Q's digits.
+    """
+    if s >= _TEMME_S and _TEMME_LO * s <= x <= _TEMME_HI * s:
+        y = s * _phi(s, x)
+        v = math.sqrt(y)
+        if x < s:
+            eta = -math.sqrt(2.0 * y / s)
+            r = math.exp(-y) * _temme_sum(s, eta) / (_SQRT_2PI * math.sqrt(s))
+            return 0.5 * math.erfc(v) - r, 0.5 * math.erfc(-v) + r, None
+        # Q = e^-y (erfcx(v)/2 + sum/sqrt(2 pi s)), and dompart carries the
+        # same e^-y, so H is formed without it
+        root = _SQRT_2PI * math.sqrt(s)
+        t = 0.5 * root * _erfcx(v) + _temme_sum(s, math.sqrt(2.0 * y / s))
+        q = math.exp(-y) * t / root
+        return 1.0 - q, q, t * _gamma_star(s) / s
+    if (s > (x + 0.25 if x >= 0.5 else _LN_HALF / math.log(0.5 * x))
+            or lower and x < s + 8.0):
+        p = _dompart(s, x) * _gamma_p_series(s, x)
+        return p, 1.0 - p, None
+    if x < 1.0:  # here s <= 1.25
+        if s < _POLE_E:
+            g = _gamma_upper_near_pole(s, x)
+        else:
+            g = math.gamma(s) - _gamma_lower_series(s, x)
+        q = g / math.gamma(s)
+        return 1.0 - q, q, g * math.exp(x) * x**-s
+    h = _gamma_upper_cf(s, x)
+    q = s * _dompart(s, x) * h
+    return 1.0 - q, q, h
+
+
+def _exp(lg: float) -> float:
+    # exp that saturates to +inf instead of raising OverflowError
+    try:
+        return math.exp(lg)
+    except OverflowError:
+        return math.inf
+
+
+def _times_gamma(s: float, ratio: float) -> float:
+    # Gamma(s) * ratio for s > 0 and ratio in [0, 1]; Gamma(s) overflows
+    # from s = 171.6 on, where the product may not
+    if s < 171.0:
+        return math.gamma(s) * ratio
+    if ratio == 0.0:
+        return 0.0
+    return _exp(math.lgamma(s) + math.log(ratio))
+
+
+def _xs_emx(s: float, x: float, h: float) -> float:
+    # x^s e^-x h without a spurious overflow or underflow of the factors
+    lx = s * math.log(x)
+    if x < 700.0 and abs(lx) < 700.0:
+        return x**s * math.exp(-x) * h
+    return _exp(lx - x + math.log(h))
+
+
 def gamma_upper(s: float, x: float) -> float:
     """Upper incomplete gamma integral for real order ``s`` and ``x > 0``.
 
-    Unlike the regularized scipy version this is the raw integral and it
-    accepts s <= 0 (where the complete gamma normalizer is useless or
-    infinite).  Strategy: scipy for s > 0; E1 + downward recurrence at
-    non-positive integer orders with small x; the lower-series complement for
-    small x; the Legendre continued fraction otherwise.
+    The raw integral, not the regularized ratio, so it accepts s <= 0
+    (where the complete gamma normalizer is useless or infinite).
+    Strategy: the regularized Q (see ``_gamma_inc``) for s > 0; for
+    s <= 0 and x below 1.5, E1 and a downward recurrence at integer
+    orders, or the lower-series complement with the pole of Gamma(s)
+    subtracted analytically within 1/4 of a pole; the plain complement
+    elsewhere up to x = 1; the Legendre continued fraction otherwise.
+
+    Accuracy, against mpmath for s in [-20, 5e3] and x in [1e-8, 1e4]:
+    relative error at most 1e-15 (|s| + x + 20) where the result is a
+    normal double; +inf where it overflows.
     """
     s = float(s)
     x = float(x)
@@ -195,23 +393,25 @@ def gamma_upper(s: float, x: float) -> float:
         raise ValueError(f"gamma_upper requires x >= 0, got x={x}")
     if x == 0.0:
         if s > 0.0:
-            return float(_sc().gamma(s))
+            return math.gamma(s) if s < 171.0 else math.inf
         raise ValueError("gamma_upper(s, 0) diverges for s <= 0")
+    if x == math.inf:
+        return 0.0
     if s > 0.0:
-        if s <= 170.0:
-            sc = _sc()
-            return float(sc.gammaincc(s, x)) * float(sc.gamma(s))
-        return math.exp(log_gamma_upper(s, x))
+        _, q, h = _gamma_inc(s, x)
+        if h is not None and not (q > 1e-300 and s < 171.0):
+            return _xs_emx(s, x, h)  # Q underflows, or Gamma(s) overflows
+        return _times_gamma(s, q)
     if s == math.floor(s):
         k = int(-s)
         if x < _GAMMA_SERIES_X:
             return _gamma_upper_int_recurrence(k, x)
-        return _gamma_upper_cf(s, x)
-    if x < _GAMMA_SERIES_X:
-        if abs(s + round(-s)) < 1e-3:
-            return _gamma_upper_near_pole(s, x)
-        return float(_sc().gamma(s)) - _gamma_lower_series(s, x)
-    return _gamma_upper_cf(s, x)
+        return _xs_emx(s, x, _gamma_upper_cf(s, x))
+    if x < _GAMMA_SERIES_X and abs(s + round(-s)) < _POLE_E:
+        return _gamma_upper_near_pole(s, x)
+    if x <= _COMPLEMENT_X:
+        return math.gamma(s) - _gamma_lower_series(s, x)
+    return _xs_emx(s, x, _gamma_upper_cf(s, x))
 
 
 def log_gamma_upper(s: float, x: float) -> float:
@@ -219,6 +419,10 @@ def log_gamma_upper(s: float, x: float) -> float:
 
     Needed by the chi-moment ratios where the order scales with the dimension
     count (n up to 1e4 in the variance-maximum searches).
+
+    Accuracy, against mpmath for s in (0, 5e3] and x in [1e-8, 1e4]:
+    absolute error at most 2e-15 (|s| + x + 20), which is the relative
+    error of exp(result).
     """
     s = float(s)
     x = float(x)
@@ -226,21 +430,14 @@ def log_gamma_upper(s: float, x: float) -> float:
         return math.nan
     if s <= 0.0:
         raise ValueError("log_gamma_upper requires s > 0")
-    sc = _sc()
     if x == 0.0:
-        return float(sc.gammaln(s))
-    q = float(sc.gammaincc(s, x))
-    if q > 0.0:
-        return float(sc.gammaln(s)) + math.log(q)
-    # regularized tail underflowed: asymptotic log Gamma(s,x) for x >> s
-    corr = 0.0
-    term = 1.0
-    for j in range(1, 12):
-        term *= (s - j) / x
-        corr += term
-        if abs(term) < 1e-18:
-            break
-    return (s - 1.0) * math.log(x) - x + math.log1p(corr)
+        return math.lgamma(s)
+    if x == math.inf:
+        return -math.inf
+    _, q, h = _gamma_inc(s, x)
+    if h is not None:
+        return s * math.log(x) - x + math.log(h)
+    return math.lgamma(s) + math.log(q)
 
 
 def gamma_lower(s: float, x: float) -> float:
@@ -248,6 +445,12 @@ def gamma_lower(s: float, x: float) -> float:
 
     Diverges (pole of the complete gamma) at s = 0, -1, -2, ...; those orders
     raise.  For s < 0 the result can legitimately be negative.
+
+    Accuracy, against mpmath for s in [-20, 5e3] and x in [1e-8, 1e4]:
+    for s > 0 relative error at most 1e-15 (s + x + 20) where the result
+    is a normal double, +inf where it overflows; for s < 0 absolute error
+    at most 1e-15 (|s| + x + 20) (|Gamma(s)| + |Gamma(s, x)|), the sizes of
+    the two terms that it is the difference of.
     """
     s = float(s)
     x = float(x)
@@ -259,18 +462,29 @@ def gamma_lower(s: float, x: float) -> float:
         raise ValueError(f"gamma_lower has a pole at non-positive integer s={s}")
     if x == 0.0:
         return 0.0
+    if x == math.inf:
+        return _times_gamma(s, 1.0) if s > 0.0 else math.gamma(s)
     if s > 0.0:
-        sc = _sc()
-        return float(sc.gammainc(s, x)) * float(sc.gamma(s))
-    if x < 8.0:
+        p = _gamma_inc(s, x, lower=True)[0]
+        if p < 1e-300 or s >= 171.0 and x < _TEMME_LO * s:
+            # x far below s: P underflows before gamma(s, x), or the series
+            # times x^s e^-x / s beats Gamma(s) P formed through logarithms
+            return _xs_emx(s, x, _gamma_p_series(s, x) / s)
+        return _times_gamma(s, p)
+    if x <= _COMPLEMENT_X:
         return _gamma_lower_series(s, x)
-    return float(_sc().gamma(s)) - gamma_upper(s, x)
+    return math.gamma(s) - gamma_upper(s, x)
 
 
 def gamma_generalized(s: float, y1: float, y2: float) -> float:
     """Gamma(s, y1) - Gamma(s, y2): the integral over the window [y1, y2].
 
     Requires 0 <= y1 < y2.  y2 may be inf (reduces to gamma_upper).
+
+    Accuracy, against mpmath for s in [-20, 5e3] and cutoffs in [1e-8, 1e4]:
+    absolute error at most 1e-15 (|s| + y2 + 20) times the larger of
+    |Gamma(s, y1)| and |Gamma(s, y2)|, or, where s > 0 and the regularized
+    P(s, y2) <= 1/2, times the larger of the two lower integrals.
     """
     s = float(s)
     y1 = float(y1)
@@ -281,15 +495,14 @@ def gamma_generalized(s: float, y1: float, y2: float) -> float:
         raise ValueError(f"gamma_generalized requires 0 <= y1 < y2, got ({y1}, {y2})")
     if math.isinf(y2):
         return gamma_upper(s, y1) if y1 > 0.0 else (
-            float(_sc().gamma(s)) if s > 0.0 else math.inf
+            gamma_upper(s, 0.0) if s > 0.0 else math.inf
         )
     if y1 == 0.0:
         return gamma_lower(s, y2)
-    if s > 0.0 and s <= 170.0:
-        # difference of regularized lower values: less cancellation when both
-        # cutoffs sit in the tail
-        sc = _sc()
-        return float(sc.gamma(s)) * float(sc.gammainc(s, y2) - sc.gammainc(s, y1))
+    if s > 0.0 and _gamma_inc(s, y2, lower=True)[0] <= 0.5:
+        # both cutoffs below the median: the lower integrals are the
+        # smaller pair, so their difference keeps more digits
+        return gamma_lower(s, y2) - gamma_lower(s, y1)
     return gamma_upper(s, y1) - gamma_upper(s, y2)
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .chi import ScaledChiSpec
-from .utgd import Side, TruncatedGaussianSpec
+from trunc_moments.chi import ScaledChiSpec
+from trunc_moments.utgd import Side, TruncatedGaussianSpec
 
 __all__ = ["OracleEstimate", "SampleSummary", "quad_moment", "sample_truncated"]
 

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
 
-from trunc_moments import calibrate, chi, cli, lognormal, oracle, utgd
+import oracle
+from trunc_moments import calibrate, chi, cli, lognormal, utgd
 from trunc_moments.chi import ChiKind, ScaledChiSpec
 from trunc_moments.utgd import Side, TruncatedGaussianSpec
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trunc_moments import chi, oracle
+import oracle
+from trunc_moments import chi
 from trunc_moments.chi import (
     ChiKind,
     ScaledChiSpec,
@@ -150,6 +151,22 @@ class TestSigmaAndForms:
         v = chi_var_form2(1.0, 50.0, 3.0)
         assert 0.0 < v < 1e-3
 
+    @pytest.mark.parametrize("r_abs, n", [
+        (500.0, 2.5e5),   # n = r^2: expm1 of three logs was 5.9e-4 off here
+        (500.0, 3.0),     # deep tail, V near M^2/r^4
+        (10.0, 137.0),    # the variance maximum
+        (2.2, 0.5), (0.05, 1e-3), (30.0, 720.0), (200.0, 4.1e4),
+    ])
+    def test_inner_form2_against_mpmath(self, r_abs, n):
+        # the docstring's bound: absolute error at most 2e-14 (M^2 + V)
+        M = 3.0
+        with mpmath.workdps(50):
+            y = mpmath.mpf(r_abs) ** 2 / 2
+            g = [mpmath.gammainc(mpmath.mpf(n + k) / 2, y) for k in (0, 1, 2)]
+            want = M * M * (g[0] * g[2] / (g[1] * g[1]) - 1)
+        got = chi_var_form2(M, r_abs, n)
+        assert abs(got - want) <= 2e-14 * (M * M + want)
+
 
 class TestCalibrate:
     def test_worked_example(self):
@@ -251,6 +268,19 @@ class TestVmax:
                                    mpmath.mpf(rep.n_vmx_real))
             assert rep.n_vmx_real == pytest.approx(float(want), abs=1e-8)
             assert rep.vmax_real == pytest.approx(float(v(want)), rel=1e-12)
+
+    def test_search_at_large_r(self):
+        # n_vmx near 1e6: the variance maximum is about 5e-7, which the
+        # former expm1 of three logarithms read as 0.0
+        rep = nvmx_search(1.0, 1000.0)
+        assert rep.vmax_real > 0.0
+        with mpmath.workdps(50):
+            y = mpmath.mpf(1000) ** 2 / 2
+            g = [mpmath.gammainc(mpmath.mpf(rep.n_vmx_real + k) / 2, y)
+                 for k in (0, 1, 2)]
+            want = g[0] * g[2] / (g[1] * g[1]) - 1
+        assert abs(rep.vmax_real - want) <= 2e-14 * (1.0 + want)
+        assert rep.vmax_real == pytest.approx(float(want), rel=1e-8)
 
     def test_search_small_r(self):
         rep = nvmx_search(1.0, 0.1)

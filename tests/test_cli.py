@@ -291,6 +291,35 @@ def test_fit_no_data_rows(capsys, tmp_path):
     assert f"fit: error: {f}: no data rows" in err
 
 
+def test_fit_header_only_has_no_data_rows(capsys, tmp_path):
+    # a header alone is no data, not an empty truncation window
+    f = tmp_path / "data.csv"
+    f.write_text("id,value\n")
+    code, out, err = run(capsys, "fit", "--input", str(f),
+                         "--column", "value", "--model", "gauss")
+    assert code == 1
+    assert f"fit: error: {f}: no data rows" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("window", [(), ("--lower", "0"),
+                                    ("--lower", "-5", "--upper", "5")])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_fit_non_finite_cell_names_its_line(capsys, tmp_path, window, cell):
+    # with or without a window a nan or inf row is an error, never data
+    # that nulls every estimate or a row dropped unseen
+    rng = np.random.default_rng(3)
+    f = tmp_path / "data.txt"
+    rows = [repr(v) for v in rng.normal(1.0, 1.0, 100).tolist()]
+    rows.insert(40, cell)
+    f.write_text("\n".join(rows) + "\n")
+    code, out, err = run(capsys, "fit", "--input", str(f),
+                         "--model", "gauss", *window)
+    assert code == 1
+    assert f"fit: error: {f}: line 41: non-finite value {cell!r}" in err
+    assert out == ""
+
+
 def test_fit_bad_row_reports_line(capsys, tmp_path):
     f = tmp_path / "data.txt"
     f.write_text("1.0\n2.0\noops\n4.0\n")

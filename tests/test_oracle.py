@@ -4,7 +4,7 @@ import pytest
 
 from trunc_moments import utgd
 from trunc_moments.chi import ChiKind, ScaledChiSpec, chi_raw_moment, chi_var_form1
-from trunc_moments.oracle import quad_moment, sample_truncated
+from oracle import quad_moment, sample_truncated
 from trunc_moments.utgd import Side, TruncatedGaussianSpec
 
 

@@ -2,6 +2,7 @@
 as the three-list reader it replaced, and memory that follows the rows
 kept."""
 
+import math
 import sys
 import tracemalloc
 
@@ -14,7 +15,9 @@ from trunc_moments import cli
 
 def _reference_read_column(path: str, selector: str) -> list[float]:
     """The former reader, kept as the oracle: it builds the numbered
-    lines, the data rows and each row's cells as full lists."""
+    lines, the data rows and each row's cells as full lists.  Like the
+    streaming reader it refuses a file whose only row is its header, and
+    a nan or inf cell."""
     with open(path, encoding="utf-8") as fh:
         lines = [(i + 1, ln.strip()) for i, ln in enumerate(fh)]
     rows = [(no, ln) for no, ln in lines if ln and not ln.startswith("#")]
@@ -42,6 +45,8 @@ def _reference_read_column(path: str, selector: str) -> list[float]:
             float(header[idx] if idx < len(header) else "")
         except (ValueError, IndexError):
             rows = rows[1:]  # header row present, skip it
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
 
     out = []
     for no, ln in rows:
@@ -49,10 +54,14 @@ def _reference_read_column(path: str, selector: str) -> list[float]:
         if idx >= len(cells):
             raise ValueError(f"{path}: line {no}: missing column {idx + 1}")
         try:
-            out.append(float(cells[idx]))
+            x = float(cells[idx])
         except ValueError:
             raise ValueError(
                 f"{path}: line {no}: non-numeric value {cells[idx]!r}") from None
+        if not math.isfinite(x):
+            raise ValueError(
+                f"{path}: line {no}: non-finite value {cells[idx]!r}")
+        out.append(x)
     return out
 
 
@@ -165,6 +174,10 @@ def test_matches_the_reference_reader(data_file, text, selector, lower, upper):
     ("a b c\n1 2 3\n# c\n4 5\n", "3", "{path}: line 4: missing column 3"),
     ("x,y\n1, 2\n\n3,  oops \n", "y",
      "{path}: line 4: non-numeric value 'oops'"),
+    ("id,value\n", "value", "{path}: no data rows"),
+    ("id value\n# c\n\n", "2", "{path}: no data rows"),
+    ("x,y\n1,2\n3, nan\n", "y", "{path}: line 3: non-finite value 'nan'"),
+    ("1\n-inf\n", "1", "{path}: line 2: non-finite value '-inf'"),
 ])
 def test_error_paths(tmp_path, text, selector, message):
     f = tmp_path / "data.csv"

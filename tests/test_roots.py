@@ -116,37 +116,50 @@ def test_scan_skips_undefined_cells():
 
 
 def test_import_leaves_optimize_and_integrate_unloaded(tmp_path):
+    # scipy is a test dependency only: with sys.modules['scipy'] = None any
+    # scipy import raises, and every command but fit must also run without
+    # numpy.  fit needs numpy for its moments and histogram, not scipy.
     src = str(pathlib.Path(trunc_moments.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, trunc_moments\n"
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate')"
-            " if m in sys.modules))\n"
-            "import trunc_moments.oracle\n")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
-
-    # the Gaussian path runs on the standard library: numpy and scipy load
-    # only when a chi calibration or a fit needs them
-    sample = tmp_path / "sample.csv"
     rng = np.random.default_rng(5)
-    sample.write_text("\n".join(map(repr, rng.normal(1.0, 1.0, 500).tolist())))
+    gauss = tmp_path / "gauss.csv"
+    gauss.write_text("\n".join(map(repr, rng.normal(1.0, 1.0, 500).tolist())))
+    radii = tmp_path / "radii.txt"
+    radii.write_text("\n".join(
+        map(repr, np.sqrt(rng.chisquare(3, 500)).tolist())))
+    commands = [
+        ["calibrate-gauss", "--mean", "1.3", "--var", "3", "--cutoff", "-1"],
+        ["calibrate-chi", "--mean", "1", "--var", "0.1", "--dim", "3"],
+        ["calibrate-chi", "--mean", "1", "--var", "0.1", "--dim", "3",
+         "--trunc", "outer"],
+        ["calibrate-chi", "--mean", "1.0", "--var", "0.05", "--dim", "2",
+         "--trunc", "double", "--lower", "0.5", "--upper", "1.5"],
+        ["vmax", "--r", "2.2"],
+        ["table", "--name", "ndim-variance"],
+        ["plot-data", "--figure", "nvmx-vs-r"],
+        ["plot-data", "--figure", "vmax-vs-n"],
+    ]
+    fits = [
+        ["fit", "--input", str(gauss), "--model", "gauss", "--lower", "0"],
+        ["fit", "--input", str(radii), "--model", "chi", "--dim", "3"],
+    ]
     code = ("import contextlib, io, sys\n"
-            "import trunc_moments, trunc_moments.cli as cli\n"
-            "def run(*argv):\n"
+            "sys.modules['scipy'] = None\n"
+            "import trunc_moments.cli as cli\n"
+            "def run(argv):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        return cli.main(list(argv))\n"
-            "rc = run('calibrate-gauss', '--mean', '1.3', '--var', '3',"
-            " '--cutoff', '-1')\n"
-            "print(rc, sorted({m.split('.')[0] for m in sys.modules}"
-            " & {'numpy', 'scipy'}))\n"
-            "print(run('calibrate-chi', '--mean', '1', '--var', '0.1',"
-            " '--dim', '3'))\n"
-            f"print(run('fit', '--input', {str(sample)!r}, '--model', 'gauss',"
-            " '--lower', '0'))\n")
+            "        rc = cli.main(argv)\n"
+            "    loaded = {m.split('.')[0] for m, v in sys.modules.items()"
+            " if v is not None}\n"
+            "    print(rc, sorted(loaded & {'numpy', 'scipy'}))\n"
+            f"for argv in {commands!r}:\n"
+            "    run(argv)\n"
+            f"for argv in {fits!r}:\n"
+            "    run(argv)\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True,
                          timeout=120).stdout
-    assert out.split("\n")[:3] == ["0 []", "0", "0"]
+    assert out.split("\n")[:-1] == \
+        ["0 []"] * len(commands) + ["0 ['numpy']"] * len(fits)

@@ -136,3 +136,62 @@ def test_lambert_w0_edges():
     assert lambert_w0(math.e) == pytest.approx(1.0, rel=1e-14)
     with pytest.raises(ValueError):
         lambert_w0(-0.5)  # negative arguments are out of scope here
+
+
+# -- mpmath sweep at the tolerances the docstrings state ----------------------
+
+_TINY = 2.2250738585072014e-308  # smallest normal double
+_HUGE = 1.7976931348623157e308
+SWEEP_S = [
+    -20.0, -7.0, -1.0,                        # negative integers
+    -12.0005, -3.0002, -0.9995, -1e-4, 1e-4,  # within 1e-3 of a pole
+    -19.5, -2.5, 0.5, 2.5, 40.5, 1000.5,      # half-integers
+    -0.3, 0.01, 0.2, 1.0, 3.7, 12.0, 19.9, 20.0, 80.0, 171.5, 5e3,
+]
+SWEEP_X = [10.0 ** (k / 2) for k in range(-16, 9)]  # 1e-8 .. 1e4
+
+
+def _sweep_points(s):
+    band = [abs(s) * f for f in (0.3, 0.9, 0.99, 1.0, 1.01, 1.1, 2.35)]
+    return [x for x in SWEEP_X + band if 1e-8 <= x <= 1e4]
+
+
+@pytest.mark.parametrize("s", SWEEP_S)
+def test_incomplete_gammas_against_mpmath(s):
+    with mpmath.workdps(40):
+        gs = mpmath.gamma(s) if s != int(s) or s > 0 else None
+        for x in _sweep_points(s):
+            scale = 1e-15 * (abs(s) + x + 20.0)
+            up = mpmath.gammainc(s, x, mpmath.inf)
+            got = gamma_upper(s, x)
+            if abs(up) >= _HUGE:
+                assert got == math.inf, (s, x)
+            elif abs(up) >= _TINY:
+                assert abs(got - up) <= scale * abs(up), (s, x)
+            if s > 0.0:
+                got = log_gamma_upper(s, x)
+                assert abs(got - mpmath.log(up)) <= 2.0 * scale, (s, x)
+            if gs is None:  # gamma_lower has a pole here
+                continue
+            low = mpmath.gammainc(s, 0, x)
+            got = gamma_lower(s, x)
+            if s < 0.0:
+                assert abs(got - low) <= scale * (abs(gs) + abs(up)), (s, x)
+            elif low >= _HUGE:
+                assert got == math.inf, (s, x)
+            elif low >= _TINY:
+                assert abs(got - low) <= scale * low, (s, x)
+            for x2 in (1.5 * x, x + 1.0):
+                if x2 > 1e4:
+                    continue
+                up2 = mpmath.gammainc(s, x2, mpmath.inf)
+                ref = max(abs(up), abs(up2))
+                if s > 0.0 and mpmath.gammainc(s, 0, x2,
+                                               regularized=True) <= 0.5:
+                    ref = max(abs(low), abs(mpmath.gammainc(s, 0, x2)))
+                if not _TINY <= ref < _HUGE:
+                    continue
+                want = mpmath.gammainc(s, x, x2)
+                got = gamma_generalized(s, x, x2)
+                tol = 1e-15 * (abs(s) + x2 + 20.0) * ref
+                assert abs(got - want) <= tol, (s, x, x2)

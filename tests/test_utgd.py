@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trunc_moments import oracle, utgd
+import oracle
+from trunc_moments import utgd
 from trunc_moments.utgd import Side, TruncatedGaussianSpec
 
 SQRT_2_PI = math.sqrt(2.0 / math.pi)
