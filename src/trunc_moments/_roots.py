@@ -3,7 +3,8 @@
 ``brentq`` ports scipy's Brent solver step for step (same ``xtol +
 rtol*|x|`` stopping rule, same roots bit for bit), so the package need not
 import ``scipy.optimize``; ``expand`` and ``scan`` find its bracket.  All
-three fail with a ValueError naming the quantity and the range searched.
+three fail with a ValueError naming the quantity and the range searched;
+an evaluation that overflows or divides by zero counts as undefined (NaN).
 """
 
 import math
@@ -15,6 +16,13 @@ def _fail(what: str, a: float, b: float) -> ValueError:
     return ValueError(f"no {what} in [{min(a, b):.6g}, {max(a, b):.6g}]")
 
 
+def _eval(f, x: float) -> float:
+    try:
+        return f(x)
+    except ArithmeticError:
+        return math.nan
+
+
 def _straddles(fa: float, fb: float) -> bool:
     return fa <= 0.0 <= fb or fb <= 0.0 <= fa  # False if either is NaN
 
@@ -24,8 +32,8 @@ def brentq(f, a: float, b: float, fa: float | None = None,
            xtol: float = 1e-300) -> float:
     """Root of f in [a, b]; fa and fb are f(a) and f(b) if already known."""
     xpre, xcur = float(a), float(b)
-    fpre = f(xpre) if fa is None else fa
-    fcur = f(xcur) if fb is None else fb
+    fpre = _eval(f, xpre) if fa is None else fa
+    fcur = _eval(f, xcur) if fb is None else fb
     if not _straddles(fpre, fcur):
         raise _fail(what, a, b)
     xblk, fblk, spre, scur = xpre, fpre, 0.0, 0.0  # returns xpre if fpre == 0
@@ -58,7 +66,10 @@ def brentq(f, a: float, b: float, fa: float | None = None,
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
+        try:  # inline, not _eval: this is the solvers' inner loop
+            fcur = f(xcur)
+        except ArithmeticError:
+            break
         if fcur != fcur:
             break
     raise _fail(what, a, b)
@@ -70,7 +81,7 @@ def expand(f, a: float, b: float, *, increasing: bool, what: str,
     changes sign over it; returns (a, b, f(a), f(b)).  The endpoint on the
     root's side moves away from the other by ``factor`` (dividing towards 0,
     never across it) while its magnitude stays in [tiny, huge]."""
-    fa, fb = f(a), f(b)
+    fa, fb = _eval(f, a), _eval(f, b)
     while not _straddles(fa, fb):
         beyond_b = (fb < 0.0) == increasing
         x = b if beyond_b else a
@@ -78,9 +89,9 @@ def expand(f, a: float, b: float, *, increasing: bool, what: str,
         if fa != fa or fb != fb or not tiny <= abs(x) <= huge:
             raise _fail(what, a, b)
         if beyond_b:
-            b, fb = x, f(x)
+            b, fb = x, _eval(f, x)
         else:
-            a, fa = x, f(x)
+            a, fa = x, _eval(f, x)
     return a, b, fa, fb
 
 
@@ -90,8 +101,8 @@ def scan(f, grid, *, what: str):
     prev = None
     for x in grid:
         try:
-            fx = f(x)
-        except (ValueError, ArithmeticError):
+            fx = _eval(f, x)
+        except ValueError:
             fx = math.nan
         if prev is not None and _straddles(prev[1], fx):
             return prev[0], x, prev[1], fx

@@ -29,8 +29,8 @@ from itertools import accumulate
 from operator import sub
 
 from . import _roots, utgd
-from .specfun import lambert_w0
-from .utgd import Side, TruncatedGaussianSpec, _core, _polyval, \
+from .specfun import _polyval, lambert_w0
+from .utgd import Side, TruncatedGaussianSpec, _core, \
     _VHAT_NUM, _VHAT_DEN_MINUS_NUM, _SERIES_CUT, normalized_variance
 
 __all__ = [
@@ -223,9 +223,10 @@ def sigma_newton(target_var: float, mu: float, a: float, M: float,
     d = mu - a
 
     if form is VarianceForm.II:
-        if not target_var < (M - a) ** 2:
+        d2 = (M - a) * (M - a)  # ** 2 raises OverflowError past 1.3e154
+        if not target_var < d2:
             raise ValueError("Form II variance targets must lie below (M-a)**2")
-        r = r_from_variance(target_var / (M - a) ** 2)
+        r = r_from_variance(target_var / d2)
         if r * d <= 0.0:
             raise ValueError(
                 f"no Form II root with positive sigma at mu={mu}: the target "

@@ -13,21 +13,18 @@ plot-data         emit plot-ready sweeps (TSV)
 
 Exit codes: 0 success, 1 usage/IO error, 2 infeasible or degenerate model.
 Calibration and fit output is JSON on stdout; diagnostics go to stderr.
+
+Each command imports the package modules it evaluates, and no others, so a
+cold process compiles and runs only those.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import os
 import sys
-
-from . import _roots, calibrate, chi, tables, utgd
-from .calibrate import Method
-from .chi import ChiKind, ScaledChiSpec
-from .utgd import Side, TruncatedGaussianSpec
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -91,12 +88,15 @@ def _rounded(obj, nd: int):
 
 
 def _emit_json(payload: dict, nd: int) -> None:
+    import json
+
     json.dump(_rounded(payload, nd), sys.stdout, indent=2)
     sys.stdout.write("\n")
 
 
 def _add_precision(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--precision", type=int, default=_default_precision(),
+    p.add_argument("--precision", type=_positive(int),
+                   default=_default_precision(),
                    help="decimal places in numeric output (default 8, or "
                         "TRUNC_MOMENTS_PRECISION)")
 
@@ -106,6 +106,10 @@ def _add_precision(p: argparse.ArgumentParser) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_calibrate_gauss(args) -> int:
+    from . import calibrate
+    from .calibrate import Method
+    from .utgd import Side
+
     M, v, a = args.mean, args.var, args.cutoff
     side = Side(args.side)
     # mirror a right-side problem onto the left-side solvers
@@ -170,6 +174,9 @@ def cmd_calibrate_gauss(args) -> int:
 
 def _double_sigma(M: float, n: float, lo: float, up: float) -> float:
     """The sigma that puts the mean of the window [lo, up] at M."""
+    from . import _roots
+    from .chi import ChiKind, ScaledChiSpec, chi_raw_moment
+
     if not lo < M < up:
         raise ValueError(f"the doubly truncated mean is confined to "
                          f"({lo:g}, {up:g}); got {M:g}")
@@ -178,7 +185,7 @@ def _double_sigma(M: float, n: float, lo: float, up: float) -> float:
     # with sigma; bracket by expansion
     def f(sigma: float) -> float:
         try:
-            return chi.chi_raw_moment(
+            return chi_raw_moment(
                 ScaledChiSpec(sigma, n, lower=lo, upper=up,
                               kind=ChiKind.DOUBLE), 1) - M
         except ZeroDivisionError:
@@ -193,6 +200,9 @@ def _double_sigma(M: float, n: float, lo: float, up: float) -> float:
 
 
 def cmd_calibrate_chi(args) -> int:
+    from . import chi
+    from .chi import ChiKind, ScaledChiSpec
+
     kind = ChiKind(args.trunc)
     M, v, n, lo, up = args.mean, args.var, args.dim, args.lower, args.upper
     if kind is ChiKind.DOUBLE and (lo is None or up is None):
@@ -236,6 +246,8 @@ def cmd_calibrate_chi(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_vmax(args) -> int:
+    from . import chi
+
     try:
         rep = chi.nvmx_search(args.mean, args.r)
     except ValueError as exc:
@@ -250,7 +262,7 @@ def cmd_vmax(args) -> int:
         "vmax_real": rep.vmax_real,
         "vmax_int": rep.vmax_int,
         "n_vmx_fit": n_fit,
-        "vmax_fit": chi.vmax_fixed_r_approx(args.r) * args.mean ** 2,
+        "vmax_fit": chi.vmax_fixed_r_approx(args.r) * args.mean * args.mean,
         "n_vmx": rep.n_vmx_int if args.integer_n else rep.n_vmx_real,
         "vmax": rep.vmax_int if args.integer_n else rep.vmax_real,
     }
@@ -357,6 +369,8 @@ def _read_column(path: str, selector: str, lower: float | None = None,
 def _solve_scalar(f, lo: float, hi: float):
     """Root of f in the first sign-changing cell of a 200-point log-spaced
     scan of [lo, hi]; None if no sign change shows up."""
+    from . import _roots
+
     grid = [lo * (hi / lo) ** (k / 199) for k in range(200)]
     try:
         return _roots.brentq(f, *_roots.scan(f, grid, what="sigma"),
@@ -373,6 +387,9 @@ _MODEL_SIGMA = {"gauss": ("form2", "form1", "mean_based"),
 
 
 def _fit_gauss(M: float, v: float, a: float, warnings: list[str]):
+    from . import calibrate, utgd
+    from .utgd import TruncatedGaussianSpec
+
     d = M - a
     est = dict.fromkeys(_ESTIMATES)
     if not d > 0.0:
@@ -428,6 +445,9 @@ def _fit_gauss(M: float, v: float, a: float, warnings: list[str]):
 
 def _fit_chi(M: float, v: float, n: float, lo: float | None,
              up: float | None, warnings: list[str]):
+    from . import chi
+    from .chi import ChiKind, ScaledChiSpec
+
     if lo is not None and up is not None:
         kind, a1, a2 = ChiKind.DOUBLE, lo, up
     elif up is not None:
@@ -547,6 +567,8 @@ def cmd_fit(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_table(args) -> int:
+    from . import tables
+
     try:
         rows = tables.build_table(args.name)
     except ValueError as exc:
@@ -557,6 +579,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_plot_data(args) -> int:
+    from . import tables
+
     try:
         rows = tables.plot_series(args.figure, args.min, args.max, args.step,
                                   args.precision)
@@ -583,7 +607,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mean", type=_finite, required=True)
     p.add_argument("--var", type=_finite, required=True)
     p.add_argument("--cutoff", type=_finite, required=True)
-    p.add_argument("--side", choices=[s.value for s in Side], default="left")
+    p.add_argument("--side", choices=["left", "right"], default="left")
     p.add_argument("--method", default="auto",
                    choices=["auto", "approx1", "approx2", "two-point",
                             "point-slope"])
@@ -598,7 +622,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mean", type=_finite, required=True)
     p.add_argument("--var", type=_finite, required=True)
     p.add_argument("--dim", type=_finite, required=True)
-    p.add_argument("--trunc", choices=[k.value for k in ChiKind],
+    p.add_argument("--trunc", choices=["inner", "outer", "double"],
                    default="inner")
     p.add_argument("--lower", type=_finite, default=None)
     p.add_argument("--upper", type=_finite, default=None)

@@ -130,9 +130,7 @@ _POLE_E = 0.25
 def _lgamma1p(e: float) -> float:
     # ln Gamma(1 + e) to full relative precision for |e| <= 1/4, where
     # math.lgamma is accurate only in absolute terms
-    acc = 0.0
-    for c in reversed(_LGAMMA1P):
-        acc = acc * e + c
+    acc = _polyval(_LGAMMA1P, e)
     return (acc * e + 1.0 - _EULER_GAMMA) * e - math.log1p(e)
 
 
@@ -256,13 +254,17 @@ def _phi(s: float, x: float) -> float:
     return 2.0 * t2 / (1.0 - t) - 2.0 * t * t2 * acc
 
 
+def _polyval(coef_ascending, u: float) -> float:
+    # Horner's rule; the coefficients come in ascending powers of u
+    acc = 0.0
+    for c in reversed(coef_ascending):
+        acc = acc * u + c
+    return acc
+
+
 def _gamma_star(s: float) -> float:
     # Gamma(s) / (sqrt(2 pi) s^(s - 1/2) e^-s), for s >= 10
-    w = 1.0 / (s * s)
-    acc = 0.0
-    for c in reversed(_STIRLING):
-        acc = acc * w + c
-    return math.exp(acc / s)
+    return math.exp(_polyval(_STIRLING, 1.0 / (s * s)) / s)
 
 
 def _dompart(s: float, x: float) -> float:

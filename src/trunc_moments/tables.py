@@ -1,15 +1,14 @@
 """Reference-table generation for the command line interface.
 
 Each builder returns a list of tab-separated rows (header first) rendered
-at a fixed precision, so the output can be frozen as golden files.
+at a fixed precision, so the output can be frozen as golden files.  A table
+or figure imports its own kernel module when it is built, once per call,
+so a command loads no kernel it does not evaluate.
 """
 
 from __future__ import annotations
 
 import math
-
-from . import chi, utgd
-from .calibrate import dsigma1_dmu
 
 __all__ = ["TABLE_NAMES", "build_table"]
 
@@ -23,6 +22,8 @@ def _f(x: float, nd: int = 5) -> str:
 
 
 def _mu_sigma_r() -> list[str]:
+    from . import utgd
+
     rows = ["r\tsigma\tmu\tvar"]
     for r in (-2.0, -1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0):
         sigma = utgd.sigma_from_mean_r(1.0, r, 0.0)
@@ -32,6 +33,8 @@ def _mu_sigma_r() -> list[str]:
 
 
 def _ndim_variance() -> list[str]:
+    from . import chi
+
     rows = ["n\tr\tsigma\ta\tvar"]
     for n in (-6.0, -3.0, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 6.0):
         for r in (-4.0, -2.0, -1.0, -0.5, 0.0):
@@ -46,6 +49,8 @@ def _ndim_variance() -> list[str]:
 
 
 def _limits() -> list[str]:
+    from . import chi
+
     rows = ["n\tkind\tdirection\tvar\tsigma\tcutoff"]
     for n in (1.0, 2.0, 3.0):
         for kind in (chi.ChiKind.OUTER, chi.ChiKind.INNER):
@@ -57,6 +62,8 @@ def _limits() -> list[str]:
 
 
 def _slope_table() -> list[str]:
+    from . import utgd
+
     rows = ["r\tdvar_dr\tvar"]
     ks = [float(2 ** k) for k in range(18, -1, -1)]
     grid = [-k for k in ks] + [-(2.0 ** k) for k in range(-1, -13, -1)]
@@ -85,31 +92,58 @@ def build_table(name: str) -> list[str]:
 
 
 # -- plot-ready sweeps -------------------------------------------------------
+# Each figure's row maker imports its kernel module and returns the function
+# that renders the row at x with p digits.
 
-def _kurtosis_row(r: float, p: int) -> str:
-    sk, ku, _, _ = utgd.skewness_kurtosis(1.0, r, 0.0)
-    return f"{r:.{p}g}\t{sk:.{p}f}\t{ku:.{p}f}"
-
-
-def _nvmx_row(r: float, p: int) -> str:
-    rep = chi.nvmx_search(1.0, r)
-    return (f"{r:.{p}g}\t{chi.nvmx_approx(r):.{p}f}\t{rep.n_vmx_real:.{p}f}"
-            f"\t{rep.vmax_real:.{p}f}\t{chi.vmax_fixed_r_approx(r):.{p}f}")
+def _var_rows():
+    from .utgd import var_form2
+    return lambda r, p: f"{r:.{p}g}\t{var_form2(1.0, r, 0.0):.{p}f}"
 
 
-# figure: (default min, max, step), header, row at x with p digits
+def _dvar_rows():
+    from .utgd import dvar_dr
+    return lambda r, p: f"{r:.{p}g}\t{dvar_dr(1.0, r, 0.0):.{p}f}"
+
+
+def _kurtosis_rows():
+    from .utgd import skewness_kurtosis
+
+    def row(r: float, p: int) -> str:
+        sk, ku, _, _ = skewness_kurtosis(1.0, r, 0.0)
+        return f"{r:.{p}g}\t{sk:.{p}f}\t{ku:.{p}f}"
+    return row
+
+
+def _slope_form1_rows():
+    from .calibrate import dsigma1_dmu
+    return lambda r, p: f"{r:.{p}g}\t{dsigma1_dmu(r):.{p}f}"
+
+
+def _nvmx_rows():
+    from . import chi
+
+    def row(r: float, p: int) -> str:
+        rep = chi.nvmx_search(1.0, r)
+        return (f"{r:.{p}g}\t{chi.nvmx_approx(r):.{p}f}"
+                f"\t{rep.n_vmx_real:.{p}f}\t{rep.vmax_real:.{p}f}"
+                f"\t{chi.vmax_fixed_r_approx(r):.{p}f}")
+    return row
+
+
+def _vmax_rows():
+    from .chi import vmax_fixed_n
+    return lambda n, p: f"{n:.{p}g}\t{vmax_fixed_n(1.0, n):.{p}f}"
+
+
+# figure: (default min, max, step), header, row maker
 _FIGURES = {
-    "var-vs-r": ((-5.0, 5.0, 0.05), "r\tvar", lambda r, p:
-                 f"{r:.{p}g}\t{utgd.var_form2(1.0, r, 0.0):.{p}f}"),
-    "dvar-vs-r": ((-5.0, 5.0, 0.05), "r\tdvar_dr", lambda r, p:
-                  f"{r:.{p}g}\t{utgd.dvar_dr(1.0, r, 0.0):.{p}f}"),
-    "kurtosis": ((-5.0, 5.0, 0.05), "r\tskewness\tkurtosis", _kurtosis_row),
-    "slope-form1": ((-5.0, 5.0, 0.05), "r\tdsigma1_dmu", lambda r, p:
-                    f"{r:.{p}g}\t{dsigma1_dmu(r):.{p}f}"),
+    "var-vs-r": ((-5.0, 5.0, 0.05), "r\tvar", _var_rows),
+    "dvar-vs-r": ((-5.0, 5.0, 0.05), "r\tdvar_dr", _dvar_rows),
+    "kurtosis": ((-5.0, 5.0, 0.05), "r\tskewness\tkurtosis", _kurtosis_rows),
+    "slope-form1": ((-5.0, 5.0, 0.05), "r\tdsigma1_dmu", _slope_form1_rows),
     "nvmx-vs-r": ((0.05, 5.0, 0.05),
-                  "r\tn_vmx_fit\tn_vmx_real\tvmax_real\tvmax_fit", _nvmx_row),
-    "vmax-vs-n": ((0.25, 30.0, 0.25), "n\tvmax", lambda n, p:
-                  f"{n:.{p}g}\t{chi.vmax_fixed_n(1.0, n):.{p}f}"),
+                  "r\tn_vmx_fit\tn_vmx_real\tvmax_real\tvmax_fit", _nvmx_rows),
+    "vmax-vs-n": ((0.25, 30.0, 0.25), "n\tvmax", _vmax_rows),
 }
 
 
@@ -119,14 +153,24 @@ def plot_series(figure: str, lo: float | None, hi: float | None,
     if figure not in _FIGURES:
         raise ValueError(f"unknown figure {figure!r}; choose from "
                          f"{list(_FIGURES)}")
-    (x, end, s), header, row = _FIGURES[figure]
+    (x, end, s), header, rows_of = _FIGURES[figure]
     x = x if lo is None else lo
     end = end if hi is None else hi
     s = s if step is None else step
     if not 0.0 < s < math.inf:
         raise ValueError(f"step must be positive and finite, got {s:g}")
+    # slack for the rounding of x += s; below a step of 1e-6 it shrinks
+    # with the step, which would otherwise run 1e-12/s rows past the end
+    stop = end + min(1e-12, 1e-6 * s)
+    far = max(abs(x), abs(stop))
+    if x <= stop and s <= 0.5 * math.ulp(far):
+        # x += s rounds back to x (or, on a tie, may), so x would stop
+        # moving before it passes the end
+        raise ValueError(f"step {s:g} is below the spacing of floats near "
+                         f"{far:g}")
+    row = rows_of()
     rows = [header]
-    while x <= end + 1e-12:
+    while x <= stop:
         rows.append(row(round(x / s) * s if s < 1 else x, precision))
         x += s
     return rows

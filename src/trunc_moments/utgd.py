@@ -31,7 +31,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 
-from .specfun import exp_r2_half_xi
+from .specfun import _polyval, exp_r2_half_xi
 
 __all__ = [
     "Side",
@@ -169,13 +169,6 @@ def _series_coefficients(order: int):
  _VHAT_NUM_D, _VHAT_DEN_D, _VHAT_DEN_MINUS_NUM) = _series_coefficients(16)
 
 
-def _polyval(coef_ascending, u: float) -> float:
-    acc = 0.0
-    for c in reversed(coef_ascending):
-        acc = acc * u + c
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # core scaled quantities
 # ---------------------------------------------------------------------------
@@ -226,7 +219,8 @@ def dnormalized_variance_dr(r: float) -> float:
     d = _polyval(_VHAT_DEN, u)
     dn = _polyval(_VHAT_NUM_D, u)
     dd = _polyval(_VHAT_DEN_D, u)
-    return (-2.0 / r ** 3) * (dn * d - n * dd) / (d * d)
+    # -2/r^3 as -2u/r: r ** 3 overflows from |r| = 5.6e102 on
+    return (-2.0 * u / r) * (dn * d - n * dd) / (d * d)
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,26 @@ class TestSigmaAndForms:
         assert abs(got - want) <= 2e-14 * (M * M + want)
 
 
+    @pytest.mark.parametrize("r_abs, n", [
+        (500.0, 2.5e5),  # exp of two log-gammas of size 1.5e6: 8.3e-11 off
+        (5.0, 1e4),      # Gamma(n/2) overflowed both masses: nan
+        (1000.0, 0.5), (30.0, 3.0), (0.0, 1e6),
+    ])
+    def test_inner_sigma_and_moments_against_mpmath(self, r_abs, n):
+        # the docstrings' bound: relative error at most 2e-15
+        with mpmath.workdps(50):
+            y = mpmath.mpf(r_abs) ** 2 / 2
+            g = [mpmath.gammainc(mpmath.mpf(n + k) / 2, y) for k in range(4)]
+            sigma = g[0] / (mpmath.sqrt(2) * g[1])
+            moments = [mpmath.sqrt(2) ** k * g[k] / g[0] for k in (1, 2, 3)]
+        assert chi_sigma_from_mean(1.0, r_abs, n) == pytest.approx(
+            float(sigma), rel=2e-15)
+        spec = ScaledChiSpec(1.0, n, lower=r_abs)
+        for k, want in zip((1, 2, 3), moments):
+            assert chi_raw_moment(spec, k) == pytest.approx(float(want),
+                                                            rel=2e-15)
+
+
 class TestCalibrate:
     def test_worked_example(self):
         r, sigma, a = chi_calibrate(2.3, 0.95, 2.0)
@@ -281,6 +301,19 @@ class TestVmax:
             want = g[0] * g[2] / (g[1] * g[1]) - 1
         assert abs(rep.vmax_real - want) <= 2e-14 * (1.0 + want)
         assert rep.vmax_real == pytest.approx(float(want), rel=1e-8)
+
+    @pytest.mark.parametrize("r", [1300.0, 1e4])
+    def test_search_refuses_r_beyond_the_variance_domain(self, r):
+        # at |r| = 1e4 it reported vmax_real = 1.6e-11 where V ~ M^2/(2n)
+        # gives 5.0e-9
+        with pytest.raises(ValueError, match=r"at most 1000 \(the domain of "
+                                             r"chi_var_form2\)"):
+            nvmx_search(1.0, r)
+
+    @pytest.mark.parametrize("r", [1300.0, 1e4, math.inf])
+    def test_fixed_r_approx_takes_its_limit(self, r):
+        # exp(d2 r^d3) overflowed past |r| = 1233
+        assert vmax_fixed_r_approx(r) == 0.0
 
     def test_search_small_r(self):
         rep = nvmx_search(1.0, 0.1)

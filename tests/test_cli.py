@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,9 +10,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import trunc_moments
 from trunc_moments import cli, tables
+from trunc_moments.chi import ChiKind
+from trunc_moments.utgd import Side
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -60,6 +67,27 @@ def test_plot_data_unknown_figure(capsys):
     assert code == 1
 
 
+def test_plot_data_nvmx_beyond_the_variance_domain(capsys):
+    # exp(d2 r^d3) in vmax_fixed_r_approx overflowed into a traceback
+    code, out, err = run(capsys, "plot-data", "--figure", "nvmx-vs-r",
+                         "--min", "1300", "--max", "1300")
+    assert code == 1
+    assert out == ""
+    assert "at most 1000" in err
+
+
+def test_plot_series_stops_at_max_for_a_tiny_step():
+    # the end's absolute 1e-12 slack ran 1e288 rows past --max
+    rows = tables.plot_series("var-vs-r", 0.0, 2.5e-299, 1e-300, 8)
+    assert len(rows) == 1 + 26
+
+
+def test_plot_series_rejects_a_step_below_float_spacing():
+    # x += 1 leaves 1e20 where it is, so the sweep never ended
+    with pytest.raises(ValueError, match="below the spacing of floats"):
+        tables.plot_series("var-vs-r", 1e20, 1e20 + 4e4, 1.0, 8)
+
+
 def run_cli(*argv, timeout=60):
     """The CLI in a fresh interpreter; ``timeout`` turns a hang into a
     failure."""
@@ -88,6 +116,12 @@ def run_cli(*argv, timeout=60):
     ("--mean", ["vmax", "--r", "1", "--mean", "nan"]),
     ("--bins", ["fit", "--input", "unread.csv", "--model", "gauss",
                 "--bins", "-1"]),
+    # these printed zeros with exit 0, or leaked "Format specifier missing
+    # precision"
+    ("--precision", ["calibrate-gauss", "--mean", "1.3", "--var", "3",
+                     "--cutoff", "-1", "--precision", "-2"]),
+    ("--precision", ["plot-data", "--figure", "var-vs-r", "--precision",
+                     "-1"]),
 ])
 def test_rejects_bad_numbers(option, argv):
     proc = run_cli(*argv, timeout=30)
@@ -235,7 +269,7 @@ def test_vmax_velocity_window(capsys):
     assert doc["n_vmx"] == doc["n_vmx_real"]
 
 
-@pytest.mark.parametrize("r", ["0", "nan", "inf"])
+@pytest.mark.parametrize("r", ["0", "nan", "inf", "1300", "1e4"])
 def test_vmax_rejects_bad_r(capsys, r):
     code, out, err = run(capsys, "vmax", "--r", r)
     assert code == 1
@@ -423,6 +457,19 @@ def test_fit_gauss_constant_sample(capsys, tmp_path):
 # usage, precision
 # ---------------------------------------------------------------------------
 
+def test_choice_literals_match_the_enums():
+    # the parser names the choices itself, so that building it imports no
+    # kernel module
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+
+    def choices(command, dest):
+        return next(a.choices for a in sub.choices[command]._actions
+                    if a.dest == dest)
+
+    assert choices("calibrate-gauss", "side") == [s.value for s in Side]
+    assert choices("calibrate-chi", "trunc") == [k.value for k in ChiKind]
+
 def test_missing_required_argument(capsys):
     code, out, err = run(capsys, "calibrate-gauss", "--mean", "1.0")
     assert code == 1
@@ -445,3 +492,102 @@ def test_precision_env(capsys, monkeypatch):
     code, doc, err = run_json(capsys, "calibrate-gauss", "--mean", "1.3",
                               "--var", "3.0", "--cutoff", "-1.0")
     assert doc["sigma"] == 2.86
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every input gets an exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+def _option(name, values, required=False):
+    """``--name=value`` (so a negative number is not read as a flag), or
+    nothing when the option is optional."""
+    arg = values.map(lambda x: [f"--{name}={x!r}" if isinstance(x, float)
+                                else f"--{name}={x}"])
+    return arg if required else st.one_of(st.just([]), arg)
+
+
+_NUMBER = st.floats()  # nan, inf, subnormal and huge included
+_PRECISION = _option("precision", st.integers(-3, 25))
+
+
+def _command(name, *options):
+    return st.tuples(*options).map(
+        lambda opts: [name] + [a for opt in opts for a in opt])
+
+
+def _plot_data():
+    # --max lies at most 25 steps past --min: the number of rows is the
+    # user's choice, and a huge one would only cost time
+    def argv(fig, lo, step, k, precision):
+        return (["plot-data", "--figure", fig, f"--min={lo!r}",
+                 f"--max={lo + k * step!r}", f"--step={step!r}"]
+                + precision)
+    return st.builds(argv, st.sampled_from(sorted(tables._FIGURES) + ["no"]),
+                     _NUMBER, _NUMBER, st.integers(-2, 25), _PRECISION)
+
+
+@pytest.fixture(scope="module")
+def fuzz_data(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "radii.txt"
+    rng = np.random.default_rng(11)
+    path.write_text("\n".join(map(repr, np.sqrt(rng.chisquare(3, 200)))))
+    return str(path)
+
+
+_FUZZ_COMMANDS = st.one_of(
+    _command("calibrate-gauss", *(_option(o, _NUMBER, True)
+                                  for o in ("mean", "var", "cutoff")),
+             _option("side", st.sampled_from(["left", "right"])),
+             _option("method", st.sampled_from(
+                 ["auto", "approx1", "approx2", "two-point", "point-slope"])),
+             _option("mu1", _NUMBER), _option("mu2", _NUMBER),
+             # each round is a solve: a count in the millions is a long run
+             _option("rounds", st.integers(-1, 6)), _PRECISION),
+    _command("calibrate-chi", *(_option(o, _NUMBER, True)
+                                for o in ("mean", "var", "dim")),
+             _option("trunc", st.sampled_from(["inner", "outer", "double"])),
+             _option("lower", _NUMBER), _option("upper", _NUMBER),
+             _PRECISION),
+    _command("vmax", _option("r", _NUMBER, True), _option("mean", _NUMBER),
+             st.sampled_from([[], ["--integer-n"]]), _PRECISION),
+    _command("table", _option("name", st.sampled_from(
+        ["mu-sigma-r", "ndim-variance", "limits", "slope-table", "no"]),
+        True)),
+    _plot_data(),
+    _command("fit", _option("model", st.sampled_from(["gauss", "chi"]), True),
+             _option("dim", _NUMBER), _option("lower", _NUMBER),
+             _option("upper", _NUMBER),
+             # the histogram allocates a float per bin
+             _option("bins", st.integers(-1, 500)), _PRECISION),
+)
+
+
+@given(argv=_FUZZ_COMMANDS)
+@settings(max_examples=200, deadline=None)
+@example(argv=["vmax", "--r", "1300"])
+@example(argv=["vmax", "--r", "2", "--mean", "1e200"])
+@example(argv=["plot-data", "--figure", "var-vs-r", "--precision", "-1"])
+@example(argv=["plot-data", "--figure", "var-vs-r", "--min", "1e20",
+               "--max", "1e20", "--step", "1"])
+@example(argv=["plot-data", "--figure", "dvar-vs-r", "--min=-5.6e102",
+               "--max=-5.6e102"])
+# solves whose evaluations divide by zero or overflow
+@example(argv=["calibrate-chi", "--mean", "261", "--var", "1", "--dim", "0"])
+@example(argv=["calibrate-chi", "--mean", "1", "--var", "1",
+               "--dim", "1.175494351e-38"])
+@example(argv=["calibrate-chi", "--mean", "1", "--var", "1", "--dim", "5e-324"])
+@example(argv=["calibrate-gauss", "--mean", "1.3e154", "--var", "1",
+               "--cutoff", "1", "--method", "point-slope", "--mu1", "0"])
+# a tie: 1.5779353160075068e16 + 1 rounds back to itself
+@example(argv=["plot-data", "--figure", "vmax-vs-n",
+               "--min=1.5779353160075068e+16", "--max=1.5779353160075078e+16",
+               "--step=1.0"])
+@example(argv=["plot-data", "--figure", "var-vs-r", "--min", "0",
+               "--max", "2.5e-299", "--step", "1e-300"])
+def test_fuzz_exit_codes(fuzz_data, argv):
+    if argv[0] == "fit":
+        argv = argv + ["--input", fuzz_data]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import pathlib
@@ -119,6 +120,8 @@ def test_import_leaves_optimize_and_integrate_unloaded(tmp_path):
     # scipy is a test dependency only: with sys.modules['scipy'] = None any
     # scipy import raises, and every command but fit must also run without
     # numpy.  fit needs numpy for its moments and histogram, not scipy.
+    # Each command runs in a fresh process, which must load only the
+    # package modules that the command evaluates.
     src = str(pathlib.Path(trunc_moments.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -129,37 +132,65 @@ def test_import_leaves_optimize_and_integrate_unloaded(tmp_path):
     radii = tmp_path / "radii.txt"
     radii.write_text("\n".join(
         map(repr, np.sqrt(rng.chisquare(3, 500)).tolist())))
+    gauss_mods = "['_roots', 'calibrate', 'cli', 'specfun', 'utgd']"
+    chi_mods = "['_roots', 'chi', 'cli', 'specfun']"
+    chi_table_mods = "['_roots', 'chi', 'cli', 'specfun', 'tables']"
     commands = [
-        ["calibrate-gauss", "--mean", "1.3", "--var", "3", "--cutoff", "-1"],
-        ["calibrate-chi", "--mean", "1", "--var", "0.1", "--dim", "3"],
-        ["calibrate-chi", "--mean", "1", "--var", "0.1", "--dim", "3",
-         "--trunc", "outer"],
-        ["calibrate-chi", "--mean", "1.0", "--var", "0.05", "--dim", "2",
-         "--trunc", "double", "--lower", "0.5", "--upper", "1.5"],
-        ["vmax", "--r", "2.2"],
-        ["table", "--name", "ndim-variance"],
-        ["plot-data", "--figure", "nvmx-vs-r"],
-        ["plot-data", "--figure", "vmax-vs-n"],
+        (["calibrate-gauss", "--mean", "1.3", "--var", "3", "--cutoff", "-1"],
+         gauss_mods),
+        (["calibrate-chi", "--mean", "1", "--var", "0.1", "--dim", "3"],
+         chi_mods),
+        (["calibrate-chi", "--mean", "1", "--var", "0.1", "--dim", "3",
+          "--trunc", "outer"], chi_mods),
+        (["calibrate-chi", "--mean", "1.0", "--var", "0.05", "--dim", "2",
+          "--trunc", "double", "--lower", "0.5", "--upper", "1.5"], chi_mods),
+        (["vmax", "--r", "2.2"], chi_mods),
+        (["table", "--name", "ndim-variance"], chi_table_mods),
+        (["table", "--name", "mu-sigma-r"],
+         "['cli', 'specfun', 'tables', 'utgd']"),
+        (["plot-data", "--figure", "nvmx-vs-r"], chi_table_mods),
+        (["plot-data", "--figure", "vmax-vs-n"], chi_table_mods),
     ]
     fits = [
-        ["fit", "--input", str(gauss), "--model", "gauss", "--lower", "0"],
-        ["fit", "--input", str(radii), "--model", "chi", "--dim", "3"],
+        (["fit", "--input", str(gauss), "--model", "gauss", "--lower", "0"],
+         gauss_mods),
+        (["fit", "--input", str(radii), "--model", "chi", "--dim", "3"],
+         chi_mods),
     ]
-    code = ("import contextlib, io, sys\n"
+    code = ("import contextlib, io, json, sys\n"
             "sys.modules['scipy'] = None\n"
+            "import trunc_moments\n"
+            "def loaded():\n"
+            "    return sorted(m[len('trunc_moments.'):] for m, v in"
+            " sys.modules.items()"
+            " if v is not None and m.startswith('trunc_moments.'))\n"
+            "print(loaded())\n"
             "import trunc_moments.cli as cli\n"
-            "def run(argv):\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        rc = cli.main(argv)\n"
-            "    loaded = {m.split('.')[0] for m, v in sys.modules.items()"
+            "argv = json.loads(sys.argv[1])\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = cli.main(argv)\n"
+            "third = {m.split('.')[0] for m, v in sys.modules.items()"
             " if v is not None}\n"
-            "    print(rc, sorted(loaded & {'numpy', 'scipy'}))\n"
-            f"for argv in {commands!r}:\n"
-            "    run(argv)\n"
-            f"for argv in {fits!r}:\n"
-            "    run(argv)\n")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True,
-                         timeout=120).stdout
-    assert out.split("\n")[:-1] == \
-        ["0 []"] * len(commands) + ["0 ['numpy']"] * len(fits)
+            "print(rc, sorted(third & {'numpy', 'scipy'}), loaded())\n")
+    for argv, modules in commands + fits:
+        out = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
+                             env=env, check=True, capture_output=True,
+                             text=True, timeout=120).stdout
+        print(argv[0], out)
+        numpy = "['numpy']" if argv[0] == "fit" else "[]"
+        # import trunc_moments alone loads no submodule
+        assert out.split("\n")[:-1] == ["[]", f"0 {numpy} {modules}"]
+
+
+def test_public_names_resolve():
+    # the package namespace loads each name's submodule on first access
+    ns = {}
+    exec("from trunc_moments import *", ns)
+    for name in trunc_moments.__all__:
+        assert ns[name] is getattr(trunc_moments, name)
+    assert set(trunc_moments.__all__) <= set(dir(trunc_moments))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        trunc_moments.no_such_name
+    # an unknown name falls through to the submodule import
+    from trunc_moments import lognormal
+    assert lognormal.__name__ == "trunc_moments.lognormal"
