@@ -2,9 +2,10 @@
 
 ``brentq`` ports scipy's Brent solver step for step (same ``xtol +
 rtol*|x|`` stopping rule, same roots bit for bit), so the package need not
-import ``scipy.optimize``; ``expand`` and ``scan`` find its bracket.  All
-three fail with a ValueError naming the quantity and the range searched;
-an evaluation that overflows or divides by zero counts as undefined (NaN).
+import ``scipy.optimize``; ``expand``, ``scan`` and ``scan_each`` find its
+bracket.  A missing root or bracket is a ValueError naming the quantity
+and the range searched; an evaluation that overflows or divides by zero
+counts as undefined (NaN).
 """
 
 import math
@@ -98,13 +99,46 @@ def expand(f, a: float, b: float, *, increasing: bool, what: str,
 def scan(f, grid, *, what: str):
     """First cell of ``grid`` over which f changes sign, as (a, b, f(a),
     f(b)); a cell is skipped if f is NaN or raises at either end."""
-    prev = None
+    (cell,) = scan_each(None, (f,), grid)
+    if not _straddles(cell[2], cell[3]):
+        raise _fail(what, min(grid), max(grid))
+    return cell
+
+
+_UNDEFINED = object()
+
+
+def scan_each(at, fs, grid) -> list:
+    """``scan`` for several functions in one pass over ``grid``, which
+    stops once each has its first sign-change cell.  At each point x the
+    work they share, p = at(x), is done once, and f(p) is evaluated for
+    every f still searching; a raise in ``at`` leaves them all undefined
+    there.  ``at`` None passes x itself.  A function without a sign change
+    gets (min(grid), max(grid), nan, nan), on which ``brentq`` raises the
+    no-root error that ``scan`` would."""
+    cells = [None] * len(fs)
+    fprev = [math.nan] * len(fs)  # each f at the previous point
+    xprev = math.nan
     for x in grid:
         try:
-            fx = _eval(f, x)
-        except ValueError:
-            fx = math.nan
-        if prev is not None and _straddles(prev[1], fx):
-            return prev[0], x, prev[1], fx
-        prev = None if fx != fx else (x, fx)
-    raise _fail(what, min(grid), max(grid))
+            p = x if at is None else at(x)
+        except (ArithmeticError, ValueError):
+            p = _UNDEFINED
+        searching = False
+        for k, f in enumerate(fs):
+            if cells[k] is not None:
+                continue
+            try:
+                fx = math.nan if p is _UNDEFINED else f(p)
+            except (ArithmeticError, ValueError):
+                fx = math.nan
+            if _straddles(fprev[k], fx):
+                cells[k] = (xprev, x, fprev[k], fx)
+            else:
+                fprev[k] = fx
+                searching = True
+        if not searching:
+            return cells
+        xprev = x
+    missing = (min(grid), max(grid), math.nan, math.nan)
+    return [missing if c is None else c for c in cells]

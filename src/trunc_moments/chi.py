@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import _roots
-from .specfun import (_dompart, _gamma_inc, _polyval, gamma_generalized,
-                      gamma_lower, gamma_upper)
+from .specfun import (_dompart, _gamma_inc, _gamma_upper_cf, _polyval,
+                      gamma_generalized, gamma_lower, gamma_upper)
 
 __all__ = [
     "ChiKind",
@@ -244,12 +244,23 @@ def _complete_ratio(s: float, k: int) -> float:
     return g
 
 
+def _upper_scaled(s: float, y: float) -> float:
+    # Gamma(s, y) e^y for 0 <= s <= 3/2 and y > 0, for the n -> 0+ limits
+    # below: _gamma_inc's small-y form has a pole at s = 0, where
+    # Gamma(0, y) = E1(y), and its Q needs Gamma(s), which overflows
+    if y < 1.0:
+        return gamma_upper(s, y) * math.exp(y)
+    return _gamma_upper_cf(s, y) * y ** s
+
+
 def _inner_ratio(s: float, y: float, k: int) -> float:
     # Gamma(s + k/2, y) / Gamma(s, y) for s > 0, from the same scaled H or
     # regularized Q as _inner_ratio_m1: the exp of a difference of two
     # log-gammas of size s log s would lose about log10(s log s) digits
     if y == 0.0:
         return _complete_ratio(s, k)
+    if s + 0.5 == 0.5:  # the s -> 0+ limit, off by about s |ln y| relative
+        return _upper_scaled(0.5 * k, y) / _upper_scaled(0.0, y)
     _, q0, h0 = _gamma_inc(s, y)
     _, qk, hk = _gamma_inc(s + 0.5 * k, y)
     if h0 is not None and hk is not None:
@@ -271,6 +282,8 @@ def _inner_ratio_m1(s: float, y: float) -> float:
     # sensitive to (about 2n psi(s) times more) than to s itself
     a = s + 0.5
     s = a - 0.5
+    if s == 0.0:  # the n -> 0+ limit; Gamma(1, y) e^y = 1
+        return _upper_scaled(0.0, y) / _upper_scaled(0.5, y) ** 2 - 1.0
     _, q0, h0 = _gamma_inc(s, y)
     _, q1, h1 = _gamma_inc(a, y)
     if h0 is not None and h1 is not None:

@@ -24,6 +24,7 @@ import argparse
 import itertools
 import math
 import os
+import re
 import sys
 
 EXIT_OK = 0
@@ -31,7 +32,18 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 
 
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes an argument for a negative number, and so for an
+        # option's value, only in the forms -1 and -1.5 (Python 3.11); also
+        # read -1e-3, -inf and -nan as values, so that every numeric option
+        # accepts them and its type gives the diagnostic
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     # argparse exits 2 on usage errors; we reserve 2 for infeasible targets
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -70,25 +70,24 @@ def _log_xi_steps(r: float, sigma: float) -> tuple[float, float]:
     return log_xi(r + sigma) - lx0, log_xi(r + 2.0 * sigma) - lx0
 
 
-def _log_mean_y(mu: float, sigma: float, r: float) -> float:
-    return 0.5 * sigma * sigma + mu + _log_xi_steps(r, sigma)[0]
-
-
 def back_moments(mu: float, sigma: float, a: float) -> LognormalMoments:
     """Mean and variance of Y = e^X for X truncated-Gaussian."""
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
     r = (mu - a) / sigma
-    lm = _log_mean_y(mu, sigma, r)
-    lv = _log_var_form1(mu, sigma, r)
+    steps = _log_xi_steps(r, sigma)
+    lm = 0.5 * sigma * sigma + mu + steps[0]
+    lv = _log_var_form1(mu, sigma, r, steps)
     if lm > 700.0 or lv > 1400.0:
         raise OverflowError("back-transformed moments exceed float range")
     return LognormalMoments(mean_y=math.exp(lm), var_y=math.exp(lv),
                             log_var_y=lv)
 
 
-def _log_var_form1(mu: float, sigma: float, r: float) -> float:
-    d1, d2 = _log_xi_steps(r, sigma)
+def _log_var_form1(mu: float, sigma: float, r: float,
+                   steps: tuple[float, float]) -> float:
+    # steps = _log_xi_steps(r, sigma), passed in so that both forms share it
+    d1, d2 = steps
     s2 = sigma * sigma
     # Var = E[Y^2] - E[Y]^2, with the second-moment term factored out;
     # q -> 0- as sigma -> 0, so 1 - e^q goes through expm1
@@ -100,8 +99,9 @@ def _log_var_form1(mu: float, sigma: float, r: float) -> float:
     return 2.0 * s2 + 2.0 * mu + d2 + math.log(-math.expm1(q))
 
 
-def _log_var_form2(mu: float, sigma: float, r: float, log_M_y: float) -> float:
-    d1, d2 = _log_xi_steps(r, sigma)
+def _log_var_form2(mu: float, sigma: float, r: float,
+                   steps: tuple[float, float], log_M_y: float) -> float:
+    d1, d2 = steps
     arg = -2.0 * mu + 2.0 * log_M_y + d2 - 4.0 * d1
     # arg = log(1 + Var/M_y^2); near sigma -> 0 it sinks into rounding noise
     # of the log-xi differences, so switch to the delta-method limit there
@@ -121,8 +121,11 @@ def log_var_forms(mu: float, sigma: float, a: float,
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
     r = (mu - a) / sigma
-    log_m = _log_mean_y(mu, sigma, r) if M_y is None else math.log(M_y)
-    return _log_var_form1(mu, sigma, r), _log_var_form2(mu, sigma, r, log_m)
+    steps = _log_xi_steps(r, sigma)
+    log_m = (0.5 * sigma * sigma + mu + steps[0] if M_y is None
+             else math.log(M_y))
+    return (_log_var_form1(mu, sigma, r, steps),
+            _log_var_form2(mu, sigma, r, steps, log_m))
 
 
 def lognormal_slopes(mu: float, sigma: float, a: float,
@@ -169,17 +172,28 @@ def lognormal_slopes(mu: float, sigma: float, a: float,
 _SIGMA_GRID = [10.0 ** (-6.0 + 7.8 * i / 160.0) for i in range(161)]
 
 
-def _solve_sigma(log_var_at_sigma, target_log_var: float) -> float:
-    """The sigma at which one log-variance level curve meets the target.
+def _sigma_pair(mu: float, a: float, log_M_y: float,
+                target: float) -> tuple[float, float]:
+    """The sigma at which each log-variance form meets the target at this
+    mu: the Form I root, then the Form II root.
 
-    The curves are only defined where the expm1/log1p arguments stay in
-    range, so the scan skips NaN cells instead of trusting a fixed bracket.
+    One pass over the sigma grid evaluates the log-xi steps once per point
+    for both forms and stops once each form has its first sign-change
+    cell; the curves are only defined where the expm1/log1p arguments stay
+    in range, so it skips NaN cells instead of trusting a fixed bracket.
+    Each form's Brent solve starts from its own cell.
     """
-    def g(s: float) -> float:
-        return log_var_at_sigma(s) - target_log_var
+    def at(s: float) -> tuple[float, float, tuple[float, float]]:
+        r = (mu - a) / s
+        return s, r, _log_xi_steps(r, s)
 
+    gaps = (lambda p: _log_var_form1(mu, *p) - target,
+            lambda p: _log_var_form2(mu, *p, log_M_y) - target)
+    cells = _roots.scan_each(at, gaps, _SIGMA_GRID)
     what = "sigma reproducing the target variance at this mu"
-    return _roots.brentq(g, *_roots.scan(g, _SIGMA_GRID, what=what), what=what)
+    s1, s2 = (_roots.brentq(lambda s: gap(at(s)), *cell, what=what)
+              for gap, cell in zip(gaps, cells))
+    return s1, s2
 
 
 def calibrate_original(M_y: float, var_y: float, a: float, mu_seed: float,
@@ -189,23 +203,25 @@ def calibrate_original(M_y: float, var_y: float, a: float, mu_seed: float,
 
     Runs the point-slope intersection on the log of the two variance forms
     (the raw variance is too steep in sigma for stable slopes when Var(Y)
-    is large).
+    is large).  Each round takes, for each form, the root in the first
+    cell of the 161-point log grid of sigma in [1e-6, 63.1] over which
+    that form's log variance crosses the target, that is its
+    smallest-sigma root; both forms share one pass over the grid.  A round
+    in which either form has no such cell raises ValueError("no sigma
+    reproducing the target variance at this mu in [1e-06, 63.0957]").
     """
     if not M_y > math.exp(a):
         raise ValueError("target mean must exceed e**cutoff")
     if not var_y > 0.0 or rounds < 1:
         raise ValueError("need var_y > 0 and rounds >= 1")
     target = math.log(var_y)
+    log_m = math.log(M_y)
     mu = mu_seed
     mu0 = sigma0 = math.nan
     growth = 0
     gap_prev = math.inf
     for _ in range(rounds):
-        s1 = _solve_sigma(
-            lambda s: _log_var_form1(mu, s, (mu - a) / s), target)
-        s2 = _solve_sigma(
-            lambda s: _log_var_form2(mu, s, (mu - a) / s, math.log(M_y)),
-            target)
+        s1, s2 = _sigma_pair(mu, a, log_m, target)
         k1 = lognormal_slopes(mu, s1, a, M_y)[0]
         k2 = lognormal_slopes(mu, s2, a, M_y)[1]
         mu0, sigma0 = _intersect(mu, s1, s2, k1, k2)

@@ -68,13 +68,13 @@ def _erfcx(x: float) -> float:
             return math.inf
         # exp(inf) does not raise: |x| > 1e154 leaves hi = inf and lo = nan
         return y if y == math.inf else y + y * lo
-    # erfcx(x) ~ 1/(x sqrt(pi)) * sum_k (2k-1)!! / (-2x^2)^k; w = 1/(2x^2)
-    # is formed without squaring x, which overflows for x > 1e154
+    # erfcx(x) ~ 1/(x sqrt(pi)) * sum_k (2k-1)!! / (-2x^2)^k, k <= 8, by
+    # Horner's rule written out; w = 1/(2x^2) is formed without squaring x,
+    # which overflows for x > 1e154
     w = 0.5 / x / x
-    acc = 1.0
-    for k in range(8, 0, -1):
-        acc = 1.0 - (2 * k - 1) * w * acc
-    return _INV_SQRT_PI / x * acc
+    return _INV_SQRT_PI / x * (1.0 - w * (1.0 - 3.0 * w * (
+        1.0 - 5.0 * w * (1.0 - 7.0 * w * (1.0 - 9.0 * w * (
+            1.0 - 11.0 * w * (1.0 - 13.0 * w * (1.0 - 15.0 * w))))))))
 
 
 def xi(r: float) -> float:

@@ -187,6 +187,25 @@ class TestSigmaAndForms:
             assert chi_raw_moment(spec, k) == pytest.approx(float(want),
                                                             rel=2e-15)
 
+    @pytest.mark.parametrize("n", [1e-20, 1.2e-38, 5e-324])
+    @pytest.mark.parametrize("r_abs", [0.01, 1.0, 1.6, 40.0, 1000.0])
+    def test_inner_at_tiny_n_takes_the_limit(self, r_abs, n):
+        # s + 1/2 rounds to 1/2 below n ~ 1e-16, which set s to 0, a pole
+        # of the small-y gamma form: chi_var_form2(1, 1, 1e-20) raised
+        # ZeroDivisionError, and subnormal n overflowed Gamma(n/2)
+        with mpmath.workdps(50):
+            y = mpmath.mpf(r_abs) ** 2 / 2
+            g = [mpmath.gammainc(mpmath.mpf(k) / 2, y) for k in range(4)]
+            var = g[0] * g[2] / (g[1] * g[1]) - 1
+            moments = [mpmath.sqrt(2) ** k * g[k] / g[0] for k in (1, 2, 3)]
+        assert abs(chi_var_form2(1.0, r_abs, n) - var) <= 2e-14 * (1 + var)
+        assert chi_sigma_from_mean(1.0, r_abs, n) == pytest.approx(
+            float(1 / moments[0]), rel=1e-14)
+        spec = ScaledChiSpec(1.0, n, lower=r_abs)
+        for k, want in zip((1, 2, 3), moments):
+            assert chi_raw_moment(spec, k) == pytest.approx(float(want),
+                                                            rel=1e-14)
+
 
 class TestCalibrate:
     def test_worked_example(self):

@@ -131,6 +131,24 @@ def test_rejects_bad_numbers(option, argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("value", ["-1e-3", "-5.6e102", "-1E3", "-.5"])
+def test_negative_exponent_is_a_value(capsys, value):
+    # argparse took "-1e-3" for an option: "expected one argument", exit 1
+    gauss = ["calibrate-gauss", "--mean", "1", "--var", "0.5"]
+    spaced = run(capsys, *gauss, "--cutoff", value)
+    assert spaced == run(capsys, *gauss, f"--cutoff={value}")
+    assert "expected one argument" not in spaced[2]
+    assert spaced[0] in (0, 2)
+
+
+@pytest.mark.parametrize("value", ["-inf", "-nan", "-Infinity"])
+def test_negative_non_finite_reaches_the_finite_check(capsys, value):
+    code, out, err = run(capsys, "calibrate-gauss", "--mean", "1",
+                         "--var", "0.5", "--cutoff", value)
+    assert code == 1 and out == ""
+    assert f"argument --cutoff: expected a finite number, got '{value}'" in err
+
+
 @pytest.mark.parametrize("step", [0.0, -0.1, math.inf, math.nan])
 def test_plot_series_rejects_bad_step(step):
     # min > max, so that a missing check returns a header instead of looping
@@ -226,6 +244,19 @@ def test_calibrate_chi_inner(capsys):
     assert doc["sigma"] == pytest.approx(1.65173960, abs=1.5e-8)
     assert doc["cutoff"] == pytest.approx(0.88516246, abs=1.5e-8)
     assert doc["residuals"]["mean"] < 1e-10
+
+
+@pytest.mark.parametrize("dim", ["1.2e-38", "5e-324"])
+def test_calibrate_chi_at_tiny_dim(capsys, dim):
+    # exited 2 ("no offset |r|") although --dim 1e-15 solves it
+    want = run_json(capsys, "calibrate-chi", "--mean", "1", "--var", "0.3",
+                    "--dim", "1e-15")[1]
+    code, doc, err = run_json(capsys, "calibrate-chi", "--mean", "1",
+                              "--var", "0.3", "--dim", dim)
+    assert code == 0
+    assert doc["r"] == pytest.approx(0.3401, abs=1e-4)
+    assert doc["r"] == pytest.approx(want["r"], abs=1e-8)
+    assert doc["sigma"] == pytest.approx(want["sigma"], abs=1e-8)
 
 
 def test_calibrate_chi_infeasible(capsys):
@@ -498,11 +529,17 @@ def test_precision_env(capsys, monkeypatch):
 # fuzz: every input gets an exit code, never a traceback
 # ---------------------------------------------------------------------------
 
+def _spellings(name, x):
+    """``--name value`` and ``--name=value``: argparse must read a negative
+    number in either as the option's value."""
+    text = repr(x) if isinstance(x, float) else str(x)
+    return st.sampled_from([[f"--{name}", text], [f"--{name}={text}"]])
+
+
 def _option(name, values, required=False):
-    """``--name=value`` (so a negative number is not read as a flag), or
-    nothing when the option is optional."""
-    arg = values.map(lambda x: [f"--{name}={x!r}" if isinstance(x, float)
-                                else f"--{name}={x}"])
+    """The option with a drawn value in either spelling, or nothing when
+    the option is optional."""
+    arg = values.flatmap(lambda x: _spellings(name, x))
     return arg if required else st.one_of(st.just([]), arg)
 
 
@@ -519,11 +556,12 @@ def _plot_data():
     # --max lies at most 25 steps past --min: the number of rows is the
     # user's choice, and a huge one would only cost time
     def argv(fig, lo, step, k, precision):
-        return (["plot-data", "--figure", fig, f"--min={lo!r}",
-                 f"--max={lo + k * step!r}", f"--step={step!r}"]
-                + precision)
-    return st.builds(argv, st.sampled_from(sorted(tables._FIGURES) + ["no"]),
-                     _NUMBER, _NUMBER, st.integers(-2, 25), _PRECISION)
+        return _command("plot-data", st.just(["--figure", fig]),
+                        _spellings("min", lo), _spellings("max", lo + k * step),
+                        _spellings("step", step), st.just(precision))
+    return st.tuples(st.sampled_from(sorted(tables._FIGURES) + ["no"]),
+                     _NUMBER, _NUMBER, st.integers(-2, 25),
+                     _PRECISION).flatmap(lambda t: argv(*t))
 
 
 @pytest.fixture(scope="module")
@@ -587,7 +625,10 @@ _FUZZ_COMMANDS = st.one_of(
 def test_fuzz_exit_codes(fuzz_data, argv):
     if argv[0] == "fit":
         argv = argv + ["--input", fuzz_data]
+    err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
+            contextlib.redirect_stderr(err):
         code = cli.main(argv)
     assert code in (0, 1, 2)
+    # every drawn option has its value: none is taken for an option name
+    assert "expected one argument" not in err.getvalue()

@@ -116,6 +116,38 @@ def test_scan_skips_undefined_cells():
             _roots.scan(lambda x: f(x, root), grid, what="x")
 
 
+def test_scan_each_shares_one_pass():
+    grid = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    visited = []
+
+    def at(x):
+        visited.append(x)
+        if x == 2.0:  # undefined for every function
+            raise ZeroDivisionError
+        return x
+
+    def raises_at_4(x):
+        if x == 4.0:
+            raise ValueError
+        return x - 4.5
+
+    fs = (lambda x: x - 0.5, lambda x: x - 3.5, lambda x: x - 2.5,
+          raises_at_4, lambda x: x + 1.0)
+    cells = _roots.scan_each(at, fs, grid)
+    assert cells[:2] == [(0.0, 1.0, -0.5, 0.5), (3.0, 4.0, -0.5, 0.5)]
+    # the next two change sign only over cells with an undefined end, and
+    # the last never: each gets the whole grid with NaN ends
+    for cell in cells[2:]:
+        assert cell[:2] == (0.0, 6.0) and all(map(math.isnan, cell[2:]))
+        with pytest.raises(ValueError, match=r"no x in \[0, 6\]"):
+            _roots.brentq(lambda x: x, *cell, what="x")
+    assert visited == grid
+    # the pass stops at the point that completes the last cell
+    visited.clear()
+    assert _roots.scan_each(at, fs[:2], grid) == cells[:2]
+    assert visited == grid[:5]
+
+
 def test_import_leaves_optimize_and_integrate_unloaded(tmp_path):
     # scipy is a test dependency only: with sys.modules['scipy'] = None any
     # scipy import raises, and every command but fit must also run without
