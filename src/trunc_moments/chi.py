@@ -227,10 +227,11 @@ def chi_sigma_from_mean(M: float, r_abs: float, n: float,
 
 
 def _wallis(s: float) -> float:
-    # Gamma(s + 1/2) / (Gamma(s) sqrt(s))
+    # Gamma(s + 1/2) / (Gamma(s) sqrt(s)), as Gamma(s + 1/2) sqrt(s) /
+    # Gamma(s + 1): Gamma(s) overflows for s below about 5.6e-309
     if s >= 50.0:
         return _polyval(_WALLIS_G, 1.0 / s)
-    return math.gamma(s + 0.5) / math.gamma(s) / math.sqrt(s)
+    return math.gamma(s + 0.5) * math.sqrt(s) / math.gamma(s + 1.0)
 
 
 def _complete_ratio(s: float, k: int) -> float:

@@ -124,10 +124,11 @@ def cmd_calibrate_gauss(args) -> int:
 
     M, v, a = args.mean, args.var, args.cutoff
     side = Side(args.side)
-    # mirror a right-side problem onto the left-side solvers
+    # mirror a right-side problem onto the left-side solvers, except for
+    # calibrate_auto, which takes the side and so keeps M when |a| >> |M|
     refl = side is Side.RIGHT
     M_l = 2.0 * a - M if refl else M
-    d = M_l - a
+    d = a - M if refl else M - a
     if not d > 0.0:
         lo = "above" if refl else "below"
         print(f"infeasible: the cutoff must lie strictly {lo} the target "
@@ -144,7 +145,7 @@ def cmd_calibrate_gauss(args) -> int:
     mu2 = 2.0 * a - args.mu2 if (refl and args.mu2 is not None) else args.mu2
     try:
         if method is None:
-            res = calibrate.calibrate_auto(M_l, v, a)
+            res = calibrate.calibrate_auto(M, v, a, side)
         elif method is Method.APPROX1:
             res = calibrate.calibrate_approx1(M_l, v, a)
         elif method is Method.APPROX2:
@@ -161,8 +162,9 @@ def cmd_calibrate_gauss(args) -> int:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 
-    mu = 2.0 * a - res.mu0 if refl else res.mu0
-    mean = 2.0 * a - res.mean_achieved if refl else res.mean_achieved
+    unmirror = refl and method is not None
+    mu = 2.0 * a - res.mu0 if unmirror else res.mu0
+    mean = 2.0 * a - res.mean_achieved if unmirror else res.mean_achieved
     _emit_json({
         "mu": mu,
         "sigma": res.sigma0,

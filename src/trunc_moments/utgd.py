@@ -208,19 +208,30 @@ def normalized_variance(r: float) -> float:
 
 def dnormalized_variance_dr(r: float) -> float:
     """d/dr of ``normalized_variance``; negative everywhere."""
+    return _vhat_slope(r)[1]
+
+
+def _vhat_slope(r: float) -> tuple[float, float]:
+    """(vhat, dvhat/dr) at r from one ``_core`` call or one set of series
+    polynomials; each value equals that of ``normalized_variance`` and
+    ``dnormalized_variance_dr`` bit for bit."""
     if math.isnan(r):
-        return math.nan
+        return math.nan, math.nan
     if r > _DVHAT_SERIES_CUT:
         t, s, q = _core(r)
         # exact reduction of d(Q/s**2)/dr via t' = -t*s, Q' = t*(s**2 - Q)
-        return t + q * (t * s - 2.0) / (s * s * s)
+        return q / (s * s), t + q * (t * s - 2.0) / (s * s * s)
     u = 1.0 / (r * r)
     n = _polyval(_VHAT_NUM, u)
     d = _polyval(_VHAT_DEN, u)
     dn = _polyval(_VHAT_NUM_D, u)
     dd = _polyval(_VHAT_DEN_D, u)
     # -2/r^3 as -2u/r: r ** 3 overflows from |r| = 5.6e102 on
-    return (-2.0 * u / r) * (dn * d - n * dd) / (d * d)
+    slope = (-2.0 * u / r) * (dn * d - n * dd) / (d * d)
+    if r > _SERIES_CUT:  # vhat is still on its direct side of the cut
+        t, s, q = _core(r)
+        return q / (s * s), slope
+    return n / d, slope
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,19 @@ class TestRawMoments:
             want = mp_raw_moment(1.1, n, spec.y1, spec.y2, k, kind)
             assert chi_raw_moment(spec, k) == pytest.approx(want, rel=1e-11)
 
+    @pytest.mark.parametrize("n", [1e-310, 5e-324])
+    def test_untruncated_at_subnormal_n(self, n):
+        # Gamma(n/2) in the Wallis ratio overflowed: OverflowError at 1e-310.
+        # E[R^k] = 2^(k/2) Gamma(n/2 + k/2) / Gamma(n/2) is about n there, so
+        # it is held to a few units of the subnormal spacing
+        for k in (1, 2, 3):
+            with mpmath.workdps(50):
+                s = mpmath.mpf(n) / 2
+                want = float(mpmath.sqrt(2) ** k * mpmath.gamma(s + k / 2)
+                             / mpmath.gamma(s))
+            got = chi_raw_moment(ScaledChiSpec(1.0, n), k)
+            assert abs(got - want) <= 4 * math.ulp(0.0)
+
     def test_deep_inner_log_path(self):
         # r = 50: the plain gamma ratio underflows; the log route must hold
         spec = ScaledChiSpec(1.0, 3.0, lower=50.0)

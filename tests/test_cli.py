@@ -222,6 +222,21 @@ def test_calibrate_gauss_right_side_mirror(capsys):
     assert right["sigma"] == pytest.approx(left["sigma"], rel=1e-9)
 
 
+@pytest.mark.parametrize("mean,cutoff,side", [("1", "-5.6e102", "left"),
+                                              ("-1", "5.6e102", "right")])
+def test_calibrate_gauss_cutoff_far_from_the_mean(capsys, mean, cutoff, side):
+    # mu = a + r*sigma cancelled to 0.0 here; the untruncated answer
+    # mu = M, sigma = sqrt(V) reproduces both targets
+    code, doc, err = run_json(capsys, "calibrate-gauss", "--mean", mean,
+                              "--var", "0.5", "--cutoff", cutoff,
+                              "--side", side)
+    assert code == 0, err
+    assert doc["mu"] == float(mean)
+    assert doc["sigma"] == pytest.approx(math.sqrt(0.5), abs=5e-9)  # 8 places
+    assert doc["achieved_mean"] == float(mean)
+    assert max(doc["residuals"].values()) < 1e-15
+
+
 def test_calibrate_gauss_point_slope_rounds(capsys):
     code, doc, err = run_json(capsys, "calibrate-gauss", "--mean", "1.8",
                               "--var", "0.4", "--cutoff", "0.5",
