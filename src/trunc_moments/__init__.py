@@ -19,11 +19,12 @@ _SOURCES = {
         "NVMX_DEFAULT_PARAMS", "ChiKind", "LimitDirection", "NvmxFitParams",
         "ScaledChiSpec", "VmaxReport", "chi_calibrate", "chi_density",
         "chi_limits", "chi_raw_moment", "chi_sigma_from_mean",
-        "chi_var_form1", "chi_var_form2", "nvmx_approx", "nvmx_search",
-        "vmax_fixed_n", "vmax_fixed_r_approx"), "chi"),
+        "chi_var_form1", "chi_var_form2", "double_sigma", "nvmx_approx",
+        "nvmx_search", "vmax_fixed_n", "vmax_fixed_r_approx"), "chi"),
     **dict.fromkeys((
         "LognormalMoments", "back_moments", "calibrate_original",
         "log_var_forms", "log_xi", "lognormal_slopes"), "lognormal"),
+    "fit_sample": "fitting",
     **dict.fromkeys((
         "exp_r2_half_xi", "gamma_generalized", "gamma_lower", "gamma_upper",
         "lambert_w0", "log_gamma_upper", "xi"), "specfun"),

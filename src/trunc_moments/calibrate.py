@@ -17,6 +17,11 @@ Refinement uses the two-point secant method or the point-slope
 (tangent-intersection) method on the sigma(mu) curves.  ``calibrate_auto``
 needs neither: vhat depends on the offset r = (mu - a)/sigma alone, so it
 inverts vhat(r) exactly and reads sigma off the mean.
+
+Every method takes the retained ``side``: by the mirror identity, a
+right-side problem is the left-side one in the offsets sign*(x - a) from
+the cutoff, in which each method evaluates the level curves.  ``_frame``
+gives the sign (``utgd._sign``), ``_finish`` the achieved moments.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from operator import sub
 
 from . import _roots
 from .specfun import _polyval, lambert_w0
-from .utgd import Side, _core, _vhat_slope, \
+from .utgd import Side, _core, _sign, _vhat_slope, \
     _VHAT_NUM, _VHAT_DEN_MINUS_NUM, _SERIES_CUT, normalized_variance
 
 __all__ = [
@@ -110,14 +115,28 @@ class CalibrationResult:
     var_achieved: float
 
 
+def _frame(M: float, target_var: float, a: float,
+           side: Side) -> tuple[float, float]:
+    """The side's sign and d = sign*(M - a) > 0; a ValueError names the
+    bound that a target no model attains misses."""
+    sign = _sign(side)
+    d = sign * (M - a)
+    if not d > 0.0:
+        raise ValueError("the cutoff must lie strictly "
+                         f"{'above' if sign < 0.0 else 'below'} the target mean")
+    if not 0.0 < target_var < d * d:
+        raise ValueError(f"the variance of any such model is confined to "
+                         f"(0, (mean - cutoff)^2) = (0, {d * d:g}); "
+                         f"got {target_var:g}")
+    return sign, d
+
+
 def _finish(mu0: float, sigma0: float, M: float, target_var: float, a: float,
-            method: Method, iterations: int,
-            side: Side = Side.LEFT) -> CalibrationResult:
+            sign: float, method: Method, iterations: int) -> CalibrationResult:
     if not sigma0 > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma0}")
     if not (math.isfinite(mu0) and math.isfinite(sigma0)):
         raise ValueError(f"mu and sigma must be finite, got {mu0}, {sigma0}")
-    sign = -1.0 if side is Side.RIGHT else 1.0
     r = sign * (mu0 - a) / sigma0
     t, s, q = _core(r)
     # both achieved moments from one kernel call; above the cutoff the mean
@@ -292,33 +311,38 @@ def sigma_newton(target_var: float, mu: float, a: float, M: float,
                  form: VarianceForm | str = VarianceForm.I) -> float:
     """Spread sigma at which the chosen variance form, evaluated at
     r = (mu - a)/sigma, equals target_var."""
+    return _sigma_at(target_var, mu - a, M - a, VarianceForm(form), mu)
+
+
+def _sigma_at(target_var: float, u: float, d: float, form: VarianceForm,
+              mu: float) -> float:
+    """``sigma_newton`` in offsets from the cutoff, u = mu - a and d = M - a,
+    each times the side's sign; ``mu`` names the location in messages."""
     if not target_var > 0.0:
         raise ValueError("target variance must be positive")
-    if mu == a:
+    if u == 0.0:
         raise ValueError("mu must differ from the cutoff")
-    form = VarianceForm(form)
-    d = mu - a
 
     if form is VarianceForm.II:
-        d2 = (M - a) * (M - a)  # ** 2 raises OverflowError past 1.3e154
+        d2 = d * d  # ** 2 raises OverflowError past 1.3e154
         if not target_var < d2:
             raise ValueError("Form II variance targets must lie below (M-a)**2")
         r = r_from_variance(target_var / d2)
-        if r * d <= 0.0:
+        if r * u <= 0.0:
             raise ValueError(
                 f"no Form II root with positive sigma at mu={mu}: the target "
                 f"requires r={r:.6g} but mu - a has the opposite sign")
-        return d / r
+        return u / r
 
-    # Form I: Var(r) = (d/r)**2 * Q(r) decreases monotonically in |r|
+    # Form I: Var(r) = (u/r)**2 * Q(r) decreases monotonically in |r|
     def f(r: float) -> float:
-        return (d / r) ** 2 * _core(r)[2] - target_var
+        return (u / r) ** 2 * _core(r)[2] - target_var
 
-    lo, hi = (1e-8, 1.0) if d > 0.0 else (-1.0, -1e-8)
+    lo, hi = (1e-8, 1.0) if u > 0.0 else (-1.0, -1e-8)
     what = f"Form I offset r for variance {target_var:g} at mu={mu:g}"
-    bracket = _roots.expand(f, lo, hi, increasing=d < 0.0, what=what,
+    bracket = _roots.expand(f, lo, hi, increasing=u < 0.0, what=what,
                             tiny=1e-280, huge=1e12)
-    return d / _roots.brentq(f, *bracket, what=what)
+    return u / _roots.brentq(f, *bracket, what=what)
 
 
 def dsigma1_dmu(r: float) -> float:
@@ -347,55 +371,67 @@ def _intersect(mu: float, s1: float, s2: float, k1: float, k2: float,
 
 
 def two_point(M: float, target_var: float, a: float,
-              mu1: float, mu2: float) -> CalibrationResult:
+              mu1: float | None = None, mu2: float | None = None,
+              side: Side = Side.LEFT) -> CalibrationResult:
     """Intersect the secants of the two sigma(mu) level curves sampled at
-    mu1 and mu2."""
+    mu1 and mu2.  mu1 defaults to the location that the approximating
+    function valid at this target gives, mu2 to mu1 moved towards the mean
+    by 2% of |M - a|."""
+    sign, d = _frame(M, target_var, a, side)
+    mu1 = a + sign * _approx_seed(target_var, d)[1] if mu1 is None else mu1
+    mu2 = mu1 + sign * 0.02 * d if mu2 is None else mu2
     if mu1 == mu2:
         raise ValueError("the two sampling locations must differ")
-    s11 = sigma_newton(target_var, mu1, a, M, VarianceForm.I)
-    s12 = sigma_newton(target_var, mu2, a, M, VarianceForm.I)
-    s21 = sigma_newton(target_var, mu1, a, M, VarianceForm.II)
-    s22 = sigma_newton(target_var, mu2, a, M, VarianceForm.II)
+    u1, u2 = sign * (mu1 - a), sign * (mu2 - a)
+    s11 = _sigma_at(target_var, u1, d, VarianceForm.I, mu1)
+    s12 = _sigma_at(target_var, u2, d, VarianceForm.I, mu2)
+    s21 = _sigma_at(target_var, u1, d, VarianceForm.II, mu1)
+    s22 = _sigma_at(target_var, u2, d, VarianceForm.II, mu2)
     k1 = (s12 - s11) / (mu2 - mu1)
     k2 = (s22 - s21) / (mu2 - mu1)
     mu0, sigma0 = _intersect(mu1, s11, s21, k1, k2, "secants")
-    return _finish(mu0, sigma0, M, target_var, a, Method.TWO_POINT, 1)
+    return _finish(mu0, sigma0, M, target_var, a, sign, Method.TWO_POINT, 1)
 
 
-def point_slope(M: float, target_var: float, a: float, mu1: float,
-                rounds: int = 1) -> CalibrationResult:
+def point_slope(M: float, target_var: float, a: float,
+                mu1: float | None = None, rounds: int = 1,
+                side: Side = Side.LEFT) -> CalibrationResult:
     """Intersect the tangents of the two sigma(mu) level curves at a single
     point, iterating the intersection forward for the requested number of
-    rounds."""
+    rounds.  mu1 defaults to the location that the approximating function
+    valid at this target gives."""
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    mu = mu1
-    mu0 = sigma0 = math.nan
-    for _ in range(rounds):
-        s1 = sigma_newton(target_var, mu, a, M, VarianceForm.I)
-        s2 = sigma_newton(target_var, mu, a, M, VarianceForm.II)
-        k1 = dsigma1_dmu((mu - a) / s1)
+    sign, d = _frame(M, target_var, a, side)
+    mu = a + sign * _approx_seed(target_var, d)[1] if mu1 is None else mu1
+    for _ in range(rounds):  # rounds >= 1 sets sigma0
+        u = sign * (mu - a)
+        s1 = _sigma_at(target_var, u, d, VarianceForm.I, mu)
+        s2 = _sigma_at(target_var, u, d, VarianceForm.II, mu)
+        k1 = sign * dsigma1_dmu(u / s1)  # slope in u, times du/dmu
         k2 = s2 / (mu - a)  # Form II curve is the exact line through (a, 0)
-        mu0, sigma0 = _intersect(mu, s1, s2, k1, k2)
-        mu = mu0
-    return _finish(mu0, sigma0, M, target_var, a, Method.POINT_SLOPE, rounds)
+        mu, sigma0 = _intersect(mu, s1, s2, k1, k2)
+    return _finish(mu, sigma0, M, target_var, a, sign, Method.POINT_SLOPE,
+                   rounds)
 
 
 def calibrate_approx1(M: float, target_var: float, a: float,
-                      params: ApproxFn1Params = APPROX1_SET_II) -> CalibrationResult:
+                      params: ApproxFn1Params = APPROX1_SET_II,
+                      side: Side = Side.LEFT) -> CalibrationResult:
     """Closed-form calibration from approximating function 1 alone."""
-    d = M - a
+    sign, d = _frame(M, target_var, a, side)
     U = solve_U_approx1(target_var / (d * d), params)
-    return _finish(a + U * d, d * sigma_approx1(U, params), M,
-                   target_var, a, Method.APPROX1, 1)
+    return _finish(a + sign * U * d, d * sigma_approx1(U, params), M,
+                   target_var, a, sign, Method.APPROX1, 1)
 
 
-def calibrate_approx2(M: float, target_var: float, a: float) -> CalibrationResult:
+def calibrate_approx2(M: float, target_var: float, a: float,
+                      side: Side = Side.LEFT) -> CalibrationResult:
     """Closed-form calibration from approximating function 2 alone."""
-    d = M - a
+    sign, d = _frame(M, target_var, a, side)
     U = solve_U_approx2(target_var / (d * d))
-    return _finish(a + U * d, d * _sigma_approx2_unchecked(U), M,
-                   target_var, a, Method.APPROX2, 1)
+    return _finish(a + sign * U * d, d * _sigma_approx2_unchecked(U), M,
+                   target_var, a, sign, Method.APPROX2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -411,13 +447,13 @@ def approx_switch_vhat() -> float:
     return normalized_variance(r)
 
 
-def _approx_seed(M: float, target_var: float, a: float) -> tuple[Method, float]:
-    """Approximating function valid at this target, and the mu it seeds."""
-    d = M - a
+def _approx_seed(target_var: float, d: float) -> tuple[Method, float]:
+    """Approximating function valid at this target, d = |M - a|, and the
+    offset from the cutoff of the location it gives."""
     vhat = target_var / (d * d)
     if vhat >= approx_switch_vhat():
-        return Method.APPROX1, a + solve_U_approx1(vhat) * d
-    return Method.APPROX2, a + solve_U_approx2(vhat) * d
+        return Method.APPROX1, solve_U_approx1(vhat) * d
+    return Method.APPROX2, solve_U_approx2(vhat) * d
 
 
 def calibrate_auto(M: float, target_var: float, a: float,
@@ -425,17 +461,11 @@ def calibrate_auto(M: float, target_var: float, a: float,
     """Exact calibration over the whole attainable range 0 < Var < (M-a)**2:
     r solves vhat(r) = Var/(M-a)**2, then sigma = |M-a|/s(r) and
     mu = a + r*sigma (mirrored about a on the right side)."""
-    side = Side(side)
-    sign = -1.0 if side is Side.RIGHT else 1.0
-    d = sign * (M - a)
-    if not (d > 0.0 and 0.0 < target_var < d * d):
-        rel = "<" if side is Side.RIGHT else ">"
-        raise ValueError(f"need M {rel} a and a target variance in "
-                         f"(0, (M-a)**2)")
+    sign, d = _frame(M, target_var, a, side)
     r = r_from_variance(target_var / (d * d))
     t, s, _ = _core(r)
     sigma = d / s
     # mu - a = r*sigma = (M - a) - sigma*t; for r > 0 the second form keeps
     # mu's digits when the cutoff is far from the mean (|a| >> sigma)
     mu0 = M - sign * sigma * t if r > 0.0 else a + sign * r * sigma
-    return _finish(mu0, sigma, M, target_var, a, Method.EXACT, 1, side)
+    return _finish(mu0, sigma, M, target_var, a, sign, Method.EXACT, 1)

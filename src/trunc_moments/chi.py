@@ -38,6 +38,7 @@ __all__ = [
     "chi_sigma_from_mean",
     "chi_var_form2",
     "chi_calibrate",
+    "double_sigma",
     "vmax_fixed_n",
     "nvmx_approx",
     "nvmx_search",
@@ -363,6 +364,11 @@ def vmax_fixed_n(M: float, n: float) -> float:
     return M * M * _polyval(_WALLIS_1MG2, w) / (g * g)
 
 
+def _inner_sup(M: float, n: float) -> float:
+    """``vmax_fixed_n``, infinite at its poles n = 0, -2 as beside them."""
+    return vmax_fixed_n(M, n) if (n > 0.0 or n < -2.0) else math.inf
+
+
 def nvmx_approx(r_abs: float,
                 params: NvmxFitParams = NVMX_DEFAULT_PARAMS) -> float:
     """Fitted estimate of the dimensionality maximizing the variance at
@@ -441,7 +447,7 @@ def chi_calibrate(M: float, target_var: float, n: float,
     if not target_var > 0.0:
         raise ValueError("target variance must be positive")
     if kind is ChiKind.INNER:
-        sup = vmax_fixed_n(M, n) if (n > 0.0 or n < -2.0) else math.inf
+        sup = _inner_sup(M, n)
         if target_var >= sup:
             raise ValueError(
                 f"target variance {target_var:g} exceeds the maximal "
@@ -467,6 +473,30 @@ def chi_calibrate(M: float, target_var: float, n: float,
     r = _roots.brentq(g, *bracket, what=what)
     sigma = chi_sigma_from_mean(M, r, n, kind)
     return r, sigma, r * sigma
+
+
+def double_sigma(M: float, n: float, lower: float, upper: float) -> float:
+    """The sigma that puts the mean of the window [lower, upper] at M."""
+    if not lower < M < upper:
+        raise ValueError(f"the doubly truncated mean is confined to "
+                         f"({lower:g}, {upper:g}); got {M:g}")
+
+    # the window pins the mean between its endpoints, and the mean grows
+    # with sigma; bracket by expansion
+    def f(sigma: float) -> float:
+        try:
+            return chi_raw_moment(
+                ScaledChiSpec(sigma, n, lower=lower, upper=upper,
+                              kind=ChiKind.DOUBLE), 1) - M
+        except ZeroDivisionError:
+            # window mass underflows when sigma << lower; the conditional
+            # mean collapses onto the lower edge in that limit
+            return lower - M
+
+    what = f"sigma giving mean {M:g} on [{lower:g}, {upper:g}] at n={n:g}"
+    bracket = _roots.expand(f, upper * 1e-6, upper, increasing=True,
+                            what=what, huge=upper * 1e12, factor=4.0)
+    return _roots.brentq(f, *bracket, what=what)
 
 
 def _sigma_limit_ratio(M: float, n: float) -> float:

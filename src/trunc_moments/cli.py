@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
-import os
 import re
 import sys
 
@@ -77,16 +76,6 @@ def _positive(cast):
     return parse
 
 
-def _default_precision() -> int:
-    env = os.environ.get("TRUNC_MOMENTS_PRECISION")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 8
-
-
 def _rounded(obj, nd: int):
     if isinstance(obj, float):
         if math.isfinite(obj):
@@ -107,10 +96,8 @@ def _emit_json(payload: dict, nd: int) -> None:
 
 
 def _add_precision(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--precision", type=_positive(int),
-                   default=_default_precision(),
-                   help="decimal places in numeric output (default 8, or "
-                        "TRUNC_MOMENTS_PRECISION)")
+    p.add_argument("--precision", type=_positive(int), default=8,
+                   help="decimal places in numeric output (default 8)")
 
 
 # ---------------------------------------------------------------------------
@@ -119,58 +106,30 @@ def _add_precision(p: argparse.ArgumentParser) -> None:
 
 def cmd_calibrate_gauss(args) -> int:
     from . import calibrate
-    from .calibrate import Method
     from .utgd import Side
 
-    M, v, a = args.mean, args.var, args.cutoff
-    side = Side(args.side)
-    # mirror a right-side problem onto the left-side solvers, except for
-    # calibrate_auto, which takes the side and so keeps M when |a| >> |M|
-    refl = side is Side.RIGHT
-    M_l = 2.0 * a - M if refl else M
-    d = a - M if refl else M - a
-    if not d > 0.0:
-        lo = "above" if refl else "below"
-        print(f"infeasible: the cutoff must lie strictly {lo} the target "
-              f"mean", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    if not 0.0 < v < d * d:
-        print(f"infeasible: the variance of any such model is confined to "
-              f"(0, (mean - cutoff)^2) = (0, {d * d:g}); got {v:g}",
-              file=sys.stderr)
-        return EXIT_INFEASIBLE
-
-    method = Method(args.method) if args.method != "auto" else None
-    mu1 = 2.0 * a - args.mu1 if (refl and args.mu1 is not None) else args.mu1
-    mu2 = 2.0 * a - args.mu2 if (refl and args.mu2 is not None) else args.mu2
+    M, v, a, side = args.mean, args.var, args.cutoff, Side(args.side)
     try:
-        if method is None:
+        if args.method == "auto":
             res = calibrate.calibrate_auto(M, v, a, side)
-        elif method is Method.APPROX1:
-            res = calibrate.calibrate_approx1(M_l, v, a)
-        elif method is Method.APPROX2:
-            res = calibrate.calibrate_approx2(M_l, v, a)
-        else:  # the two intersection methods, seeded by fn 1 or fn 2
-            if mu1 is None:
-                mu1 = calibrate._approx_seed(M_l, v, a)[1]
-            if method is Method.TWO_POINT:
-                res = calibrate.two_point(M_l, v, a, mu1,
-                                          mu1 + 0.02 * d if mu2 is None else mu2)
-            else:
-                res = calibrate.point_slope(M_l, v, a, mu1, rounds=args.rounds)
+        elif args.method == "approx1":
+            res = calibrate.calibrate_approx1(M, v, a, side=side)
+        elif args.method == "approx2":
+            res = calibrate.calibrate_approx2(M, v, a, side=side)
+        elif args.method == "two-point":
+            res = calibrate.two_point(M, v, a, args.mu1, args.mu2, side)
+        else:
+            res = calibrate.point_slope(M, v, a, args.mu1, args.rounds, side)
     except ValueError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 
-    unmirror = refl and method is not None
-    mu = 2.0 * a - res.mu0 if unmirror else res.mu0
-    mean = 2.0 * a - res.mean_achieved if unmirror else res.mean_achieved
     _emit_json({
-        "mu": mu,
+        "mu": res.mu0,
         "sigma": res.sigma0,
-        "r": (mu - a) / res.sigma0,
+        "r": (res.mu0 - a) / res.sigma0,
         "side": side.value,
-        "achieved_mean": mean,
+        "achieved_mean": res.mean_achieved,
         "achieved_var": res.var_achieved,
         "method": res.method.value,
         "iterations": res.iterations,
@@ -185,33 +144,6 @@ def cmd_calibrate_gauss(args) -> int:
 # ---------------------------------------------------------------------------
 # calibrate-chi
 # ---------------------------------------------------------------------------
-
-def _double_sigma(M: float, n: float, lo: float, up: float) -> float:
-    """The sigma that puts the mean of the window [lo, up] at M."""
-    from . import _roots
-    from .chi import ChiKind, ScaledChiSpec, chi_raw_moment
-
-    if not lo < M < up:
-        raise ValueError(f"the doubly truncated mean is confined to "
-                         f"({lo:g}, {up:g}); got {M:g}")
-
-    # the window pins the mean between its endpoints, and the mean grows
-    # with sigma; bracket by expansion
-    def f(sigma: float) -> float:
-        try:
-            return chi_raw_moment(
-                ScaledChiSpec(sigma, n, lower=lo, upper=up,
-                              kind=ChiKind.DOUBLE), 1) - M
-        except ZeroDivisionError:
-            # window mass underflows when sigma << lower; the conditional
-            # mean collapses onto the lower edge in that limit
-            return lo - M
-
-    what = f"sigma giving mean {M:g} on [{lo:g}, {up:g}] at n={n:g}"
-    bracket = _roots.expand(f, up * 1e-6, up, increasing=True, what=what,
-                            huge=up * 1e12, factor=4.0)
-    return _roots.brentq(f, *bracket, what=what)
-
 
 def cmd_calibrate_chi(args) -> int:
     from . import chi
@@ -228,7 +160,7 @@ def cmd_calibrate_chi(args) -> int:
         return EXIT_USAGE
     try:
         if kind is ChiKind.DOUBLE:
-            sigma = _double_sigma(M, n, lo, up)
+            sigma = chi.double_sigma(M, n, lo, up)
             r_abs, a = lo / sigma, lo
             spec = ScaledChiSpec(sigma, n, lower=lo, upper=up, kind=kind)
         else:
@@ -380,131 +312,9 @@ def _read_column(path: str, selector: str, lower: float | None = None,
     return out
 
 
-def _solve_scalar(f, lo: float, hi: float):
-    """Root of f in the first sign-changing cell of a 200-point log-spaced
-    scan of [lo, hi]; None if no sign change shows up."""
-    from . import _roots
-
-    grid = [lo * (hi / lo) ** (k / 199) for k in range(200)]
-    try:
-        return _roots.brentq(f, *_roots.scan(f, grid, what="sigma"),
-                             what="sigma")
-    except ValueError:
-        return None
-
-
-_ESTIMATES = ("mean_based", "form1", "form2")
-# which estimate each model's density curve (and so the RMSE) uses, first
-# present wins
-_MODEL_SIGMA = {"gauss": ("form2", "form1", "mean_based"),
-                "chi": ("mean_based", "form1")}
-
-
-def _fit_gauss(M: float, v: float, a: float, warnings: list[str]):
-    from . import calibrate, utgd
-    from .utgd import TruncatedGaussianSpec
-
-    d = M - a
-    est = dict.fromkeys(_ESTIMATES)
-    if not d > 0.0:
-        warnings.append("sample mean does not exceed the cutoff; no "
-                        "left-truncated Gaussian fits")
-        return est, None
-    if v >= d * d:
-        warnings.append(
-            f"sample variance {v:g} exceeds the attainable bound "
-            f"(mean - cutoff)^2 = {d * d:g}; model anomalous")
-        return est, None
-    try:
-        res = calibrate.calibrate_auto(M, v, a)
-    except ValueError as exc:
-        warnings.append(str(exc))
-        return est, None
-    # three single-functional sigma estimates at the calibrated location
-    mu0, sigma0 = res.mu0, res.sigma0
-    r0 = (mu0 - a) / sigma0
-    t = utgd.inverse_mills(r0)
-    # at fixed mu0 the mean moves with sigma at the rate t*(1 + r*(r + t));
-    # once the truncated mass is so small that the rounding of M alone moves
-    # the root by more than 1e-8 relative, the mean pins no sigma
-    if r0 > 0.0 and abs(M) * sys.float_info.epsilon > \
-            1e-8 * sigma0 * t * (1.0 + r0 * (r0 + t)):
-        warnings.append(
-            f"mean-based estimate omitted: the truncated mass "
-            f"{0.5 * math.erfc(r0 / math.sqrt(2.0)):.3g} (r = {r0:.3g}) is "
-            f"too small for the sample mean to determine sigma")
-    elif mu0 == a:
-        est["mean_based"] = utgd.sigma_from_mean_r(M, 0.0, a)
-    else:
-        est["mean_based"] = _solve_scalar(
-            lambda s: utgd.mean_from_params(TruncatedGaussianSpec(mu0, s, a)) - M,
-            1e-6 * d, 1e3 * d)
-    try:
-        est["form1"] = calibrate.sigma_newton(v, mu0, a, M,
-                                              calibrate.VarianceForm.I)
-        est["form2"] = calibrate.sigma_newton(v, mu0, a, M,
-                                              calibrate.VarianceForm.II)
-    except ValueError as exc:
-        warnings.append(str(exc))
-
-    def density(sigma: float, x: float) -> float:
-        spec = TruncatedGaussianSpec(mu0, sigma, a)
-        mean = utgd.mean_from_params(spec)
-        h = (math.sqrt(2.0 / math.pi) / sigma
-             / math.erfc(-(mu0 - a) / sigma / math.sqrt(2.0)))
-        return utgd.density(mean, spec.r, a, x, h)
-
-    return est, density
-
-
-def _fit_chi(M: float, v: float, n: float, lo: float | None,
-             up: float | None, warnings: list[str]):
-    from . import chi
-    from .chi import ChiKind, ScaledChiSpec
-
-    if lo is not None and up is not None:
-        kind, a1, a2 = ChiKind.DOUBLE, lo, up
-    elif up is not None:
-        kind, a1, a2 = ChiKind.OUTER, 0.0, up
-    else:
-        kind, a1, a2 = ChiKind.INNER, lo if lo is not None else 0.0, math.inf
-
-    def spec(sigma: float) -> ScaledChiSpec:
-        return ScaledChiSpec(sigma, n, lower=a1, upper=a2, kind=kind)
-
-    est = dict.fromkeys(_ESTIMATES)
-    s_hi = max(M, a1, 0.0 if math.isinf(a2) else a2) * 1e3 + 1.0
-    est["mean_based"] = _solve_scalar(
-        lambda s: chi.chi_raw_moment(spec(s), 1) - M, M * 1e-6, s_hi)
-    est["form1"] = _solve_scalar(
-        lambda s: chi.chi_var_form1(spec(s)) - v, M * 1e-6, s_hi)
-    implied_cutoff = None
-    if kind is ChiKind.DOUBLE:
-        warnings.append("Form II estimate is undefined for a two-sided window")
-    else:
-        try:
-            _, s2, implied_cutoff = chi.chi_calibrate(M, v, n, kind)
-            est["form2"] = s2
-        except ValueError as exc:
-            sup = chi.vmax_fixed_n(M, n) if (n > 0.0 or n < -2.0) else math.inf
-            if kind is ChiKind.INNER and v < 1.05 * sup:
-                # sampling noise can nudge the variance just past the
-                # supremum (the untruncated limit); clamp instead of flagging
-                est["form2"] = chi.chi_sigma_from_mean(M, 0.0, n, kind)
-                implied_cutoff = 0.0
-                warnings.append(
-                    "sample variance sits at the attainable bound; Form II "
-                    "estimate clamped to the untruncated limit")
-            else:
-                warnings.append(f"anomalous: {exc}")
-
-    def density(sigma: float, x: float) -> float:
-        return chi.chi_density(spec(sigma), x)
-
-    return est, density, implied_cutoff
-
-
 def cmd_fit(args) -> int:
+    from . import fitting  # compiled before the read: no rise in peak RSS
+
     try:
         data = _read_column(args.input, args.column, args.lower, args.upper)
     except (OSError, ValueError) as exc:
@@ -516,63 +326,12 @@ def cmd_fit(args) -> int:
     if len(data) < 2:
         print("fit: need at least two rows for a variance", file=sys.stderr)
         return EXIT_INFEASIBLE
+    if args.model == "chi" and args.dim is None:
+        print("fit: error: --model chi requires --dim", file=sys.stderr)
+        return EXIT_USAGE
 
-    import numpy as np  # only the moments and the histogram need numpy
-
-    values = np.asarray(data, dtype=float)
-    del data  # 32 B a row; freed before the histogram allocates
-    warnings: list[str] = []
-    refused = values.size < 30
-    if refused:
-        warnings.append(f"insufficient data: {values.size} rows in the "
-                        "window (need 30); reporting sample moments only")
-
-    M, v = float(values.mean()), float(values.var(ddof=1))
-    est, density, implied_cutoff = dict.fromkeys(_ESTIMATES), None, None
-    if args.model == "gauss":
-        a = args.lower if args.lower is not None else float(values.min())
-        if not refused:
-            est, density = _fit_gauss(M, v, a, warnings)
-        window = {"lower": a, "upper": args.upper}
-    else:
-        if args.dim is None:
-            print("fit: error: --model chi requires --dim", file=sys.stderr)
-            return EXIT_USAGE
-        if not refused:
-            est, density, implied_cutoff = _fit_chi(
-                M, v, args.dim, args.lower, args.upper, warnings)
-        window = {"lower": args.lower, "upper": args.upper}
-
-    present = [s for s in est.values() if s is not None]
-    divergence = (max(present) - min(present)) / min(present) \
-        if len(present) >= 2 else None
-    model_sigma = next((k for k in _MODEL_SIGMA[args.model]
-                        if est[k] is not None), None)
-
-    rmse = None
-    if model_sigma is not None:
-        sigma = est[model_sigma]
-        bins = args.bins if args.bins else "fd"
-        hist, edges = np.histogram(values, bins=bins, density=True)
-        centers = 0.5 * (edges[1:] + edges[:-1])
-        model = np.array([density(sigma, c) for c in centers])
-        # both curves integrate to 1 over the window by construction
-        rmse = float(np.sqrt(np.mean((hist - model) ** 2)))
-
-    _emit_json({
-        "model": args.model,
-        "dim": args.dim,
-        "window": window,
-        "count": int(values.size),
-        "sample_mean": M,
-        "sample_var": v,
-        "sigma_estimates": est,
-        "model_sigma": model_sigma,
-        "divergence": divergence,
-        "implied_cutoff": implied_cutoff,
-        "rmse_vs_data": rmse,
-        "warnings": warnings,
-    }, args.precision)
+    _emit_json(fitting.fit_sample(data, args.model, args.dim, args.lower,
+                                  args.upper, args.bins), args.precision)
     return EXIT_OK
 
 

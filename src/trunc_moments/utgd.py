@@ -19,9 +19,10 @@ functions of u = 1/r**2 whose integer coefficients are generated exactly
 at import time from the double-factorial tail expansion of the Mills
 ratio.  The two zones agree to ~1e-11 relative at the cut.
 
-Right-sided truncation is handled by reflection: x -> 2a - x maps a
-lower-tail distribution at offset r onto an upper-tail one at -r, flipping
-the sign of odd central moments.
+Right-sided truncation is handled by the mirror identity: in the offsets
+sign*(x - a) from the cutoff, with the sign from ``_sign``, an upper-tail
+distribution at offset r is the lower-tail one at -r, with the sign of odd
+central moments flipped.
 """
 
 from __future__ import annotations
@@ -234,29 +235,33 @@ def _vhat_slope(r: float) -> tuple[float, float]:
     return n / d, slope
 
 
+_SIGN = {Side.LEFT: 1.0, Side.RIGHT: -1.0}
+
+
+def _sign(side: Side | str) -> float:
+    """The side's sign: offsets from the cutoff times it are the left side's."""
+    return _SIGN.get(side) or _SIGN[Side(side)]  # Side() rejects the rest
+
+
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
 def mean_from_params(spec: TruncatedGaussianSpec) -> float:
     """Mean of the retained mass."""
-    r = spec.r
-    if spec.side is Side.RIGHT:
-        return spec.cutoff - spec.sigma * _core(-r)[1]
-    return spec.cutoff + spec.sigma * _core(r)[1]
+    sign = _sign(spec.side)
+    return spec.cutoff + sign * spec.sigma * _core(sign * spec.r)[1]
 
 
 def sigma_from_mean_r(M: float, r: float, a: float,
                       side: Side = Side.LEFT) -> float:
     """Parent spread that produces truncated mean M at offset r."""
-    side = Side(side)
-    if side is Side.LEFT:
-        if not M > a:
-            raise ValueError("left truncation requires M > a")
-        return (M - a) / _core(r)[1]
-    if not M < a:
-        raise ValueError("right truncation requires M < a")
-    return (a - M) / _core(-r)[1]
+    sign = _sign(side)
+    d = sign * (M - a)
+    if not d > 0.0:
+        raise ValueError(f"{Side(side).value} truncation requires "
+                         f"M {'<' if sign < 0.0 else '>'} a")
+    return d / _core(sign * r)[1]
 
 
 def var_form1(sigma: float, r: float) -> float:
@@ -270,10 +275,8 @@ def var_form2(M: float, r: float, a: float, side: Side = Side.LEFT) -> float:
     """Variance from (M, r, a) -- the 'truncated mean' form."""
     if M == a:
         raise ValueError("M must differ from the cutoff")
-    if Side(side) is Side.RIGHT:
-        r = -r
     d = M - a
-    return d * d * normalized_variance(r)
+    return d * d * normalized_variance(_sign(side) * r)
 
 
 def var_from_mu_sigma(M: float, mu: float, sigma: float, a: float) -> float:
@@ -314,10 +317,8 @@ def skewness_kurtosis(M: float, r: float, a: float,
     kurtosis.  The normalized pair depend on r (and side) only."""
     if M == a:
         raise ValueError("M must differ from the cutoff")
-    sign = 1.0
-    if Side(side) is Side.RIGHT:
-        r = -r
-        sign = -1.0
+    sign = _sign(side)
+    r *= sign
     # the shape measures cancel harder than the variance, so they leave the
     # direct zone earlier (both routes agree to ~1e-8 at the crossover)
     if r > -10.0:
@@ -352,10 +353,8 @@ def central_moments_56(M: float, r: float, a: float,
     """Unnormalized 5th and 6th central moments."""
     if M == a:
         raise ValueError("M must differ from the cutoff")
-    sign = 1.0
-    if Side(side) is Side.RIGHT:
-        r = -r
-        sign = -1.0
+    sign = _sign(side)
+    r *= sign
     t, s, _ = _core(r)
     sigma = abs(M - a) / s
     ell = _centered_l(r, t, 6)
@@ -372,11 +371,12 @@ def density(M: float, r: float, a: float, x: float, height: float,
     ``height``, parameterized by (M, r, a) instead of (mu, sigma)."""
     if not height > 0.0:
         raise ValueError("modal height must be positive")
-    if Side(side) is Side.RIGHT:
-        return density(2.0 * a - M, r, a, 2.0 * a - x, height)
-    if not M > a:
-        raise ValueError("left truncation requires M > a")
-    if x < a:
+    # z below is the same in the offsets from the cutoff on either side
+    sign = _sign(side)
+    if not sign * (M - a) > 0.0:
+        raise ValueError(f"{Side(side).value} truncation requires "
+                         f"M {'<' if sign < 0.0 else '>'} a")
+    if sign * (x - a) < 0.0:
         return 0.0
     t, _, _ = _core(r)
     z = (r * (x - M) + t * (x - a)) / (M - a)
@@ -393,37 +393,23 @@ def dvar_dr(M: float, r: float, a: float) -> float:
 
 def moment_summary(spec: TruncatedGaussianSpec) -> MomentSummary:
     """All housed moments of a truncated Gaussian in one pass."""
-    side = spec.side
-    r = spec.r if side is Side.LEFT else -spec.r
+    sign = _sign(spec.side)
+    r = sign * spec.r
     t, s, _ = _core(r)
-    a_eff = spec.cutoff
-    mu_eff = spec.mu if side is Side.LEFT else 2.0 * a_eff - spec.mu
-    mean_left = a_eff + spec.sigma * s
+    a = spec.cutoff
+    # X = mu + sign*sigma*Z, Z standardized on the left side at offset r
+    scale = sign * spec.sigma
     ell = _centered_l(r, t, 4)
     raw = [
-        sum(math.comb(k, j) * spec.sigma ** j * ell[j] * mu_eff ** (k - j)
+        sum(math.comb(k, j) * scale ** j * ell[j] * spec.mu ** (k - j)
             for j in range(k + 1))
         for k in (1, 2, 3, 4)
     ]
-    if side is Side.RIGHT:
-        # X = 2a - X'; push the reflection through the raw moments
-        c = 2.0 * a_eff
-        m1, m2, m3, m4 = raw
-        raw = [
-            c - m1,
-            c * c - 2.0 * c * m1 + m2,
-            c ** 3 - 3.0 * c * c * m1 + 3.0 * c * m2 - m3,
-            c ** 4 - 4.0 * c ** 3 * m1 + 6.0 * c * c * m2 - 4.0 * c * m3 + m4,
-        ]
-        mean = c - mean_left
-    else:
-        mean = mean_left
     var = var_form1(spec.sigma, r)
     # normalized S and K depend on r alone, so any M > a works here
-    skew, kurt, _, _ = skewness_kurtosis(a_eff + 1.0, r, a_eff)
-    if side is Side.RIGHT:
-        skew = -skew
-    cm5, cm6 = central_moments_56(mean, spec.r, a_eff, side=side)
+    skew, kurt, _, _ = skewness_kurtosis(a + 1.0, r, a)
+    mean = a + scale * s
+    cm5, cm6 = central_moments_56(mean, spec.r, a, side=spec.side)
     return MomentSummary(mean=mean, m2=raw[1], m3=raw[2], m4=raw[3],
-                         variance=var, skewness=skew, kurtosis=kurt,
+                         variance=var, skewness=sign * skew, kurtosis=kurt,
                          cm5=cm5, cm6=cm6)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import pytest
@@ -30,6 +31,18 @@ from trunc_moments.utgd import Side, TruncatedGaussianSpec
 # the two running examples: (mean, variance, cutoff)
 A = (1.3, 3.0, -1.0)
 B = (1.8, 0.4, 0.5)
+
+# each method with a target it reaches and its sampling locations
+_METHODS = {
+    "auto": (calibrate_auto, A, ()),
+    "approx1": (calibrate_approx1, A, ()),
+    "approx2": (calibrate_approx2, B, ()),
+    "two-point": (two_point, A, (-0.995, -0.7)),
+    "two-point-seeded": (two_point, B, ()),
+    "point-slope": (lambda *args, **kw: point_slope(*args, rounds=3, **kw),
+                    B, (1.6,)),
+    "point-slope-seeded": (point_slope, A, ()),
+}
 
 
 class TestSingleFunctionalSolvers:
@@ -209,10 +222,10 @@ class TestAutoPipeline:
     @pytest.mark.parametrize("case,seed", [(A, Method.APPROX1),
                                            (B, Method.APPROX2)])
     def test_converges_and_picks_seed(self, case, seed):
-        # the seed still starts the CLI's two-point and point-slope runs;
+        # the seed is the default mu1 of two_point and point_slope;
         # calibrate_auto itself inverts vhat(r) exactly
         M, v, a = case
-        assert calibrate._approx_seed(M, v, a)[0] is seed
+        assert calibrate._approx_seed(v, M - a)[0] is seed
         res = calibrate_auto(M, v, a)
         assert res.method is Method.EXACT
         assert res.mean_resid < 1e-12
@@ -223,14 +236,25 @@ class TestAutoPipeline:
             calibrate_auto(1.0, 1.1, 0.0)
         with pytest.raises(ValueError):
             calibrate_auto(1.0, -0.1, 0.0)
-        with pytest.raises(ValueError, match="M > a"):
+        with pytest.raises(ValueError, match="cutoff must lie strictly "
+                                             "below the target mean"):
             calibrate_auto(-1.0, 0.5, 0.0)
 
-    def test_right_side(self):
-        res = calibrate_auto(-1.3, 3.0, 1.0, side=Side.RIGHT)
-        assert res.mu0 == pytest.approx(-(-0.94080265) + 2 * 0.0, abs=1e-6)
-        spec = TruncatedGaussianSpec(res.mu0, res.sigma0, 1.0, Side.RIGHT)
-        assert utgd.mean_from_params(spec) == pytest.approx(-1.3, rel=1e-12)
+    @pytest.mark.parametrize("method", list(_METHODS))
+    def test_right_side(self, method):
+        # (-M, V, -a, -mu1, -mu2) on the right is the left problem mirrored:
+        # the same sigma and exactly -mu, bit for bit
+        call, (M, v, a), mus = _METHODS[method]
+        left = call(M, v, a, *mus)
+        right = call(-M, v, -a, *(-mu for mu in mus), side=Side.RIGHT)
+        assert right.mu0 == -left.mu0
+        assert right.sigma0 == left.sigma0
+        assert right.mean_achieved == -left.mean_achieved
+        assert (right.var_achieved, right.mean_resid, right.var_resid) == \
+            (left.var_achieved, left.mean_resid, left.var_resid)
+        spec = TruncatedGaussianSpec(right.mu0, right.sigma0, -a, Side.RIGHT)
+        assert utgd.mean_from_params(spec) == pytest.approx(
+            right.mean_achieved, rel=1e-12)
 
     @given(st.floats(min_value=0.02, max_value=0.98),
            st.floats(min_value=-2.0, max_value=2.0),
@@ -267,3 +291,25 @@ def test_switch_point_value():
     # normalized variance where the two approximating functions hand over
     assert calibrate.approx_switch_vhat() == pytest.approx(
         0.30160029345162614, abs=1e-12)
+
+
+@pytest.mark.parametrize("side", list(Side))
+@pytest.mark.parametrize("method", list(_METHODS))
+def test_every_method_names_the_bound(method, side):
+    # M = a divided by zero in approx2, and M on the wrong side gave
+    # approx1 a negative sigma; one check names the bound instead
+    call, (M, v, a), mus = _METHODS[method]
+    sign = -1.0 if side is Side.RIGHT else 1.0
+    M, a = sign * M, sign * a
+    mus = [sign * mu for mu in mus]
+    where = "above" if side is Side.RIGHT else "below"
+    for mean in (a, 2.0 * a - M):  # at the cutoff, mirrored past it
+        with pytest.raises(ValueError, match=f"^the cutoff must lie "
+                           f"strictly {where} the target mean$"):
+            call(mean, v, a, *mus, side=side)
+    d2 = (M - a) ** 2
+    for var in (d2, 2.0 * d2):
+        with pytest.raises(ValueError, match=re.escape(
+                f"the variance of any such model is confined to "
+                f"(0, (mean - cutoff)^2) = (0, {d2:g}); got {var:g}")):
+            call(M, var, a, *mus, side=side)

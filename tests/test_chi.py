@@ -17,6 +17,7 @@ from trunc_moments.chi import (
     chi_sigma_from_mean,
     chi_var_form1,
     chi_var_form2,
+    double_sigma,
     nvmx_approx,
     nvmx_search,
     vmax_fixed_n,
@@ -232,6 +233,25 @@ class TestCalibrate:
             chi_calibrate(1.0, 0.6, 1.0)
         with pytest.raises(ValueError, match="confined"):
             chi_calibrate(1.0, 0.5, 2.0, ChiKind.OUTER)
+
+    @pytest.mark.parametrize("n", [0.0, -2.0])
+    def test_no_variance_bound_at_the_poles(self, n):
+        # vmax_fixed_n raises at its poles; the supremum there is infinite
+        r, sigma, a = chi_calibrate(1.0, 5.0, n)
+        assert chi_var_form2(1.0, r, n) == pytest.approx(5.0, rel=1e-10)
+
+    def test_double_sigma(self):
+        sigma = double_sigma(1.0, 2.0, 0.5, 1.5)
+        spec = ScaledChiSpec(sigma, 2.0, lower=0.5, upper=1.5,
+                             kind=ChiKind.DOUBLE)
+        assert chi_raw_moment(spec, 1) == pytest.approx(1.0, rel=1e-12)
+        with pytest.raises(ValueError, match=r"^the doubly truncated mean "
+                           r"is confined to \(1, 2\); got 2.5$"):
+            double_sigma(2.5, 1.0, 1.0, 2.0)
+        # for n = 1 the window mean tops out at its midpoint
+        with pytest.raises(ValueError, match=r"^no sigma giving mean 1.8 on "
+                           r"\[1, 2\] at n=1 in "):
+            double_sigma(1.8, 1.0, 1.0, 2.0)
 
     @pytest.mark.parametrize("n", [50.0, 200.0])
     def test_high_dimension_roundtrip(self, n):

@@ -211,15 +211,32 @@ def test_calibrate_gauss_approx_only(capsys):
     assert err == "warning: residuals exceed 1e-8\n"
 
 
-def test_calibrate_gauss_right_side_mirror(capsys):
-    _, left, _ = run_json(capsys, "calibrate-gauss", "--mean", "1.3",
-                          "--var", "3.0", "--cutoff", "-1.0")
-    code, right, _ = run_json(capsys, "calibrate-gauss", "--mean", "-1.3",
-                              "--var", "3.0", "--cutoff", "1.0",
-                              "--side", "right")
-    assert code == 0
-    assert right["mu"] == pytest.approx(-left["mu"], rel=1e-9)
-    assert right["sigma"] == pytest.approx(left["sigma"], rel=1e-9)
+@pytest.mark.parametrize("method,mean,var,cutoff,mus", [
+    ("auto", "1.3", "3.0", "-1.0", []),
+    ("approx1", "1.3", "3.0", "-1.0", []),
+    ("approx2", "1.8", "0.4", "0.5", []),
+    ("two-point", "1.3", "3.0", "-1.0", []),
+    ("point-slope", "1.8", "0.4", "0.5", ["--mu1", "1.6"]),
+], ids=["auto", "approx1", "approx2", "two-point", "point-slope"])
+def test_calibrate_gauss_right_side_mirror(capsys, method, mean, var, cutoff,
+                                           mus):
+    # the right side is the left problem mirrored about 0: -mu and the same
+    # sigma, digit for digit
+    def neg(x):
+        return repr(-float(x))
+
+    argv = ["calibrate-gauss", "--var", var, "--method", method]
+    code_l, left, err_l = run_json(capsys, *argv, "--mean", mean,
+                                   "--cutoff", cutoff, *mus)
+    code, right, err = run_json(capsys, *argv, "--mean", neg(mean),
+                                "--cutoff", neg(cutoff), *mus[:1],
+                                *map(neg, mus[1:]), "--side", "right")
+    assert (code, err) == (code_l, err_l)
+    for key in ("mu", "r", "achieved_mean"):
+        assert right[key] == -left[key]
+    for key in ("sigma", "achieved_var", "method", "iterations", "residuals"):
+        assert right[key] == left[key]
+    assert (left["side"], right["side"]) == ("left", "right")
 
 
 @pytest.mark.parametrize("mean,cutoff,side", [("1", "-5.6e102", "left"),
@@ -496,7 +513,8 @@ def test_fit_gauss_constant_sample(capsys, tmp_path):
                               "--model", "gauss", "--lower", "0")
     assert code == 0
     assert doc["sigma_estimates"]["form2"] is None
-    assert any("target variance" in w for w in doc["warnings"])
+    assert "the variance of any such model is confined to " \
+        "(0, (mean - cutoff)^2) = (0, 4); got 0" in doc["warnings"]
 
 
 # ---------------------------------------------------------------------------
@@ -531,13 +549,6 @@ def test_precision_flag(capsys):
                               "--var", "3.0", "--cutoff", "-1.0",
                               "--precision", "3")
     assert doc["sigma"] == 2.855
-
-
-def test_precision_env(capsys, monkeypatch):
-    monkeypatch.setenv("TRUNC_MOMENTS_PRECISION", "2")
-    code, doc, err = run_json(capsys, "calibrate-gauss", "--mean", "1.3",
-                              "--var", "3.0", "--cutoff", "-1.0")
-    assert doc["sigma"] == 2.86
 
 
 # ---------------------------------------------------------------------------

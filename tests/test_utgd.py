@@ -239,6 +239,28 @@ def test_moment_summary_consistent():
     assert summ.cm6 == pytest.approx(cm6, rel=1e-13)
 
 
+def test_moment_summary_right_side_mirror():
+    # the right side at (-mu, -a) is the left side mirrored about 0: odd
+    # moments change sign, even ones stay, bit for bit
+    left = utgd.moment_summary(TruncatedGaussianSpec(0.5, 1.4, -0.2))
+    right = utgd.moment_summary(
+        TruncatedGaussianSpec(-0.5, 1.4, 0.2, Side.RIGHT))
+    for name in ("mean", "m3", "skewness", "cm5"):
+        assert getattr(right, name) == -getattr(left, name), name
+    for name in ("m2", "m4", "variance", "kurtosis", "cm6"):
+        assert getattr(right, name) == getattr(left, name), name
+
+
+def test_density_right_side_mirror():
+    M, r, a, h = 1.2, -0.8, 0.1, 0.7
+    for x in (0.1, 0.5, 3.0):
+        assert utgd.density(-M, r, -a, -x, h, Side.RIGHT) == \
+            utgd.density(M, r, a, x, h)
+    assert utgd.density(-M, r, -a, 0.0, h, Side.RIGHT) == 0.0
+    with pytest.raises(ValueError, match="right truncation requires M < a"):
+        utgd.density(M, r, a, 0.0, h, Side.RIGHT)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         TruncatedGaussianSpec(0.0, -1.0, 0.0)
