@@ -2,10 +2,15 @@
 
 ``brentq`` ports scipy's Brent solver step for step (same ``xtol +
 rtol*|x|`` stopping rule, same roots bit for bit), so the package need not
-import ``scipy.optimize``; ``expand``, ``scan`` and ``scan_each`` find its
-bracket.  A missing root or bracket is a ValueError naming the quantity
-and the range searched; an evaluation that overflows or divides by zero
-counts as undefined (NaN).
+import ``scipy.optimize``; ``expand``, ``scan``, ``scan_each`` and
+``bisect_each`` find its bracket.  ``scan_each`` walks a grid up to each
+function's first sign change; ``bisect_each`` finds the same cells by
+bisecting over the grid's indices, which is exact where each function
+changes sign at most once between the grid's first point and the probe
+that bounds its search, and falls back to the walk wherever it meets an
+undefined value.  A missing root or bracket is a ValueError naming the
+quantity and the range searched; an evaluation that overflows or divides
+by zero counts as undefined (NaN).
 """
 
 import math
@@ -142,3 +147,104 @@ def scan_each(at, fs, grid) -> list:
         xprev = x
     missing = (min(grid), max(grid), math.nan, math.nan)
     return [missing if c is None else c for c in cells]
+
+
+def bisect_each(at, fs, grid,
+                start: int | None = None) -> tuple[list, int | None]:
+    """``scan_each``'s cells, found by bisection over the indices of
+    ``grid`` instead of a walk from its first point.
+
+    fs[0] bisects between grid[0] and grid[-1], or, given ``start`` (the
+    index of its previous cell), gallops outward from grid[start] to the
+    nearest indices on either side of its sign change and bisects between
+    them; each later f gallops the same way from fs[0]'s cell.  A cell so
+    found is the walk's first one provided f changes sign at most once
+    between grid[0] and the probe of the other sign.  Where f is zero or
+    undefined at grid[0] or at a probe, or has no point of the other sign,
+    the walk decides instead: ``scan_each`` for that f.  Each point's
+    p = at(x) is computed once per call, whichever search or walk asks for
+    it.  Returns the cells and the index of fs[0]'s cell, the next call's
+    ``start`` (None where fs[0] has no sign change).
+    """
+    seen = {}
+
+    def p_at(x):
+        if x not in seen:
+            try:
+                seen[x] = x if at is None else at(x)
+            except (ArithmeticError, ValueError):
+                seen[x] = _UNDEFINED
+        return seen[x]
+
+    cells, hint = [], start
+    for f in fs:
+        def g(j, f=f):
+            p = p_at(grid[j])
+            try:
+                return math.nan if p is _UNDEFINED else f(p)
+            except (ArithmeticError, ValueError):
+                return math.nan
+        found = _first_change(g, len(grid), hint)
+        if found is None:
+            (cell,) = scan_each(p_at, (f,), grid)
+            j = None if cell[2] != cell[2] else grid.index(cell[0])
+        else:
+            j, fa, fb = found
+            cell = (grid[j], grid[j + 1], fa, fb)
+        if not cells:
+            hint = j
+        cells.append(cell)
+    return cells, hint
+
+
+def _first_change(g, n: int, hint: int | None):
+    """(j, g(j), g(j + 1)) for the cell of the indices 0..n-1 over which g
+    leaves the sign of g(0), or None where g(0) or a probe is zero or NaN,
+    or g never leaves it: see ``bisect_each``."""
+    vals = {0: g(0)}
+    negative = vals[0] < 0.0
+    if not (negative or vals[0] > 0.0):
+        return None
+
+    def crossed(j):  # None where g(j) is NaN
+        v = vals[j] = g(j)
+        return None if v != v else (v >= 0.0 if negative else v <= 0.0)
+
+    c = crossed(n - 1 if hint is None else hint)
+    if c is None:
+        return None
+    if hint is None:
+        if not c:
+            return None
+        lo, hi = 0, n - 1
+    elif c:
+        hi, step = hint, 1  # gallop down to a point of g(0)'s sign
+        while True:
+            lo = max(hi - step, 0)
+            if lo == 0:
+                break
+            c = crossed(lo)
+            if c is None:
+                return None
+            if not c:
+                break
+            hi, step = lo, 2 * step
+    else:
+        lo, step = hint, 1  # gallop up to a point of the other sign
+        while True:
+            hi = min(lo + step, n - 1)
+            c = crossed(hi)
+            if c is None:
+                return None
+            if c:
+                break
+            if hi == n - 1:
+                return None
+            lo, step = hi, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        c = crossed(mid)
+        if c is None:
+            return None
+        lo, hi = (lo, mid) if c else (mid, hi)
+    return lo, vals[lo], vals[hi]

@@ -132,12 +132,24 @@ def lognormal_slopes(mu: float, sigma: float, a: float,
                      M_y: float) -> tuple[float, float]:
     """Slopes d(sigma)/d(mu) of the constant-Var(Y) level curves of the two
     log-variance forms."""
+    # Form II: the anchor mean enters Var only through a multiplicative
+    # constant, so it drops out of the derivative ratio -- M_y is accepted
+    # for interface symmetry but does not influence the slope
+    del M_y
+    return _slope_form1(mu, sigma, a), _slope_form2(mu, sigma, a)
+
+
+def _xi_terms(mu: float, sigma: float, a: float):
+    """r and xi at r, r + sigma and r + 2 sigma, the slopes' common terms."""
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
     r = (mu - a) / sigma
-    x0 = float(xi(r))
-    x1 = float(xi(r + sigma))
-    x2 = float(xi(r + 2.0 * sigma))
+    return (r, float(xi(r)), float(xi(r + sigma)),
+            float(xi(r + 2.0 * sigma)))
+
+
+def _slope_form1(mu: float, sigma: float, a: float) -> float:
+    r, x0, x1, x2 = _xi_terms(mu, sigma, a)
     s2 = sigma * sigma
     # sqrt(2*pi)*exp(r**2/2)*xi(r), through the scaled form to dodge overflow
     B = _SQRT_2PI * float(exp_r2_half_xi(r))
@@ -151,12 +163,11 @@ def lognormal_slopes(mu: float, sigma: float, a: float,
             + sigma * sigma * B / x0 * (2.0 * math.exp(s2) * x2 * x0 - x1 * x1))
     if den1 == 0.0:
         raise ZeroDivisionError("Form I slope denominator vanished")
-    slope1 = num1 / den1
+    return num1 / den1
 
-    # Form II: the anchor mean enters Var only through a multiplicative
-    # constant, so it drops out of the derivative ratio -- M_y is accepted
-    # for interface symmetry but does not influence the slope
-    del M_y
+
+def _slope_form2(mu: float, sigma: float, a: float) -> float:
+    r, x0, x1, x2 = _xi_terms(mu, sigma, a)
     jfac = x1 * x2 / x0
     ea = math.exp(2.0 * sigma * (r + sigma))
     eb = math.exp(sigma * (r + 1.5 * sigma))
@@ -166,22 +177,24 @@ def lognormal_slopes(mu: float, sigma: float, a: float,
             - 4.0 * (r - sigma) * eb * x2)
     if den2 == 0.0:
         raise ZeroDivisionError("Form II slope denominator vanished")
-    return slope1, num2 / den2
+    return num2 / den2
 
 
 _SIGMA_GRID = [10.0 ** (-6.0 + 7.8 * i / 160.0) for i in range(161)]
 
 
-def _sigma_pair(mu: float, a: float, log_M_y: float,
-                target: float) -> tuple[float, float]:
+def _sigma_pair(mu: float, a: float, log_M_y: float, target: float,
+                start: int | None) -> tuple[float, float, int | None]:
     """The sigma at which each log-variance form meets the target at this
-    mu: the Form I root, then the Form II root.
+    mu: the Form I root, the Form II root, and the grid index of Form I's
+    cell, where the next round's search starts.
 
-    One pass over the sigma grid evaluates the log-xi steps once per point
-    for both forms and stops once each form has its first sign-change
-    cell; the curves are only defined where the expm1/log1p arguments stay
-    in range, so it skips NaN cells instead of trusting a fixed bracket.
-    Each form's Brent solve starts from its own cell.
+    Each form's root lies in its first sign-change cell on the sigma grid;
+    the curves are only defined where the expm1/log1p arguments stay in
+    range, so a cell with a NaN end is skipped instead of trusting a fixed
+    bracket.  ``_roots.bisect_each`` finds both cells by bisection,
+    evaluating the log-xi steps once per grid point it probes for both
+    forms; each form's Brent solve starts from its own cell.
     """
     def at(s: float) -> tuple[float, float, tuple[float, float]]:
         r = (mu - a) / s
@@ -189,11 +202,11 @@ def _sigma_pair(mu: float, a: float, log_M_y: float,
 
     gaps = (lambda p: _log_var_form1(mu, *p) - target,
             lambda p: _log_var_form2(mu, *p, log_M_y) - target)
-    cells = _roots.scan_each(at, gaps, _SIGMA_GRID)
+    cells, start = _roots.bisect_each(at, gaps, _SIGMA_GRID, start)
     what = "sigma reproducing the target variance at this mu"
     s1, s2 = (_roots.brentq(lambda s: gap(at(s)), *cell, what=what)
               for gap, cell in zip(gaps, cells))
-    return s1, s2
+    return s1, s2, start
 
 
 def calibrate_original(M_y: float, var_y: float, a: float, mu_seed: float,
@@ -206,9 +219,17 @@ def calibrate_original(M_y: float, var_y: float, a: float, mu_seed: float,
     is large).  Each round takes, for each form, the root in the first
     cell of the 161-point log grid of sigma in [1e-6, 63.1] over which
     that form's log variance crosses the target, that is its
-    smallest-sigma root; both forms share one pass over the grid.  A round
-    in which either form has no such cell raises ValueError("no sigma
-    reproducing the target variance at this mu in [1e-06, 63.0957]").
+    smallest-sigma root.  The cells are found by bisection over the grid
+    indices: Form I between the grid's ends in the first round and by a
+    gallop from its previous cell after that, Form II by a gallop from
+    Form I's cell.  That finds the first crossing provided a form's log
+    variance crosses the target at most once between sigma = 1e-6 and the
+    probe beyond the crossing, which held on every census-like request
+    measured.  Where a form's gap is NaN at sigma = 1e-6 or at a probe, or
+    never changes sign, the round falls back to the former walk up the
+    grid from sigma = 1e-6 (``_roots.scan_each``).  A round in which
+    either form has no such cell raises ValueError("no sigma reproducing
+    the target variance at this mu in [1e-06, 63.0957]").
     """
     if not M_y > math.exp(a):
         raise ValueError("target mean must exceed e**cutoff")
@@ -220,10 +241,11 @@ def calibrate_original(M_y: float, var_y: float, a: float, mu_seed: float,
     mu0 = sigma0 = math.nan
     growth = 0
     gap_prev = math.inf
+    start = None  # the grid index of Form I's cell in the previous round
     for _ in range(rounds):
-        s1, s2 = _sigma_pair(mu, a, log_m, target)
-        k1 = lognormal_slopes(mu, s1, a, M_y)[0]
-        k2 = lognormal_slopes(mu, s2, a, M_y)[1]
+        s1, s2, start = _sigma_pair(mu, a, log_m, target, start)
+        k1 = _slope_form1(mu, s1, a)
+        k2 = _slope_form2(mu, s2, a)
         mu0, sigma0 = _intersect(mu, s1, s2, k1, k2)
         gap = abs(s2 - s1)
         growth = growth + 1 if gap > gap_prev else 0

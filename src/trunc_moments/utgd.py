@@ -368,7 +368,8 @@ def central_moments_56(M: float, r: float, a: float,
 def density(M: float, r: float, a: float, x: float, height: float,
             side: Side = Side.LEFT) -> float:
     """Density at x of the truncated distribution with modal density
-    ``height``, parameterized by (M, r, a) instead of (mu, sigma)."""
+    ``height``, parameterized by (M, r, a) instead of (mu, sigma); r is
+    (mu - a)/sigma on either side, as in ``TruncatedGaussianSpec.r``."""
     if not height > 0.0:
         raise ValueError("modal height must be positive")
     # z below is the same in the offsets from the cutoff on either side
@@ -378,6 +379,7 @@ def density(M: float, r: float, a: float, x: float, height: float,
                          f"M {'<' if sign < 0.0 else '>'} a")
     if sign * (x - a) < 0.0:
         return 0.0
+    r *= sign
     t, _, _ = _core(r)
     z = (r * (x - M) + t * (x - a)) / (M - a)
     return height * math.exp(-0.5 * z * z)

@@ -1,6 +1,7 @@
-"""``calibrate_original`` brackets both level curves in one pass over the
+"""``calibrate_original`` brackets both level curves by bisection over the
 sigma grid: the same floats and the same errors as the two scans it
-replaced, and one log-xi step evaluation per grid point visited."""
+replaced, one log-xi step evaluation per grid point probed, and the walk
+up the grid wherever the bisection cannot vouch for its cell."""
 
 import math
 import random
@@ -169,18 +170,19 @@ def test_erfcx_series_matches_the_former_loop_on_a_grid():
 # -- evaluation count -----------------------------------------------------------
 
 def test_one_step_evaluation_per_grid_point_and_round(monkeypatch):
-    # the income example: each round's grid points are visited by one
-    # increasing pass shared by both forms; every other log-xi step is a
-    # Brent evaluation or the final back-transform
-    grid_calls, brent_calls = [], [0]
+    # the income example: each round probes grid points for both forms'
+    # bisections, each at most once; every other log-xi step is a Brent
+    # evaluation or the final back-transform
+    rounds_visited, brent_calls = [], [0]
     in_brent = [False]
     steps, brentq = lognormal._log_xi_steps, _roots.brentq
+    sigma_pair = lognormal._sigma_pair
 
     def counted_steps(r, sigma):
         if in_brent[0]:
             brent_calls[0] += 1
         else:
-            grid_calls.append(sigma)
+            rounds_visited[-1].append(sigma)
         return steps(r, sigma)
 
     def counted_brentq(f, *args, **kwargs):
@@ -190,20 +192,86 @@ def test_one_step_evaluation_per_grid_point_and_round(monkeypatch):
         finally:
             in_brent[0] = False
 
+    def counted_pair(*args):
+        rounds_visited.append([])
+        return sigma_pair(*args)
+
+    def no_walk(*args):
+        raise AssertionError("the income example needs no walk")
+
     monkeypatch.setattr(lognormal, "_log_xi_steps", counted_steps)
     monkeypatch.setattr(_roots, "brentq", counted_brentq)
+    monkeypatch.setattr(lognormal, "_sigma_pair", counted_pair)
+    monkeypatch.setattr(_roots, "scan_each", no_walk)
     rounds = 3
     calibrate_original(*INCOME, rounds=rounds)
 
-    assert grid_calls.pop() == pytest.approx(1.02333081, abs=5e-5)  # back
-    passes, start = [], 0
-    for i in range(1, len(grid_calls) + 1):
-        if i == len(grid_calls) or grid_calls[i] <= grid_calls[i - 1]:
-            passes.append(grid_calls[start:i])
-            start = i
-    assert len(passes) == rounds
-    for visited in passes:
-        assert visited == _SIGMA_GRID[:len(visited)]
-    # the counts repeat exactly: 125 grid points and 8 Brent evaluations a
-    # round, where two scans took 250 steps a round before Brent
-    assert (len(grid_calls), brent_calls[0]) == (375, 24)
+    back = rounds_visited[-1].pop()
+    assert back == pytest.approx(1.02333081, abs=5e-5)
+    assert len(rounds_visited) == rounds
+    for visited in rounds_visited:
+        assert len(set(visited)) == len(visited)
+        assert set(visited) <= set(_SIGMA_GRID)
+    # round 1 bisects Form I from grid[0] and grid[-1] and finds Form II in
+    # the same cell; rounds 2 and 3 start from that cell.  The same cells
+    # as the walk give the same 8 Brent evaluations a round; the walk took
+    # 125 grid points a round
+    assert [len(v) for v in rounds_visited] == [10, 3, 3]
+    assert brent_calls[0] == 24
+
+
+# -- the walk, where the bisection cannot vouch for its cell --------------------
+
+# calib-stream requests: in the first, Form II's gap is NaN at every grid
+# point of round 2, grid[0] included; in the second, Form II's gallop in
+# round 1 probes past its sign change into the NaN cells above it
+NAN_AT_GRID_0 = (29196.226537544066, 79543388.35232405, 9.606232695150453,
+                 10.310902759990936)
+NAN_AT_A_PROBE = (10125.873522588625, 10194645.587503992, 8.630586093239648,
+                  9.1136655769772)
+
+
+def _count_walks(monkeypatch):
+    walks, scan_each = [], _roots.scan_each
+
+    def counted(*args):
+        walks.append(args)
+        return scan_each(*args)
+
+    monkeypatch.setattr(_roots, "scan_each", counted)
+    return walks
+
+
+@pytest.mark.parametrize("req,raises", [
+    ((INCOME[0], 1e30, INCOME[2], INCOME[3]), True),  # unattainable var_y
+    (NAN_AT_GRID_0, True),
+    (NAN_AT_A_PROBE, False),
+])
+def test_walks_where_bisection_cannot_vouch(monkeypatch, req, raises):
+    walks = _count_walks(monkeypatch)
+    got = _outcome(calibrate_original, *req)
+    assert walks
+    assert got == _outcome(_former_calibrate_original, *req)
+    if raises:
+        assert got == ("ValueError", "no sigma reproducing the target "
+                       "variance at this mu in [1e-06, 63.0957]")
+    else:
+        assert isinstance(got, CalibrationResult)
+
+
+def test_walks_past_an_undefined_probe(monkeypatch):
+    # the gap is NaN at round 1's first bisection probe, far below the
+    # crossing: the walk skips that point and finds the same cells
+    want = calibrate_original(*INCOME)
+    steps = lognormal._log_xi_steps
+
+    def undefined_at_probe(r, sigma):
+        if sigma == _SIGMA_GRID[80]:
+            raise OverflowError
+        return steps(r, sigma)
+
+    monkeypatch.setattr(lognormal, "_log_xi_steps", undefined_at_probe)
+    walks = _count_walks(monkeypatch)
+    got = calibrate_original(*INCOME)
+    assert len(walks) == 1  # round 1 only: later rounds start at the cell
+    assert got == want == _former_calibrate_original(*INCOME)

@@ -656,5 +656,9 @@ def test_fuzz_exit_codes(fuzz_data, argv):
             contextlib.redirect_stderr(err):
         code = cli.main(argv)
     assert code in (0, 1, 2)
+    # a failing run says why, in a diagnostic and never a traceback
+    if code:
+        assert err.getvalue().strip()
+    assert "Traceback" not in err.getvalue()
     # every drawn option has its value: none is taken for an option name
     assert "expected one argument" not in err.getvalue()

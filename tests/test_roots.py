@@ -148,6 +148,59 @@ def test_scan_each_shares_one_pass():
     assert visited == grid[:5]
 
 
+def test_bisect_each_finds_the_walks_cells():
+    # each f changes sign once, is undefined above a cap (sometimes below
+    # its root) and wherever ``at`` raises; from any start the bisection
+    # gives the walk's cells, evaluating ``at`` once per point at most
+    rng = np.random.default_rng(12)
+    grid = [float(x) for x in np.linspace(0.0, 10.0, 41)]
+    for i in range(300):
+        holes = set(rng.choice(grid, size=int(rng.integers(0, 3))).tolist())
+        visited = []
+
+        def at(x):
+            visited.append(x)
+            if x in holes:
+                raise OverflowError
+            return x
+
+        def f_of(root, sign, cap):
+            return lambda x: math.nan if x > cap else sign * (x - root)
+
+        fs = [f_of(float(rng.uniform(-0.5, 10.5)),
+                   float(rng.choice([-1.0, 1.0])),
+                   float(rng.uniform(0.0, 20.0))) for _ in range(3)]
+        start = None if i % 3 == 0 else int(rng.integers(0, len(grid) - 1))
+        want = _roots.scan_each(at, fs, grid)
+        visited.clear()
+        cells, first = _roots.bisect_each(at, fs, grid, start)
+        assert repr(cells) == repr(want), i  # NaN ends included
+        assert len(set(visited)) == len(visited), i
+        assert first == (None if want[0][2] != want[0][2]
+                         else grid.index(want[0][0])), i
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: math.nan if x == 0.0 else x - 3.5,  # undefined at grid[0]
+    lambda x: 0.0 if x == 0.0 else x - 3.5,       # zero at grid[0]
+    lambda x: math.nan if x == 3.0 else x - 4.5,  # undefined at a probe
+    lambda x: x + 1.0,                            # no sign change
+])
+def test_bisect_each_walks_where_it_cannot_vouch(monkeypatch, f):
+    grid = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    want = _roots.scan_each(None, (f,), grid)
+    walks, scan_each = [], _roots.scan_each
+
+    def counted(*args):
+        walks.append(args)
+        return scan_each(*args)
+
+    monkeypatch.setattr(_roots, "scan_each", counted)
+    cells, _ = _roots.bisect_each(None, (f,), grid)
+    assert len(walks) == 1
+    assert repr(cells) == repr(want)
+
+
 def test_import_leaves_optimize_and_integrate_unloaded(tmp_path):
     # scipy is a test dependency only: with sys.modules['scipy'] = None any
     # scipy import raises, and every command but fit must also run without

@@ -4,6 +4,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 import oracle
 from trunc_moments import utgd
@@ -252,13 +253,27 @@ def test_moment_summary_right_side_mirror():
 
 
 def test_density_right_side_mirror():
+    # the right side at (-M, -r, -a) is the left side mirrored about 0
     M, r, a, h = 1.2, -0.8, 0.1, 0.7
     for x in (0.1, 0.5, 3.0):
-        assert utgd.density(-M, r, -a, -x, h, Side.RIGHT) == \
+        assert utgd.density(-M, -r, -a, -x, h, Side.RIGHT) == \
             utgd.density(M, r, a, x, h)
     assert utgd.density(-M, r, -a, 0.0, h, Side.RIGHT) == 0.0
     with pytest.raises(ValueError, match="right truncation requires M < a"):
         utgd.density(M, r, a, 0.0, h, Side.RIGHT)
+
+
+def test_density_right_side_takes_the_spec_r():
+    # the right side's density from the spec's own r integrates to 1 over
+    # x <= a
+    spec = TruncatedGaussianSpec(0.4, 1.3, 1.0, Side.RIGHT)
+    M = utgd.mean_from_params(spec)
+    norm = math.erfc(spec.r / math.sqrt(2.0)) / 2.0  # mass below the cutoff
+    h = 1.0 / (spec.sigma * math.sqrt(2.0 * math.pi) * norm)
+    total, _ = quad(lambda x: utgd.density(M, spec.r, spec.cutoff, x, h,
+                                           Side.RIGHT),
+                    -math.inf, spec.cutoff)
+    assert total == pytest.approx(1.0, rel=1e-10)
 
 
 def test_spec_validation():
