@@ -11,10 +11,11 @@ import importlib
 _SOURCES = {
     **dict.fromkeys((
         "APPROX1_SET_I", "APPROX1_SET_II", "ApproxFn1Params",
-        "CalibrationResult", "Method", "VarianceForm", "calibrate_approx1",
-        "calibrate_approx2", "calibrate_auto", "dsigma1_dmu", "point_slope",
-        "r_from_variance", "sigma_approx1", "sigma_approx2", "sigma_newton",
-        "solve_U_approx1", "solve_U_approx2", "two_point"), "calibrate"),
+        "CalibrationResult", "Method", "VarianceForm", "approx_switch_vhat",
+        "calibrate_approx1", "calibrate_approx2", "calibrate_auto",
+        "point_slope", "r_from_variance", "sigma_approx1", "sigma_approx2",
+        "sigma_newton", "solve_U_approx1", "solve_U_approx2", "two_point"),
+        "calibrate"),
     **dict.fromkeys((
         "NVMX_DEFAULT_PARAMS", "ChiKind", "LimitDirection", "NvmxFitParams",
         "ScaledChiSpec", "VmaxReport", "chi_calibrate", "chi_density",
@@ -27,14 +28,14 @@ _SOURCES = {
     "fit_sample": "fitting",
     **dict.fromkeys((
         "exp_r2_half_xi", "gamma_generalized", "gamma_lower", "gamma_upper",
-        "lambert_w0", "log_gamma_upper", "xi"), "specfun"),
+        "lambert_w0", "xi"), "specfun"),
     **dict.fromkeys((
         "MomentSummary", "Side", "TruncatedGaussianSpec",
         "central_moments_56", "density", "dnormalized_variance_dr",
-        "dvar_dr", "inverse_mills", "mean_from_params", "moment_summary",
-        "normalized_variance", "r_from_height", "sigma_from_mean_r",
-        "skewness_kurtosis", "var_form1", "var_form2", "var_from_mu_sigma",
-        "var_max_from_height"), "utgd"),
+        "dsigma1_dmu", "dvar_dr", "inverse_mills", "mean_from_params",
+        "moment_summary", "normalized_variance", "r_from_height",
+        "sigma_from_mean_r", "skewness_kurtosis", "var_form1", "var_form2",
+        "var_from_mu_sigma", "var_max_from_height"), "utgd"),
 }
 
 __all__ = sorted(_SOURCES)

@@ -2,15 +2,16 @@
 
 ``brentq`` ports scipy's Brent solver step for step (same ``xtol +
 rtol*|x|`` stopping rule, same roots bit for bit), so the package need not
-import ``scipy.optimize``; ``expand``, ``scan``, ``scan_each`` and
-``bisect_each`` find its bracket.  ``scan_each`` walks a grid up to each
-function's first sign change; ``bisect_each`` finds the same cells by
-bisecting over the grid's indices, which is exact where each function
-changes sign at most once between the grid's first point and the probe
-that bounds its search, and falls back to the walk wherever it meets an
-undefined value.  A missing root or bracket is a ValueError naming the
-quantity and the range searched; an evaluation that overflows or divides
-by zero counts as undefined (NaN).
+import ``scipy.optimize``; ``expand``, ``scan`` and ``bisect_each`` find
+its bracket.  ``scan`` walks a grid up to a function's first sign change;
+``bisect_each`` finds the same cell for several functions by bisecting
+over the grid's indices, reading an undefined probe as past the sign
+change.  That is exact where each function changes sign at most once
+between the grid's first point and the probe that bounds its search; the
+walk decides where the search starts on a zero or undefined value, ends
+on an undefined one, or never meets the other sign.  A missing root or
+bracket is a ValueError naming the quantity and the range searched; an
+evaluation that overflows or divides by zero counts as undefined (NaN).
 """
 
 import math
@@ -27,6 +28,14 @@ def _eval(f, x: float) -> float:
         return f(x)
     except ArithmeticError:
         return math.nan
+
+
+def _value(f, x, undefined=math.nan):
+    # f(x) for the grid searches, which also read a ValueError as undefined
+    try:
+        return f(x)
+    except (ArithmeticError, ValueError):
+        return undefined
 
 
 def _straddles(fa: float, fb: float) -> bool:
@@ -104,90 +113,51 @@ def expand(f, a: float, b: float, *, increasing: bool, what: str,
 def scan(f, grid, *, what: str):
     """First cell of ``grid`` over which f changes sign, as (a, b, f(a),
     f(b)); a cell is skipped if f is NaN or raises at either end."""
-    (cell,) = scan_each(None, (f,), grid)
-    if not _straddles(cell[2], cell[3]):
+    found = _walk(lambda j: _value(f, grid[j]), len(grid))
+    if found is None:
         raise _fail(what, min(grid), max(grid))
-    return cell
-
-
-_UNDEFINED = object()
-
-
-def scan_each(at, fs, grid) -> list:
-    """``scan`` for several functions in one pass over ``grid``, which
-    stops once each has its first sign-change cell.  At each point x the
-    work they share, p = at(x), is done once, and f(p) is evaluated for
-    every f still searching; a raise in ``at`` leaves them all undefined
-    there.  ``at`` None passes x itself.  A function without a sign change
-    gets (min(grid), max(grid), nan, nan), on which ``brentq`` raises the
-    no-root error that ``scan`` would."""
-    cells = [None] * len(fs)
-    fprev = [math.nan] * len(fs)  # each f at the previous point
-    xprev = math.nan
-    for x in grid:
-        try:
-            p = x if at is None else at(x)
-        except (ArithmeticError, ValueError):
-            p = _UNDEFINED
-        searching = False
-        for k, f in enumerate(fs):
-            if cells[k] is not None:
-                continue
-            try:
-                fx = math.nan if p is _UNDEFINED else f(p)
-            except (ArithmeticError, ValueError):
-                fx = math.nan
-            if _straddles(fprev[k], fx):
-                cells[k] = (xprev, x, fprev[k], fx)
-            else:
-                fprev[k] = fx
-                searching = True
-        if not searching:
-            return cells
-        xprev = x
-    missing = (min(grid), max(grid), math.nan, math.nan)
-    return [missing if c is None else c for c in cells]
+    j, fa, fb = found
+    return grid[j], grid[j + 1], fa, fb
 
 
 def bisect_each(at, fs, grid,
                 start: int | None = None) -> tuple[list, int | None]:
-    """``scan_each``'s cells, found by bisection over the indices of
-    ``grid`` instead of a walk from its first point.
+    """``scan``'s cell for each f in ``fs``, found by bisection over the
+    indices of ``grid`` instead of a walk from its first point.
 
     fs[0] bisects between grid[0] and grid[-1], or, given ``start`` (the
     index of its previous cell), gallops outward from grid[start] to the
     nearest indices on either side of its sign change and bisects between
-    them; each later f gallops the same way from fs[0]'s cell.  A cell so
-    found is the walk's first one provided f changes sign at most once
-    between grid[0] and the probe of the other sign.  Where f is zero or
-    undefined at grid[0] or at a probe, or has no point of the other sign,
-    the walk decides instead: ``scan_each`` for that f.  Each point's
-    p = at(x) is computed once per call, whichever search or walk asks for
-    it.  Returns the cells and the index of fs[0]'s cell, the next call's
-    ``start`` (None where fs[0] has no sign change).
-    """
-    seen = {}
+    them; each later f gallops the same way from fs[0]'s cell.  A probe
+    where f is undefined counts as beyond the sign change.  A cell so found
+    is the walk's first one provided f changes sign at most once between
+    grid[0] and the probe that bounds the search.  Where f is zero or
+    undefined at grid[0], the search ends on an undefined point, or f has
+    no point of the other sign, the walk up the grid decides instead.  A
+    function without a sign change gets (min(grid), max(grid), nan, nan),
+    on which ``brentq`` raises the no-root error that ``scan`` would.
 
-    def p_at(x):
-        if x not in seen:
-            try:
-                seen[x] = x if at is None else at(x)
-            except (ArithmeticError, ValueError):
-                seen[x] = _UNDEFINED
-        return seen[x]
+    Each point's p = at(x) is computed once per call, whichever search or
+    walk asks for it, and f is evaluated at p (``at`` None passes x
+    itself); a raise in ``at`` leaves every f undefined there.  Returns
+    the cells and the index of fs[0]'s cell, the next call's ``start``
+    (None where fs[0] has no sign change).
+    """
+    seen = {}  # j -> at(grid[j]), None where it raises
+
+    def p_at(j):
+        if j not in seen:
+            seen[j] = grid[j] if at is None else _value(at, grid[j], None)
+        return seen[j]
 
     cells, hint = [], start
     for f in fs:
         def g(j, f=f):
-            p = p_at(grid[j])
-            try:
-                return math.nan if p is _UNDEFINED else f(p)
-            except (ArithmeticError, ValueError):
-                return math.nan
-        found = _first_change(g, len(grid), hint)
+            p = p_at(j)
+            return math.nan if p is None else _value(f, p)
+        found = _first_change(g, len(grid), hint) or _walk(g, len(grid))
         if found is None:
-            (cell,) = scan_each(p_at, (f,), grid)
-            j = None if cell[2] != cell[2] else grid.index(cell[0])
+            j, cell = None, (min(grid), max(grid), math.nan, math.nan)
         else:
             j, fa, fb = found
             cell = (grid[j], grid[j + 1], fa, fb)
@@ -197,54 +167,55 @@ def bisect_each(at, fs, grid,
     return cells, hint
 
 
+def _walk(g, n: int):
+    """(j, g(j), g(j + 1)) for the first cell of the indices 0..n-1 over
+    which g changes sign, skipping cells with a NaN end; None where there
+    is none."""
+    prev = math.nan
+    for j in range(n):
+        v = g(j)
+        if _straddles(prev, v):
+            return j - 1, prev, v
+        prev = v
+    return None
+
+
 def _first_change(g, n: int, hint: int | None):
     """(j, g(j), g(j + 1)) for the cell of the indices 0..n-1 over which g
-    leaves the sign of g(0), or None where g(0) or a probe is zero or NaN,
-    or g never leaves it: see ``bisect_each``."""
+    leaves the sign of g(0), a NaN probe counting as past it; None where
+    g(0) is zero or NaN, g never leaves its sign, or the cell's upper end
+    is NaN: see ``bisect_each``."""
     vals = {0: g(0)}
     negative = vals[0] < 0.0
     if not (negative or vals[0] > 0.0):
         return None
 
-    def crossed(j):  # None where g(j) is NaN
+    def crossed(j):  # True where g(j) is NaN
         v = vals[j] = g(j)
-        return None if v != v else (v >= 0.0 if negative else v <= 0.0)
+        return not (v < 0.0 if negative else v > 0.0)
 
-    c = crossed(n - 1 if hint is None else hint)
-    if c is None:
-        return None
     if hint is None:
-        if not c:
-            return None
         lo, hi = 0, n - 1
-    elif c:
+        if not crossed(hi):
+            return None
+    elif crossed(hint):
         hi, step = hint, 1  # gallop down to a point of g(0)'s sign
         while True:
             lo = max(hi - step, 0)
-            if lo == 0:
-                break
-            c = crossed(lo)
-            if c is None:
-                return None
-            if not c:
+            if lo == 0 or not crossed(lo):
                 break
             hi, step = lo, 2 * step
     else:
-        lo, step = hint, 1  # gallop up to a point of the other sign
+        lo, step = hint, 1  # gallop up to a point past the sign change
         while True:
             hi = min(lo + step, n - 1)
-            c = crossed(hi)
-            if c is None:
-                return None
-            if c:
+            if crossed(hi):
                 break
             if hi == n - 1:
                 return None
             lo, step = hi, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        c = crossed(mid)
-        if c is None:
-            return None
-        lo, hi = (lo, mid) if c else (mid, hi)
-    return lo, vals[lo], vals[hi]
+        lo, hi = (lo, mid) if crossed(mid) else (mid, hi)
+    fb = vals[hi]
+    return None if fb != fb else (lo, vals[lo], fb)

@@ -35,8 +35,8 @@ from operator import sub
 
 from . import _roots
 from .specfun import _polyval, lambert_w0
-from .utgd import Side, _core, _sign, _vhat_slope, \
-    _VHAT_NUM, _VHAT_DEN_MINUS_NUM, _SERIES_CUT, normalized_variance
+from .utgd import Side, _core, _sign, _vhat_slope, dsigma1_dmu, \
+    normalized_variance
 
 __all__ = [
     "ApproxFn1Params",
@@ -55,7 +55,6 @@ __all__ = [
     "r_from_variance",
     "two_point",
     "point_slope",
-    "dsigma1_dmu",
     "calibrate_auto",
     "approx_switch_vhat",
 ]
@@ -343,22 +342,6 @@ def _sigma_at(target_var: float, u: float, d: float, form: VarianceForm,
     bracket = _roots.expand(f, lo, hi, increasing=u < 0.0, what=what,
                             tiny=1e-280, huge=1e12)
     return u / _roots.brentq(f, *bracket, what=what)
-
-
-def dsigma1_dmu(r: float) -> float:
-    """Slope of the Form I level curve sigma_1(mu) at offset r; negative for
-    all r, with infimum ~ -0.32471 near r ~ 0.5988."""
-    if math.isnan(r):
-        return math.nan
-    if r > _SERIES_CUT:
-        t, s, q = _core(r)
-        dq = t * (s * s - q)  # dQ/dr
-        return dq / (r * dq - 2.0 * q)
-    u = 1.0 / (r * r)
-    t = _core(r)[0]
-    n = _polyval(_VHAT_NUM, u)
-    dn = _polyval(_VHAT_DEN_MINUS_NUM, u)
-    return t * dn / (r * t * dn - 2.0 * n)
 
 
 def _intersect(mu: float, s1: float, s2: float, k1: float, k2: float,

@@ -28,6 +28,7 @@ from .specfun import (_dompart, _gamma_inc, _gamma_upper_cf, _polyval,
 
 __all__ = [
     "ChiKind",
+    "LimitDirection",
     "ScaledChiSpec",
     "VmaxReport",
     "NvmxFitParams",

@@ -222,12 +222,13 @@ def calibrate_original(M_y: float, var_y: float, a: float, mu_seed: float,
     smallest-sigma root.  The cells are found by bisection over the grid
     indices: Form I between the grid's ends in the first round and by a
     gallop from its previous cell after that, Form II by a gallop from
-    Form I's cell.  That finds the first crossing provided a form's log
-    variance crosses the target at most once between sigma = 1e-6 and the
-    probe beyond the crossing, which held on every census-like request
-    measured.  Where a form's gap is NaN at sigma = 1e-6 or at a probe, or
-    never changes sign, the round falls back to the former walk up the
-    grid from sigma = 1e-6 (``_roots.scan_each``).  A round in which
+    Form I's cell; a probe where a form's log variance is undefined counts
+    as beyond its crossing.  That finds the first crossing provided a
+    form's log variance crosses the target at most once between
+    sigma = 1e-6 and the probe beyond the crossing, which held on every
+    census-like request measured.  Where a form's gap is NaN at
+    sigma = 1e-6, the bisection ends on a NaN, or no probe crosses, the
+    round walks the grid up from sigma = 1e-6 instead.  A round in which
     either form has no such cell raises ValueError("no sigma reproducing
     the target variance at this mu in [1e-06, 63.0957]").
     """

@@ -30,7 +30,6 @@ __all__ = [
     "gamma_upper",
     "gamma_lower",
     "gamma_generalized",
-    "log_gamma_upper",
     "lambert_w0",
 ]
 
@@ -140,13 +139,19 @@ def _gamma_upper_near_pole(s: float, x: float) -> float:
     # Gamma(s) - gamma(s, x); subtract the two poles analytically instead
     k = round(-s)
     e = s + k
-    lg = _lgamma1p(e) - sum(math.log1p(-e / j) for j in range(1, k + 1))
-    head = (math.expm1(lg) - math.expm1(e * math.log(x))) / e
     total, term = 0.0, 1.0  # term = (-x)^j / j!
     for j in range(30):
         if j != k:
             total += term / (s + j)
         term *= -x / (j + 1)
+    if k > 170:  # the pole term carries 1/k!, below the smallest double
+        return -x**s * total
+    if e == 0.0:  # at the pole, the limit H_k - euler_gamma - ln x
+        head = (sum(1.0 / j for j in range(1, k + 1)) - _EULER_GAMMA
+                - math.log(x))
+    else:
+        lg = _lgamma1p(e) - sum(math.log1p(-e / j) for j in range(1, k + 1))
+        head = (math.expm1(lg) - math.expm1(e * math.log(x))) / e
     return head * (-1) ** k / math.factorial(k) - x**s * total
 
 
@@ -174,31 +179,6 @@ def _gamma_upper_cf(s: float, x: float) -> float:
         if abs(delta - 1.0) < 1e-16:
             break
     return h
-
-
-def _e1_series(x: float) -> float:
-    # exponential integral E1 = Gamma(0, x) by the series
-    # -euler_gamma - ln x - sum_k (-x)^k / (k k!), for x below
-    # _GAMMA_SERIES_X; the continued fraction covers larger x
-    total, term, k = 0.0, 1.0, 0
-    while True:
-        k += 1
-        term *= -x / k
-        total += term / k
-        if abs(term) < 1e-17 * k:
-            return -_EULER_GAMMA - math.log(x) - total
-
-
-def _gamma_upper_int_recurrence(k: int, x: float) -> float:
-    # Gamma(-k, x) for integer k >= 0, walked down from Gamma(0,x) = E1(x).
-    # Downward is the stable direction: the target grows as the order drops.
-    g = _e1_series(x)
-    s = 0.0
-    emx = math.exp(-x)
-    for _ in range(k):
-        s -= 1.0
-        g = (g - x**s * emx) / s
-    return g
 
 
 # -- regularized P(s, x) and Q(s, x) for s > 0 ---------------------------------
@@ -378,10 +358,10 @@ def gamma_upper(s: float, x: float) -> float:
     The raw integral, not the regularized ratio, so it accepts s <= 0
     (where the complete gamma normalizer is useless or infinite).
     Strategy: the regularized Q (see ``_gamma_inc``) for s > 0; for
-    s <= 0 and x below 1.5, E1 and a downward recurrence at integer
-    orders, or the lower-series complement with the pole of Gamma(s)
-    subtracted analytically within 1/4 of a pole; the plain complement
-    elsewhere up to x = 1; the Legendre continued fraction otherwise.
+    s <= 0 and x below 1.5, the lower-series complement with the pole of
+    Gamma(s) subtracted analytically within 1/4 of a pole (at a pole, its
+    limit); the plain complement elsewhere up to x = 1; the Legendre
+    continued fraction otherwise.
 
     Accuracy, against mpmath for s in [-20, 5e3] and x in [1e-8, 1e4]:
     relative error at most 1e-15 (|s| + x + 20) where the result is a
@@ -404,42 +384,11 @@ def gamma_upper(s: float, x: float) -> float:
         if h is not None and not (q > 1e-300 and s < 171.0):
             return _xs_emx(s, x, h)  # Q underflows, or Gamma(s) overflows
         return _times_gamma(s, q)
-    if s == math.floor(s):
-        k = int(-s)
-        if x < _GAMMA_SERIES_X:
-            return _gamma_upper_int_recurrence(k, x)
-        return _xs_emx(s, x, _gamma_upper_cf(s, x))
     if x < _GAMMA_SERIES_X and abs(s + round(-s)) < _POLE_E:
         return _gamma_upper_near_pole(s, x)
     if x <= _COMPLEMENT_X:
         return math.gamma(s) - _gamma_lower_series(s, x)
     return _xs_emx(s, x, _gamma_upper_cf(s, x))
-
-
-def log_gamma_upper(s: float, x: float) -> float:
-    """log of ``gamma_upper`` for s > 0; safe for orders far beyond overflow.
-
-    Needed by the chi-moment ratios where the order scales with the dimension
-    count (n up to 1e4 in the variance-maximum searches).
-
-    Accuracy, against mpmath for s in (0, 5e3] and x in [1e-8, 1e4]:
-    absolute error at most 2e-15 (|s| + x + 20), which is the relative
-    error of exp(result).
-    """
-    s = float(s)
-    x = float(x)
-    if math.isnan(s) or math.isnan(x):
-        return math.nan
-    if s <= 0.0:
-        raise ValueError("log_gamma_upper requires s > 0")
-    if x == 0.0:
-        return math.lgamma(s)
-    if x == math.inf:
-        return -math.inf
-    _, q, h = _gamma_inc(s, x)
-    if h is not None:
-        return s * math.log(x) - x + math.log(h)
-    return math.lgamma(s) + math.log(q)
 
 
 def gamma_lower(s: float, x: float) -> float:

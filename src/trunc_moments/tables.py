@@ -115,7 +115,7 @@ def _kurtosis_rows():
 
 
 def _slope_form1_rows():
-    from .calibrate import dsigma1_dmu
+    from .utgd import dsigma1_dmu
     return lambda r, p: f"{r:.{p}g}\t{dsigma1_dmu(r):.{p}f}"
 
 

@@ -53,6 +53,7 @@ __all__ = [
     "inverse_mills",
     "normalized_variance",
     "dnormalized_variance_dr",
+    "dsigma1_dmu",
 ]
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -233,6 +234,22 @@ def _vhat_slope(r: float) -> tuple[float, float]:
         t, s, q = _core(r)
         return q / (s * s), slope
     return n / d, slope
+
+
+def dsigma1_dmu(r: float) -> float:
+    """Slope of the Form I level curve sigma_1(mu) at offset r; negative for
+    all r, with infimum ~ -0.32471 near r ~ 0.5988."""
+    if math.isnan(r):
+        return math.nan
+    if r > _SERIES_CUT:
+        t, s, q = _core(r)
+        dq = t * (s * s - q)  # dQ/dr
+        return dq / (r * dq - 2.0 * q)
+    u = 1.0 / (r * r)
+    t = _core(r)[0]
+    n = _polyval(_VHAT_NUM, u)
+    dn = _polyval(_VHAT_DEN_MINUS_NUM, u)
+    return t * dn / (r * t * dn - 2.0 * n)
 
 
 _SIGN = {Side.LEFT: 1.0, Side.RIGHT: -1.0}

@@ -187,7 +187,7 @@ def test_criterion_05_worked_examples():
     mu1 = -0.995
     sig1 = calibrate.sigma_newton(v, mu1, a, M, calibrate.VarianceForm.I)
     sig2 = calibrate.sigma_newton(v, mu1, a, M, calibrate.VarianceForm.II)
-    slope1 = calibrate.dsigma1_dmu((mu1 - a) / sig1)
+    slope1 = utgd.dsigma1_dmu((mu1 - a) / sig1)
     slope2 = sig2 / (mu1 - a)
     worst = max(worst, abs(slope1 - (-0.30009822)),
                 abs(slope2 - 48.23685957))

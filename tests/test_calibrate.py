@@ -16,7 +16,6 @@ from trunc_moments.calibrate import (
     calibrate_approx1,
     calibrate_approx2,
     calibrate_auto,
-    dsigma1_dmu,
     point_slope,
     r_from_variance,
     sigma_approx1,
@@ -26,7 +25,7 @@ from trunc_moments.calibrate import (
     solve_U_approx2,
     two_point,
 )
-from trunc_moments.utgd import Side, TruncatedGaussianSpec
+from trunc_moments.utgd import Side, TruncatedGaussianSpec, dsigma1_dmu
 
 # the two running examples: (mean, variance, cutoff)
 A = (1.3, 3.0, -1.0)

@@ -1,7 +1,7 @@
 """``calibrate_original`` brackets both level curves by bisection over the
 sigma grid: the same floats and the same errors as the two scans it
 replaced, one log-xi step evaluation per grid point probed, and the walk
-up the grid wherever the bisection cannot vouch for its cell."""
+up the grid only where the bisection cannot vouch for its cell."""
 
 import math
 import random
@@ -202,7 +202,7 @@ def test_one_step_evaluation_per_grid_point_and_round(monkeypatch):
     monkeypatch.setattr(lognormal, "_log_xi_steps", counted_steps)
     monkeypatch.setattr(_roots, "brentq", counted_brentq)
     monkeypatch.setattr(lognormal, "_sigma_pair", counted_pair)
-    monkeypatch.setattr(_roots, "scan_each", no_walk)
+    monkeypatch.setattr(_roots, "_walk", no_walk)
     rounds = 3
     calibrate_original(*INCOME, rounds=rounds)
 
@@ -224,7 +224,8 @@ def test_one_step_evaluation_per_grid_point_and_round(monkeypatch):
 
 # calib-stream requests: in the first, Form II's gap is NaN at every grid
 # point of round 2, grid[0] included; in the second, Form II's gallop in
-# round 1 probes past its sign change into the NaN cells above it
+# round 1 probes past its sign change into the NaN cells above it, which
+# count as past the crossing
 NAN_AT_GRID_0 = (29196.226537544066, 79543388.35232405, 9.606232695150453,
                  10.310902759990936)
 NAN_AT_A_PROBE = (10125.873522588625, 10194645.587503992, 8.630586093239648,
@@ -232,13 +233,13 @@ NAN_AT_A_PROBE = (10125.873522588625, 10194645.587503992, 8.630586093239648,
 
 
 def _count_walks(monkeypatch):
-    walks, scan_each = [], _roots.scan_each
+    walks, walk = [], _roots._walk
 
     def counted(*args):
         walks.append(args)
-        return scan_each(*args)
+        return walk(*args)
 
-    monkeypatch.setattr(_roots, "scan_each", counted)
+    monkeypatch.setattr(_roots, "_walk", counted)
     return walks
 
 
@@ -248,9 +249,11 @@ def _count_walks(monkeypatch):
     (NAN_AT_A_PROBE, False),
 ])
 def test_walks_where_bisection_cannot_vouch(monkeypatch, req, raises):
+    # the requests that raise have a round with no crossing, which only the
+    # walk can vouch for; NAN_AT_A_PROBE's NaN probes lie above its crossing
     walks = _count_walks(monkeypatch)
     got = _outcome(calibrate_original, *req)
-    assert walks
+    assert len(walks) == (1 if raises else 0)
     assert got == _outcome(_former_calibrate_original, *req)
     if raises:
         assert got == ("ValueError", "no sigma reproducing the target "
@@ -259,19 +262,35 @@ def test_walks_where_bisection_cannot_vouch(monkeypatch, req, raises):
         assert isinstance(got, CalibrationResult)
 
 
+def _undefined_at(monkeypatch, undefined):
+    steps = lognormal._log_xi_steps
+
+    def patched(r, sigma):
+        if undefined(sigma):
+            raise OverflowError
+        return steps(r, sigma)
+
+    monkeypatch.setattr(lognormal, "_log_xi_steps", patched)
+
+
 def test_walks_past_an_undefined_probe(monkeypatch):
     # the gap is NaN at round 1's first bisection probe, far below the
     # crossing: the walk skips that point and finds the same cells
     want = calibrate_original(*INCOME)
-    steps = lognormal._log_xi_steps
-
-    def undefined_at_probe(r, sigma):
-        if sigma == _SIGMA_GRID[80]:
-            raise OverflowError
-        return steps(r, sigma)
-
-    monkeypatch.setattr(lognormal, "_log_xi_steps", undefined_at_probe)
+    _undefined_at(monkeypatch, lambda sigma: sigma == _SIGMA_GRID[80])
     walks = _count_walks(monkeypatch)
     got = calibrate_original(*INCOME)
     assert len(walks) == 1  # round 1 only: later rounds start at the cell
+    assert got == want == _former_calibrate_original(*INCOME)
+
+
+def test_bisects_below_undefined_points_above_the_crossing(monkeypatch):
+    # the gaps are NaN from sigma = 6.7 (grid[140]) up, far above the
+    # crossings near sigma = 1: round 1's first probe, grid[-1], counts as
+    # past them, and no round walks
+    want = calibrate_original(*INCOME)
+    _undefined_at(monkeypatch, lambda sigma: sigma >= _SIGMA_GRID[140])
+    walks = _count_walks(monkeypatch)
+    got = calibrate_original(*INCOME)
+    assert not walks
     assert got == want == _former_calibrate_original(*INCOME)

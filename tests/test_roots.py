@@ -1,7 +1,9 @@
+import importlib
 import json
 import math
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
@@ -116,7 +118,53 @@ def test_scan_skips_undefined_cells():
             _roots.scan(lambda x: f(x, root), grid, what="x")
 
 
-def test_scan_each_shares_one_pass():
+_UNDEFINED = object()
+
+
+def _former_scan_each(at, fs, grid) -> list:
+    """The former ``_roots.scan_each``, kept as the oracle: one walk up
+    ``grid`` to each f's first sign-change cell, with p = at(x) shared by
+    the functions and a raise in ``at`` leaving them all undefined at x."""
+    cells = [None] * len(fs)
+    fprev = [math.nan] * len(fs)  # each f at the previous point
+    xprev = math.nan
+    for x in grid:
+        try:
+            p = x if at is None else at(x)
+        except (ArithmeticError, ValueError):
+            p = _UNDEFINED
+        searching = False
+        for k, f in enumerate(fs):
+            if cells[k] is not None:
+                continue
+            try:
+                fx = math.nan if p is _UNDEFINED else f(p)
+            except (ArithmeticError, ValueError):
+                fx = math.nan
+            if _roots._straddles(fprev[k], fx):
+                cells[k] = (xprev, x, fprev[k], fx)
+            else:
+                fprev[k] = fx
+                searching = True
+        if not searching:
+            return cells
+        xprev = x
+    missing = (min(grid), max(grid), math.nan, math.nan)
+    return [missing if c is None else c for c in cells]
+
+
+def _count_walks(monkeypatch):
+    walks, walk = [], _roots._walk
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(_roots, "_walk", counted)
+    return walks
+
+
+def test_bisect_each_shares_one_pass():
     grid = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
     visited = []
 
@@ -133,19 +181,22 @@ def test_scan_each_shares_one_pass():
 
     fs = (lambda x: x - 0.5, lambda x: x - 3.5, lambda x: x - 2.5,
           raises_at_4, lambda x: x + 1.0)
-    cells = _roots.scan_each(at, fs, grid)
+    cells, first = _roots.bisect_each(at, fs, grid)
     assert cells[:2] == [(0.0, 1.0, -0.5, 0.5), (3.0, 4.0, -0.5, 0.5)]
+    assert first == 0
     # the next two change sign only over cells with an undefined end, and
     # the last never: each gets the whole grid with NaN ends
     for cell in cells[2:]:
         assert cell[:2] == (0.0, 6.0) and all(map(math.isnan, cell[2:]))
         with pytest.raises(ValueError, match=r"no x in \[0, 6\]"):
             _roots.brentq(lambda x: x, *cell, what="x")
-    assert visited == grid
-    # the pass stops at the point that completes the last cell
+    # their walks evaluate ``at`` nowhere twice
+    assert sorted(visited) == grid
+    assert repr(cells) == repr(_former_scan_each(at, fs, grid))
+    # the first two need five of the seven points
     visited.clear()
-    assert _roots.scan_each(at, fs[:2], grid) == cells[:2]
-    assert visited == grid[:5]
+    assert _roots.bisect_each(at, fs[:2], grid) == (cells[:2], 0)
+    assert sorted(visited) == [0.0, 1.0, 3.0, 4.0, 6.0]
 
 
 def test_bisect_each_finds_the_walks_cells():
@@ -171,7 +222,7 @@ def test_bisect_each_finds_the_walks_cells():
                    float(rng.choice([-1.0, 1.0])),
                    float(rng.uniform(0.0, 20.0))) for _ in range(3)]
         start = None if i % 3 == 0 else int(rng.integers(0, len(grid) - 1))
-        want = _roots.scan_each(at, fs, grid)
+        want = _former_scan_each(at, fs, grid)
         visited.clear()
         cells, first = _roots.bisect_each(at, fs, grid, start)
         assert repr(cells) == repr(want), i  # NaN ends included
@@ -183,22 +234,33 @@ def test_bisect_each_finds_the_walks_cells():
 @pytest.mark.parametrize("f", [
     lambda x: math.nan if x == 0.0 else x - 3.5,  # undefined at grid[0]
     lambda x: 0.0 if x == 0.0 else x - 3.5,       # zero at grid[0]
-    lambda x: math.nan if x == 3.0 else x - 4.5,  # undefined at a probe
+    lambda x: math.nan if x == 3.0 else x - 4.5,  # undefined below the root
     lambda x: x + 1.0,                            # no sign change
 ])
 def test_bisect_each_walks_where_it_cannot_vouch(monkeypatch, f):
     grid = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-    want = _roots.scan_each(None, (f,), grid)
-    walks, scan_each = [], _roots.scan_each
-
-    def counted(*args):
-        walks.append(args)
-        return scan_each(*args)
-
-    monkeypatch.setattr(_roots, "scan_each", counted)
+    want = _former_scan_each(None, (f,), grid)
+    walks = _count_walks(monkeypatch)
     cells, _ = _roots.bisect_each(None, (f,), grid)
     assert len(walks) == 1
     assert repr(cells) == repr(want)
+
+
+@pytest.mark.parametrize("start", [None, 0, 1, 3, 5])
+@pytest.mark.parametrize("f", [
+    lambda x: math.nan if x >= 5.0 else x - 3.5,  # undefined above the root
+    lambda x: math.nan if x == 6.0 else 3.5 - x,  # undefined at grid[-1]
+    lambda x: math.nan if x in (4.0, 6.0) else x - 2.5,
+])
+def test_bisect_each_reads_an_undefined_probe_as_past_the_change(
+        monkeypatch, f, start):
+    grid = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    want = _former_scan_each(None, (f,), grid)
+    walks = _count_walks(monkeypatch)
+    cells, first = _roots.bisect_each(None, (f,), grid, start)
+    assert not walks
+    assert repr(cells) == repr(want)
+    assert first == grid.index(want[0][0])
 
 
 def test_import_leaves_optimize_and_integrate_unloaded(tmp_path):
@@ -235,6 +297,8 @@ def test_import_leaves_optimize_and_integrate_unloaded(tmp_path):
          "['cli', 'specfun', 'tables', 'utgd']"),
         (["plot-data", "--figure", "nvmx-vs-r"], chi_table_mods),
         (["plot-data", "--figure", "vmax-vs-n"], chi_table_mods),
+        (["plot-data", "--figure", "slope-form1"],
+         "['cli', 'specfun', 'tables', 'utgd']"),
     ]
     fits = [
         (["fit", "--input", str(gauss), "--model", "gauss", "--lower", "0"],
@@ -279,3 +343,17 @@ def test_public_names_resolve():
     # an unknown name falls through to the submodule import
     from trunc_moments import lognormal
     assert lognormal.__name__ == "trunc_moments.lognormal"
+
+
+def test_package_map_matches_each_modules_all():
+    # a name is public where its module's __all__ lists it, and the package
+    # map sends it to that module; the modules outside the map serve the CLI
+    by_module = {}
+    for name, module in trunc_moments._SOURCES.items():
+        by_module.setdefault(module, set()).add(name)
+    for module, names in by_module.items():
+        mod = importlib.import_module(f"trunc_moments.{module}")
+        assert set(mod.__all__) == names, module
+    package = pathlib.Path(trunc_moments.__file__).parent
+    others = {m.name for m in pkgutil.iter_modules([str(package)])}
+    assert others - set(by_module) == {"__main__", "_roots", "cli", "tables"}
