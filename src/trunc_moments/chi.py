@@ -180,18 +180,23 @@ def chi_density(spec: ScaledChiSpec, R: float) -> float:
 def chi_raw_moment(spec: ScaledChiSpec, k: int) -> float:
     """k-th raw moment E[R^k] over the truncated support.
 
-    Inner truncation with n > 0 takes the ratio of the incomplete gammas
-    from their scaled or regularized forms, never from the difference of
-    two log-gammas of size n log n; for k <= 3 it is within 2e-15 relative
-    of mpmath for |r| = lower/sigma up to 1000 and n up to 1e6.
+    Inner and outer truncation with n > 0 take the ratio of the upper or
+    lower incomplete gammas from their scaled or regularized forms, never
+    from the difference of two log-gammas of size n log n; for k <= 3 it
+    is within 2e-15 relative of mpmath for |r| = cutoff/sigma up to 1000
+    and n up to 1e6.  Where the ratio is the complete one (inner |r| = 0,
+    outer |r|^2/2 far above n/2) and n is below 100, it takes the
+    complete gammas' ratio from ``math.gamma``, up to 1.2e-14 off.
     """
     if k < 0:
         raise ValueError("moment order must be nonnegative")
     _check_outer_order(spec, k)
     kind = ChiKind(spec.kind)
     s0, sk = spec.n / 2.0, (spec.n + k) / 2.0
-    if kind is ChiKind.INNER and spec.n > 0.0:
-        return (_SQRT2 * spec.sigma) ** k * _inner_ratio(s0, spec.y1, k)
+    if kind is not ChiKind.DOUBLE and spec.n > 0.0:
+        lower = kind is ChiKind.OUTER
+        y = spec.y2 if lower else spec.y1
+        return (_SQRT2 * spec.sigma) ** k * _ratio(s0, y, k, lower)
     num = _mass(kind, sk, spec.y1, spec.y2)
     den = _mass(kind, s0, spec.y1, spec.y2)
     return (_SQRT2 * spec.sigma) ** k * num / den
@@ -208,10 +213,13 @@ def chi_sigma_from_mean(M: float, r_abs: float, n: float,
                         kind: ChiKind = ChiKind.INNER) -> float:
     """Spread parameter that yields truncated mean M at offset |r| = a/sigma.
 
-    Inner truncation with n > 0 takes the ratio of the two incomplete
-    gammas directly, as ``chi_raw_moment`` does: both are within 2e-15
-    relative of mpmath for |r| up to 1000 and n up to 1e6 (the worst on a
-    grid of n in [0.5, 1e6] and |r| in [0, 1000] is 8.3e-16).
+    Inner and outer truncation with n > 0 take the ratio of the two
+    incomplete gammas directly, as ``chi_raw_moment`` does: both are within
+    2e-15 relative of mpmath for |r| up to 1000 and n up to 1e6 (inner:
+    the worst on a grid of n in [0.5, 1e6] and |r| in [0, 1000] is
+    8.3e-16; outer: 1.0e-15 on random points of n in [1e-3, 1e6] and |r|
+    in [1e-10, 1000] with n >= 100 or |r|^2 <= n), with the exception for
+    n below 100 that ``chi_raw_moment`` states.
     """
     kind = ChiKind(kind)
     if kind is ChiKind.DOUBLE:
@@ -221,8 +229,8 @@ def chi_sigma_from_mean(M: float, r_abs: float, n: float,
     if r_abs < 0.0:
         raise ValueError("|r| must be nonnegative")
     y = r_abs * r_abs / 2.0
-    if kind is ChiKind.INNER and n > 0.0:
-        return (M / _SQRT2) / _inner_ratio(n / 2.0, y, 1)
+    if n > 0.0:
+        return (M / _SQRT2) / _ratio(n / 2.0, y, 1, kind is ChiKind.OUTER)
     num = _mass(kind, n / 2.0, y, y)
     den = _mass(kind, (n + 1.0) / 2.0, y, y)
     return (M / _SQRT2) * num / den
@@ -256,39 +264,52 @@ def _upper_scaled(s: float, y: float) -> float:
     return _gamma_upper_cf(s, y) * y ** s
 
 
-def _inner_ratio(s: float, y: float, k: int) -> float:
-    # Gamma(s + k/2, y) / Gamma(s, y) for s > 0, from the same scaled H or
-    # regularized Q as _inner_ratio_m1: the exp of a difference of two
-    # log-gammas of size s log s would lose about log10(s log s) digits
-    if y == 0.0:
+def _ratio(s: float, y: float, k: int, lower: bool = False) -> float:
+    # G(s + k/2, y) / G(s, y) for s > 0, G the upper incomplete gamma, or
+    # the lower one with ``lower``; from the same scaled H or regularized
+    # Q or P as _ratio_m1: the exp of a difference of two log-gammas of
+    # size s log s would lose about log10(s log s) digits
+    if y == (math.inf if lower else 0.0):  # untruncated
         return _complete_ratio(s, k)
-    if s + 0.5 == 0.5:  # the s -> 0+ limit, off by about s |ln y| relative
+    if y == 0.0:  # lower: the limit of y^(k/2) s / (s + k/2)
+        return 0.0
+    if s + 0.5 == 0.5 and not lower:  # the s -> 0+ limit, s |ln y| off
         return _upper_scaled(0.5 * k, y) / _upper_scaled(0.0, y)
-    _, q0, h0 = _gamma_inc(s, y)
-    _, qk, hk = _gamma_inc(s + 0.5 * k, y)
+    p0, q0, h0 = _gamma_inc(s, y, lower)
+    pk, qk, hk = _gamma_inc(s + 0.5 * k, y, lower)
     if h0 is not None and hk is not None:
         return hk / h0 * y ** (0.5 * k)
-    return _complete_ratio(s, k) * qk / q0
+    return _complete_ratio(s, k) * (pk / p0 if lower else qk / q0)
 
 
-def _inner_ratio_m1(s: float, y: float) -> float:
-    # Gamma(s, y) Gamma(s+1, y) / Gamma(s+1/2, y)^2 - 1 for s > 0, from two
-    # incomplete gammas: Gamma(s+1, y) = s Gamma(s, y) + y^s e^-y.  Above
-    # about y = s both come scaled, H = Gamma(., y) e^y y^-., which never
-    # underflows; below it as regularized Q, with
-    # Q(s+1, y) = Q(s, y) + y^s e^-y / Gamma(s+1) and the complete gammas
-    # folded into the Wallis ratio.
-    if y == 0.0:
-        return vmax_fixed_n(1.0, 2.0 * s)
+def _ratio_m1(s: float, y: float, lower: bool = False) -> float:
+    # G(s, y) G(s+1, y) / G(s+1/2, y)^2 - 1 for s > 0, G as in _ratio.
+    # Where G comes first they come scaled, H = G(., y) e^y y^-., which
+    # never underflows; elsewhere as regularized Q or P, with the complete
+    # gammas folded into the Wallis ratio.  The upper G(s+1, y) is
+    # s G(s, y) + y^s e^-y; the lower one is computed, as
+    # s gamma(s, y) - y^s e^-y cancels for y << s.
+    if y in (0.0, math.inf):  # the limits |r| -> 0 and inf
+        which = LimitDirection.R_TO_INF if y else LimitDirection.R_TO_0
+        return _var_limit(1.0, 2.0 * s,
+                          ChiKind.OUTER if lower else ChiKind.INNER, which)
     # s + 1/2 rounds where it crosses a power of 2; moving s by that ulp
     # too keeps the orders exactly 1/2 apart, which the ratio is far more
-    # sensitive to (about 2n psi(s) times more) than to s itself
+    # sensitive to (about 2n psi(s) times more) than to s itself.  Not so
+    # the lower ratio for s < 1/2, which grows like 1/s as s -> 0
     a = s + 0.5
-    s = a - 0.5
-    if s == 0.0:  # the n -> 0+ limit; Gamma(1, y) e^y = 1
+    if a >= 1.0 or not lower:
+        s = a - 0.5
+    if s == 0.0 and not lower:  # the n -> 0+ limit; Gamma(1, y) e^y = 1
         return _upper_scaled(0.0, y) / _upper_scaled(0.5, y) ** 2 - 1.0
-    _, q0, h0 = _gamma_inc(s, y)
-    _, q1, h1 = _gamma_inc(a, y)
+    p0, q0, h0 = _gamma_inc(s, y, lower)
+    p1, q1, h1 = _gamma_inc(a, y, lower)
+    if lower:
+        p2, _, h2 = _gamma_inc(a + 0.5, y, True)
+        if None not in (h0, h1, h2):
+            return h0 * h2 / (h1 * h1) - 1.0
+        g = _wallis(s)
+        return p0 * p2 / (g * g * p1 * p1) - 1.0
     if h0 is not None and h1 is not None:
         return h0 * (s * h0 + 1.0) / (y * h1 * h1) - 1.0
     g = _wallis(s)
@@ -300,13 +321,16 @@ def chi_var_form2(M: float, r_abs: float, n: float,
                   extended: bool = False) -> float:
     """Variance from (M, |r|, n) without solving for sigma first.
 
-    Inner truncation with n > 0 takes the ratio of two incomplete gammas
-    directly, so no large logarithms cancel.  Its absolute error against
-    mpmath is at most 2e-14 (M^2 + V), V the variance, for |r| up to 1000
-    and n up to 1e6: the rounding of a ratio near 1 from which 1 is
-    subtracted.  Relative to V that grows like n, as V nears M^2/(2n)
-    (at n = 2.5e5 and |r| = 500 it allows 2.8e-8; 5.4e-11 is measured),
-    and like r^4 deep in the tail, where V nears M^2/r^4.
+    Inner and outer truncation with n > 0 take the ratio of two upper or
+    lower incomplete gammas directly, so no large logarithms cancel.  The
+    absolute error against mpmath is at most 2e-14 (M^2 + V), V the
+    variance, for |r| up to 1000 and n up to 1e6: the rounding of a ratio
+    near 1 from which 1 is subtracted.  Relative to V that grows like n,
+    as V nears M^2/(2n) (inner at n = 2.5e5 and |r| = 500 it allows
+    2.8e-8; 5.4e-11 is measured), and for inner like r^4 deep in the
+    tail, where V nears M^2/r^4; outer V lies between M^2/(n(n+2)) and
+    about M^2/(2n).  Where the ratio is the complete one and n is below
+    100 (see ``chi_raw_moment``), the error reaches 2.5e-14 (M^2 + V).
     """
     kind = ChiKind(kind)
     if kind is ChiKind.DOUBLE:
@@ -315,8 +339,8 @@ def chi_var_form2(M: float, r_abs: float, n: float,
         raise ValueError("outer-truncation variance diverges for n <= -2; "
                          "set extended=True for the analytic continuation")
     y = r_abs * r_abs / 2.0
-    if kind is ChiKind.INNER and n > 0.0:
-        return M * M * _inner_ratio_m1(n / 2.0, y)
+    if n > 0.0:
+        return M * M * _ratio_m1(n / 2.0, y, kind is ChiKind.OUTER)
     g0 = _mass(kind, n / 2.0, y, y)
     g1 = _mass(kind, (n + 1.0) / 2.0, y, y)
     g2 = _mass(kind, (n + 2.0) / 2.0, y, y)
@@ -341,12 +365,30 @@ _WALLIS_1MG2 = (
     -0.0008087158203125, -0.002262115478515625)
 
 
-def _var_untruncated(M: float, n: float) -> float:
-    # complete-gamma variance expression, continued to any non-pole n;
-    # (n/2) Gamma(n/2)^2 as 2 Gamma(n/2 + 1)^2 / n, which does not
-    # overflow as n -> 0
+def _var_untruncated(n: float) -> float:
+    # Gamma(n/2) Gamma(n/2 + 1) / Gamma((n+1)/2)^2 - 1, the untruncated
+    # variance over M^2, continued to any non-pole n: by the Wallis series
+    # from n = 100, where it is within 1e-15; below as
+    # 2 Gamma(n/2 + 1)^2 / n, which does not overflow as n -> 0
+    if n >= 100.0:
+        w = 2.0 / n
+        g = _polyval(_WALLIS_G, w)
+        return _polyval(_WALLIS_1MG2, w) / (g * g)
     ratio = math.gamma(n / 2.0 + 1.0) / math.gamma((n + 1.0) / 2.0)
-    return M * M * (2.0 * ratio * ratio / n - 1.0)
+    return 2.0 * ratio * ratio / n - 1.0
+
+
+def _var_limit(M: float, n: float, kind: ChiKind,
+               which: LimitDirection) -> float:
+    # the variance as |r| -> 0 or inf, the ends of its range over |r|;
+    # the callers check the poles of M^2/(n(n+2))
+    if which is LimitDirection.R_TO_INF:
+        return 0.0 if kind is ChiKind.INNER else M * M * _var_untruncated(n)
+    if kind is ChiKind.INNER and n > 0.0:
+        return M * M * _var_untruncated(n)
+    if kind is ChiKind.INNER and n >= -2.0:
+        return math.inf
+    return M * M / (n * (n + 2.0))
 
 
 def vmax_fixed_n(M: float, n: float) -> float:
@@ -354,20 +396,7 @@ def vmax_fixed_n(M: float, n: float) -> float:
     attained in the untruncated limit |r| -> 0."""
     if n in (0.0, -2.0):
         raise ValueError(f"variance limit has a pole at n={n}")
-    if -2.0 < n < 0.0:
-        return math.inf
-    if n < -2.0:
-        return M * M / (n * (n + 2.0))
-    if n <= 180.0:
-        return _var_untruncated(M, n)
-    w = 2.0 / n
-    g = _polyval(_WALLIS_G, w)
-    return M * M * _polyval(_WALLIS_1MG2, w) / (g * g)
-
-
-def _inner_sup(M: float, n: float) -> float:
-    """``vmax_fixed_n``, infinite at its poles n = 0, -2 as beside them."""
-    return vmax_fixed_n(M, n) if (n > 0.0 or n < -2.0) else math.inf
+    return _var_limit(M, n, ChiKind.INNER, LimitDirection.R_TO_0)
 
 
 def nvmx_approx(r_abs: float,
@@ -447,23 +476,19 @@ def chi_calibrate(M: float, target_var: float, n: float,
     kind = ChiKind(kind)
     if not target_var > 0.0:
         raise ValueError("target variance must be positive")
-    if kind is ChiKind.INNER:
-        sup = _inner_sup(M, n)
-        if target_var >= sup:
-            raise ValueError(
-                f"target variance {target_var:g} exceeds the maximal "
-                f"variance {sup:g} attainable at n={n:g} with mean {M:g}")
-    elif kind is ChiKind.OUTER:
-        if not n > 0.0:
-            raise ValueError("outer-truncation calibration requires n > 0")
-        lo_var = M * M / (n * (n + 2.0))
-        sup = vmax_fixed_n(M, n)
-        if not lo_var < target_var < sup:
-            raise ValueError(
-                f"outer-truncation variance at n={n:g} is confined to "
-                f"({lo_var:g}, {sup:g}); target {target_var:g} is outside")
-    else:
+    if kind is ChiKind.DOUBLE:
         raise ValueError("double truncation has no single-|r| calibration")
+    if kind is ChiKind.OUTER and not n > 0.0:
+        raise ValueError("outer-truncation calibration requires n > 0")
+    lo_var, sup = sorted(_var_limit(M, n, kind, w) for w in LimitDirection)
+    if kind is ChiKind.INNER and target_var >= sup:
+        raise ValueError(
+            f"target variance {target_var:g} exceeds the maximal "
+            f"variance {sup:g} attainable at n={n:g} with mean {M:g}")
+    if not lo_var < target_var < sup:
+        raise ValueError(
+            f"{kind.value}-truncation variance at n={n:g} is confined to "
+            f"({lo_var:g}, {sup:g}); target {target_var:g} is outside")
 
     def g(r: float) -> float:
         return chi_var_form2(M, r, n, kind) - target_var
@@ -500,11 +525,12 @@ def double_sigma(M: float, n: float, lower: float, upper: float) -> float:
     return _roots.brentq(f, *bracket, what=what)
 
 
-def _sigma_limit_ratio(M: float, n: float) -> float:
-    # M * Gamma(n/2) / (sqrt(2) * Gamma((n+1)/2)) via loggamma when possible
+def _sigma_limit(M: float, n: float) -> float:
+    # M Gamma(n/2) / (sqrt(2) Gamma((n+1)/2)), the untruncated sigma; the
+    # ratio is 0 where n/2 rounds to 0, and the sigma there infinite
     if n > 0.0:
-        return (M / _SQRT2) * math.exp(math.lgamma(n / 2.0)
-                                       - math.lgamma((n + 1.0) / 2.0))
+        c = _complete_ratio(n / 2.0, 1)
+        return (M / _SQRT2) / c if c else math.inf
     return (M / _SQRT2) * math.gamma(n / 2.0) / math.gamma((n + 1.0) / 2.0)
 
 
@@ -516,34 +542,25 @@ def chi_limits(n: float, kind: ChiKind, which: LimitDirection | str,
     which = LimitDirection(which)
     if kind is ChiKind.DOUBLE:
         raise ValueError("limits are tabulated for single-sided truncation")
-    is_pole_even = n <= 0.0 and float(n / 2.0).is_integer()
-
+    to_0 = which is LimitDirection.R_TO_0
+    if kind is ChiKind.OUTER:
+        if not extended and not n > 0.0:
+            raise ValueError("outer-truncation limits for n <= 0 require "
+                             "extended=True")
+        if n <= 0.0 and float(n / 2.0).is_integer():
+            raise ValueError(f"outer r->0 variance limit has a pole at n={n}"
+                             if to_0 else
+                             f"outer r->inf limits have a pole at n={n}")
+    var = _var_limit(M, n, kind, which)
     if kind is ChiKind.INNER:
-        if which is LimitDirection.R_TO_INF:
-            return 0.0, 0.0, M
+        if not to_0:
+            return var, 0.0, M
         if n > 0.0:
-            return vmax_fixed_n(M, n), _sigma_limit_ratio(M, n), 0.0
-        if -2.0 <= n <= 0.0:
-            var = math.inf
-        else:
-            var = M * M / (n * (n + 2.0))
-        a = 0.0 if n >= -1.0 else M * (n + 1.0) / n
-        return var, math.inf, a
-
-    # outer truncation
-    if not extended and not n > 0.0:
-        raise ValueError("outer-truncation limits for n <= 0 require "
-                         "extended=True")
-    if which is LimitDirection.R_TO_0:
-        if is_pole_even:
-            raise ValueError(f"outer r->0 variance limit has a pole at n={n}")
-        var = M * M / (n * (n + 2.0))
-        sigma = math.inf if (n > 0.0 or n < -1.0) else math.nan
-        a = M * (n + 1.0) / n if (n > 0.0 or n < -1.0) else math.nan
-        return var, sigma, a
-    if is_pole_even:
-        raise ValueError(f"outer r->inf limits have a pole at n={n}")
-    var = vmax_fixed_n(M, n) if n > 0.0 else _var_untruncated(M, n)
-    sigma = _sigma_limit_ratio(M, n)
-    a = math.inf if not (n < 0.0 and float(n).is_integer()) else math.nan
-    return var, sigma, a
+            return var, _sigma_limit(M, n), 0.0
+        return var, math.inf, 0.0 if n >= -1.0 else M * (n + 1.0) / n
+    if to_0:
+        ok = n > 0.0 or n < -1.0
+        return (var, math.inf if ok else math.nan,
+                M * (n + 1.0) / n if ok else math.nan)
+    a = math.nan if n < 0.0 and float(n).is_integer() else math.inf
+    return var, _sigma_limit(M, n), a

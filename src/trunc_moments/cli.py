@@ -151,12 +151,18 @@ def cmd_calibrate_chi(args) -> int:
 
     kind = ChiKind(args.trunc)
     M, v, n, lo, up = args.mean, args.var, args.dim, args.lower, args.upper
+    if kind is not ChiKind.DOUBLE and (lo, up) != (None, None):
+        # the cutoff of a one-sided model is solved for, not given
+        option = "--lower" if lo is not None else "--upper"
+        print(f"calibrate-chi: error: {option} applies only to --trunc "
+              "double", file=sys.stderr)
+        return EXIT_USAGE
     if kind is ChiKind.DOUBLE and (lo is None or up is None):
         print("calibrate-chi: error: --trunc double requires --lower "
               "and --upper", file=sys.stderr)
         return EXIT_USAGE
-    if kind is ChiKind.DOUBLE and not 0.0 <= lo < up:
-        print("calibrate-chi: error: need 0 <= lower < upper", file=sys.stderr)
+    if kind is ChiKind.DOUBLE and not 0.0 < lo < up:
+        print("calibrate-chi: error: need 0 < lower < upper", file=sys.stderr)
         return EXIT_USAGE
     try:
         if kind is ChiKind.DOUBLE:

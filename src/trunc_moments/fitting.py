@@ -105,7 +105,8 @@ def _fit_chi(M: float, v: float, n: float, lo: float | None,
             _, s2, implied_cutoff = chi.chi_calibrate(M, v, n, kind)
             est["form2"] = s2
         except ValueError as exc:
-            if kind is ChiKind.INNER and v < 1.05 * chi._inner_sup(M, n):
+            if kind is ChiKind.INNER and \
+                    v < 1.05 * chi.chi_limits(n, kind, "r_to_0", M)[0]:
                 # sampling noise can nudge the variance just past the
                 # supremum (the untruncated limit); clamp instead of flagging
                 est["form2"] = chi.chi_sigma_from_mean(M, 0.0, n, kind)

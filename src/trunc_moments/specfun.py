@@ -95,6 +95,14 @@ def exp_r2_half_xi(r: float) -> float:
     return _erfcx(-float(r) / _SQRT2)
 
 
+def _xs(s: float, x: float, t: float) -> float:
+    # x^s t, through logarithms where x^s alone would overflow
+    lx = s * math.log(x)
+    if lx < 709.0 or t == 0.0:
+        return x**s * t
+    return math.copysign(_exp(lx + math.log(abs(t))), t)
+
+
 def _gamma_lower_series(s: float, x: float) -> float:
     # gamma(s,x) = x^s * sum_k (-x)^k / (k! (s+k)); fine for small x and any
     # non-pole s, no cancellation against Gamma(s) involved
@@ -106,7 +114,7 @@ def _gamma_lower_series(s: float, x: float) -> float:
         k += 1
         term *= -x / k
         if abs(term / (s + k)) <= 1e-17 * abs(total) or k > 300:
-            return x**s * total
+            return _xs(s, x, total)
 
 
 # ln Gamma(1 + e) = -log1p(e) + (1 - euler_gamma) e
@@ -145,14 +153,14 @@ def _gamma_upper_near_pole(s: float, x: float) -> float:
             total += term / (s + j)
         term *= -x / (j + 1)
     if k > 170:  # the pole term carries 1/k!, below the smallest double
-        return -x**s * total
+        return -_xs(s, x, total)
     if e == 0.0:  # at the pole, the limit H_k - euler_gamma - ln x
         head = (sum(1.0 / j for j in range(1, k + 1)) - _EULER_GAMMA
                 - math.log(x))
     else:
         lg = _lgamma1p(e) - sum(math.log1p(-e / j) for j in range(1, k + 1))
         head = (math.expm1(lg) - math.expm1(e * math.log(x))) / e
-    return head * (-1) ** k / math.factorial(k) - x**s * total
+    return head * (-1) ** k / math.factorial(k) - _xs(s, x, total)
 
 
 def _gamma_upper_cf(s: float, x: float) -> float:
@@ -295,25 +303,31 @@ def _gamma_inc(s: float, x: float, lower: bool = False):
     underflows long before Gamma(s, x) does; it is None elsewhere.  With
     ``lower`` only P need be accurate: the series then runs on up to
     x = s + 8, where it is cheaper than the continued fraction and its
-    positive terms keep P exact while 1 - P loses Q's digits.
+    positive terms keep P exact while 1 - P loses Q's digits.  H is then
+    the scaled lower integral gamma(s, x) e^x x^-s, given where P is
+    computed first, as P underflows long before gamma(s, x) does.
     """
     if s >= _TEMME_S and _TEMME_LO * s <= x <= _TEMME_HI * s:
         y = s * _phi(s, x)
         v = math.sqrt(y)
+        root = _SQRT_2PI * math.sqrt(s)
         if x < s:
-            eta = -math.sqrt(2.0 * y / s)
-            r = math.exp(-y) * _temme_sum(s, eta) / (_SQRT_2PI * math.sqrt(s))
-            return 0.5 * math.erfc(v) - r, 0.5 * math.erfc(-v) + r, None
+            t = _temme_sum(s, -math.sqrt(2.0 * y / s))
+            r = math.exp(-y) * t / root
+            # P = e^-y (erfcx(v)/2 - sum/sqrt(2 pi s)): the mirror of H below
+            h = (0.5 * root * _erfcx(v) - t) * _gamma_star(s) / s if lower \
+                else None
+            return 0.5 * math.erfc(v) - r, 0.5 * math.erfc(-v) + r, h
         # Q = e^-y (erfcx(v)/2 + sum/sqrt(2 pi s)), and dompart carries the
         # same e^-y, so H is formed without it
-        root = _SQRT_2PI * math.sqrt(s)
         t = 0.5 * root * _erfcx(v) + _temme_sum(s, math.sqrt(2.0 * y / s))
         q = math.exp(-y) * t / root
-        return 1.0 - q, q, t * _gamma_star(s) / s
+        return 1.0 - q, q, None if lower else t * _gamma_star(s) / s
     if (s > (x + 0.25 if x >= 0.5 else _LN_HALF / math.log(0.5 * x))
             or lower and x < s + 8.0):
-        p = _dompart(s, x) * _gamma_p_series(s, x)
-        return p, 1.0 - p, None
+        series = _gamma_p_series(s, x)
+        p = _dompart(s, x) * series
+        return p, 1.0 - p, series / s if lower else None
     if x < 1.0:  # here s <= 1.25
         if s < _POLE_E:
             g = _gamma_upper_near_pole(s, x)
@@ -323,7 +337,7 @@ def _gamma_inc(s: float, x: float, lower: bool = False):
         return 1.0 - q, q, g * math.exp(x) * x**-s
     h = _gamma_upper_cf(s, x)
     q = s * _dompart(s, x) * h
-    return 1.0 - q, q, h
+    return 1.0 - q, q, None if lower else h
 
 
 def _exp(lg: float) -> float:
@@ -416,11 +430,11 @@ def gamma_lower(s: float, x: float) -> float:
     if x == math.inf:
         return _times_gamma(s, 1.0) if s > 0.0 else math.gamma(s)
     if s > 0.0:
-        p = _gamma_inc(s, x, lower=True)[0]
+        p, _, h = _gamma_inc(s, x, lower=True)
         if p < 1e-300 or s >= 171.0 and x < _TEMME_LO * s:
-            # x far below s: P underflows before gamma(s, x), or the series
-            # times x^s e^-x / s beats Gamma(s) P formed through logarithms
-            return _xs_emx(s, x, _gamma_p_series(s, x) / s)
+            # x far below s: P underflows before gamma(s, x), or the scaled
+            # integral times x^s e^-x beats Gamma(s) P formed through logs
+            return _xs_emx(s, x, h)
         return _times_gamma(s, p)
     if x <= _COMPLEMENT_X:
         return _gamma_lower_series(s, x)

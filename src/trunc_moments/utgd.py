@@ -367,7 +367,12 @@ def _centered_l(r: float, t: float, kmax: int) -> list[float]:
 
 def central_moments_56(M: float, r: float, a: float,
                        side: Side = Side.LEFT) -> tuple[float, float]:
-    """Unnormalized 5th and 6th central moments."""
+    """Unnormalized 5th and 6th central moments.
+
+    They are shifted from moments about the parent mean, which cancel as r
+    falls: against mpmath the relative errors are 4e-13 / 2e-12 at r = -2,
+    1e-4 / 1e-2 at r = -20 and 2 / 1.4e3 at r = -50.
+    """
     if M == a:
         raise ValueError("M must differ from the cutoff")
     sign = _sign(side)
@@ -411,7 +416,8 @@ def dvar_dr(M: float, r: float, a: float) -> float:
 
 
 def moment_summary(spec: TruncatedGaussianSpec) -> MomentSummary:
-    """All housed moments of a truncated Gaussian in one pass."""
+    """All housed moments of a truncated Gaussian in one pass; cm5 and
+    cm6 are ``central_moments_56``'s, as inaccurate for negative r."""
     sign = _sign(spec.side)
     r = sign * spec.r
     t, s, _ = _core(r)

@@ -221,6 +221,73 @@ class TestSigmaAndForms:
                                                             rel=1e-14)
 
 
+def mp_outer(n, r):
+    """Outer variance, sigma and raw moments 1-3 at M = 1 from the lower
+    incomplete gammas."""
+    with mpmath.workdps(50):
+        y = mpmath.mpf(r) ** 2 / 2
+        g = [mpmath.gammainc((mpmath.mpf(n) + k) / 2, 0, y) for k in range(4)]
+        var = g[0] * g[2] / (g[1] * g[1]) - 1
+        sigma = g[0] / (mpmath.sqrt(2) * g[1])
+        moments = [mpmath.sqrt(2) ** k * g[k] / g[0] for k in (1, 2, 3)]
+        return float(var), float(sigma), [float(m) for m in moments]
+
+
+class TestOuter:
+    @pytest.mark.parametrize("n", [31.0, 400.0, 1e4])
+    @pytest.mark.parametrize("r_abs", [1e-10, 0.1, 5.0, 30.0])
+    def test_against_mpmath(self, r_abs, n):
+        # the raw lower gammas underflowed: from n = 31 chi_var_form2 raised
+        # ZeroDivisionError at |r| = 1e-10, from n = 400 already at 0.1.
+        # The bounds are the docstrings'
+        var, sigma, moments = mp_outer(n, r_abs)
+        got = chi_var_form2(1.0, r_abs, n, ChiKind.OUTER)
+        assert abs(got - var) <= 2e-14 * (1.0 + var)
+        assert chi_sigma_from_mean(1.0, r_abs, n, ChiKind.OUTER) == \
+            pytest.approx(sigma, rel=2e-15, abs=0.0)
+        spec = ScaledChiSpec(1.0, n, upper=r_abs, kind=ChiKind.OUTER)
+        for k, want in zip((1, 2, 3), moments):
+            assert chi_raw_moment(spec, k) == pytest.approx(want, rel=2e-15,
+                                                            abs=0.0)
+
+    @pytest.mark.parametrize("n", [1e-20, 0.3, 3.0])
+    def test_small_n_against_mpmath(self, n):
+        # below n = 1 the orders are not moved to keep them 1/2 apart: the
+        # variance grows like 1/n, so moving n/2 by an ulp of 1/2 would cost
+        # relative digits
+        for r_abs in (1e-10, 1.0, 4.0):
+            var, sigma, moments = mp_outer(n, r_abs)
+            got = chi_var_form2(1.0, r_abs, n, ChiKind.OUTER)
+            assert abs(got - var) <= 2e-14 * (1.0 + var)
+            assert chi_sigma_from_mean(1.0, r_abs, n, ChiKind.OUTER) == \
+                pytest.approx(sigma, rel=2e-15, abs=0.0)
+
+    def test_limits_at_the_ends(self):
+        # r = 0 divided 0 by 0; past |r| ~ 1.9e154 r^2/2 is inf, where the
+        # lower gammas are the complete ones
+        for r_abs, which in ((0.0, "r_to_0"), (1e200, "r_to_inf")):
+            var, sigma, _ = chi_limits(3.0, ChiKind.OUTER, which)
+            assert chi_var_form2(1.0, r_abs, 3.0, ChiKind.OUTER) == \
+                pytest.approx(var, rel=1e-15, abs=0.0)
+        assert chi_sigma_from_mean(1.0, 1e200, 3.0, ChiKind.OUTER) == \
+            pytest.approx(sigma, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("n", [31.0, 400.0, 1e4])
+    @pytest.mark.parametrize("frac", [0.01, 0.5, 0.99])
+    def test_calibrate_roundtrip(self, n, frac):
+        # raised "no offset |r| ... in [1e-10, 1]" for every target from
+        # n = 31 on
+        lo = chi_limits(n, ChiKind.OUTER, "r_to_0")[0]
+        hi = chi_limits(n, ChiKind.OUTER, "r_to_inf")[0]
+        target = lo + frac * (hi - lo)
+        r, sigma, a = chi_calibrate(1.0, target, n, ChiKind.OUTER)
+        assert a == pytest.approx(r * sigma, rel=1e-15)
+        assert chi_var_form2(1.0, r, n, ChiKind.OUTER) == pytest.approx(
+            target, rel=1e-10)
+        spec = ScaledChiSpec(sigma, n, upper=a, kind=ChiKind.OUTER)
+        assert chi_raw_moment(spec, 1) == pytest.approx(1.0, rel=1e-13)
+
+
 class TestCalibrate:
     def test_worked_example(self):
         r, sigma, a = chi_calibrate(2.3, 0.95, 2.0)
@@ -309,9 +376,21 @@ class TestVmax:
             4.0 / math.pi - 1.0, rel=1e-12)
 
     def test_series_continuity_at_handover(self):
-        lo = vmax_fixed_n(1.0, 180.0)
-        hi = vmax_fixed_n(1.0, 180.0 + 1e-9)
-        assert hi == pytest.approx(lo, rel=1e-10)
+        # the Wallis series takes over from the gamma form at n = 100
+        for below, above in ((180.0, 180.0 + 1e-9), (100.0 - 1e-9, 100.0)):
+            lo = vmax_fixed_n(1.0, below)
+            hi = vmax_fixed_n(1.0, above)
+            assert hi == pytest.approx(lo, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [100.0, 120.0, 150.0, 180.0])
+    def test_past_the_series_switch_against_mpmath(self, n):
+        # the gamma form, kept up to n = 180, was up to 1.1e-13 off here
+        with mpmath.workdps(50):
+            s = mpmath.mpf(n) / 2
+            want = mpmath.gamma(s) * mpmath.gamma(s + 1) \
+                / mpmath.gamma(s + 0.5) ** 2 - 1
+        assert vmax_fixed_n(1.0, n) == pytest.approx(float(want), rel=5e-15,
+                                                      abs=0.0)
 
     def test_large_n_asymptote(self):
         # vmax ~ 1/(2n) * (1 + 1/(2n) + ...) far out
@@ -399,6 +478,25 @@ class TestLimits:
         spec = ScaledChiSpec(sigma, 3.0)
         assert chi_raw_moment(spec, 1) == pytest.approx(1.0, rel=1e-10)
         assert chi_var_form1(spec) == pytest.approx(var, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [1e6, 1e8])
+    def test_sigma_against_mpmath(self, n):
+        # exp of a difference of two log-gammas was 5.5e-10 off at n = 1e6
+        # and 1.0e-8 at 1e8
+        with mpmath.workdps(50):
+            s = mpmath.mpf(n) / 2
+            want = float(mpmath.gamma(s)
+                         / (mpmath.sqrt(2) * mpmath.gamma(s + 0.5)))
+        for kind, which in ((ChiKind.INNER, "r_to_0"),
+                            (ChiKind.OUTER, "r_to_inf")):
+            sigma = chi_limits(n, kind, which)[1]
+            assert sigma == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_sigma_where_half_n_rounds_to_zero(self):
+        # n/2 of the smallest subnormal is 0, where the complete gamma
+        # ratio is 0 and the untruncated sigma infinite
+        var, sigma, a = chi_limits(5e-324, ChiKind.INNER, "r_to_0")
+        assert (var, sigma, a) == (math.inf, math.inf, 0.0)
 
     def test_inner_limit_r_to_0_matches_untruncated(self):
         var, sigma, a = chi_limits(2.0, ChiKind.INNER, "r_to_0")

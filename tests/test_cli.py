@@ -319,6 +319,40 @@ def test_calibrate_chi_double(capsys):
     assert chi_raw_moment(spec, 1) == pytest.approx(1.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("dim", ["31", "400", "1e4"])
+def test_calibrate_chi_outer_at_high_dim(capsys, dim):
+    # exited 2 ("no offset |r|") for every feasible target from n = 31 on:
+    # the lower incomplete gammas underflowed
+    n = float(dim)
+    lo, hi = 1.0 / (n * (n + 2.0)), 1.0 / (2.0 * n)
+    var = repr(3e-5 if n == 400.0 else 0.5 * (lo + hi))
+    code, doc, err = run_json(capsys, "calibrate-chi", "--mean", "1",
+                              "--var", var, "--dim", dim, "--trunc", "outer")
+    assert code == 0
+    assert doc["residuals"]["mean"] < 1e-12
+    assert doc["residuals"]["var"] < 1e-8
+
+
+@pytest.mark.parametrize("trunc", ["inner", "outer"])
+@pytest.mark.parametrize("option", ["--lower", "--upper"])
+def test_calibrate_chi_window_options_need_double(capsys, trunc, option):
+    # were ignored: a one-sided model's cutoff is solved for
+    code, out, err = run(capsys, "calibrate-chi", "--mean", "1", "--var",
+                         "0.1", "--dim", "2", "--trunc", trunc, option, "0.5")
+    assert code == 1
+    assert out == ""
+    assert f"{option} applies only to --trunc double" in err
+
+
+def test_calibrate_chi_double_needs_a_positive_lower(capsys):
+    # a usage error, not "infeasible" (exit 2) from the model's own check
+    code, out, err = run(capsys, "calibrate-chi", "--mean", "1", "--var",
+                         "0.1", "--dim", "2", "--trunc", "double",
+                         "--lower", "0", "--upper", "2")
+    assert code == 1
+    assert "need 0 < lower < upper" in err
+
+
 # ---------------------------------------------------------------------------
 # vmax
 # ---------------------------------------------------------------------------
@@ -415,6 +449,22 @@ def test_fit_non_finite_cell_names_its_line(capsys, tmp_path, window, cell):
     assert code == 1
     assert f"fit: error: {f}: line 41: non-finite value {cell!r}" in err
     assert out == ""
+
+
+def test_fit_chi_clamps_a_variance_just_past_the_supremum(capsys, tmp_path):
+    # mean 1, sample variance 0.5834: 2.2% above the n = 1 supremum
+    # pi/2 - 1, which no cutoff attains
+    f = tmp_path / "data.txt"
+    f.write_text("0.24\n1.76\n" * 50)
+    code, doc, err = run_json(capsys, "fit", "--input", str(f),
+                              "--model", "chi", "--dim", "1")
+    assert code == 0
+    assert doc["sample_var"] > math.pi / 2.0 - 1.0
+    assert doc["sigma_estimates"]["form2"] == pytest.approx(
+        math.sqrt(math.pi / 2.0), rel=1e-8)
+    assert doc["implied_cutoff"] == 0.0
+    assert any("clamped to the untruncated limit" in w
+               for w in doc["warnings"])
 
 
 def test_fit_bad_row_reports_line(capsys, tmp_path):

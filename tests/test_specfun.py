@@ -108,6 +108,20 @@ class TestGammaUpper:
         tol = 1e-15 * (abs(s) + x + 20.0) * abs(want)
         assert abs(gamma_upper(s, x) - want) <= tol
 
+    def test_power_through_logs_where_it_alone_overflows(self):
+        # 0.01**-154.2 overflows; Gamma(-154.2, 0.01) is 1.6e306
+        with mpmath.workdps(40):
+            want = mpmath.gammainc(-154.2, 0.01, mpmath.inf)
+        tol = 1e-15 * (154.2 + 0.01 + 20.0) * abs(want)
+        assert abs(gamma_upper(-154.2, 0.01) - want) <= tol
+
+    @pytest.mark.parametrize("s", [-300.0, -1000.9, -300.5])
+    def test_saturates_far_below_zero(self, s):
+        # mpmath gives 3.3e597, 6.2e1998 and 3.3e598; x**s raised
+        # OverflowError in the pole-subtracted series (-300, -1000.9) and
+        # in the lower series of the complement (-300.5)
+        assert gamma_upper(s, 0.01) == math.inf
+
     def test_underflows_far_below_zero(self):
         # 1.4**-1000000.9 underflows: the series needs no million-term sum
         assert gamma_upper(-1000000.9, 1.4) == 0.0
