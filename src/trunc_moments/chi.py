@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import _roots
-from .specfun import (_dompart, _gamma_inc, _gamma_upper_cf, _polyval,
+from .specfun import (_dompart, _gamma_inc, _gamma_upper_scaled, _polyval,
                       gamma_generalized, gamma_lower, gamma_upper)
 
 __all__ = [
@@ -165,16 +165,27 @@ def chi_density(spec: ScaledChiSpec, R: float) -> float:
     kind = ChiKind(spec.kind)
     if R < spec.lower or R > spec.upper or R < 0.0:
         return 0.0
-    norm = _mass(kind, spec.n / 2.0, spec.y1, spec.y2)
+    s, y = spec.n / 2.0, spec.y1
     z = R / (_SQRT2 * spec.sigma)
-    if z > 0.0 and norm > 0.0:
-        # log-space: z**(n-1) alone can overflow long before exp(-z*z)
-        # pulls the product back down
-        lp = (math.log(2.0) + (spec.n - 1.0) * math.log(z) - z * z
-              - math.log(_SQRT2 * spec.sigma) - math.log(norm))
-        return math.exp(lp) if lp > -745.0 else 0.0
-    return (2.0 * z ** (spec.n - 1.0) * math.exp(-z * z)
-            / (_SQRT2 * spec.sigma * norm))
+    if kind is ChiKind.INNER and y > 0.0:
+        # ln Gamma(s, y) from the scaled H, or from Q where _gamma_inc has
+        # none (Q is not small there): Gamma(s, y) itself under- or
+        # overflows long before the density does
+        _, q, h = _gamma_inc(s, y) if s > 0.0 else (
+            None, None, _gamma_upper_scaled(s, y))
+        lnorm = (math.log(h) + s * math.log(y) - y if h is not None
+                 else math.log(q) + math.lgamma(s))
+    else:
+        norm = _mass(kind, s, y, spec.y2)
+        if not (z > 0.0 and norm > 0.0):
+            return (2.0 * z ** (spec.n - 1.0) * math.exp(-z * z)
+                    / (_SQRT2 * spec.sigma * norm))
+        lnorm = math.log(norm)
+    # log-space: z**(n-1) alone can overflow long before exp(-z*z) pulls
+    # the product back down
+    lp = (math.log(2.0) + (spec.n - 1.0) * math.log(z) - z * z
+          - math.log(_SQRT2 * spec.sigma) - lnorm)
+    return math.exp(lp) if lp > -745.0 else 0.0
 
 
 def chi_raw_moment(spec: ScaledChiSpec, k: int) -> float:
@@ -186,14 +197,20 @@ def chi_raw_moment(spec: ScaledChiSpec, k: int) -> float:
     is within 2e-15 relative of mpmath for |r| = cutoff/sigma up to 1000
     and n up to 1e6.  Where the ratio is the complete one (inner |r| = 0,
     outer |r|^2/2 far above n/2) and n is below 100, it takes the
-    complete gammas' ratio from ``math.gamma``, up to 1.2e-14 off.
+    complete gammas' ratio from ``math.gamma``, up to 1.2e-14 off.  Inner
+    truncation at n <= 0 takes the ratio from the scaled
+    H = Gamma(s, y) e^y y^-s, s = n/2 and y = |r|^2/2, which neither
+    under- nor overflows there: for k <= 3 within 2e-14 relative for n in
+    [-40, 0] and |r| in [1e-10, 1000] (8.9e-15 is the worst of 2 587
+    random points).  Outer truncation at n <= 0 (``extended``) and double
+    truncation divide the raw incomplete gammas.
     """
     if k < 0:
         raise ValueError("moment order must be nonnegative")
     _check_outer_order(spec, k)
     kind = ChiKind(spec.kind)
     s0, sk = spec.n / 2.0, (spec.n + k) / 2.0
-    if kind is not ChiKind.DOUBLE and spec.n > 0.0:
+    if kind is ChiKind.INNER or kind is ChiKind.OUTER and spec.n > 0.0:
         lower = kind is ChiKind.OUTER
         y = spec.y2 if lower else spec.y1
         return (_SQRT2 * spec.sigma) ** k * _ratio(s0, y, k, lower)
@@ -219,7 +236,10 @@ def chi_sigma_from_mean(M: float, r_abs: float, n: float,
     the worst on a grid of n in [0.5, 1e6] and |r| in [0, 1000] is
     8.3e-16; outer: 1.0e-15 on random points of n in [1e-3, 1e6] and |r|
     in [1e-10, 1000] with n >= 100 or |r|^2 <= n), with the exception for
-    n below 100 that ``chi_raw_moment`` states.
+    n below 100 that ``chi_raw_moment`` states.  Inner truncation at
+    n <= 0 takes the scaled ratio that ``chi_raw_moment`` states: within
+    1e-14 relative for n in [-40, 0] and |r| in [1e-10, 1000] (5.7e-15
+    measured).  There |r| = 0 raises ValueError: the mass diverges.
     """
     kind = ChiKind(kind)
     if kind is ChiKind.DOUBLE:
@@ -229,7 +249,10 @@ def chi_sigma_from_mean(M: float, r_abs: float, n: float,
     if r_abs < 0.0:
         raise ValueError("|r| must be nonnegative")
     y = r_abs * r_abs / 2.0
-    if n > 0.0:
+    if y == 0.0 and n <= 0.0 and kind is ChiKind.INNER:
+        raise ValueError(f"the inner-truncation mass at n = {n:g} <= 0 "
+                         f"diverges as |r| -> 0 (|r| = {r_abs:g})")
+    if n > 0.0 or kind is ChiKind.INNER:
         return (M / _SQRT2) / _ratio(n / 2.0, y, 1, kind is ChiKind.OUTER)
     num = _mass(kind, n / 2.0, y, y)
     den = _mass(kind, (n + 1.0) / 2.0, y, y)
@@ -255,26 +278,24 @@ def _complete_ratio(s: float, k: int) -> float:
     return g
 
 
-def _upper_scaled(s: float, y: float) -> float:
-    # Gamma(s, y) e^y for 0 <= s <= 3/2 and y > 0, for the n -> 0+ limits
-    # below: _gamma_inc's small-y form has a pole at s = 0, where
-    # Gamma(0, y) = E1(y), and its Q needs Gamma(s), which overflows
-    if y < 1.0:
-        return gamma_upper(s, y) * math.exp(y)
-    return _gamma_upper_cf(s, y) * y ** s
-
-
 def _ratio(s: float, y: float, k: int, lower: bool = False) -> float:
-    # G(s + k/2, y) / G(s, y) for s > 0, G the upper incomplete gamma, or
-    # the lower one with ``lower``; from the same scaled H or regularized
-    # Q or P as _ratio_m1: the exp of a difference of two log-gammas of
-    # size s log s would lose about log10(s log s) digits
+    # G(s + k/2, y) / G(s, y), G the upper incomplete gamma at any real s,
+    # or the lower one for s > 0 with ``lower``; from the same scaled H or
+    # regularized Q or P as _ratio_m1: the exp of a difference of two
+    # log-gammas of size s log s would lose about log10(s log s) digits
     if y == (math.inf if lower else 0.0):  # untruncated
         return _complete_ratio(s, k)
     if y == 0.0:  # lower: the limit of y^(k/2) s / (s + k/2)
         return 0.0
-    if s + 0.5 == 0.5 and not lower:  # the s -> 0+ limit, s |ln y| off
-        return _upper_scaled(0.5 * k, y) / _upper_scaled(0.0, y)
+    if s + 0.5 <= 0.5 and not lower:  # s <= 0, or 0 to within s |ln y|
+        s = min(s, 0.0)
+        t = s + 0.5 * k
+        if t > 1.5:  # past the kernel's orders, by a sum of positive terms
+            # G(t, y) = (t - 1) G(t - 1, y) + y^(t-1) e^-y
+            return ((t - 1.0) * _ratio(s, y, k - 2)
+                    + y ** (0.5 * k - 1.0) / _gamma_upper_scaled(s, y))
+        return (_gamma_upper_scaled(t, y) / _gamma_upper_scaled(s, y)
+                * y ** (0.5 * k))
     p0, q0, h0 = _gamma_inc(s, y, lower)
     pk, qk, hk = _gamma_inc(s + 0.5 * k, y, lower)
     if h0 is not None and hk is not None:
@@ -283,12 +304,12 @@ def _ratio(s: float, y: float, k: int, lower: bool = False) -> float:
 
 
 def _ratio_m1(s: float, y: float, lower: bool = False) -> float:
-    # G(s, y) G(s+1, y) / G(s+1/2, y)^2 - 1 for s > 0, G as in _ratio.
-    # Where G comes first they come scaled, H = G(., y) e^y y^-., which
-    # never underflows; elsewhere as regularized Q or P, with the complete
-    # gammas folded into the Wallis ratio.  The upper G(s+1, y) is
-    # s G(s, y) + y^s e^-y; the lower one is computed, as
-    # s gamma(s, y) - y^s e^-y cancels for y << s.
+    # G(s, y) G(s+1, y) / G(s+1/2, y)^2 - 1, G as in _ratio.  Where G
+    # comes first they come scaled, H = G(., y) e^y y^-., which never
+    # underflows; elsewhere as regularized Q or P, with the complete
+    # gammas folded into the Wallis ratio.  For s > 0 the upper G(s+1, y)
+    # is s G(s, y) + y^s e^-y; for s <= 0 that cancels at small y, and
+    # the lower one cancels for y << s, so those are computed.
     if y in (0.0, math.inf):  # the limits |r| -> 0 and inf
         which = LimitDirection.R_TO_INF if y else LimitDirection.R_TO_0
         return _var_limit(1.0, 2.0 * s,
@@ -300,8 +321,10 @@ def _ratio_m1(s: float, y: float, lower: bool = False) -> float:
     a = s + 0.5
     if a >= 1.0 or not lower:
         s = a - 0.5
-    if s == 0.0 and not lower:  # the n -> 0+ limit; Gamma(1, y) e^y = 1
-        return _upper_scaled(0.0, y) / _upper_scaled(0.5, y) ** 2 - 1.0
+    if a <= 0.5 and not lower:  # s <= 0, or rounded to 0
+        h1 = _gamma_upper_scaled(a, y)
+        return (_gamma_upper_scaled(s, y) * _gamma_upper_scaled(s + 1.0, y)
+                / (h1 * h1) - 1.0)
     p0, q0, h0 = _gamma_inc(s, y, lower)
     p1, q1, h1 = _gamma_inc(a, y, lower)
     if lower:
@@ -329,8 +352,13 @@ def chi_var_form2(M: float, r_abs: float, n: float,
     as V nears M^2/(2n) (inner at n = 2.5e5 and |r| = 500 it allows
     2.8e-8; 5.4e-11 is measured), and for inner like r^4 deep in the
     tail, where V nears M^2/r^4; outer V lies between M^2/(n(n+2)) and
-    about M^2/(2n).  Where the ratio is the complete one and n is below
-    100 (see ``chi_raw_moment``), the error reaches 2.5e-14 (M^2 + V).
+    about M^2/(2n).  Where the outer ratio is the complete one and n is
+    below 100 (see ``chi_raw_moment``), the error reaches 2.5e-14
+    (M^2 + V).  Inner truncation at n <= 0 takes the ratio of three scaled
+    H (see ``chi_raw_moment``): within 2e-14 (M^2 + V) for n in [-40, 0]
+    and |r| in [1e-10, 1000] (9.5e-15 (M^2 + V) measured).  At |r| = 0
+    the inner variance is its limit, at n <= 0 infinite from n = -2 up and
+    M^2/(n(n+2)) below.
     """
     kind = ChiKind(kind)
     if kind is ChiKind.DOUBLE:
@@ -339,7 +367,7 @@ def chi_var_form2(M: float, r_abs: float, n: float,
         raise ValueError("outer-truncation variance diverges for n <= -2; "
                          "set extended=True for the analytic continuation")
     y = r_abs * r_abs / 2.0
-    if n > 0.0:
+    if n > 0.0 or kind is ChiKind.INNER:
         return M * M * _ratio_m1(n / 2.0, y, kind is ChiKind.OUTER)
     g0 = _mass(kind, n / 2.0, y, y)
     g1 = _mass(kind, (n + 1.0) / 2.0, y, y)
@@ -366,16 +394,25 @@ _WALLIS_1MG2 = (
 
 
 def _var_untruncated(n: float) -> float:
-    # Gamma(n/2) Gamma(n/2 + 1) / Gamma((n+1)/2)^2 - 1, the untruncated
-    # variance over M^2, continued to any non-pole n: by the Wallis series
-    # from n = 100, where it is within 1e-15; below as
-    # 2 Gamma(n/2 + 1)^2 / n, which does not overflow as n -> 0
-    if n >= 100.0:
-        w = 2.0 / n
-        g = _polyval(_WALLIS_G, w)
-        return _polyval(_WALLIS_1MG2, w) / (g * g)
-    ratio = math.gamma(n / 2.0 + 1.0) / math.gamma((n + 1.0) / 2.0)
-    return 2.0 * ratio * ratio / n - 1.0
+    # V(s) = R(s) - 1 with R(s) = Gamma(s) Gamma(s+1) / Gamma(s+1/2)^2 and
+    # s = n/2, the untruncated variance over M^2, continued to any non-pole
+    # n.  For s > 0 the Wallis series gives V from s + m >= 50, within
+    # 1e-15, and the exact R(s) = R(s+1) (1 + 1/(4s(s+1))) steps it down
+    # as V(s) = V(s+1) + (1 + V(s+1)) / (4s(s+1)), a sum of positive terms.
+    # For s <= 0 (n/2 is 0 also for the smallest subnormal n) it is
+    # 2 Gamma(s+1)^2 / (n Gamma(s+1/2)^2) - 1.
+    s = n / 2.0
+    if s <= 0.0:
+        ratio = math.gamma(s + 1.0) / math.gamma((n + 1.0) / 2.0)
+        return 2.0 * ratio * ratio / n - 1.0
+    m = math.ceil(50.0 - s) if s < 50.0 else 0
+    w = 1.0 / (s + m)
+    g = _polyval(_WALLIS_G, w)
+    v = _polyval(_WALLIS_1MG2, w) / (g * g)
+    for j in range(m - 1, -1, -1):
+        t = s + j
+        v += 0.25 * (1.0 + v) / (t * (t + 1.0))
+    return v
 
 
 def _var_limit(M: float, n: float, kind: ChiKind,

@@ -13,7 +13,8 @@ Everything here runs on the standard library's ``math`` module:
   needed for truncated chi distributions continued to negative dimension
   counts.  For s > 0 they rest on pure-Python regularized P(s, x) and
   Q(s, x): power series, Legendre continued fraction and Temme's uniform
-  expansion (Gil, Segura & Temme 2012; DiDonato & Morris 1986).
+  expansion (Gil, Segura & Temme 2012; DiDonato & Morris 1986).  For
+  s <= 0 the upper one rests on the scaled Gamma(s, x) e^x x^-s.
 * ``lambert_w0`` -- principal branch Lambert W on [0, inf), by Halley
   iteration.
 
@@ -103,18 +104,21 @@ def _xs(s: float, x: float, t: float) -> float:
     return math.copysign(_exp(lx + math.log(abs(t))), t)
 
 
-def _gamma_lower_series(s: float, x: float) -> float:
-    # gamma(s,x) = x^s * sum_k (-x)^k / (k! (s+k)); fine for small x and any
-    # non-pole s, no cancellation against Gamma(s) involved
+def _gamma_lower_series(s: float, x: float, skip: int = -1) -> float:
+    # x^-s gamma(s, x) = sum_k (-x)^k / (k! (s+k)), without its k = skip
+    # term; fine for small x and any order off the poles of the kept terms
     total = 0.0
     term = 1.0  # (-x)^k / k!
     k = 0
     while True:
-        total += term / (s + k)
+        if k != skip:
+            total += term / (s + k)
         k += 1
         term *= -x / k
-        if abs(term / (s + k)) <= 1e-17 * abs(total) or k > 300:
-            return _xs(s, x, total)
+        # the next term is below 1e-17 of the sum, tested without dividing
+        # by s + k, which is near 0 at the skipped term
+        if abs(term) <= 1e-17 * abs((s + k) * total) or k > 300:
+            return total
 
 
 # ln Gamma(1 + e) = -log1p(e) + (1 - euler_gamma) e
@@ -141,26 +145,31 @@ def _lgamma1p(e: float) -> float:
     return (acc * e + 1.0 - _EULER_GAMMA) * e - math.log1p(e)
 
 
-def _gamma_upper_near_pole(s: float, x: float) -> float:
-    # s = e - k with |e| < 1/4 and x < 1.5: Gamma(s) and the k-th term of the
-    # lower series both carry a 1/e pole, which cancels in
-    # Gamma(s) - gamma(s, x); subtract the two poles analytically instead
+def _gamma_upper_scaled(s: float, x: float) -> float:
+    # H(s, x) = Gamma(s, x) e^x x^-s for real s <= 3/2 and x > 0.  For
+    # small x it is Gamma(s) x^-s minus the lower series.  Within 1/4 of a
+    # pole s = e - k, Gamma(s) and the k-th term of that series both carry
+    # a 1/e pole, which cancels in their difference; it is subtracted
+    # analytically instead (at the pole, its limit: the k-th harmonic
+    # number less euler_gamma and ln x).  Elsewhere it is the Legendre
+    # continued fraction.
     k = round(-s)
     e = s + k
-    total, term = 0.0, 1.0  # term = (-x)^j / j!
-    for j in range(30):
-        if j != k:
-            total += term / (s + j)
-        term *= -x / (j + 1)
-    if k > 170:  # the pole term carries 1/k!, below the smallest double
-        return -_xs(s, x, total)
-    if e == 0.0:  # at the pole, the limit H_k - euler_gamma - ln x
-        head = (sum(1.0 / j for j in range(1, k + 1)) - _EULER_GAMMA
-                - math.log(x))
+    near = k >= 0 and abs(e) < _POLE_E
+    if x >= _GAMMA_SERIES_X or x > _COMPLEMENT_X and not near:
+        return _gamma_upper_cf(s, x)
+    if not near:  # no term of the series is skipped
+        head, k = _xs(-s, x, math.gamma(s)), -1
+    elif k > 170:  # the pole term carries 1/k!, below the smallest double
+        head = 0.0
+    elif e == 0.0:
+        head = ((sum(1.0 / j for j in range(1, k + 1)) - _EULER_GAMMA
+                 - math.log(x)) * (-1) ** k / math.factorial(k) * x ** -s)
     else:
         lg = _lgamma1p(e) - sum(math.log1p(-e / j) for j in range(1, k + 1))
-        head = (math.expm1(lg) - math.expm1(e * math.log(x))) / e
-    return head * (-1) ** k / math.factorial(k) - _xs(s, x, total)
+        head = ((math.expm1(lg) - math.expm1(e * math.log(x))) / e
+                * (-1) ** k / math.factorial(k) * x ** -s)
+    return (head - _gamma_lower_series(s, x, k)) * math.exp(x)
 
 
 def _gamma_upper_cf(s: float, x: float) -> float:
@@ -328,14 +337,8 @@ def _gamma_inc(s: float, x: float, lower: bool = False):
         series = _gamma_p_series(s, x)
         p = _dompart(s, x) * series
         return p, 1.0 - p, series / s if lower else None
-    if x < 1.0:  # here s <= 1.25
-        if s < _POLE_E:
-            g = _gamma_upper_near_pole(s, x)
-        else:
-            g = math.gamma(s) - _gamma_lower_series(s, x)
-        q = g / math.gamma(s)
-        return 1.0 - q, q, g * math.exp(x) * x**-s
-    h = _gamma_upper_cf(s, x)
+    # x < 1 is left only for s <= 1.25, and only without ``lower``
+    h = _gamma_upper_scaled(s, x) if x < 1.0 else _gamma_upper_cf(s, x)
     q = s * _dompart(s, x) * h
     return 1.0 - q, q, None if lower else h
 
@@ -372,10 +375,11 @@ def gamma_upper(s: float, x: float) -> float:
     The raw integral, not the regularized ratio, so it accepts s <= 0
     (where the complete gamma normalizer is useless or infinite).
     Strategy: the regularized Q (see ``_gamma_inc``) for s > 0; for
-    s <= 0 and x below 1.5, the lower-series complement with the pole of
-    Gamma(s) subtracted analytically within 1/4 of a pole (at a pole, its
-    limit); the plain complement elsewhere up to x = 1; the Legendre
-    continued fraction otherwise.
+    s <= 0, x^s e^-x times the scaled H = Gamma(s, x) e^x x^-s, which
+    neither under- nor overflows: up to x = 1 (within 1/4 of a pole of
+    Gamma(s), up to x = 1.5) the lower-series complement Gamma(s) x^-s
+    minus the series, with the pole subtracted analytically near a pole
+    (at a pole, its limit); the Legendre continued fraction above.
 
     Accuracy, against mpmath for s in [-20, 5e3] and x in [1e-8, 1e4]:
     relative error at most 1e-15 (|s| + x + 20) where the result is a
@@ -398,11 +402,7 @@ def gamma_upper(s: float, x: float) -> float:
         if h is not None and not (q > 1e-300 and s < 171.0):
             return _xs_emx(s, x, h)  # Q underflows, or Gamma(s) overflows
         return _times_gamma(s, q)
-    if x < _GAMMA_SERIES_X and abs(s + round(-s)) < _POLE_E:
-        return _gamma_upper_near_pole(s, x)
-    if x <= _COMPLEMENT_X:
-        return math.gamma(s) - _gamma_lower_series(s, x)
-    return _xs_emx(s, x, _gamma_upper_cf(s, x))
+    return _xs_emx(s, x, _gamma_upper_scaled(s, x))
 
 
 def gamma_lower(s: float, x: float) -> float:
@@ -437,7 +437,7 @@ def gamma_lower(s: float, x: float) -> float:
             return _xs_emx(s, x, h)
         return _times_gamma(s, p)
     if x <= _COMPLEMENT_X:
-        return _gamma_lower_series(s, x)
+        return _xs(s, x, _gamma_lower_series(s, x))
     return math.gamma(s) - gamma_upper(s, x)
 
 

@@ -125,6 +125,21 @@ class TestDensity:
         spec = ScaledChiSpec(1.0, 2.0, lower=1.0)
         assert chi_density(spec, 0.5) == 0.0
 
+    @pytest.mark.parametrize("n, lower, R", [
+        (3.0, 40.0, 40.4),     # Gamma(1.5, 800) underflows: ZeroDivisionError
+        (-40.0, 1e-8, 1.5e-8),  # Gamma(-20, 5e-17) overflows: read 0.0
+        (5.0, 40.0, 40.2), (2000.0, 10.0, 45.0), (-3.0, 0.7, 1.2),
+    ])
+    def test_inner_normalizer_in_log_space(self, n, lower, R):
+        with mpmath.workdps(40):
+            y = mpmath.mpf(lower) ** 2 / 2
+            z = mpmath.mpf(R) / mpmath.sqrt(2)
+            want = (2 * z ** (n - 1) * mpmath.exp(-z * z)
+                    / (mpmath.sqrt(2) * mpmath.gammainc(mpmath.mpf(n) / 2, y)))
+        # ln z^(n-1) e^(-z^2) of size 800 is rounded before its exp
+        got = chi_density(ScaledChiSpec(1.0, n, lower=lower), R)
+        assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
 
 class TestSigmaAndForms:
     def test_printed_grid_cell(self):
@@ -201,7 +216,7 @@ class TestSigmaAndForms:
             assert chi_raw_moment(spec, k) == pytest.approx(float(want),
                                                             rel=2e-15)
 
-    @pytest.mark.parametrize("n", [1e-20, 1.2e-38, 5e-324])
+    @pytest.mark.parametrize("n", [1e-20, 1.2e-38, 1e-310, 5e-324])
     @pytest.mark.parametrize("r_abs", [0.01, 1.0, 1.6, 40.0, 1000.0])
     def test_inner_at_tiny_n_takes_the_limit(self, r_abs, n):
         # s + 1/2 rounds to 1/2 below n ~ 1e-16, which set s to 0, a pole
@@ -219,6 +234,86 @@ class TestSigmaAndForms:
         for k, want in zip((1, 2, 3), moments):
             assert chi_raw_moment(spec, k) == pytest.approx(float(want),
                                                             rel=1e-14)
+
+
+def mp_inner(n, r, orders=(1, 2, 3)):
+    """Inner variance, sigma and the raw moments of ``orders`` at M = 1 from
+    the upper incomplete gammas."""
+    with mpmath.workdps(40):
+        y = mpmath.mpf(r) ** 2 / 2
+        g = {k: mpmath.gammainc((mpmath.mpf(n) + k) / 2, y)
+             for k in {0, 1, 2, *orders}}
+        var = g[0] * g[2] / (g[1] * g[1]) - 1
+        sigma = g[0] / (mpmath.sqrt(2) * g[1])
+        moments = [mpmath.sqrt(2) ** k * g[k] / g[0] for k in orders]
+        return float(var), float(sigma), [float(m) for m in moments]
+
+
+class TestInnerAtNonpositiveN:
+    # raw incomplete gammas, divided: NaN at |r| = 1e-10 from n = -35 on,
+    # ZeroDivisionError from |r| ~ 38, and a negative variance between
+    @pytest.mark.parametrize("n", [-40.0, -35.5, -27.3, -20.0, -14.45, -10.0,
+                                   -7.2, -3.0, -2.0, -1.5, -1.0, -0.5, -0.3,
+                                   -1e-3, 0.0])
+    def test_against_mpmath(self, n):
+        # the docstrings' bounds for n in [-40, 0]
+        for r_abs in (1e-10, 1e-5, 0.01, 0.2, 0.9, 1.65, 5.0, 20.0, 38.0,
+                      64.0, 300.0, 1000.0):
+            var, sigma, moments = mp_inner(n, r_abs)
+            got = chi_var_form2(1.0, r_abs, n)
+            assert abs(got - var) <= 2e-14 * (1.0 + var), (n, r_abs)
+            assert chi_sigma_from_mean(1.0, r_abs, n) == pytest.approx(
+                sigma, rel=1e-14, abs=0.0)
+            spec = ScaledChiSpec(1.0, n, lower=r_abs)
+            for k, want in zip((1, 2, 3), moments):
+                assert chi_raw_moment(spec, k) == pytest.approx(
+                    want, rel=2e-14, abs=0.0)
+
+    @pytest.mark.parametrize("r_abs, n", [
+        (1e-10, -35.0),  # NaN
+        (38.0, -10.0), (60.0, -0.5),  # ZeroDivisionError
+        (38.0, -3.0),  # -6.5e-5
+    ])
+    def test_former_failures(self, r_abs, n):
+        var = mp_inner(n, r_abs)[0]
+        got = chi_var_form2(1.0, r_abs, n)
+        assert got > 0.0
+        assert abs(got - var) <= 2e-14 * (1.0 + var)
+
+    @pytest.mark.parametrize("k", [4, 5, 12, 40])
+    @pytest.mark.parametrize("n", [-10.0, -3.0, -0.7, 0.0])
+    def test_moments_past_order_three(self, n, k):
+        # orders above 3/2 step up from one in (1/2, 3/2]: the continued
+        # fraction alone is 1.0 off at order 20 and |r| = 1.7
+        for r_abs in (1e-10, 0.9, 1.7, 30.0):
+            want = mp_inner(n, r_abs, (k,))[2][0]
+            got = chi_raw_moment(ScaledChiSpec(1.0, n, lower=r_abs), k)
+            assert got == pytest.approx(want, rel=2e-14, abs=0.0)
+
+    @pytest.mark.parametrize("n", [-10.0, -0.5, 0.0, 0.3, 3.0])
+    def test_never_takes_raw_masses(self, monkeypatch, n):
+        def raw(*args):
+            raise AssertionError("inner truncation divided raw masses")
+
+        monkeypatch.setattr(chi, "_mass", raw)
+        for r_abs in (1e-10, 0.5, 5.0, 38.0):
+            spec = ScaledChiSpec(1.0, n, lower=r_abs)
+            for k in (1, 2, 3):
+                chi_raw_moment(spec, k)
+            chi_sigma_from_mean(1.0, r_abs, n)
+            chi_var_form2(1.0, r_abs, n)
+            chi_density(spec, 1.5 * r_abs)
+
+    @pytest.mark.parametrize("n", [0.0, -0.5, -3.0])
+    @pytest.mark.parametrize("r_abs", [0.0, 1e-200])
+    def test_sigma_names_the_divergence(self, n, r_abs):
+        # leaked "gamma_upper(s, 0) diverges for s <= 0"; |r|^2/2 is 0 at
+        # |r| = 1e-200 too
+        with pytest.raises(ValueError, match=r"^the inner-truncation mass at "
+                           r"n = .* <= 0 diverges as \|r\| -> 0"):
+            chi_sigma_from_mean(1.0, r_abs, n)
+        with pytest.raises(ValueError, match="infinite mass at the origin"):
+            ScaledChiSpec(1.0, n, lower=0.0)
 
 
 def mp_outer(n, r):
@@ -392,6 +487,17 @@ class TestVmax:
         assert vmax_fixed_n(1.0, n) == pytest.approx(float(want), rel=5e-15,
                                                       abs=0.0)
 
+    @pytest.mark.parametrize("n", [1e-3, 0.5, 3.0, 31.7, 62.9, 99.9])
+    def test_below_the_series_switch_against_mpmath(self, n):
+        # 2 Gamma(n/2 + 1)^2 / (n Gamma((n+1)/2)^2) - 1 from math.gamma was
+        # 3.1e-12 off at n = 62.9 and 4.9e-14 at 99.9
+        with mpmath.workdps(50):
+            s = mpmath.mpf(n) / 2
+            want = mpmath.gamma(s) * mpmath.gamma(s + 1) \
+                / mpmath.gamma(s + 0.5) ** 2 - 1
+        assert vmax_fixed_n(1.0, n) == pytest.approx(float(want), rel=5e-15,
+                                                      abs=0.0)
+
     def test_large_n_asymptote(self):
         # vmax ~ 1/(2n) * (1 + 1/(2n) + ...) far out
         n = 1e4
@@ -405,7 +511,8 @@ class TestVmax:
         assert rep.vmax_int == pytest.approx(0.03622777, abs=1e-8)
         assert nvmx_approx(2.2) == pytest.approx(10.887, abs=5e-4)
 
-    @pytest.mark.parametrize("r", [0.05, 0.3, 1.0, 2.0, 5.0])
+    # n_vmx < 0 at |r| = 0.1 and 0.2
+    @pytest.mark.parametrize("r", [0.05, 0.1, 0.2, 0.3, 1.0, 2.0, 5.0])
     def test_search_against_mpmath(self, r):
         # a maximum search on this flat peak stalled 1.8e-5 off at |r| = 5
         rep = nvmx_search(1.0, r)

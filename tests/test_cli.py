@@ -291,6 +291,18 @@ def test_calibrate_chi_at_tiny_dim(capsys, dim):
     assert doc["sigma"] == pytest.approx(want["sigma"], abs=1e-8)
 
 
+@pytest.mark.parametrize("dim, var", [("-10", "1e-9"), ("-35", "1e-4")])
+def test_calibrate_chi_inner_at_negative_dim(capsys, dim, var):
+    # exited 2 ("no offset |r|"): the raw incomplete gammas read NaN at
+    # |r| = 1e-10 from n = -35 on and divided by 0 from |r| ~ 38.  2e-5 is
+    # the variance's absolute bound, 2e-14 (M^2 + V), relative to V = 1e-9
+    code, doc, err = run_json(capsys, "calibrate-chi", "--mean", "1",
+                              "--var", var, "--dim", dim)
+    assert code == 0
+    assert doc["residuals"]["mean"] < 1e-12
+    assert doc["residuals"]["var"] <= 2e-5
+
+
 def test_calibrate_chi_infeasible(capsys):
     code, out, err = run(capsys, "calibrate-chi", "--mean", "1.0",
                          "--var", "0.6", "--dim", "1")
