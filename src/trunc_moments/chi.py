@@ -195,10 +195,9 @@ def chi_raw_moment(spec: ScaledChiSpec, k: int) -> float:
     lower incomplete gammas from their scaled or regularized forms, never
     from the difference of two log-gammas of size n log n; for k <= 3 it
     is within 2e-15 relative of mpmath for |r| = cutoff/sigma up to 1000
-    and n up to 1e6.  Where the ratio is the complete one (inner |r| = 0,
-    outer |r|^2/2 far above n/2) and n is below 100, it takes the
-    complete gammas' ratio from ``math.gamma``, up to 1.2e-14 off.  Inner
-    truncation at n <= 0 takes the ratio from the scaled
+    and n up to 1e6, where the ratio is the complete one (inner |r| = 0,
+    outer |r|^2/2 far above n/2) too: 1.3e-15 on 3 000 n in [2e-3, 2e6].
+    Inner truncation at n <= 0 takes the ratio from the scaled
     H = Gamma(s, y) e^y y^-s, s = n/2 and y = |r|^2/2, which neither
     under- nor overflows there: for k <= 3 within 2e-14 relative for n in
     [-40, 0] and |r| in [1e-10, 1000] (8.9e-15 is the worst of 2 587
@@ -235,11 +234,11 @@ def chi_sigma_from_mean(M: float, r_abs: float, n: float,
     2e-15 relative of mpmath for |r| up to 1000 and n up to 1e6 (inner:
     the worst on a grid of n in [0.5, 1e6] and |r| in [0, 1000] is
     8.3e-16; outer: 1.0e-15 on random points of n in [1e-3, 1e6] and |r|
-    in [1e-10, 1000] with n >= 100 or |r|^2 <= n), with the exception for
-    n below 100 that ``chi_raw_moment`` states.  Inner truncation at
-    n <= 0 takes the scaled ratio that ``chi_raw_moment`` states: within
-    1e-14 relative for n in [-40, 0] and |r| in [1e-10, 1000] (5.7e-15
-    measured).  There |r| = 0 raises ValueError: the mass diverges.
+    in [1e-10, 1000]; 1.2e-15 where the ratio is the complete one).
+    Inner truncation at n <= 0 takes the scaled ratio that
+    ``chi_raw_moment`` states: within 1e-14 relative for n in [-40, 0]
+    and |r| in [1e-10, 1000] (5.7e-15 measured).  There |r| = 0 raises
+    ValueError: the mass diverges.
     """
     kind = ChiKind(kind)
     if kind is ChiKind.DOUBLE:
@@ -259,11 +258,28 @@ def chi_sigma_from_mean(M: float, r_abs: float, n: float,
     return (M / _SQRT2) * num / den
 
 
+# Fields's even-power expansion (DLMF 5.11.13), w = z - 1/4, E the Euler
+# numbers: ln(Gamma(z + 1/2) / Gamma(z)) = ln(w)/2 + sum_j c_j w^(-2j),
+# c_j = 2 B_{2j+1}(1/4) / (2j (2j+1)) = (-1)^(j+1) E_2j / (j 2^(4j+2))
+_FIELDS = (
+    1.0 / 64, -5.0 / 2048, 61.0 / 49152, -1385.0 / 1048576,
+    50521.0 / 20971520, -2702765.0 / 402653184, 199360981.0 / 7516192768,
+    -19391512145.0 / 137438953472, 2404879675441.0 / 2473901162496,
+    -74074237647505.0 / 8796093022208)
+
+
+def _fields(z: float) -> float:
+    # the sum over ten c_j; the first term left out is 1.7e-15 at z = 6
+    u = 1.0 / ((z - 0.25) * (z - 0.25))
+    return u * _polyval(_FIELDS, u)
+
+
 def _wallis(s: float) -> float:
-    # Gamma(s + 1/2) / (Gamma(s) sqrt(s)), as Gamma(s + 1/2) sqrt(s) /
-    # Gamma(s + 1): Gamma(s) overflows for s below about 5.6e-309
-    if s >= 50.0:
-        return _polyval(_WALLIS_G, 1.0 / s)
+    # Gamma(s + 1/2) / (Gamma(s) sqrt(s)).  Below s = 6 the math.gamma form,
+    # once per chi_var_form2, is within 1.6e-15 at a tenth of the series'
+    # cost with steps down; Gamma(s) alone overflows below s = 5.6e-309
+    if s >= 6.0:
+        return math.exp(0.5 * math.log1p(-0.25 / s) + _fields(s))
     return math.gamma(s + 0.5) * math.sqrt(s) / math.gamma(s + 1.0)
 
 
@@ -352,13 +368,12 @@ def chi_var_form2(M: float, r_abs: float, n: float,
     as V nears M^2/(2n) (inner at n = 2.5e5 and |r| = 500 it allows
     2.8e-8; 5.4e-11 is measured), and for inner like r^4 deep in the
     tail, where V nears M^2/r^4; outer V lies between M^2/(n(n+2)) and
-    about M^2/(2n).  Where the outer ratio is the complete one and n is
-    below 100 (see ``chi_raw_moment``), the error reaches 2.5e-14
-    (M^2 + V).  Inner truncation at n <= 0 takes the ratio of three scaled
-    H (see ``chi_raw_moment``): within 2e-14 (M^2 + V) for n in [-40, 0]
-    and |r| in [1e-10, 1000] (9.5e-15 (M^2 + V) measured).  At |r| = 0
-    the inner variance is its limit, at n <= 0 infinite from n = -2 up and
-    M^2/(n(n+2)) below.
+    about M^2/(2n).  Where the ratio is the complete one, 2.2e-15
+    (M^2 + V) is measured.  Inner truncation at n <= 0 takes the ratio of
+    three scaled H (see ``chi_raw_moment``): within 2e-14 (M^2 + V) for n
+    in [-40, 0] and |r| in [1e-10, 1000] (9.5e-15 (M^2 + V) measured).
+    At |r| = 0 the inner variance is its limit, at n <= 0 infinite from
+    n = -2 up and M^2/(n(n+2)) below.
     """
     kind = ChiKind(kind)
     if kind is ChiKind.DOUBLE:
@@ -380,38 +395,23 @@ def chi_var_form2(M: float, r_abs: float, n: float,
 # maximal-variance machinery
 # ---------------------------------------------------------------------------
 
-# asymptotic expansion of the Wallis ratio g(w) = Gamma(z+1/2)/(Gamma(z)
-# sqrt(z)) in w = 1/z, and of 1 - g(w)**2 (whose constant term cancels
-# exactly); both stay below 1e-15 relative error for z >= 50
-_WALLIS_G = (
-    1.0, -1.0 / 8, 1.0 / 128, 5.0 / 1024, -21.0 / 32768, -399.0 / 262144,
-    869.0 / 4194304, 39325.0 / 33554432, -334477.0 / 2147483648,
-    -28717403.0 / 17179869184, 59697183.0 / 274877906944,
-    8400372435.0 / 2199023255552)
-_WALLIS_1MG2 = (
-    0.0, 0.25, -0.03125, -0.0078125, 0.00244140625, 0.0028076171875,
-    -0.0008087158203125, -0.002262115478515625)
-
-
 def _var_untruncated(n: float) -> float:
     # V(s) = R(s) - 1 with R(s) = Gamma(s) Gamma(s+1) / Gamma(s+1/2)^2 and
     # s = n/2, the untruncated variance over M^2, continued to any non-pole
-    # n.  For s > 0 the Wallis series gives V from s + m >= 50, within
-    # 1e-15, and the exact R(s) = R(s+1) (1 + 1/(4s(s+1))) steps it down
-    # as V(s) = V(s+1) + (1 + V(s+1)) / (4s(s+1)), a sum of positive terms.
+    # n.  For s > 0: expm1(-2 A - log1p(-1/(4z))), A = _fields(z) at
+    # z = s + m >= 10, not at _wallis's 6, as V's relative error is 8z times
+    # A's (eight terms from z >= 8 were 5e-15 off); then down to s by
+    # V(s) = V(s+1) + (1 + V(s+1)) / (4s(s+1)), a sum of positive terms.
     # For s <= 0 (n/2 is 0 also for the smallest subnormal n) it is
     # 2 Gamma(s+1)^2 / (n Gamma(s+1/2)^2) - 1.
     s = n / 2.0
     if s <= 0.0:
         ratio = math.gamma(s + 1.0) / math.gamma((n + 1.0) / 2.0)
         return 2.0 * ratio * ratio / n - 1.0
-    m = math.ceil(50.0 - s) if s < 50.0 else 0
-    w = 1.0 / (s + m)
-    g = _polyval(_WALLIS_G, w)
-    v = _polyval(_WALLIS_1MG2, w) / (g * g)
+    m = math.ceil(10.0 - s) if s < 10.0 else 0
+    v = math.expm1(-2.0 * _fields(s + m) - math.log1p(-0.25 / (s + m)))
     for j in range(m - 1, -1, -1):
-        t = s + j
-        v += 0.25 * (1.0 + v) / (t * (t + 1.0))
+        v += 0.25 * (1.0 + v) / ((s + j) * (s + j + 1.0))
     return v
 
 
@@ -584,7 +584,7 @@ def chi_limits(n: float, kind: ChiKind, which: LimitDirection | str,
         if not extended and not n > 0.0:
             raise ValueError("outer-truncation limits for n <= 0 require "
                              "extended=True")
-        if n <= 0.0 and float(n / 2.0).is_integer():
+        if n <= 0.0 and float(n / 2.0 if to_0 else n).is_integer():
             raise ValueError(f"outer r->0 variance limit has a pole at n={n}"
                              if to_0 else
                              f"outer r->inf limits have a pole at n={n}")
@@ -599,5 +599,4 @@ def chi_limits(n: float, kind: ChiKind, which: LimitDirection | str,
         ok = n > 0.0 or n < -1.0
         return (var, math.inf if ok else math.nan,
                 M * (n + 1.0) / n if ok else math.nan)
-    a = math.nan if n < 0.0 and float(n).is_integer() else math.inf
-    return var, _sigma_limit(M, n), a
+    return var, _sigma_limit(M, n), math.inf

@@ -471,11 +471,15 @@ class TestVmax:
             4.0 / math.pi - 1.0, rel=1e-12)
 
     def test_series_continuity_at_handover(self):
-        # the Wallis series takes over from the gamma form at n = 100
-        for below, above in ((180.0, 180.0 + 1e-9), (100.0 - 1e-9, 100.0)):
-            lo = vmax_fixed_n(1.0, below)
-            hi = vmax_fixed_n(1.0, above)
-            assert hi == pytest.approx(lo, rel=1e-10)
+        # one ulp either side of the switches: the Wallis ratio takes the
+        # series from n = 12 up, the untruncated variance from n = 20 up
+        # without steps down.  Pairs 1e-9 apart would differ by about 5e-11
+        # from the slope alone
+        for n, f in ((12.0, lambda n: chi_limits(n, ChiKind.INNER,
+                                                 "r_to_0")[1]),
+                     (20.0, lambda n: vmax_fixed_n(1.0, n))):
+            below, above = f(math.nextafter(n, 0.0)), f(n)
+            assert above == pytest.approx(below, rel=4e-15), n
 
     @pytest.mark.parametrize("n", [100.0, 120.0, 150.0, 180.0])
     def test_past_the_series_switch_against_mpmath(self, n):
@@ -484,7 +488,7 @@ class TestVmax:
             s = mpmath.mpf(n) / 2
             want = mpmath.gamma(s) * mpmath.gamma(s + 1) \
                 / mpmath.gamma(s + 0.5) ** 2 - 1
-        assert vmax_fixed_n(1.0, n) == pytest.approx(float(want), rel=5e-15,
+        assert vmax_fixed_n(1.0, n) == pytest.approx(float(want), rel=1e-15,
                                                       abs=0.0)
 
     @pytest.mark.parametrize("n", [1e-3, 0.5, 3.0, 31.7, 62.9, 99.9])
@@ -495,8 +499,32 @@ class TestVmax:
             s = mpmath.mpf(n) / 2
             want = mpmath.gamma(s) * mpmath.gamma(s + 1) \
                 / mpmath.gamma(s + 0.5) ** 2 - 1
-        assert vmax_fixed_n(1.0, n) == pytest.approx(float(want), rel=5e-15,
+        assert vmax_fixed_n(1.0, n) == pytest.approx(float(want), rel=1e-15,
                                                       abs=0.0)
+
+    def test_complete_ratios_against_mpmath(self):
+        # the Fields series and the math.gamma form of the Wallis ratio g,
+        # Gamma(s + k/2) / Gamma(s) and V = 1/g^2 - 1, on both sides of the
+        # switches at s = 6 and 10; the math.gamma form was 1.2e-14 off
+        # near s = 31, and V 3.5e-15 off near s = 48
+        grid = [10.0 ** (-3.0 + 8.7 * i / 299) for i in range(300)]
+        for edge in (6.0, 10.0):
+            grid += [edge * (1.0 + d) for d in (-1e-3, -1e-16, 0.0, 1e-3)]
+        with mpmath.workdps(50):
+            for s in grid:
+                ms = mpmath.mpf(s)
+                for k in (1, 2, 3):
+                    want = mpmath.exp(mpmath.loggamma(ms + mpmath.mpf(k) / 2)
+                                      - mpmath.loggamma(ms))
+                    assert chi._complete_ratio(s, k) == pytest.approx(
+                        float(want), rel=2e-15, abs=0.0), (s, k)
+                    if k == 1:
+                        g = want / mpmath.sqrt(ms)
+                        assert chi._wallis(s) == pytest.approx(
+                            float(g), rel=2e-15, abs=0.0), s
+                        assert chi._var_untruncated(2.0 * s) == \
+                            pytest.approx(float(1 / g ** 2 - 1), rel=1e-15,
+                                          abs=0.0), s
 
     def test_large_n_asymptote(self):
         # vmax ~ 1/(2n) * (1 + 1/(2n) + ...) far out
@@ -586,10 +614,10 @@ class TestLimits:
         assert chi_raw_moment(spec, 1) == pytest.approx(1.0, rel=1e-10)
         assert chi_var_form1(spec) == pytest.approx(var, rel=1e-9)
 
-    @pytest.mark.parametrize("n", [1e6, 1e8])
+    @pytest.mark.parametrize("n", [3.0, 12.5, 40.0, 62.858, 99.9, 1e6, 1e8])
     def test_sigma_against_mpmath(self, n):
         # exp of a difference of two log-gammas was 5.5e-10 off at n = 1e6
-        # and 1.0e-8 at 1e8
+        # and 1.0e-8 at 1e8; the math.gamma form 1.2e-14 at n = 62.858
         with mpmath.workdps(50):
             s = mpmath.mpf(n) / 2
             want = float(mpmath.gamma(s)
@@ -597,7 +625,15 @@ class TestLimits:
         for kind, which in ((ChiKind.INNER, "r_to_0"),
                             (ChiKind.OUTER, "r_to_inf")):
             sigma = chi_limits(n, kind, which)[1]
-            assert sigma == pytest.approx(want, rel=1e-15, abs=0.0)
+            assert sigma == pytest.approx(want, rel=1e-15 if n >= 1e6
+                                          else 2e-15, abs=0.0)
+
+    @pytest.mark.parametrize("n", [-1.0, -2.0, -3.0, -4.0])
+    def test_outer_r_to_inf_poles_are_named(self, n):
+        # odd n leaked "math domain error" from Gamma((n+1)/2)
+        with pytest.raises(ValueError, match=r"^outer r->inf limits have a "
+                           r"pole at n="):
+            chi_limits(n, ChiKind.OUTER, "r_to_inf", extended=True)
 
     def test_sigma_where_half_n_rounds_to_zero(self):
         # n/2 of the smallest subnormal is 0, where the complete gamma

@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -304,10 +305,29 @@ def test_calibrate_chi_inner_at_negative_dim(capsys, dim, var):
 
 
 def test_calibrate_chi_infeasible(capsys):
+    # the diagnostics name the bound: pi/2 - 1 at n = 1, and above 1/3
+    # for outer truncation
     code, out, err = run(capsys, "calibrate-chi", "--mean", "1.0",
                          "--var", "0.6", "--dim", "1")
     assert code == 2
-    assert "maximal variance" in err
+    assert "maximal variance 0.570796 " in err
+    code, out, err = run(capsys, "calibrate-chi", "--mean", "1.0",
+                         "--var", "0.2", "--dim", "1", "--trunc", "outer")
+    assert code == 2
+    assert "confined to (0.333333, 0.570796);" in err
+
+
+def test_calibrate_chi_infeasible_bound_from_the_series(capsys):
+    # at n = 62.858 the untruncated variance comes from the Wallis series
+    n = 62.858
+    with mpmath.workdps(50):
+        s = mpmath.mpf(n) / 2
+        sup = float(mpmath.gamma(s) * mpmath.gamma(s + 1)
+                    / mpmath.gamma(s + 0.5) ** 2 - 1)
+    code, out, err = run(capsys, "calibrate-chi", "--mean", "1.0",
+                         "--var", "0.2", "--dim", str(n))
+    assert code == 2
+    assert f"maximal variance {sup:g} attainable at n={n:g}" in err
 
 
 def test_calibrate_chi_double_unattainable_mean(capsys):
