@@ -15,6 +15,10 @@ Everything here runs on the standard library's ``math`` module:
   Q(s, x): power series, Legendre continued fraction and Temme's uniform
   expansion (Gil, Segura & Temme 2012; DiDonato & Morris 1986).  For
   s <= 0 the upper one rests on the scaled Gamma(s, x) e^x x^-s.
+  ``gamma_upper`` and ``gamma_generalized`` stay public, but no other
+  module calls them (``gamma_lower`` reads ``gamma_upper``): ``chi`` takes
+  its ratios from the scaled and regularized forms, and ``gamma_lower``
+  only for the outer continuation to n <= 0.
 * ``lambert_w0`` -- principal branch Lambert W on [0, inf), by Halley
   iteration.
 

@@ -292,17 +292,23 @@ class TestInnerAtNonpositiveN:
 
     @pytest.mark.parametrize("n", [-10.0, -0.5, 0.0, 0.3, 3.0])
     def test_never_takes_raw_masses(self, monkeypatch, n):
+        # only the outer continuation to n <= 0 reads the raw gamma_lower;
+        # inner truncation and windows take the scaled kernel at every n
         def raw(*args):
-            raise AssertionError("inner truncation divided raw masses")
+            raise AssertionError("a raw incomplete gamma was divided")
 
-        monkeypatch.setattr(chi, "_mass", raw)
+        monkeypatch.setattr(chi, "gamma_lower", raw)
         for r_abs in (1e-10, 0.5, 5.0, 38.0):
             spec = ScaledChiSpec(1.0, n, lower=r_abs)
+            window = ScaledChiSpec(1.0, n, lower=r_abs, upper=1.5 * r_abs + 1,
+                                   kind=ChiKind.DOUBLE)
             for k in (1, 2, 3):
                 chi_raw_moment(spec, k)
+                chi_raw_moment(window, k)
             chi_sigma_from_mean(1.0, r_abs, n)
             chi_var_form2(1.0, r_abs, n)
             chi_density(spec, 1.5 * r_abs)
+            chi_density(window, 1.2 * r_abs + 0.5)
 
     @pytest.mark.parametrize("n", [0.0, -0.5, -3.0])
     @pytest.mark.parametrize("r_abs", [0.0, 1e-200])
@@ -381,6 +387,114 @@ class TestOuter:
             target, rel=1e-10)
         spec = ScaledChiSpec(sigma, n, upper=a, kind=ChiKind.OUTER)
         assert chi_raw_moment(spec, 1) == pytest.approx(1.0, rel=1e-13)
+
+
+def mp_window_ratio(n, y1, y2, k, dps=50):
+    """W(s + k/2) / W(s), W(t) = Gamma(t, y1) - Gamma(t, y2) and s = n/2,
+    from two upper gammas, or below the bulk (y2 < t) two lower ones: the
+    pair that cancels least.  gammainc(t, y1, y2) itself raises
+    NotImplementedError at negative integer t."""
+    with mpmath.workdps(dps):
+        a, b = mpmath.mpf(y1), mpmath.mpf(y2)
+
+        def w(t):
+            if 0 < b < t:
+                return mpmath.gammainc(t, 0, b) - mpmath.gammainc(t, 0, a)
+            return mpmath.gammainc(t, a) - mpmath.gammainc(t, b)
+
+        s = mpmath.mpf(n) / 2
+        return float(w(s + mpmath.mpf(k) / 2) / w(s))
+
+
+def _windows(n):
+    # (y1, width / y1): below, across and above the bulk at y = n/2
+    s = n / 2.0
+    starts = [1e-3, 1.0, 30.0]
+    if s > 0.0:
+        starts += [s * f for f in (0.01, 0.3, 0.97, 1.5, 4.0)]
+    return [(y1, w) for y1 in starts for w in (0.02, 0.5, 3.0, 1e-5, 1e-9)]
+
+
+class TestDouble:
+    @pytest.mark.parametrize("n", [-30.0, -3.3, -0.5, 0.5, 1.0, 2.5, 10.0,
+                                   100.0, 1e3, 1e4])
+    def test_against_mpmath(self, n):
+        # the raw masses were inf or NaN from n = 343, and 0/0 far above
+        # the bulk.  Windows of width 1e-5 and 1e-9 y1 are integrated
+        # directly; their moments lost about log10(y1 / width) digits as
+        # a difference of shares.  5.3e-15 is the worst measured
+        for y1, w in _windows(n):
+            spec = ScaledChiSpec(1.0, n, lower=math.sqrt(2.0 * y1),
+                                 upper=math.sqrt(2.0 * y1 * (1.0 + w)),
+                                 kind=ChiKind.DOUBLE)
+            for k in (1, 2, 3):
+                want = mp_window_ratio(n, spec.y1, spec.y2, k,
+                                       dps=40 + round(-math.log10(w)))
+                got = chi_raw_moment(spec, k) / 2.0 ** (k / 2.0)
+                assert got == pytest.approx(want, rel=5e-14, abs=0.0), \
+                    (y1, w, k)
+            assert spec.lower <= chi_raw_moment(spec, 1) <= spec.upper
+
+    @pytest.mark.parametrize("n", [343.0, 344.0, 1000.0])
+    def test_past_the_range_of_gamma(self, n):
+        # inf at n = 343, NaN from 344: Gamma(n/2) overflowed
+        spec = ScaledChiSpec(1.0, n, lower=1.0, upper=100.0,
+                             kind=ChiKind.DOUBLE)
+        want = math.sqrt(2.0) * mp_window_ratio(n, 0.5, 5000.0, 1)
+        assert chi_raw_moment(spec, 1) == pytest.approx(want, rel=2e-15)
+
+    def test_far_above_the_bulk(self):
+        # ZeroDivisionError: both masses underflowed
+        spec = ScaledChiSpec(1.0, 3.0, lower=40.0, upper=41.0,
+                             kind=ChiKind.DOUBLE)
+        want = math.sqrt(2.0) * mp_window_ratio(3.0, 800.0, 840.5, 1)
+        assert chi_raw_moment(spec, 1) == pytest.approx(want, rel=2e-15)
+
+    def test_sigma_at_high_dimension(self):
+        # exited "no sigma": the masses were inf over the whole bracket.
+        # The reference is a 200-panel quadrature at 40 digits
+        assert double_sigma(310.0, 1e5, 300.0, 320.0) == pytest.approx(
+            0.98030852542044764, rel=2e-15)
+
+    @pytest.mark.parametrize("spec, R", [
+        # read 0.0: Gamma(1000) overflowed
+        (ScaledChiSpec(1.0, 2000.0, upper=70.0, kind=ChiKind.OUTER), 60.0),
+        # read 0.0: the window mass overflowed
+        (ScaledChiSpec(1.0, 400.0, lower=1.0, upper=100.0,
+                       kind=ChiKind.DOUBLE), 20.0),
+        # ZeroDivisionError: the window mass underflowed
+        (ScaledChiSpec(1.0, 3.0, lower=40.0, upper=41.0,
+                       kind=ChiKind.DOUBLE), 40.5),
+    ])
+    def test_density_where_the_mass_leaves_double_range(self, spec, R):
+        with mpmath.workdps(40):
+            s = mpmath.mpf(spec.n) / 2
+            z = mpmath.mpf(R) / mpmath.sqrt(2)
+            mass = (mpmath.gammainc(s, 0, spec.y2) if spec.lower == 0.0
+                    else mpmath.gammainc(s, spec.y1, spec.y2))
+            want = float(2 * z ** (spec.n - 1) * mpmath.exp(-z * z)
+                         / (mpmath.sqrt(2) * mass))
+        assert chi_density(spec, R) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [-1.0, -2.0, -3.0, -4.0])
+    def test_outer_continuation_poles_are_named(self, n):
+        # "gamma_lower has a pole at non-positive integer s=..." leaked
+        spec = ScaledChiSpec(1.0, n, upper=1.0, kind=ChiKind.OUTER,
+                             extended=True)
+        for f in (lambda: chi_sigma_from_mean(1.0, 1.0, n, ChiKind.OUTER),
+                  lambda: chi_var_form2(1.0, 1.0, n, ChiKind.OUTER,
+                                        extended=True),
+                  lambda: chi_raw_moment(spec, 1),
+                  lambda: chi_var_form1(spec),
+                  lambda: chi_density(spec, 0.5)):
+            try:
+                got = f()
+            except ValueError as exc:
+                assert str(exc).startswith(
+                    "the outer-truncation mass continued to order (n + k)/2")
+                assert "gamma pole" in str(exc)
+            else:
+                assert math.isfinite(got)
 
 
 class TestCalibrate:

@@ -351,6 +351,19 @@ def test_calibrate_chi_double(capsys):
     assert chi_raw_moment(spec, 1) == pytest.approx(1.0, rel=1e-6)
 
 
+def test_calibrate_chi_double_at_high_dim(capsys):
+    # exited 2 "no sigma giving mean 310": the window masses were inf over
+    # the whole bracket.  sigma = 0.9803085254204476 solves it (a 200-panel
+    # quadrature at 40 digits)
+    code, doc, err = run_json(capsys, "calibrate-chi", "--mean", "310",
+                              "--var", "0.01", "--dim", "100000",
+                              "--trunc", "double",
+                              "--lower", "300", "--upper", "320")
+    assert code == 0
+    assert doc["sigma"] == 0.98030853
+    assert doc["residuals"]["mean"] < 1e-14
+
+
 @pytest.mark.parametrize("dim", ["31", "400", "1e4"])
 def test_calibrate_chi_outer_at_high_dim(capsys, dim):
     # exited 2 ("no offset |r|") for every feasible target from n = 31 on:
