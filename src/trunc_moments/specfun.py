@@ -336,7 +336,9 @@ def _gamma_inc(s: float, x: float, lower: bool = False):
         t = 0.5 * root * _erfcx(v) + _temme_sum(s, math.sqrt(2.0 * y / s))
         q = math.exp(-y) * t / root
         return 1.0 - q, q, None if lower else t * _gamma_star(s) / s
-    if (s > (x + 0.25 if x >= 0.5 else _LN_HALF / math.log(0.5 * x))
+    # (0.5 x rounds to 0 at the smallest subnormal x: the limit is 0)
+    if (s > (x + 0.25 if x >= 0.5 else
+             _LN_HALF / math.log(0.5 * x) if 0.5 * x else 0.0)
             or lower and x < s + 8.0):
         series = _gamma_p_series(s, x)
         p = _dompart(s, x) * series

@@ -373,6 +373,25 @@ class TestOuter:
         assert chi_sigma_from_mean(1.0, 1e200, 3.0, ChiKind.OUTER) == \
             pytest.approx(sigma, rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("n", [3.0, 0.5, -0.5, -1.0, -1.5, -2.0, -3.0,
+                                   -4.0])
+    def test_r_to_0_takes_the_limit(self, n):
+        # raised a bare ZeroDivisionError at n = 3 and -1.5: the support
+        # [0, 0] holds no mass.  The answer is chi_limits' or its named pole
+        calls = (lambda: chi_var_form2(2.0, 0.0, n, ChiKind.OUTER,
+                                       extended=True),
+                 lambda: chi_sigma_from_mean(2.0, 0.0, n, ChiKind.OUTER))
+        try:
+            limits = chi_limits(n, ChiKind.OUTER, "r_to_0", 2.0, True)[:2]
+        except ValueError:
+            for f in calls:
+                with pytest.raises(ValueError, match="has a pole at n="):
+                    f()
+        else:
+            for f, want in zip(calls, limits):
+                got = f()
+                assert got == want or math.isnan(got) and math.isnan(want)
+
     @pytest.mark.parametrize("n", [31.0, 400.0, 1e4])
     @pytest.mark.parametrize("frac", [0.01, 0.5, 0.99])
     def test_calibrate_roundtrip(self, n, frac):
@@ -442,6 +461,18 @@ class TestDouble:
                              kind=ChiKind.DOUBLE)
         want = math.sqrt(2.0) * mp_window_ratio(n, 0.5, 5000.0, 1)
         assert chi_raw_moment(spec, 1) == pytest.approx(want, rel=2e-15)
+
+    @pytest.mark.parametrize("sigma", [1e160, 1e-160])
+    def test_scale_free_window(self, sigma):
+        # y1 = y2 = NaN at sigma = 1e160: the squares of the cutoffs and of
+        # sigma overflowed (and underflowed at 1e-160) before their ratio
+        def scaled_mean(s):
+            spec = ScaledChiSpec(s, 3.0, lower=s, upper=2.0 * s,
+                                 kind=ChiKind.DOUBLE)
+            assert (spec.y1, spec.y2) == (0.5, 2.0)
+            return chi_raw_moment(spec, 1) / s
+        assert scaled_mean(sigma) == pytest.approx(scaled_mean(1.0),
+                                                   rel=4e-16, abs=0.0)
 
     def test_far_above_the_bulk(self):
         # ZeroDivisionError: both masses underflowed
@@ -537,15 +568,11 @@ class TestCalibrate:
         assert chi_var_form2(1.0, r, n) == pytest.approx(target, rel=1e-10)
 
     def test_target_at_the_supremum_edge(self):
-        # the root lies below the initial bracket's |r| = 1e-10 end
+        # the root lies below the former initial bracket's |r| = 1e-10 end
         target = 0.99999 * vmax_fixed_n(1.0, 0.5)
-        try:
-            r, sigma, a = chi_calibrate(1.0, target, 0.5)
-        except ValueError as exc:
-            assert str(exc).startswith("no offset |r|")
-        else:
-            assert chi_var_form2(1.0, r, 0.5) == pytest.approx(target,
-                                                               rel=1e-12)
+        r, sigma, a = chi_calibrate(1.0, target, 0.5)
+        assert r == pytest.approx(3.43e-11, rel=1e-3)
+        assert chi_var_form2(1.0, r, 0.5) == pytest.approx(target, rel=1e-12)
 
     def test_tiny_root_is_placed_to_relative_precision(self):
         # the root |r| ~ 3.4e-21 sits far below any absolute tolerance
@@ -639,6 +666,15 @@ class TestVmax:
                         assert chi._var_untruncated(2.0 * s) == \
                             pytest.approx(float(1 / g ** 2 - 1), rel=1e-15,
                                           abs=0.0), s
+
+    def test_fields_is_horner_bit_for_bit(self):
+        # the Horner loop written out keeps every operation and its order
+        from trunc_moments.specfun import _polyval
+        grid = [6.0 + 94.0 * i / 4999 for i in range(5000)]
+        grid += [6.0 * 10.0 ** (5.3 * i / 4999) for i in range(5000)]
+        for z in grid + [6.0, 1e6, math.nextafter(6.0, 7.0)]:
+            u = 1.0 / ((z - 0.25) * (z - 0.25))
+            assert chi._fields(z) == u * _polyval(chi._FIELDS, u), z
 
     def test_large_n_asymptote(self):
         # vmax ~ 1/(2n) * (1 + 1/(2n) + ...) far out

@@ -379,6 +379,34 @@ def test_calibrate_chi_outer_at_high_dim(capsys, dim):
 
 
 @pytest.mark.parametrize("trunc", ["inner", "outer"])
+@pytest.mark.parametrize("dim", [1e-3, 1e6, -40.0])
+@pytest.mark.parametrize("mean", [1e-300, 1.0, 1e300])
+def test_calibrate_chi_one_ulp_inside_each_limit(capsys, trunc, dim, mean):
+    # Newton exits where Brent had none: a zero or undefined slope, a
+    # variance at its limit, a root past the searched offsets.  Each ends
+    # in an answer or a named diagnostic, never a traceback
+    from trunc_moments.chi import LimitDirection, _var_limit
+    try:
+        ends = [_var_limit(mean, dim, ChiKind(trunc), w)
+                for w in LimitDirection]
+    except ValueError:  # outer at n = -40: at a pole of the limit
+        ends = [1.0, 2.0]
+    for end, other in (ends, ends[::-1]):
+        var = math.nextafter(end, other if other != end else math.inf)
+        var = min(max(var, 5e-324), sys.float_info.max)
+        code, out, err = run(capsys, "calibrate-chi", "--mean", repr(mean),
+                             "--var", repr(var), "--dim", repr(dim),
+                             "--trunc", trunc)
+        assert code in (0, 2), err
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("infeasible: ")
+            assert "math domain" not in err and "division" not in err
+        else:
+            assert json.loads(out)["residuals"]["mean"] < 1e-12
+
+
+@pytest.mark.parametrize("trunc", ["inner", "outer"])
 @pytest.mark.parametrize("option", ["--lower", "--upper"])
 def test_calibrate_chi_window_options_need_double(capsys, trunc, option):
     # were ignored: a one-sided model's cutoff is solved for
