@@ -1,17 +1,17 @@
-"""Bracketed root finding for the package's monotone 1-D solves.
+"""Root finding for the package's monotone 1-D solves.
 
-``brentq`` ports scipy's Brent solver step for step (same ``xtol +
-rtol*|x|`` stopping rule, same roots bit for bit), so the package need not
-import ``scipy.optimize``; ``expand``, ``scan`` and ``bisect_each`` find
-its bracket.  ``scan`` walks a grid up to a function's first sign change;
-``bisect_each`` finds the same cell for several functions by bisecting
-over the grid's indices, reading an undefined probe as past the sign
-change.  That is exact where each function changes sign at most once
-between the grid's first point and the probe that bounds its search; the
-walk decides where the search starts on a zero or undefined value, ends
-on an undefined one, or never meets the other sign.  A missing root or
-bracket is a ValueError naming the quantity and the range searched; an
-evaluation that overflows or divides by zero counts as undefined (NaN).
+``newton`` is the one Newton iteration, for the solves with a closed-form
+slope: ``calibrate.r_from_variance`` in r, ``chi.chi_calibrate`` in ln|r|
+and Form I of ``calibrate.sigma_newton`` in ln sigma.  The solves without
+one bracket the root and call ``brentq``, which ports scipy's Brent solver
+step for step (same ``xtol + rtol*|x|`` stopping rule, same roots bit for
+bit), so the package need not import ``scipy.optimize``.  ``expand``
+widens a bracket until it holds a sign change, ``scan`` walks a grid up to
+a function's first sign change, and ``bisect_each`` finds the same cell
+for several functions by bisecting over the grid's indices.  A missing
+root or bracket is a ValueError naming the quantity and the range
+searched; an evaluation that overflows or divides by zero counts as
+undefined (NaN).
 """
 
 import math
@@ -88,6 +88,67 @@ def brentq(f, a: float, b: float, fa: float | None = None,
         if fcur != fcur:
             break
     raise _fail(what, a, b)
+
+
+def newton(g, x: float, target: float, *, increasing: bool,
+           domain: tuple[float, float], what: str, noise_evals: int,
+           log: bool = False, tol: float = math.inf) -> float:
+    """Safeguarded Newton iteration from x for the x in ``domain`` at which
+    a quantity, monotone in x, equals ``target``: g(x) gives the quantity
+    and a Newton step towards the target (NaN if none), in ln x if ``log``.
+
+    A step that leaves the bracket of evaluated points bisects it or, while
+    a side is open, moves 1, 2, 4, ... towards the root, stopping at the
+    domain's ends.  The iteration stops within 2 ulps of the target, on a
+    zero step, or ``noise_evals`` (>= 1) evaluations after a step below
+    1e-8 max(1, |x|) (1e-8 x if ``log``), where only the value's rounding
+    noise is left.  Returns the evaluated x with the smallest residual; a
+    NaN value, a step past an end from that end, or a smallest residual
+    above ``tol`` raises the no-root error naming the domain.
+    """
+    a, b = domain
+    x = min(max(x, a), b)
+    floor = 2.0 * math.ulp(target)
+    below, above = -math.inf, math.inf  # evaluated, either side of the root
+    best_x, best, jump, left = x, math.inf, 1.0, math.inf
+    for _ in range(100):
+        value, step = g(x)
+        f = value - target
+        if f != f:
+            raise _fail(what, a, b)
+        if abs(f) < best:
+            best_x, best = x, abs(f)
+        if abs(f) <= floor or left == 0:
+            break
+        up = (f < 0.0) == increasing  # the root lies above x
+        if up:
+            below = x
+        else:
+            above = x
+        # math.exp raises past 709.78
+        x_next = x * math.exp(min(step, 700.0)) if log else x + step
+        # a zero step stops below: bisecting instead took up to 35
+        # evaluations where the value is flat to its last bit
+        if x_next != x and not below < x_next < above:  # left it, or NaN
+            if -math.inf < below and above < math.inf:
+                x_next = (math.sqrt(below) * math.sqrt(above) if log
+                          else 0.5 * (below + above))
+            else:
+                dx, jump = jump if up else -jump, 2.0 * jump
+                x_next = x * math.exp(min(dx, 700.0)) if log else x + dx
+        if not a <= x_next <= b:
+            if x in domain:  # the root lies past the searched end
+                raise _fail(what, a, b)
+            x_next = min(max(x_next, a), b)
+        step = abs(x_next - x)
+        if step == 0.0:  # x is the root to the last bit
+            break
+        if step <= 1e-8 * (x if log else max(1.0, abs(x))):
+            left = min(left, noise_evals)
+        x, left = x_next, left - 1
+    if best > tol:
+        raise _fail(what, a, b)
+    return best_x
 
 
 def expand(f, a: float, b: float, *, increasing: bool, what: str,

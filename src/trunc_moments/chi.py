@@ -577,10 +577,6 @@ def vmax_fixed_r_approx(r_abs: float,
 # calibration and limits
 # ---------------------------------------------------------------------------
 
-# the offsets |r| that chi_calibrate searches
-_R_MIN, _R_MAX = 1e-300, 1e6
-
-
 def chi_calibrate(M: float, target_var: float, n: float,
                   kind: ChiKind = ChiKind.INNER) -> tuple[float, float, float]:
     """Solve for (|r|, sigma, a) matching mean M and the target variance.
@@ -593,19 +589,14 @@ def chi_calibrate(M: float, target_var: float, n: float,
     iteration starts from the asymptotes: inner V -> M^2/|r|^4, with |r|^2
     moved by n - 3 sqrt(n) above n = 9, where the variance turns near the
     bulk of the chi law; outer V - lo -> (M^2 + lo) |r|^2 / (4 (s+1)
-    (s+3/2)(s+2)), s = n/2, with |r|^2 at most n + 3 sqrt(n).  The
-    evaluations keep a bracket of the root, and a step that leaves it
-    bisects instead (in ln|r|), or, while one side is still open, moves
-    e, e^2, e^4, ... times away.  It stops once |V - target| is within 2
-    ulps of the target, or one evaluation after a step below 1e-8 |r|,
-    where V's rounding noise (up to about 1e-15 M^2) is all that is left,
-    and returns the evaluated |r| with the smallest residual.  It takes 4
-    to 7 evaluations on n in {1, 2, 3, 5, 8} and targets across each
-    range.  |r| is searched on [1e-300, 1e6]; where no offset there
-    reproduces the target to 1e-10 (M^2 + V), ValueError names the range.
-
-    An attainable-range precheck turns impossible targets into a diagnostic
-    naming the bound instead of a solver failure.
+    (s+3/2)(s+2)), s = n/2, with |r|^2 at most n + 3 sqrt(n).  The steps
+    are ``_roots.newton``'s in ln|r|, one evaluation past a step below
+    1e-8 |r| (V's noise, up to about 1e-15 M^2, is all that is left): 4 to
+    7 evaluations on n in {1, 2, 3, 5, 8} and targets across each range.
+    |r| is searched on [1e-300, 1e6]; where no offset there reproduces the
+    target to 1e-10 (M^2 + V), ValueError names the range.  So does a
+    target outside the attainable range, or within V's stated noise 2e-14
+    (M^2 + V) of a limit, which any |r| far enough out reproduces.
     """
     kind = ChiKind(kind)
     if not target_var > 0.0:
@@ -623,8 +614,13 @@ def chi_calibrate(M: float, target_var: float, n: float,
         raise ValueError(
             f"{kind.value}-truncation variance at n={n:g} is confined to "
             f"({lo:g}, {sup:g}); target {target_var:g} is outside")
-    outer = kind is ChiKind.OUTER
+    what = f"offset |r| with {kind.value}-truncation variance {target_var:g}"
     m2, s = M * M, n / 2.0
+    noise = 2e-14 * (m2 + target_var)  # chi_var_form2's stated error
+    if min(target_var - lo, sup - target_var) <= noise:
+        raise ValueError(f"no {what}: it lies within the variance's rounding "
+                         f"noise 2e-14 (M^2 + V) = {noise:g} of a limit")
+    outer = kind is ChiKind.OUTER
     if outer:
         r = math.sqrt(min(4.0 * (s + 1.0) * (s + 1.5) * (s + 2.0)
                           * (target_var - lo) / (m2 + lo),
@@ -632,28 +628,11 @@ def chi_calibrate(M: float, target_var: float, n: float,
     else:
         r = math.sqrt((n - 3.0 * math.sqrt(n) if n > 9.0 else 0.0)
                       + M / math.sqrt(target_var))
-    r = min(max(r, _R_MIN), _R_MAX)
-    r_lo, r_hi = 0.0, math.inf  # evaluated, below and above the root
-    best_r, best = r, math.inf
-    floor = 2.0 * math.ulp(target_var)
-    jump, last = 1.0, False  # last: Newton's step fell below 1e-8 |r|
-    what = f"offset |r| with {kind.value}-truncation variance {target_var:g}"
-    for _ in range(100):
+
+    def g(r: float) -> tuple[float, float]:
         y = r * r / 2.0
         ratio_m1, dlr = _ratio_m1(s, y, outer)
         v = m2 * ratio_m1
-        f = v - target_var
-        if f != f:
-            raise _roots._fail(what, r_lo or _R_MIN, min(r_hi, _R_MAX))
-        if abs(f) < best:
-            best_r, best = r, abs(f)
-        if abs(f) <= floor or last:
-            break
-        up = (f < 0.0) == outer  # the root lies above r
-        if up:
-            r_lo = r
-        else:
-            r_hi = r
         try:  # F(target) - F(v), from target - v without cancellation
             dv = target_var - v
             dF = math.log1p(dv / (v - lo))
@@ -661,32 +640,18 @@ def chi_calibrate(M: float, target_var: float, n: float,
             if sup < math.inf:
                 dF -= math.log1p(-dv / (sup - v))
                 slope += 1.0 / (sup - v)
-            # dF/d ln|r| = |r|^2 dV/dy
-            du = dF / (2.0 * y * m2 * (1.0 + ratio_m1) * dlr * slope)
-            r_next = r * math.exp(max(min(du, 700.0), -700.0))
+            # dF/d ln|r| = |r|^2 dV/dy, infinite where dlr overflows
+            dF_dlr = 2.0 * y * m2 * (1.0 + ratio_m1) * dlr * slope
+            return v, dF / dF_dlr if math.isfinite(dF_dlr) else math.nan
         except (ValueError, ZeroDivisionError):  # V at a limit, or no slope
-            r_next = math.nan
-        if not r_lo < r_next < r_hi:  # the step left the bracket
-            if r_lo and r_hi < math.inf:
-                r_next = math.sqrt(r_lo) * math.sqrt(r_hi)
-            else:
-                r_next = r * math.exp(jump if up else -jump)
-                jump = min(2.0 * jump, 700.0)
-        if not _R_MIN <= r_next <= _R_MAX:
-            if r in (_R_MIN, _R_MAX):  # the root lies past the searched end
-                raise _roots._fail(what, _R_MIN, _R_MAX)
-            r_next = min(max(r_next, _R_MIN), _R_MAX)
-        if r_next == r:  # converged to the last bit
-            break
-        last = abs(r_next - r) <= 1e-8 * r
-        r = r_next
-    else:
-        raise _roots._fail(what, r_lo or _R_MIN, min(r_hi, _R_MAX))
-    if best > 1e-10 * (m2 + target_var):
-        # far above V's rounding noise (2e-14 (M^2 + V) on the kernel's
-        # domain): V jumps across the target between adjacent offsets, as
-        # where y = |r|^2/2 is subnormal
-        raise _roots._fail(what, r_lo, r_hi)
+            return v, math.nan
+
+    # tol is far above V's noise, 2e-14 (M^2 + V): a best residual past it
+    # means that V jumps across the target between adjacent offsets, as
+    # where y = |r|^2/2 is subnormal
+    best_r = _roots.newton(
+        g, r, target_var, increasing=outer, domain=(1e-300, 1e6),
+        what=what, noise_evals=1, log=True, tol=1e-10 * (m2 + target_var))
     sigma = chi_sigma_from_mean(M, best_r, n, kind)
     return best_r, sigma, best_r * sigma
 

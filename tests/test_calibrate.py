@@ -2,13 +2,14 @@ import math
 import re
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from test_r_from_variance import vhat_noise
-from trunc_moments import calibrate, utgd
+from trunc_moments import _roots, calibrate, utgd
 from trunc_moments.calibrate import (
     APPROX1_SET_I,
     Method,
@@ -82,6 +83,132 @@ class TestSingleFunctionalSolvers:
             r_from_variance(1.0)
         with pytest.raises(ValueError):
             r_from_variance(0.0)
+
+
+# -- Form I: Newton in ln sigma against the former solver ---------------------
+
+def former_sigma_form1(target_var: float, u: float) -> float:
+    """The former Form I of ``sigma_newton`` at u = mu - a: widen [1e-8, 1]
+    (u < 0: [-1, -1e-8]) in r by doubling until it brackets the root of
+    (u/r)**2 Q(r) = target_var, then Brent; sigma = u/r."""
+    def f(r: float) -> float:
+        return (u / r) ** 2 * utgd._core(r)[2] - target_var
+
+    lo, hi = (1e-8, 1.0) if u > 0.0 else (-1.0, -1e-8)
+    what = f"Form I offset r for variance {target_var:g}"
+    bracket = _roots.expand(f, lo, hi, increasing=u < 0.0, what=what,
+                            tiny=1e-280, huge=1e12)
+    return u / _roots.brentq(f, *bracket, what=what)
+
+
+def q_noise(r: float) -> float:
+    """Bound, in ulps of Q, on |_core(r)[2] - Q(r)|.
+
+    Below 0 the direct zone's 1 - rt - t**2 cancels, the rounding of t
+    amplified about r**4 times; the series zone's 1 - phi/psi**2 below
+    -11 cancels about r**2 times, plus its truncation error next to the
+    cut.  ``test_q_noise_bound`` holds the kernel to it."""
+    if r >= 0.0:
+        return 16.0
+    if r > -11.0:
+        return 256.0 + 16.0 * r ** 4
+    return 4.0 * r * r + 8e3 * (11.0 / r) ** 30
+
+
+def mp_q(r: float) -> float:
+    # 1 - rt - t**2 cancels about 2 log10(r**2) digits
+    with mpmath.workdps(40 + int(4 * math.log10(max(1.0, abs(r))))):
+        r_ = mpmath.mpf(r)
+        t = mpmath.npdf(r_) / mpmath.ncdf(r_)
+        return float(1 - r_ * t - t * t)
+
+
+@pytest.mark.parametrize("lo,hi", [
+    (-2.0 ** 18, -1e3), (-1e3, -30.0), (-30.0, -13.0), (-13.0, -11.0),
+    (-11.0, -9.75), (-9.75, -7.0), (-7.0, -4.0), (-4.0, -2.0), (-2.0, 0.0),
+    (0.0, 3.0), (3.0, 38.0)])
+def test_q_noise_bound(lo, hi):
+    # the bound is two to four times the worst error of a random 400-point
+    # scan per zone (more just below 0, where its floor of 256 rules)
+    for k in range(200):
+        r = lo + (hi - lo) * (k + 0.5) / 200
+        q = utgd._core(r)[2]
+        assert abs(q - mp_q(r)) <= q_noise(r) * math.ulp(q), r
+
+
+def var_form1(sigma: float, u: float) -> float:
+    return sigma * sigma * utgd._core(u / sigma)[2]
+
+
+def form1_residual(sigma: float, u: float, target_var: float) -> float:
+    return abs(var_form1(sigma, u) - target_var)
+
+
+@given(st.floats(min_value=-3.0, max_value=1.0), st.booleans(),
+       st.floats(min_value=-4.0, max_value=1.0))
+@example(0.0, False, -2.0)
+@example(1.0, False, -4.0)  # r about -32
+@example(math.log10(9.0), False, -4.0)  # r about -10, Q's noisiest
+@example(-3.0, True, 1.0)
+@settings(max_examples=200, deadline=None)
+def test_form1_agrees_with_the_former_solver(log10_u, above, log10_var):
+    # u = mu - a is +-[1e-3, 10] and the variance [1e-4, 10], log-uniform.
+    # Where Q's noise exceeds a few ulps (r in about (-11, 0) and below),
+    # a root is any sigma whose residual is within that noise, and which
+    # one a solver keeps is luck
+    u = 10.0 ** log10_u * (1.0 if above else -1.0)
+    v = 10.0 ** log10_var
+    s_new = sigma_newton(v, u, 0.0, 1.0, VarianceForm.I)
+    s_old = former_sigma_form1(v, u)
+    noise = q_noise(u / s_old) * math.ulp(v)
+    assert form1_residual(s_new, u, v) <= max(
+        form1_residual(s_old, u, v), 2.0 * noise) + 2.0 * math.ulp(v)
+
+
+def test_form1_evaluations(monkeypatch):
+    # on 2 000 random (u, variance) as above the Newton iteration took 1 to
+    # 6 kernel calls, 4.255 on average; the former expand-then-Brent 8 to 30
+    calls = []
+
+    def counted(r):
+        calls.append(r)
+        return core(r)
+
+    core = utgd._core
+    monkeypatch.setattr(calibrate, "_core", counted)
+    rng = np.random.default_rng(7)
+    counts = []
+    for _ in range(2000):
+        u = float(10.0 ** rng.uniform(-3.0, 1.0)) \
+            * (1.0 if rng.random() < 0.5 else -1.0)
+        v = float(10.0 ** rng.uniform(-4.0, 1.0))
+        calls.clear()
+        sigma_newton(v, u, 0.0, 1.0, VarianceForm.I)
+        counts.append(len(calls))
+    assert max(counts) <= 6
+    assert sum(counts) <= 4.255 * len(counts)
+
+
+@pytest.mark.parametrize("v,mu,want", [
+    (1e-30, 1.0, 1e-15),  # r = 1e15: Q = 1
+    (0.3, 1e-300, math.sqrt(0.3 / (1.0 - 2.0 / math.pi))),  # r ~ 0
+    (1e-300, 1e-300, math.sqrt(1e-300 / (1.0 - 2.0 / math.pi))),
+    (1e300, 1.0, math.sqrt(1e300 / (1.0 - 2.0 / math.pi))),
+    (1e-4, -1e30, None),  # r = -1e16, where Q rounds to 0
+    (1e-30, 1e300, None),  # sigma = 1e-15 needs r = 1e315
+])
+def test_form1_over_every_sigma(v, mu, want):
+    # the former searched |r| in [1e-280, 1e12] and failed on the first
+    # four; any positive finite sigma at which r is finite is searched now,
+    # and where no sigma there reproduces the target the error names them
+    if want is None:
+        with pytest.raises(ValueError, match=r"^no Form I spread sigma for "
+                                             r"variance .* in \["):
+            sigma_newton(v, mu, 0.0, 2.0, VarianceForm.I)
+        return
+    sigma = sigma_newton(v, mu, 0.0, 2.0, VarianceForm.I)
+    assert sigma == pytest.approx(want, rel=4e-16)
+    assert form1_residual(sigma, mu, v) <= 2.0 * math.ulp(v)
 
 
 class TestSlopes:

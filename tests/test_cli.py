@@ -406,6 +406,37 @@ def test_calibrate_chi_one_ulp_inside_each_limit(capsys, trunc, dim, mean):
             assert json.loads(out)["residuals"]["mean"] < 1e-12
 
 
+@pytest.mark.parametrize("var", ["1e-17", "5e-324"])
+def test_calibrate_chi_rejects_a_target_inside_the_noise(capsys, var):
+    # at n = -40 the inner variance falls to 0 as |r| grows; a target within
+    # its stated noise 2e-14 (M^2 + V) of that limit is reproduced by any
+    # |r| far enough out, and gave exit 0 with residuals.var 12.1 and 1.0
+    code, out, err = run(capsys, "calibrate-chi", "--mean", "1", "--var",
+                         var, "--dim", "-40")
+    assert code == 2 and out == ""
+    assert err.startswith("infeasible: no offset |r| with inner-truncation "
+                          "variance ")
+    assert err.endswith("noise 2e-14 (M^2 + V) = 2e-14 of a limit\n")
+
+
+@pytest.mark.parametrize("method,code,warning", [
+    ("two-point", 2, "warning: residuals exceed 1e-8\n"),
+    ("point-slope", 0, ""),
+])
+def test_calibrate_gauss_form1_next_to_the_cutoff(capsys, method, code,
+                                                  warning):
+    # the Form I sigma at mu1 = 1e-300 (r about 1e-300) is about 0.909; the
+    # former search of |r| in [1.5e-280, 1] found no root there and exited
+    # 2 with "infeasible: no Form I offset r ...".  Now two-point answers
+    # with the residual warning that its secants leave from so far off the
+    # root, and point-slope's rounds converge
+    got, out, err = run(capsys, "calibrate-gauss", "--mean", "1", "--var",
+                        "0.3", "--cutoff", "0", "--method", method,
+                        "--mu1", "1e-300")
+    assert (got, err) == (code, warning)
+    assert json.loads(out)["method"] == method
+
+
 @pytest.mark.parametrize("trunc", ["inner", "outer"])
 @pytest.mark.parametrize("option", ["--lower", "--upper"])
 def test_calibrate_chi_window_options_need_double(capsys, trunc, option):

@@ -357,3 +357,125 @@ def test_package_map_matches_each_modules_all():
     package = pathlib.Path(trunc_moments.__file__).parent
     others = {m.name for m in pkgutil.iter_modules([str(package)])}
     assert others - set(by_module) == {"__main__", "_roots", "cli", "tables"}
+
+
+# -- newton --------------------------------------------------------------------
+
+def _traced(g):
+    """g, recording each point it is evaluated at in ``g.xs``."""
+    def traced(x):
+        traced.xs.append(x)
+        return g(x)
+    traced.xs = []
+    return traced
+
+
+def _cube(x):  # x**3 and the Newton step towards 2
+    return x ** 3, (2.0 - x ** 3) / (3.0 * x * x) if x else math.nan
+
+
+@pytest.mark.parametrize("seed", [1e-3, 0.5, 40.0, -30.0])
+def test_newton_brings_back_a_poor_seed(seed):
+    # from each seed plain Newton on x**3 = 2 overshoots, or crawls in from
+    # the wrong side of 0; the bracket and the domain's end bring it back
+    g = _traced(_cube)
+    x = _roots.newton(g, seed, 2.0, increasing=True, domain=(-100.0, 100.0),
+                      what="x", noise_evals=4)
+    assert abs(x ** 3 - 2.0) <= 2.0 * math.ulp(2.0)
+    assert abs(x - 2.0 ** (1.0 / 3.0)) <= math.ulp(x)
+    assert len(g.xs) <= 30
+
+
+def test_newton_bisects_past_a_wrong_signed_step():
+    # every step points away from the root: only the bracket's jump and
+    # bisection reach it, and the bisection's steps fall below 1e-8 like
+    # Newton's, after which 4 evaluations follow
+    def away(x):
+        value, step = _cube(x)
+        return value, -step
+
+    g = _traced(away)
+    x = _roots.newton(g, 0.5, 2.0, increasing=True, domain=(-8.0, 8.0),
+                      what="x", noise_evals=4)
+    assert g.xs[:3] == [0.5, 1.5, 1.0]  # a jump up, then the midpoint
+    assert abs(x - 2.0 ** (1.0 / 3.0)) <= 2.0 ** -27
+    # the k-th bisection steps by 2**-k; 2**-27 is the first below 1e-8,
+    # and its evaluation is the first of the 4
+    assert len(g.xs) == 2 + 26 + 4
+
+
+@pytest.mark.parametrize("log,seed,want", [
+    (False, 0.0, [0.0, 1.0, 3.0, 7.0, 15.0, 31.0, 63.0, 127.0, 95.0]),
+    (False, 200.0, [200.0, 199.0, 197.0, 193.0, 185.0, 169.0, 137.0, 73.0,
+                    105.0]),
+    (True, 1.0, [1.0, math.e, math.e ** 3, math.e ** 7, math.e ** 5]),
+])
+def test_newton_jumps_while_one_side_is_open(log, seed, want):
+    # without a Newton step the iterate moves 1, 2, 4, ... (in ln x with
+    # ``log``) towards the root until it has a point on either side, then
+    # bisects (geometrically with ``log``)
+    g = _traced(lambda x: (x, math.nan))
+    root = math.exp(5.5) if log else 100.0
+    x = _roots.newton(g, seed, root, increasing=True,
+                      domain=(1e-300 if log else -1e6, 1e6), what="x",
+                      noise_evals=4, log=log)
+    assert g.xs[:len(want)] == pytest.approx(want, rel=1e-15)
+    assert x == pytest.approx(root, rel=1e-15)
+
+
+@pytest.mark.parametrize("log,seed,root,domain,match", [
+    (False, 0.0, 100.0, (-10.0, 10.0), r"no widget in \[-10, 10\]"),
+    (False, 0.0, -100.0, (-10.0, 10.0), r"no widget in \[-10, 10\]"),
+    (True, 1.0, 1e6, (1e-3, 1e3), r"no widget in \[0\.001, 1000\]"),
+    (True, 1.0, 1e-6, (1e-3, 1e3), r"no widget in \[0\.001, 1000\]"),
+])
+def test_newton_names_the_domain_past_its_end(log, seed, root, domain, match):
+    # the Newton step (exact for this line) lands past the end: the iterate
+    # stops at the end, and a step past it from there raises
+    g = _traced(lambda x: (x, math.log(root / x) if log else root - x))
+    with pytest.raises(ValueError, match=match):
+        _roots.newton(g, seed, root, increasing=True, domain=domain,
+                      what="widget", noise_evals=4, log=log)
+    assert g.xs[-1] in domain and len(g.xs) == 2
+
+
+def test_newton_names_the_quantity_on_nan():
+    def g(x):
+        return (math.nan if x > 1.0 else x), 5.0
+
+    with pytest.raises(ValueError, match=r"^no widget in \[-8, 8\]$"):
+        _roots.newton(g, 0.0, 3.0, increasing=True, domain=(-8.0, 8.0),
+                      what="widget", noise_evals=4)
+
+
+def test_newton_stops_on_a_zero_step():
+    # a step that leaves x unchanged ends the search at x, whatever the
+    # residual: where the value is flat to its last bit (Form I's Q
+    # rounding to 1), bisecting instead took up to 35 evaluations.  A best
+    # residual above ``tol`` raises
+    g = _traced(lambda x: (1.0 - x * 1e-20, 1e-20))
+    assert _roots.newton(g, 1.0, 0.5, increasing=False, domain=(0.0, 10.0),
+                         what="x", noise_evals=4, tol=0.5) == 1.0
+    assert g.xs == [1.0]
+    with pytest.raises(ValueError, match=r"^no x in \[0, 10\]$"):
+        _roots.newton(g, 1.0, 0.5, increasing=False, domain=(0.0, 10.0),
+                      what="x", noise_evals=4, tol=0.25)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_newton_makes_k_evaluations_after_a_small_step(k):
+    # the value is x plus a noise of 1e-12 that no step resolves: after the
+    # first step below 1e-8 (the second), exactly k evaluations follow, and
+    # the point with the smallest residual is kept
+    def noisy(x):
+        value = x + 1e-12 * math.sin(1e15 * x)
+        return value, 0.5 - value
+
+    g = _traced(noisy)
+    x = _roots.newton(g, 0.0, 0.5, increasing=True, domain=(-1.0, 1.0),
+                      what="x", noise_evals=k)
+    assert len(g.xs) == 2 + k
+    assert abs(g.xs[2] - g.xs[1]) <= 1e-8
+    residuals = [abs(noisy(p)[0] - 0.5) for p in g.xs]
+    assert min(residuals) > 2.0 * math.ulp(0.5)
+    assert x == g.xs[residuals.index(min(residuals))]
