@@ -308,6 +308,13 @@ def _temme_sum(s: float, eta: float) -> float:
     return acc / (1.0 + b2 * inv)  # b2 is b_1 by now
 
 
+def _p_first(s: float, x: float) -> bool:
+    # s above alpha(x): P by its power series comes first.  0.5 x rounds
+    # to 0 at the smallest subnormal x, where the limit is 0
+    return s > (x + 0.25 if x >= 0.5 else
+                _LN_HALF / math.log(0.5 * x) if 0.5 * x else 0.0)
+
+
 def _gamma_inc(s: float, x: float, lower: bool = False):
     """(P, Q, H) for s > 0 and x > 0.
 
@@ -336,10 +343,7 @@ def _gamma_inc(s: float, x: float, lower: bool = False):
         t = 0.5 * root * _erfcx(v) + _temme_sum(s, math.sqrt(2.0 * y / s))
         q = math.exp(-y) * t / root
         return 1.0 - q, q, None if lower else t * _gamma_star(s) / s
-    # (0.5 x rounds to 0 at the smallest subnormal x: the limit is 0)
-    if (s > (x + 0.25 if x >= 0.5 else
-             _LN_HALF / math.log(0.5 * x) if 0.5 * x else 0.0)
-            or lower and x < s + 8.0):
+    if _p_first(s, x) or lower and x < s + 8.0:
         series = _gamma_p_series(s, x)
         p = _dompart(s, x) * series
         return p, 1.0 - p, series / s if lower else None

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from trunc_moments import chi
+from trunc_moments import _nvmx_slope, chi
 from trunc_moments.chi import (
     ChiKind,
     ScaledChiSpec,
@@ -44,6 +44,32 @@ def mp_raw_moment(sigma, n, y1, y2, k, kind, dps=50):
 
         num = mpmath.quad(lambda R: R ** k * w(R), span)
         return float(num / mpmath.quad(w, span))
+
+
+def mp_slope(n, y):
+    """d ln(ratio)/dn of the inner ratio Gamma(s, y) Gamma(s+1, y) /
+    Gamma(s+1/2, y)^2, s = n/2, by mpmath's derivative in the order."""
+    def D(t):
+        return mpmath.diff(lambda u: mpmath.log(mpmath.gammainc(u, y)), t)
+
+    s = n / 2
+    return (D(s) + D(s + 1) - 2 * D(s + mpmath.mpf(1) / 2)) / 2
+
+
+def mp_nvmx(r):
+    """n_vmx at |r| by mpmath, bracketed around the fit independently of
+    nvmx_search: within a factor 2 in n + 1 below |r| = 1, within 3% above,
+    where the fit is 1.3% off at most."""
+    with mpmath.workdps(40):
+        y = mpmath.mpf(r) ** 2 / 2
+        m = nvmx_approx(r) + 1.0
+        a, b = ((1e-5, 1e-2) if r < 1e-3 else (m / 2, 2 * m) if r < 1
+                else (0.97 * m, 1.03 * m))
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        assert mp_slope(a - 1, y) > 0 > mp_slope(b - 1, y)
+        root = mpmath.findroot(lambda m: mp_slope(m - 1, y), (a, b),
+                               solver="illinois")
+        return float(root - 1)
 
 
 class TestRawMoments:
@@ -268,6 +294,15 @@ class TestInnerAtNonpositiveN:
             for k, want in zip((1, 2, 3), moments):
                 assert chi_raw_moment(spec, k) == pytest.approx(
                     want, rel=2e-14, abs=0.0)
+
+    def test_variance_between_minus_one_and_zero(self):
+        # where n_vmx lies for |r| < 0.29: H(s + 1/2) and H(s + 1) have
+        # positive orders there and come from the regularized kernel
+        for n in [-1.0 + 0.05 * i for i in range(21)] + [-0.999, -1e-8]:
+            for r_abs in (1e-10, 1e-3, 0.05, 0.2, 0.29, 1.0, 3.0):
+                var = mp_inner(n, r_abs, ())[0]
+                got = chi_var_form2(1.0, r_abs, n)
+                assert abs(got - var) <= 2e-14 * (1.0 + var), (n, r_abs)
 
     @pytest.mark.parametrize("r_abs, n", [
         (1e-10, -35.0),  # NaN
@@ -689,21 +724,62 @@ class TestVmax:
         assert rep.vmax_int == pytest.approx(0.03622777, abs=1e-8)
         assert nvmx_approx(2.2) == pytest.approx(10.887, abs=5e-4)
 
-    # n_vmx < 0 at |r| = 0.1 and 0.2
-    @pytest.mark.parametrize("r", [0.05, 0.1, 0.2, 0.3, 1.0, 2.0, 5.0])
+    # n_vmx < 0 below |r| = 0.29; |r| = 1e-30 and 1e-26 were 4e-4 off
+    # (n = -1 + 1.1e-16) under the finite-difference quotient's step cap
+    @pytest.mark.parametrize("r", [1e-60, 1e-30, 1e-26, 0.05, 0.1,
+                                   0.2, 0.3, 1.0, 2.0, 2.2, 5.0, 10.0, 30.0,
+                                   100.0, 1000.0])
     def test_search_against_mpmath(self, r):
-        # a maximum search on this flat peak stalled 1.8e-5 off at |r| = 5
+        # the quotient's search was 1.5e-9 relative off at |r| = 30, 3.1e-8
+        # at 100 and 2.0e-4 at 1000
         rep = nvmx_search(1.0, r)
+        want = mp_nvmx(r)
+        assert abs(rep.n_vmx_real - want) <= 1e-12 * max(1.0, abs(want))
+        if r < 1e-10:  # below chi_var_form2's stated domain at n <= 0
+            return
         with mpmath.workdps(40):
-            def v(n):
-                y = mpmath.mpf(r) ** 2 / 2
-                g0, g1, g2 = (mpmath.gammainc((n + k) / 2, y) for k in (0, 1, 2))
-                return g0 * g2 / (g1 * g1) - 1
+            y = mpmath.mpf(r) ** 2 / 2
+            g = [mpmath.gammainc((mpmath.mpf(rep.n_vmx_real) + k) / 2, y)
+                 for k in (0, 1, 2)]
+            v = g[0] * g[2] / (g[1] * g[1]) - 1
+        assert abs(rep.vmax_real - v) <= 2e-14 * (1.0 + v)
 
-            want = mpmath.findroot(lambda n: mpmath.diff(v, n),
-                                   mpmath.mpf(rep.n_vmx_real))
-            assert rep.n_vmx_real == pytest.approx(float(want), abs=1e-8)
-            assert rep.vmax_real == pytest.approx(float(v(want)), rel=1e-12)
+    # the measured slope evaluations, the bracket's included, to one: a
+    # last-bit change in the slope may move Brent's final step.  Under the
+    # finite-difference quotient such a change moved nvmx_search(1000, 2.2)
+    # from 36 to 60 variance calls
+    @pytest.mark.parametrize("r,calls", [(0.05, 8), (0.2, 9), (1.0, 7),
+                                         (2.2, 8), (100.0, 14), (1000.0, 19)])
+    def test_search_evaluation_count(self, r, calls, monkeypatch):
+        count = [0]
+        slope = _nvmx_slope._dlog_ratio_dn
+
+        def counted(s, y):
+            count[0] += 1
+            return slope(s, y)
+
+        monkeypatch.setattr(_nvmx_slope, "_dlog_ratio_dn", counted)
+        nvmx_search(1.0, r)
+        assert abs(count[0] - calls) <= 1
+
+    @pytest.mark.parametrize("n", [-0.9, -0.5, -0.2, 0.04, 3.0, 10.9, 41.0,
+                                   137.0, 1030.0])
+    def test_slope_against_mpmath(self, n):
+        # the kernel behind nvmx_search: d ln(ratio)/dn at the |r| whose
+        # n_vmx is near n, on each branch mix (s <= 0 with positive orders,
+        # P series, Temme below and above the cutoff), within 1e-15 of the
+        # ln-derivatives d/ds ln Gamma(s, y) - ln y that it differences
+        r = {-0.9: 0.01, -0.5: 0.1, -0.2: 0.25, 0.04: 0.3, 3.0: 1.0,
+             10.9: 2.2, 41.0: 5.0, 137.0: 10.0, 1030.0: 30.0}[n]
+        for f in (0.9, 1.0, 1.1):
+            m = (n + 1.0) * f
+            with mpmath.workdps(40):
+                y = mpmath.mpf(r) ** 2 / 2
+                want = mp_slope(mpmath.mpf(m) - 1, y)
+                size = abs(mpmath.diff(lambda u: mpmath.log(
+                    mpmath.gammainc(u, y)), mpmath.mpf(m) / 2) - mpmath.log(y))
+            got = _nvmx_slope._dlog_ratio_dn((m - 1.0) / 2.0, r * r / 2.0)
+            assert abs(got - want) <= 1e-15 * size, (m, r)
 
     def test_search_at_large_r(self):
         # n_vmx near 1e6: the variance maximum is about 5e-7, which the
@@ -724,6 +800,13 @@ class TestVmax:
         # gives 5.0e-9
         with pytest.raises(ValueError, match=r"at most 1000 \(the domain of "
                                              r"chi_var_form2\)"):
+            nvmx_search(1.0, r)
+
+    @pytest.mark.parametrize("r", [2.6e-162, 1e-200, 5e-324])
+    def test_search_names_an_offset_whose_square_underflows(self, r):
+        # it raised "math domain error", and the quotient's search "no
+        # variance-maximizing dimension ... in [0, 0]"
+        with pytest.raises(ValueError, match=r"\|r\|\^2/2 underflows to 0"):
             nvmx_search(1.0, r)
 
     @pytest.mark.parametrize("r", [1300.0, 1e4, math.inf])

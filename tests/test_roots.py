@@ -282,6 +282,8 @@ def test_import_leaves_optimize_and_integrate_unloaded(tmp_path):
     gauss_mods = "['_roots', 'calibrate', 'cli', 'specfun', 'utgd']"
     chi_mods = "['_roots', 'chi', 'cli', 'specfun']"
     chi_table_mods = "['_roots', 'chi', 'cli', 'specfun', 'tables']"
+    # the n_vmx search alone takes the slope kernel
+    vmax_mods = "['_nvmx_slope', '_roots', 'chi', 'cli', 'specfun']"
     commands = [
         (["calibrate-gauss", "--mean", "1.3", "--var", "3", "--cutoff", "-1"],
          gauss_mods),
@@ -291,11 +293,12 @@ def test_import_leaves_optimize_and_integrate_unloaded(tmp_path):
           "--trunc", "outer"], chi_mods),
         (["calibrate-chi", "--mean", "1.0", "--var", "0.05", "--dim", "2",
           "--trunc", "double", "--lower", "0.5", "--upper", "1.5"], chi_mods),
-        (["vmax", "--r", "2.2"], chi_mods),
+        (["vmax", "--r", "2.2"], vmax_mods),
         (["table", "--name", "ndim-variance"], chi_table_mods),
         (["table", "--name", "mu-sigma-r"],
          "['cli', 'specfun', 'tables', 'utgd']"),
-        (["plot-data", "--figure", "nvmx-vs-r"], chi_table_mods),
+        (["plot-data", "--figure", "nvmx-vs-r"],
+         "['_nvmx_slope', '_roots', 'chi', 'cli', 'specfun', 'tables']"),
         (["plot-data", "--figure", "vmax-vs-n"], chi_table_mods),
         (["plot-data", "--figure", "slope-form1"],
          "['cli', 'specfun', 'tables', 'utgd']"),
@@ -348,6 +351,7 @@ def test_public_names_resolve():
 def test_package_map_matches_each_modules_all():
     # a name is public where its module's __all__ lists it, and the package
     # map sends it to that module; the modules outside the map serve the CLI
+    # or, as _roots and _nvmx_slope, the solvers
     by_module = {}
     for name, module in trunc_moments._SOURCES.items():
         by_module.setdefault(module, set()).add(name)
@@ -356,7 +360,8 @@ def test_package_map_matches_each_modules_all():
         assert set(mod.__all__) == names, module
     package = pathlib.Path(trunc_moments.__file__).parent
     others = {m.name for m in pkgutil.iter_modules([str(package)])}
-    assert others - set(by_module) == {"__main__", "_roots", "cli", "tables"}
+    assert others - set(by_module) == {"__main__", "_nvmx_slope", "_roots",
+                                       "cli", "tables"}
 
 
 # -- newton --------------------------------------------------------------------

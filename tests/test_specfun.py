@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trunc_moments import _nvmx_slope
 from trunc_moments.specfun import (
     exp_r2_half_xi,
     gamma_generalized,
@@ -204,3 +205,53 @@ def test_incomplete_gammas_against_mpmath(s):
                 got = gamma_generalized(s, x, x2)
                 tol = 1e-15 * (abs(s) + x2 + 20.0) * ref
                 assert abs(got - want) <= tol, (s, x, x2)
+
+
+# -- derivatives in the order -------------------------------------------------
+
+@pytest.mark.parametrize("s", [-5.3, -2.5, -0.7, 0.003, 0.128, 0.5, 0.9, 1.0,
+                               1.2, 1.4616, 3.3, 9.99, 10.0, 57.5, 5e3, 1e6])
+def test_digamma_against_mpmath(s):
+    for f in (1e-3, 0.1, 0.6, 0.999, 1.0, 1.5, 2.0, 10.0, 1e3):
+        x = abs(s) * f
+        with mpmath.workdps(30):
+            want = mpmath.digamma(s) - mpmath.log(x)
+            size = 1 + abs(mpmath.digamma(s)) + abs(mpmath.log(x))
+        assert abs(_nvmx_slope._digamma(s, x) - want) <= 4e-16 * size, (s, x)
+
+
+# (s, x, form, tolerance on d ln H or d ln Q relative to 1 + its size): one
+# point or more on every branch of _gamma_inc and _gamma_upper_scaled
+_DS_BRANCHES = [
+    (5.45, 2.42, "Q", 2e-15), (0.3, 0.01, "Q", 2e-15),  # P series
+    (15.0, 3.0, "Q", 2e-15), (0.1, 1e-5, "Q", 2e-15), (0.6, 0.3, "Q", 2e-15),
+    (1.2, 1.3, "H", 5e-16), (0.5, 5.0, "H", 5e-16),  # continued fraction
+    (-2.5, 3.0, "H", 5e-16), (-0.3, 40.0, "H", 5e-16),
+    (5241.0, 5000.0, "Q", 5e-16), (100.0, 60.0, "Q", 5e-16),  # Temme
+    (43.0, 90.0, "H", 5e-16), (1000.0, 1010.0, "H", 5e-16),
+    (1000.0, 1000.0, "H", 5e-16),
+    (0.3, 0.3, "H", 2e-15), (1.1, 0.9, "H", 2e-15),  # small x
+    (-0.4, 0.01, "H", 2e-15), (-1.7, 0.5, "H", 2e-15),
+    (1e-8, 1e-3, "H", 1e-14), (-1e-8, 1e-3, "H", 1e-14),  # the pole form
+    (-1.2, 1e-3, "H", 1e-14),
+] + [(e - k, x, "H", 1e-14)
+     for e in (0.0, 1e-8, -1e-8, 0.2, -0.2) for k in (0, 1, 2)
+     for x in (0.1, 0.7, 1.2)]
+
+
+@pytest.mark.parametrize("s,x,form,tol", _DS_BRANCHES)
+def test_dlog_gamma_upper_ds_against_mpmath(s, x, form, tol):
+    q, h, dlog = _nvmx_slope._dlog_gamma_upper_ds(s, x)
+    assert (h is None) == (form == "Q")
+    with mpmath.workdps(40):
+        if form == "Q":
+            want = mpmath.diff(lambda t: mpmath.log(
+                mpmath.gammainc(t, x, regularized=True)), s)
+            assert q == pytest.approx(
+                float(mpmath.gammainc(s, x, regularized=True)), rel=1e-14)
+        else:
+            want = mpmath.diff(lambda t: mpmath.log(mpmath.gammainc(t, x))
+                               - t * mpmath.log(x), s)
+            want_h = mpmath.gammainc(s, x) * mpmath.exp(x) / mpmath.mpf(x) ** s
+            assert h == pytest.approx(float(want_h), rel=1e-13)
+    assert abs(dlog - want) <= tol * (1 + abs(want)), (s, x, float(want))
