@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
@@ -61,17 +61,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ApproxFn1Params:
+class ApproxFn1Params(namedtuple("ApproxFn1Params", "c1 c2 c3 d1 d2 d3")):
     """Quadratic coefficients of alpha(U) and beta(U) for approximating
     function 1."""
 
-    c1: float
-    c2: float
-    c3: float
-    d1: float
-    d2: float
-    d3: float
+    __slots__ = ()
 
     def alpha(self, U: float) -> float:
         return self.c1 + self.c2 * U + self.c3 * U * U
@@ -103,16 +97,9 @@ class VarianceForm(str, Enum):
     II = "II"
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
-    mu0: float
-    sigma0: float
-    method: Method
-    iterations: int
-    mean_resid: float
-    var_resid: float
-    mean_achieved: float
-    var_achieved: float
+CalibrationResult = namedtuple(
+    "CalibrationResult", "mu0 sigma0 method iterations mean_resid var_resid "
+    "mean_achieved var_achieved")
 
 
 def _frame(M: float, target_var: float, a: float,

@@ -20,7 +20,7 @@ largest in the untruncated limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from . import _roots
@@ -61,8 +61,8 @@ class LimitDirection(str, Enum):
     R_TO_INF = "r_to_inf"
 
 
-@dataclass(frozen=True)
-class ScaledChiSpec:
+class ScaledChiSpec(namedtuple("ScaledChiSpec",
+                               "sigma n lower upper kind extended")):
     """Scaled chi distribution with truncated radial support.
 
     Support is [lower, inf) for INNER, [0, upper] for OUTER and
@@ -72,38 +72,41 @@ class ScaledChiSpec:
     negative-measure cells.
     """
 
-    sigma: float
-    n: float
-    lower: float = 0.0
-    upper: float = math.inf
-    kind: ChiKind = ChiKind.INNER
-    extended: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.sigma > 0.0:
+    def __new__(cls, sigma: float, n: float, lower: float = 0.0,
+                upper: float = math.inf, kind: ChiKind = ChiKind.INNER,
+                extended: bool = False):
+        if not sigma > 0.0:
             raise ValueError("sigma must be positive")
-        if self.lower < 0.0:
+        if lower < 0.0:
             raise ValueError("cutoffs must be nonnegative")
-        k = ChiKind(self.kind)
+        k = ChiKind(kind)
         if k is ChiKind.INNER:
-            if not math.isinf(self.upper):
+            if not math.isinf(upper):
                 raise ValueError("inner truncation takes no upper cutoff")
-            if self.n <= 0.0 and self.lower == 0.0:
+            if n <= 0.0 and lower == 0.0:
                 raise ValueError(
                     "n <= 0 concentrates infinite mass at the origin; a "
                     "positive lower cutoff is required")
         elif k is ChiKind.OUTER:
-            if self.lower != 0.0:
+            if lower != 0.0:
                 raise ValueError("outer truncation takes no lower cutoff")
-            if not 0.0 < self.upper < math.inf:
+            if not 0.0 < upper < math.inf:
                 raise ValueError("outer truncation needs a finite cutoff")
-            if self.n <= 0.0 and not self.extended:
+            if n <= 0.0 and not extended:
                 raise ValueError(
                     "outer truncation with n <= 0 exists only as an analytic "
                     "continuation; set extended=True to opt in")
         else:
-            if not 0.0 < self.lower < self.upper < math.inf:
+            if not 0.0 < lower < upper < math.inf:
                 raise ValueError("double truncation needs 0 < lower < upper < inf")
+        return super().__new__(cls, sigma, n, lower, upper, kind, extended)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: check its values as __new__ does
+        return cls(*iterable)
 
     # y = |r|^2/2 with |r| = cutoff/sigma, as chi_var_form2 forms it: the
     # squares of the cutoff and of sigma alone over- or underflow first
@@ -121,25 +124,12 @@ class ScaledChiSpec:
         return r * r / 2.0
 
 
-@dataclass(frozen=True)
-class VmaxReport:
-    r_abs: float
-    n_vmx_real: float
-    n_vmx_int: int
-    vmax_real: float
-    vmax_int: float
+VmaxReport = namedtuple(
+    "VmaxReport", "r_abs n_vmx_real n_vmx_int vmax_real vmax_int")
 
-
-@dataclass(frozen=True)
-class NvmxFitParams:
-    """Fitted coefficients for the vmx dimensionality and its variance."""
-
-    c1: float
-    c2: float
-    c3: float
-    d1: float
-    d2: float
-    d3: float
+NvmxFitParams = namedtuple("NvmxFitParams", "c1 c2 c3 d1 d2 d3")
+NvmxFitParams.__doc__ = ("Fitted coefficients for the vmx dimensionality "
+                         "and its variance.")
 
 
 NVMX_DEFAULT_PARAMS = NvmxFitParams(

@@ -21,7 +21,7 @@ when Var(Y) spans many orders of magnitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import _roots
 from .calibrate import CalibrationResult, Method, _intersect
@@ -40,11 +40,7 @@ __all__ = [
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class LognormalMoments:
-    mean_y: float
-    var_y: float
-    log_var_y: float
+LognormalMoments = namedtuple("LognormalMoments", "mean_y var_y log_var_y")
 
 
 def log_xi(z: float) -> float:

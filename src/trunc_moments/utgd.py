@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .specfun import _polyval, exp_r2_half_xi
@@ -73,40 +73,36 @@ class Side(str, Enum):
     RIGHT = "right"  # truncated from the right: support x <= a
 
 
-@dataclass(frozen=True)
-class TruncatedGaussianSpec:
+class TruncatedGaussianSpec(namedtuple("TruncatedGaussianSpec",
+                                       "mu sigma cutoff side")):
     """Parent-Gaussian parameterization of a truncated distribution."""
 
-    mu: float
-    sigma: float
-    cutoff: float
-    side: Side = Side.LEFT
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.sigma > 0.0):
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        for name in ("mu", "sigma", "cutoff"):
-            if not math.isfinite(getattr(self, name)):
+    def __new__(cls, mu: float, sigma: float, cutoff: float,
+                side: Side = Side.LEFT):
+        if not (sigma > 0.0):
+            raise ValueError(f"sigma must be positive, got {sigma}")
+        for name, x in (("mu", mu), ("sigma", sigma), ("cutoff", cutoff)):
+            if not math.isfinite(x):
                 raise ValueError(f"{name} must be finite")
+        return super().__new__(cls, mu, sigma, cutoff, side)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: check its values as __new__ does
+        return cls(*iterable)
 
     @property
     def r(self) -> float:
         return (self.mu - self.cutoff) / self.sigma
 
 
-@dataclass(frozen=True)
-class MomentSummary:
-    """Mean, low raw moments and shape measures of a truncated Gaussian."""
-
-    mean: float
-    m2: float
-    m3: float
-    m4: float
-    variance: float
-    skewness: float
-    kurtosis: float
-    cm5: float
-    cm6: float
+MomentSummary = namedtuple(
+    "MomentSummary",
+    "mean m2 m3 m4 variance skewness kurtosis cm5 cm6")
+MomentSummary.__doc__ = ("Mean, low raw moments and shape measures of a "
+                         "truncated Gaussian.")
 
 
 # ---------------------------------------------------------------------------
