@@ -19,9 +19,9 @@ import math
 
 from .chi import _FIELDS
 from .specfun import (_COMPLEMENT_X, _EULER_GAMMA, _GAMMA_SERIES_X,
-                      _LGAMMA1P, _POLE_E, _SQRT_2PI, _STIRLING, _TEMME_F,
-                      _TEMME_HI, _TEMME_LO, _TEMME_S, _TEMME_STEPS, _dompart,
-                      _erfcx, _gamma_star, _p_first, _phi, _polyval, _xs)
+                      _LGAMMA1P, _POLE_E, _SQRT_2PI, _STIRLING, _TEMME_HI,
+                      _TEMME_LO, _TEMME_S, _dompart, _erfcx, _gamma_star,
+                      _p_first, _phi, _polyval, _temme_sum_ds, _xs)
 
 # d ln Gamma*(s)/ds = s^-2 sum_k (1 - 2k) c_k s^(2-2k), c_k the Stirling
 # coefficients of specfun._gamma_star; j c_j, from chi's Fields expansion
@@ -186,23 +186,6 @@ def _gamma_p_series_ds(s: float, x: float) -> tuple[float, float]:
         total += term
         dtotal -= term * harm
     return total, dtotal
-
-
-def _temme_sum_ds(s: float, eta: float) -> tuple[float, float, float]:
-    # _temme_sum and its partial derivatives in s and eta: the recursion
-    # carries d b_m / d(1/s), Horner's rule d/d eta
-    inv = 1.0 / s
-    b2, b1 = _TEMME_F[25], _TEMME_F[24]
-    db2 = db1 = dinv = 0.0
-    acc, deta = b2 * eta + b1, b2
-    for fm, c in _TEMME_STEPS:
-        b2, b1, db2, db1 = b1, fm + c * inv * b2, db1, c * (b2 + inv * db2)
-        deta = deta * eta + acc
-        acc = acc * eta + b1
-        dinv = dinv * eta + db1
-    den = 1.0 + b2 * inv
-    ds = -inv * inv * (dinv - acc * (b2 + inv * db2) / den) / den
-    return acc / den, ds, deta / den
 
 
 def _dlog_gamma_upper_ds(s: float, x: float):

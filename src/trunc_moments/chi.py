@@ -444,9 +444,13 @@ def chi_var_form2(M: float, r_abs: float, n: float,
     (M^2 + V) is measured.  Inner truncation at n <= 0 takes the ratio of
     three scaled H (see ``chi_raw_moment``): within 2e-14 (M^2 + V) for n
     in [-40, 0] and |r| in [1e-10, 1000] (9.5e-15 (M^2 + V) measured).
-    At |r| = 0 the inner variance is its limit, at n <= 0 infinite from
-    n = -2 up and M^2/(n(n+2)) below.  The outer continuation to n <= 0
-    divides the raw lower gammas, as ``chi_raw_moment`` does.
+    Far below that domain, from |r| of about 1e-153 down, where |r|^2/2
+    nears the smallest normal double, the inner variance for n near 0 is
+    NaN or inf: for n within about 0.004 of 0 at |r| = 1e-153, 0.08 at
+    1e-160, and all of [-2, 0] from 1e-200 down.  At |r| = 0 the inner
+    variance is its limit, at n <= 0 infinite from n = -2 up and
+    M^2/(n(n+2)) below.  The outer continuation to n <= 0 divides the raw
+    lower gammas, as ``chi_raw_moment`` does.
     """
     kind = ChiKind(kind)
     if kind is ChiKind.DOUBLE:

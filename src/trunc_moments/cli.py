@@ -227,17 +227,20 @@ def cmd_vmax(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _read_column(path: str, selector: str, lower: float | None = None,
-                 upper: float | None = None) -> list[float]:
+                 upper: float | None = None) -> array:
     """One numeric column from a UTF-8 CSV/whitespace file, in one pass.
 
     Blank and '#' lines are skipped; the first other line decides CSV (it
     holds a comma) or whitespace, and is a header if the column is picked
     by name or its cell in the column does not parse.  Values outside
-    [lower, upper] are dropped as they are read, so memory follows the
-    rows kept.  The first data row that lacks the column or holds a
-    non-numeric or non-finite (nan, inf) cell in it is an error naming its
-    line, and so is a file without data rows, a header alone included.
+    [lower, upper] are dropped as they are read, and an ``array("d")``
+    holds the rows kept, 8 bytes each.  The first data row that lacks the
+    column or holds a non-numeric or non-finite (nan, inf) cell in it is
+    an error naming its line, and so is a file without data rows, a header
+    alone included.
     """
+    from array import array
+
     with open(path, encoding="utf-8") as fh:
         lines = enumerate(fh, 1)
         for no, first in lines:
@@ -292,7 +295,7 @@ def _read_column(path: str, selector: str, lower: float | None = None,
                                  f"{cells[idx]!r}")
             return x
 
-        out = []
+        out = array("d")
         keep = out.append
         seen = False
         for no, line in lines:
@@ -319,8 +322,11 @@ def _read_column(path: str, selector: str, lower: float | None = None,
 
 
 def cmd_fit(args) -> int:
-    from . import fitting  # compiled before the read: no rise in peak RSS
+    from . import fitting
 
+    if args.model == "chi" and args.dim is None:
+        print("fit: error: --model chi requires --dim", file=sys.stderr)
+        return EXIT_USAGE
     try:
         data = _read_column(args.input, args.column, args.lower, args.upper)
     except (OSError, ValueError) as exc:
@@ -332,9 +338,6 @@ def cmd_fit(args) -> int:
     if len(data) < 2:
         print("fit: need at least two rows for a variance", file=sys.stderr)
         return EXIT_INFEASIBLE
-    if args.model == "chi" and args.dim is None:
-        print("fit: error: --model chi requires --dim", file=sys.stderr)
-        return EXIT_USAGE
 
     _emit_json(fitting.fit_sample(data, args.model, args.dim, args.lower,
                                   args.upper, args.bins), args.precision)

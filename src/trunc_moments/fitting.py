@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 
 from . import _roots
 
@@ -123,26 +124,26 @@ def _fit_chi(M: float, v: float, n: float, lo: float | None,
     return est, density, implied_cutoff
 
 
-def fit_sample(data: list[float], model: str, dim: float | None = None,
+def fit_sample(data: Sequence[float], model: str, dim: float | None = None,
                lower: float | None = None, upper: float | None = None,
                bins: int | None = None) -> dict:
     """The fit of ``model`` to ``data`` as the ``fit`` command prints it.
 
-    ``data`` is a list of at least two values inside [lower, upper]; it is
-    emptied once copied into an array.  ``model`` is "gauss", truncated
-    below at ``lower`` (default the sample minimum), or "chi" of dimension
-    ``dim``, truncated as ``lower`` and ``upper`` give.  ``bins`` is the
-    histogram's bin count, Freedman-Diaconis when None.  Below 30 values
-    only the sample moments are reported; an estimate a model cannot give
-    is None, with the reason in ``warnings``.
+    ``data`` is a sequence of at least two values inside [lower, upper];
+    it is left unchanged.  An ``array("d")``, as the ``fit`` command reads
+    it, is viewed without a copy; a list is copied once.  ``model`` is
+    "gauss", truncated below at ``lower`` (default the sample minimum), or
+    "chi" of dimension ``dim``, truncated as ``lower`` and ``upper`` give.
+    ``bins`` is the histogram's bin count, Freedman-Diaconis when None.
+    Below 30 values only the sample moments are reported; an estimate a
+    model cannot give is None, with the reason in ``warnings``.
     """
     if len(data) < 2:
         raise ValueError("need at least two values for a variance")
     if model not in _MODEL_SIGMA or (model == "chi" and dim is None):
         raise ValueError("model must be 'gauss', or 'chi' with its dim")
-    import numpy as np  # here, after the read, for a lower peak RSS
+    import numpy as np
     values = np.asarray(data, dtype=float)
-    data.clear()  # 32 B a row; freed before the histogram allocates
     warnings: list[str] = []
     refused = values.size < 30
     if refused:

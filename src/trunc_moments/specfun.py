@@ -234,7 +234,7 @@ _STIRLING = (0.08333333333333333, -0.002777777777777778,
              0.0007936507936507937, -0.0005952380952380953,
              0.0008417508417508417, -0.0019175269175269176,
              0.00641025641025641, -0.029550653594771242)
-# (f_m, m + 1) for m = 24 .. 1, the steps of _temme_sum's recursion
+# (f_m, m + 1) for m = 24 .. 1, the steps of _temme_sum_ds's recursion
 _TEMME_STEPS = tuple((_TEMME_F[m - 1], m + 1.0) for m in range(24, 0, -1))
 # lambda - 1 - ln(lambda) = 2t^2/(1 - t) - 2 t^3 (1/3 + t^2/5 + ...) with
 # t = mu/(2 + mu), mu = lambda - 1: no cancellation for small |mu|
@@ -295,17 +295,23 @@ def _gamma_p_series(s: float, x: float) -> float:
     return total
 
 
-def _temme_sum(s: float, eta: float) -> float:
-    # sum_k C_k(eta) s^-k of Temme's expansion, as sum_m b_m eta^m with the
-    # backward recursion of Gil, Segura & Temme,
-    # b_{m-1} = f_m + (m+1) b_{m+1} / s, run alongside Horner's rule
+def _temme_sum_ds(s: float, eta: float) -> tuple[float, float, float]:
+    # Temme's sum_k C_k(eta) s^-k as sum_m b_m eta^m, by the backward
+    # recursion b_{m-1} = f_m + (m+1) b_{m+1} / s of Gil, Segura & Temme
+    # run alongside Horner's rule, with its partials in s and eta: the
+    # recursion carries d b_m / d(1/s), Horner's rule d/d eta
     inv = 1.0 / s
     b2, b1 = _TEMME_F[25], _TEMME_F[24]  # b_25, b_24
-    acc = b2 * eta + b1
+    db2 = db1 = dinv = 0.0
+    acc, deta = b2 * eta + b1, b2
     for fm, c in _TEMME_STEPS:
-        b2, b1 = b1, fm + c * inv * b2
+        b2, b1, db2, db1 = b1, fm + c * inv * b2, db1, c * (b2 + inv * db2)
+        deta = deta * eta + acc
         acc = acc * eta + b1
-    return acc / (1.0 + b2 * inv)  # b2 is b_1 by now
+        dinv = dinv * eta + db1
+    den = 1.0 + b2 * inv  # b2 is b_1 by now
+    ds = -inv * inv * (dinv - acc * (b2 + inv * db2) / den) / den
+    return acc / den, ds, deta / den
 
 
 def _p_first(s: float, x: float) -> bool:
@@ -330,9 +336,10 @@ def _gamma_inc(s: float, x: float, lower: bool = False):
     if s >= _TEMME_S and _TEMME_LO * s <= x <= _TEMME_HI * s:
         y = s * _phi(s, x)
         v = math.sqrt(y)
+        eta = math.sqrt(2.0 * y / s)
         root = _SQRT_2PI * math.sqrt(s)
         if x < s:
-            t = _temme_sum(s, -math.sqrt(2.0 * y / s))
+            t = _temme_sum_ds(s, -eta)[0]
             r = math.exp(-y) * t / root
             # P = e^-y (erfcx(v)/2 - sum/sqrt(2 pi s)): the mirror of H below
             h = (0.5 * root * _erfcx(v) - t) * _gamma_star(s) / s if lower \
@@ -340,7 +347,7 @@ def _gamma_inc(s: float, x: float, lower: bool = False):
             return 0.5 * math.erfc(v) - r, 0.5 * math.erfc(-v) + r, h
         # Q = e^-y (erfcx(v)/2 + sum/sqrt(2 pi s)), and dompart carries the
         # same e^-y, so H is formed without it
-        t = 0.5 * root * _erfcx(v) + _temme_sum(s, math.sqrt(2.0 * y / s))
+        t = 0.5 * root * _erfcx(v) + _temme_sum_ds(s, eta)[0]
         q = math.exp(-y) * t / root
         return 1.0 - q, q, None if lower else t * _gamma_star(s) / s
     if _p_first(s, x) or lower and x < s + 8.0:

@@ -13,22 +13,14 @@ import math
 __all__ = ["TABLE_NAMES", "build_table"]
 
 
-def _f(x: float, nd: int = 5) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
-    return f"{x:.{nd}f}"
-
-
 def _mu_sigma_r() -> list[str]:
     from . import utgd
 
     rows = ["r\tsigma\tmu\tvar"]
     for r in (-2.0, -1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0):
         sigma = utgd.sigma_from_mean_r(1.0, r, 0.0)
-        rows.append(f"{r:.2f}\t{_f(sigma)}\t{_f(r * sigma)}"
-                    f"\t{_f(utgd.var_form2(1.0, r, 0.0))}")
+        rows.append(f"{r:.2f}\t{sigma:.5f}\t{r * sigma:.5f}"
+                    f"\t{utgd.var_form2(1.0, r, 0.0):.5f}")
     return rows
 
 
@@ -44,7 +36,7 @@ def _ndim_variance() -> list[str]:
                 sigma = chi.chi_sigma_from_mean(1.0, abs(r), n)
                 a = abs(r) * sigma
                 var = chi.chi_var_form2(1.0, abs(r), n)
-            rows.append(f"{n:g}\t{r:.1f}\t{_f(sigma)}\t{_f(a)}\t{_f(var)}")
+            rows.append(f"{n:g}\t{r:.1f}\t{sigma:.5f}\t{a:.5f}\t{var:.5f}")
     return rows
 
 
@@ -57,7 +49,7 @@ def _limits() -> list[str]:
             for which in ("r_to_0", "r_to_inf"):
                 var, sigma, a = chi.chi_limits(n, kind, which)
                 rows.append(f"{n:g}\t{kind.value}\t{which}"
-                            f"\t{_f(var, 8)}\t{_f(sigma, 8)}\t{_f(a, 8)}")
+                            f"\t{var:.8f}\t{sigma:.8f}\t{a:.8f}")
     return rows
 
 

@@ -327,7 +327,12 @@ def var_max_from_height(M: float, a: float, H: float) -> float:
 def skewness_kurtosis(M: float, r: float, a: float,
                       side: Side = Side.LEFT) -> tuple[float, float, float, float]:
     """Return (S, K, S_un, K_un): normalized and unnormalized skewness and
-    kurtosis.  The normalized pair depend on r (and side) only."""
+    kurtosis.  The normalized pair depend on r (and side) only.
+
+    Next to the switch from the direct form to the u-series at r = -10
+    (left side) the kurtosis loses digits: against mpmath it is up to
+    2.9e-7 absolute off near r = -9.94 and 5.9e-8 on (-11, -10], and above
+    1e-8 over about r in (-12, -7); the skewness stays within 7e-10."""
     if M == a:
         raise ValueError("M must differ from the cutoff")
     sign = _sign(side)

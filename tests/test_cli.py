@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from array import array
 
 import mpmath
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trunc_moments
-from trunc_moments import cli, tables
+from trunc_moments import cli, fitting, tables
 from trunc_moments.chi import ChiKind
 from trunc_moments.utgd import Side
 
@@ -618,12 +619,29 @@ def test_fit_chi_requires_dim(capsys, tmp_path):
     code, out, err = run(capsys, "fit", "--input", str(f), "--model", "chi")
     assert code == 1
     assert "--dim" in err
+    # the usage error comes first: the input is never opened
+    code, out, err = run(capsys, "fit", "--input",
+                         str(tmp_path / "nope.txt"), "--model", "chi")
+    assert code == 1
+    assert err == "fit: error: --model chi requires --dim\n"
 
 
 def test_fit_missing_file(capsys, tmp_path):
     code, out, err = run(capsys, "fit", "--input",
                          str(tmp_path / "nope.txt"), "--model", "gauss")
     assert code == 1
+
+
+@pytest.mark.parametrize("model, kw", [("gauss", {"lower": 0.0}),
+                                       ("chi", {"dim": 3.0, "lower": 0.5})])
+def test_fit_sample_leaves_its_argument_unchanged(model, kw):
+    rng = np.random.default_rng(23)
+    values = (np.abs(rng.normal(1.0, 1.0, 400)) + 0.5).tolist()
+    kept = list(values)
+    fit = fitting.fit_sample(values, model, **kw)
+    assert values == kept
+    # the reader's float64 buffer gives the same fit as a list
+    assert fitting.fit_sample(array("d", values), model, **kw) == fit
 
 
 def test_fit_gauss_recovers_sigma(capsys, tmp_path):

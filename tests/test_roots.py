@@ -309,6 +309,13 @@ def test_import_leaves_optimize_and_integrate_unloaded(tmp_path):
         (["fit", "--input", str(radii), "--model", "chi", "--dim", "3"],
          "['_roots', 'chi', 'cli', 'fitting', 'specfun']"),
     ]
+    # usage errors exit 1 before numpy or a kernel module loads
+    fit_errors = [
+        (["fit", "--input", str(tmp_path / "missing.csv"), "--model", "gauss"],
+         "['_roots', 'cli', 'fitting']"),
+        (["fit", "--input", str(radii), "--model", "chi"],
+         "['_roots', 'cli', 'fitting']"),
+    ]
     code = ("import contextlib, io, json, sys\n"
             "sys.modules['scipy'] = None\n"
             "import trunc_moments\n"
@@ -325,15 +332,16 @@ def test_import_leaves_optimize_and_integrate_unloaded(tmp_path):
             " if v is not None}\n"
             "print(rc, sorted(third & {'numpy', 'scipy'}), loaded())\n"
             "print(sorted(third & {'dataclasses', 'inspect'}))\n")
-    for argv, modules in commands + fits:
+    for argv, modules in commands + fits + fit_errors:
         out = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
                              env=env, check=True, capture_output=True,
                              text=True, timeout=120).stdout
         print(argv[0], out)
-        numpy = "['numpy']" if argv[0] == "fit" else "[]"
+        rc = int((argv, modules) in fit_errors)
+        numpy = "['numpy']" if argv[0] == "fit" and not rc else "[]"
         lines = out.split("\n")[:-1]
         # import trunc_moments alone loads no submodule
-        assert lines[:2] == ["[]", f"0 {numpy} {modules}"]
+        assert lines[:2] == ["[]", f"{rc} {numpy} {modules}"]
         # the records are namedtuples; only numpy, for fit, loads inspect
         assert argv[0] == "fit" or lines[2] == "[]"
 
