@@ -24,7 +24,8 @@ from collections import namedtuple
 from enum import Enum
 
 from . import _roots
-from .specfun import _dompart, _gamma_inc, _gamma_upper_scaled, gamma_lower
+from .specfun import (_dompart, _exp, _gamma_inc, _gamma_upper_scaled,
+                      _xs, gamma_lower)
 
 __all__ = [
     "ChiKind",
@@ -138,7 +139,8 @@ NVMX_DEFAULT_PARAMS = NvmxFitParams(
 
 
 def chi_density(spec: ScaledChiSpec, R: float) -> float:
-    """Probability density of the truncated radius at R."""
+    """Probability density of the truncated radius at R; inf where it
+    exceeds the double range (at sigma = 1e-310, say)."""
     if R < spec.lower or R > spec.upper or R < 0.0:
         return 0.0
     s, y1, y2 = spec.n / 2.0, spec.y1, spec.y2
@@ -166,7 +168,7 @@ def chi_density(spec: ScaledChiSpec, R: float) -> float:
     # the product back down
     lp = (math.log(2.0) + (spec.n - 1.0) * (math.log(z) if z else 0.0)
           - z * z - math.log(_SQRT2 * spec.sigma) - lnorm)
-    return math.exp(lp) if lp > -745.0 else 0.0
+    return _exp(lp) if lp > -745.0 else 0.0
 
 
 def chi_raw_moment(spec: ScaledChiSpec, k: int) -> float:
@@ -189,12 +191,18 @@ def chi_raw_moment(spec: ScaledChiSpec, k: int) -> float:
     across and above the bulk (1.5e-14 measured), and narrow windows lose
     no digits (5.6e-15 measured down to a width in y of 1e-10 y(lower)).
     The outer continuation to n <= 0 (``extended``) divides the raw lower
-    gammas, which have no scaled form, and names their poles.
+    gammas, which have no scaled form, and names their poles.  A moment
+    beyond the double range reads inf, signed as the moment (the second at
+    sigma = 1e160, say).
     """
     if k < 0:
         raise ValueError("moment order must be nonnegative")
-    return (_SQRT2 * spec.sigma) ** k * _ratio(spec.n / 2.0, spec.y1,
-                                                 spec.y2, k)
+    scale = _SQRT2 * spec.sigma
+    ratio = _ratio(spec.n / 2.0, spec.y1, spec.y2, k)
+    try:
+        return scale ** k * ratio
+    except OverflowError:  # scale**k alone leaves the double range
+        return _xs(k, scale, ratio) if ratio else math.nan
 
 
 def chi_var_form1(spec: ScaledChiSpec) -> float:

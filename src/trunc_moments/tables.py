@@ -85,46 +85,51 @@ def build_table(name: str) -> list[str]:
 
 # -- plot-ready sweeps -------------------------------------------------------
 # Each figure's row maker imports its kernel module and returns the function
-# that renders the row at x with p digits.
+# that renders the row at x, with its format bound once to p digits.
 
-def _var_rows():
+def _row_format(p: int, columns: int):
+    return "\t".join([f"{{:.{p}g}}"] + [f"{{:.{p}f}}"] * columns).format
+
+
+def _var_rows(p: int):
     from .utgd import var_form2
-    return lambda r, p: f"{r:.{p}g}\t{var_form2(1.0, r, 0.0):.{p}f}"
+    fmt = _row_format(p, 1)
+    return lambda r: fmt(r, var_form2(1.0, r, 0.0))
 
 
-def _dvar_rows():
+def _dvar_rows(p: int):
     from .utgd import dvar_dr
-    return lambda r, p: f"{r:.{p}g}\t{dvar_dr(1.0, r, 0.0):.{p}f}"
+    fmt = _row_format(p, 1)
+    return lambda r: fmt(r, dvar_dr(1.0, r, 0.0))
 
 
-def _kurtosis_rows():
+def _kurtosis_rows(p: int):
     from .utgd import skewness_kurtosis
-
-    def row(r: float, p: int) -> str:
-        sk, ku, _, _ = skewness_kurtosis(1.0, r, 0.0)
-        return f"{r:.{p}g}\t{sk:.{p}f}\t{ku:.{p}f}"
-    return row
+    fmt = _row_format(p, 2)
+    return lambda r: fmt(r, *skewness_kurtosis(1.0, r, 0.0)[:2])
 
 
-def _slope_form1_rows():
+def _slope_form1_rows(p: int):
     from .utgd import dsigma1_dmu
-    return lambda r, p: f"{r:.{p}g}\t{dsigma1_dmu(r):.{p}f}"
+    fmt = _row_format(p, 1)
+    return lambda r: fmt(r, dsigma1_dmu(r))
 
 
-def _nvmx_rows():
+def _nvmx_rows(p: int):
     from . import chi
+    fmt = _row_format(p, 4)
 
-    def row(r: float, p: int) -> str:
+    def row(r: float) -> str:
         rep = chi.nvmx_search(1.0, r)
-        return (f"{r:.{p}g}\t{chi.nvmx_approx(r):.{p}f}"
-                f"\t{rep.n_vmx_real:.{p}f}\t{rep.vmax_real:.{p}f}"
-                f"\t{chi.vmax_fixed_r_approx(r):.{p}f}")
+        return fmt(r, chi.nvmx_approx(r), rep.n_vmx_real, rep.vmax_real,
+                   chi.vmax_fixed_r_approx(r))
     return row
 
 
-def _vmax_rows():
+def _vmax_rows(p: int):
     from .chi import vmax_fixed_n
-    return lambda n, p: f"{n:.{p}g}\t{vmax_fixed_n(1.0, n):.{p}f}"
+    fmt = _row_format(p, 1)
+    return lambda n: fmt(n, vmax_fixed_n(1.0, n))
 
 
 # figure: (default min, max, step), header, row maker
@@ -160,9 +165,9 @@ def plot_series(figure: str, lo: float | None, hi: float | None,
         # moving before it passes the end
         raise ValueError(f"step {s:g} is below the spacing of floats near "
                          f"{far:g}")
-    row = rows_of()
+    row = rows_of(precision)
     rows = [header]
     while x <= stop:
-        rows.append(row(round(x / s) * s if s < 1 else x, precision))
+        rows.append(row(round(x / s) * s if s < 1 else x))
         x += s
     return rows

@@ -17,7 +17,12 @@ The direct expressions cancel catastrophically for r << 0 (t -> -r, Q ->
 O(1/r**2)), so below ``_SERIES_CUT`` everything switches to rational
 functions of u = 1/r**2 whose integer coefficients are generated exactly
 at import time from the double-factorial tail expansion of the Mills
-ratio.  The two zones agree to ~1e-11 relative at the cut.
+ratio.  The two zones agree to ~1e-11 relative at the cut.  Each series
+polynomial is evaluated only as deep as its terms carry digits at u
+(``_with_depths``): every term it omits is below 2**-60/L of its leading
+term, L its length.  At the cut psi and phi take all their terms and the
+other seven 19 to 23 of their 30 to 46; from r = -60 on none takes more
+than 10.
 
 Right-sided truncation is handled by the mirror identity: in the offsets
 sign*(x - a) from the cutoff, with the sign from ``_sign``, an upper-tail
@@ -29,10 +34,11 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from collections import namedtuple
 from enum import Enum
 
-from .specfun import _polyval, exp_r2_half_xi
+from .specfun import exp_r2_half_xi
 
 __all__ = [
     "Side",
@@ -159,8 +165,42 @@ def _series_coefficients(order: int):
     # is each coefficient rounded to a float, once instead of in every call
     dn, dd = ([k * c for k, c in enumerate(p)][1:] for p in (n_coef, d_coef))
     d_minus_n = [de - nu for de, nu in zip(d_coef, n_coef)]
-    return [[float(c) for c in p] for p in (
+    return [_with_depths([float(c) for c in p]) for p in (
         psi, phi, n_coef, d_coef, s_coef, k_coef, dn, dd, d_minus_n)]
+
+
+def _with_depths(coef: list[float]) -> tuple[tuple, tuple]:
+    """(breaks, heads) of the polynomial with ascending coefficients coef.
+
+    The depth rule: the first K terms carry every digit at u when each
+    omitted term c_k u**k (k >= K) is below 2**-60/L of the leading term
+    c_m u**m, L = len(coef).  Term k is that small for u < w_k =
+    (2**-60 |c_m| / (L |c_k|))**(1/(k - m)), so the first K terms do for
+    u < u_K, the least w_k over k >= K.  breaks holds u_K for K = m+1 ..
+    L-1 (ascending), and heads[j] the first m+1+j coefficients in Horner
+    order: at u, ``_series`` takes heads[bisect_right(breaks, u)].
+    """
+    m = next(k for k, c in enumerate(coef) if c)
+    lead = 2.0 ** -60 * abs(coef[m]) / len(coef)
+    breaks, u_k = [], math.inf
+    for k in range(len(coef) - 1, m, -1):
+        if coef[k]:
+            u_k = min(u_k, (lead / abs(coef[k])) ** (1.0 / (k - m)))
+        breaks.append(u_k)
+    horner = coef[::-1]
+    heads = [tuple(horner[-k:]) for k in range(m + 1, len(coef) + 1)]
+    return tuple(reversed(breaks)), tuple(heads)
+
+
+def _series(poly: tuple[tuple, tuple], u: float) -> float:
+    """Horner's rule over the terms of a ``_with_depths`` polynomial that
+    carry digits at u: psi's 17 and phi's 16 at r = -11, at most 10 of any
+    polynomial from r = -60 on, 2 to 4 at r = -2**18."""
+    breaks, heads = poly
+    acc = 0.0
+    for c in heads[bisect_right(breaks, u)]:
+        acc = acc * u + c
+    return acc
 
 
 (_PSI, _PHI, _VHAT_NUM, _VHAT_DEN, _SKEW_NUM, _KURT_NUM,
@@ -172,7 +212,11 @@ def _series_coefficients(order: int):
 # ---------------------------------------------------------------------------
 
 def _core(r: float) -> tuple[float, float, float]:
-    """Return (t, s, Q) at offset r, picking the numerically safe zone."""
+    """Return (t, s, Q) at offset r, picking the numerically safe zone.
+
+    In the series zone (r <= -11) psi and phi take only their terms above
+    2**-60/L of the leading one (``_with_depths``): within 4 ulps of all
+    their terms (Q within 4 ulps of 1) on r in [-2**18, -11]."""
     if math.isnan(r):
         return math.nan, math.nan, math.nan
     if r > _SERIES_CUT:
@@ -180,8 +224,8 @@ def _core(r: float) -> tuple[float, float, float]:
         t = _SQRT_2_OVER_PI / exp_r2_half_xi(r)
         return t, r + t, 1.0 - r * t - t * t
     u = 1.0 / (r * r)
-    psi = _polyval(_PSI, u)
-    phi = _polyval(_PHI, u)
+    psi = _series(_PSI, u)
+    phi = _series(_PHI, u)
     t = -r / psi
     s = -r * u * phi / psi
     q = 1.0 - phi / (psi * psi)
@@ -194,14 +238,18 @@ def inverse_mills(r: float) -> float:
 
 
 def normalized_variance(r: float) -> float:
-    """Variance divided by (M - a)**2; depends on r only."""
+    """Variance divided by (M - a)**2; depends on r only.
+
+    For r <= -11 it is N(u)/D(u), u = 1/r**2, each polynomial cut to the
+    terms above 2**-60/L of its leading one: within 4 ulps of the full
+    polynomials on r in [-2**18, -11]."""
     if math.isnan(r):
         return math.nan
     if r > _SERIES_CUT:
         t, s, q = _core(r)
         return q / (s * s)
     u = 1.0 / (r * r)
-    return _polyval(_VHAT_NUM, u) / _polyval(_VHAT_DEN, u)
+    return _series(_VHAT_NUM, u) / _series(_VHAT_DEN, u)
 
 
 def dnormalized_variance_dr(r: float) -> float:
@@ -220,10 +268,10 @@ def _vhat_slope(r: float) -> tuple[float, float]:
         # exact reduction of d(Q/s**2)/dr via t' = -t*s, Q' = t*(s**2 - Q)
         return q / (s * s), t + q * (t * s - 2.0) / (s * s * s)
     u = 1.0 / (r * r)
-    n = _polyval(_VHAT_NUM, u)
-    d = _polyval(_VHAT_DEN, u)
-    dn = _polyval(_VHAT_NUM_D, u)
-    dd = _polyval(_VHAT_DEN_D, u)
+    n = _series(_VHAT_NUM, u)
+    d = _series(_VHAT_DEN, u)
+    dn = _series(_VHAT_NUM_D, u)
+    dd = _series(_VHAT_DEN_D, u)
     # -2/r^3 as -2u/r: r ** 3 overflows from |r| = 5.6e102 on
     slope = (-2.0 * u / r) * (dn * d - n * dd) / (d * d)
     if r > _SERIES_CUT:  # vhat is still on its direct side of the cut
@@ -242,9 +290,9 @@ def dsigma1_dmu(r: float) -> float:
         dq = t * (s * s - q)  # dQ/dr
         return dq / (r * dq - 2.0 * q)
     u = 1.0 / (r * r)
-    t = _core(r)[0]
-    n = _polyval(_VHAT_NUM, u)
-    dn = _polyval(_VHAT_DEN_MINUS_NUM, u)
+    t = -r / _series(_PSI, u)  # _core's t, without its phi
+    n = _series(_VHAT_NUM, u)
+    dn = _series(_VHAT_DEN_MINUS_NUM, u)
     return t * dn / (r * t * dn - 2.0 * n)
 
 
@@ -332,7 +380,10 @@ def skewness_kurtosis(M: float, r: float, a: float,
     Next to the switch from the direct form to the u-series at r = -10
     (left side) the kurtosis loses digits: against mpmath it is up to
     2.9e-7 absolute off near r = -9.94 and 5.9e-8 on (-11, -10], and above
-    1e-8 over about r in (-12, -7); the skewness stays within 7e-10."""
+    1e-8 over about r in (-12, -7); the skewness stays within 7e-10.
+    From r = -10 down its series polynomials take only their terms above
+    2**-60/L of the leading one, within 4 ulps of the full polynomials.
+    The unnormalized pair takes the variance as ``var_form2`` does."""
     if M == a:
         raise ValueError("M must differ from the cutoff")
     sign = _sign(side)
@@ -346,15 +397,20 @@ def skewness_kurtosis(M: float, r: float, a: float,
         inner = (r * (r * r - 3.0) * t + (7.0 * r * r - 4.0) * t * t
                  + 12.0 * r * t ** 3 + 6.0 * t ** 4)
         kurt = 3.0 - inner / (q * q)
+        vh = q / (s * s)
     else:
         # same expressions pushed through the u = 1/r**2 series; the integer
         # polynomial algebra removes the leading-order cancellations
         u = 1.0 / (r * r)
-        phi = _polyval(_PHI, u)
-        vh = _polyval(_VHAT_NUM, u) / _polyval(_VHAT_DEN, u)
-        skew = _polyval(_SKEW_NUM, u) / (phi ** 3 * vh ** 1.5)
-        kurt = 3.0 - _polyval(_KURT_NUM, u) / (phi ** 4 * vh * vh)
-    var = var_form2(M, r, a)
+        phi = _series(_PHI, u)
+        vh = _series(_VHAT_NUM, u) / _series(_VHAT_DEN, u)
+        skew = _series(_SKEW_NUM, u) / (phi ** 3 * vh ** 1.5)
+        kurt = 3.0 - _series(_KURT_NUM, u) / (phi ** 4 * vh * vh)
+        if r > _SERIES_CUT:  # the variance is still on its direct side
+            vh = normalized_variance(r)
+    # vh is normalized_variance(r) in each zone, so var is var_form2's
+    d = M - a
+    var = d * d * vh
     return sign * skew, kurt, sign * skew * var ** 1.5, kurt * var * var
 
 

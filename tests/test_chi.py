@@ -167,6 +167,16 @@ class TestDensity:
         assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
 
+    @pytest.mark.parametrize("n", [1.0, 3.0])
+    def test_beyond_the_double_range_reads_inf(self, n):
+        # about 1/sigma at R = sigma: OverflowError at sigma = 1e-310
+        assert chi_density(ScaledChiSpec(1e-310, n), 1e-310) == math.inf
+        # in range the density still scales as 1/sigma
+        got = chi_density(ScaledChiSpec(1e-300, n), 1e-300) * 1e-300
+        assert got == pytest.approx(chi_density(ScaledChiSpec(1.0, n), 1.0),
+                                    rel=1e-13)
+
+
 class TestSigmaAndForms:
     def test_printed_grid_cell(self):
         # n=2, |r|=1 with unit mean
@@ -508,6 +518,23 @@ class TestDouble:
             return chi_raw_moment(spec, 1) / s
         assert scaled_mean(sigma) == pytest.approx(scaled_mean(1.0),
                                                    rel=4e-16, abs=0.0)
+
+    @pytest.mark.parametrize("spec", [
+        ScaledChiSpec(1e160, 3.0),
+        ScaledChiSpec(1e160, 3.0, lower=1e150, upper=2e160,
+                      kind=ChiKind.DOUBLE),
+        ScaledChiSpec(1e160, -1.5, upper=1e160, kind=ChiKind.OUTER,
+                      extended=True),
+    ])
+    def test_moment_beyond_the_double_range_reads_inf(self, spec):
+        # (sqrt(2) sigma)**2 raised OverflowError; the moment's sign stays
+        unit = ScaledChiSpec(1.0, spec.n, spec.lower / spec.sigma,
+                             spec.upper / spec.sigma, spec.kind, spec.extended)
+        assert chi_raw_moment(spec, 2) == math.copysign(
+            math.inf, chi_raw_moment(unit, 2))
+        # the first moment stays in range and scales with sigma
+        assert chi_raw_moment(spec, 1) == pytest.approx(
+            1e160 * chi_raw_moment(unit, 1), rel=1e-13)
 
     def test_far_above_the_bulk(self):
         # ZeroDivisionError: both masses underflowed

@@ -46,6 +46,17 @@ def test_table_matches_golden(capsys, name):
     assert out == (GOLDEN / f"{name}.tsv").read_text()
 
 
+@pytest.mark.parametrize("figure", ["var-vs-r", "dvar-vs-r", "kurtosis",
+                                    "slope-form1"])
+def test_plot_data_matches_golden(capsys, figure):
+    # the utgd figures over both series cuts and the shape cut at -10
+    code, out, err = run(capsys, "plot-data", "--figure", figure, "--min",
+                         "-60", "--max", "38", "--step", "0.25",
+                         "--precision", "8")
+    assert code == 0
+    assert out == (GOLDEN / "plot" / f"{figure}.tsv").read_text()
+
+
 def test_table_unknown_name(capsys):
     code, out, err = run(capsys, "table", "--name", "no-such-table")
     assert code == 1

@@ -151,10 +151,10 @@ def former_dvhat(r: float) -> float:
         t, s, q = utgd._core(r)
         return t + q * (t * s - 2.0) / (s * s * s)
     u = 1.0 / (r * r)
-    n = utgd._polyval(utgd._VHAT_NUM, u)
-    d = utgd._polyval(utgd._VHAT_DEN, u)
-    dn = utgd._polyval(utgd._VHAT_NUM_D, u)
-    dd = utgd._polyval(utgd._VHAT_DEN_D, u)
+    n = utgd._series(utgd._VHAT_NUM, u)
+    d = utgd._series(utgd._VHAT_DEN, u)
+    dn = utgd._series(utgd._VHAT_NUM_D, u)
+    dd = utgd._series(utgd._VHAT_DEN_D, u)
     return (-2.0 * u / r) * (dn * d - n * dd) / (d * d)
 
 

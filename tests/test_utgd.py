@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import mpmath
@@ -95,6 +96,87 @@ def test_dvar_asymptotes():
     r = 1024.0
     assert utgd.dvar_dr(1.0, r, 0.0) == pytest.approx(-2.0 / r ** 3, rel=1e-3)
     assert utgd.dvar_dr(1.0, -r, 0.0) == pytest.approx(-4.0 / r ** 3, rel=1e-3)
+
+
+# the series zone: log-spaced r in [-2**18, -11], and the sweeps' grid there
+SERIES_GRID = sorted({-2.0 ** (k / 64.0) for k in range(222, 64 * 18 + 1)}
+                     | {k * 0.01 for k in range(-6000, -1099)} | {-11.0})
+SERIES_POLYS = ("_PSI", "_PHI", "_VHAT_NUM", "_VHAT_DEN", "_SKEW_NUM",
+                "_KURT_NUM", "_VHAT_NUM_D", "_VHAT_DEN_D",
+                "_VHAT_DEN_MINUS_NUM")
+
+
+def series_kernels(r):
+    t, s, q = utgd._core(r)
+    return {"t": t, "s": s, "q": q, "vhat": utgd.normalized_variance(r),
+            "vhat_slope": utgd._vhat_slope(r),
+            "shape": utgd.skewness_kurtosis(1.0, r, 0.0),
+            "dsigma1_dmu": utgd.dsigma1_dmu(r)}
+
+
+def test_series_depth_keeps_the_full_depth_digits(monkeypatch):
+    # each series kernel, taking only the terms that carry digits at its u,
+    # stays within 4 ulps of Horner's rule over every coefficient (Q within
+    # 4 ulps of 1, as it is 1 minus a sum near 1)
+    from trunc_moments.specfun import _polyval
+
+    got = [series_kernels(r) for r in SERIES_GRID]
+    monkeypatch.setattr(utgd, "_series",
+                        lambda poly, u: _polyval(poly[1][-1][::-1], u))
+    for r, have in zip(SERIES_GRID, got):
+        for key, want in series_kernels(r).items():
+            for x, y in zip(*((v if isinstance(v, tuple) else (v,))
+                              for v in (have[key], want))):
+                ulp = math.ulp(1.0 if key == "q" else y)
+                assert abs(x - y) <= 4.0 * ulp, (r, key, x, y)
+
+
+def depth(name, r):
+    breaks, heads = getattr(utgd, name)
+    return len(heads[bisect.bisect_right(breaks, 1.0 / (r * r))])
+
+
+def test_series_depth_follows_its_rule():
+    # at each depth every omitted term is below 2**-60/L of the leading one
+    for name in SERIES_POLYS:
+        coef = getattr(utgd, name)[1][-1][::-1]
+        m = next(k for k, c in enumerate(coef) if c)
+        for r in SERIES_GRID:
+            u = 1.0 / (r * r)
+            bound = 2.0 ** -60 * abs(coef[m] * u ** m) / len(coef)
+            k0 = depth(name, r)
+            assert all(abs(c) * u ** k < bound
+                       for k, c in enumerate(coef[k0:], k0)), (name, r)
+
+
+def test_series_kernels_take_only_the_terms_with_digits(monkeypatch):
+    # the kernels run Horner over just that depth: at r = -60 no polynomial
+    # over more than 10 terms, at r = -11 psi and phi over all of theirs
+    taken = []
+
+    class Counted(tuple):
+        def __iter__(self):
+            taken.append((self.name, len(self)))
+            return super().__iter__()
+
+    def counted(name, head):
+        head = Counted(head)
+        head.name = name
+        return head
+
+    for name in SERIES_POLYS:
+        breaks, heads = getattr(utgd, name)
+        monkeypatch.setattr(utgd, name, (breaks, tuple(
+            counted(name, head) for head in heads)))
+    for r in (-2.0 ** 18, -60.0, -20.0, -11.0):
+        taken.clear()
+        series_kernels(r)
+        assert {name for name, _ in taken} == set(SERIES_POLYS)
+        assert all(k == depth(name, r) for name, k in taken), (r, taken)
+        if r == -60.0:
+            assert max(k for _, k in taken) <= 10
+    assert all(k == len(getattr(utgd, name)[1][-1]) for name, k in taken
+               if name in ("_PSI", "_PHI"))
 
 
 class TestMeanAndForms:
