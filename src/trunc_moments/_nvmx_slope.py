@@ -4,12 +4,11 @@ With s = n/2 and y = |r|^2/2 the variance over M^2 is ratio - 1, ratio =
 G(s) G(s+1) / G(s+1/2)^2 and G(t) = Gamma(t, y), so d ln(ratio)/dn, which
 has the sign of dV/dn, is half the second difference of d/dt ln G(t) over
 t = s, s + 1/2, s + 1 (``_dlog_ratio_dn``).  ``_dlog_gamma_upper_ds``
-gives that derivative on the branches of ``specfun._gamma_inc`` (t > 0)
-and ``specfun._gamma_upper_scaled`` (t <= 0), each carrying a (value,
-d/dt) pair (Moore, "Algorithm AS 187", Appl. Statist. 31 (1982) 330,
-does the same for the regularized P): d/dt ln Gamma(t, y) is psi(t) +
-d ln Q or ln y + d ln H, whichever of Q and H the branch forms, and
-``_digamma`` gives psi.  The module is apart from ``chi`` and
+gives that derivative on the branches of ``specfun._gamma_inc``, each
+carrying a (value, d/dt) pair (Moore, "Algorithm AS 187", Appl. Statist.
+31 (1982) 330, does the same for the regularized P): d/dt ln Gamma(t, y)
+is psi(t) + d ln Q or ln y + d ln H, whichever of Q and H the branch
+forms, and ``_digamma`` gives psi.  The module is apart from ``chi`` and
 ``specfun`` so that only the commands that search n_vmx compile it.
 """
 
@@ -190,8 +189,7 @@ def _gamma_p_series_ds(s: float, x: float) -> tuple[float, float]:
 
 def _dlog_gamma_upper_ds(s: float, x: float):
     """(Q, H, dlog) for real s and x > 0, on the branches that
-    ``specfun._gamma_inc`` (s > 0) and ``specfun._gamma_upper_scaled``
-    (s <= 0) take.
+    ``specfun._gamma_inc`` takes.
 
     Where they form the scaled H = Gamma(s, x) e^x x^-s first, Q is None
     and dlog = d ln H/ds; where they form the regularized P first (its

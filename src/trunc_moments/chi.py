@@ -140,35 +140,33 @@ NVMX_DEFAULT_PARAMS = NvmxFitParams(
 
 def chi_density(spec: ScaledChiSpec, R: float) -> float:
     """Probability density of the truncated radius at R; inf where it
-    exceeds the double range (at sigma = 1e-310, say)."""
+    exceeds the double range (at sigma = 1e-310, say).  On the outer
+    continuation (n <= 0) it carries the sign of the continued mass."""
     if R < spec.lower or R > spec.upper or R < 0.0:
         return 0.0
     s, y1, y2 = spec.n / 2.0, spec.y1, spec.y2
     z = R / (_SQRT2 * spec.sigma)
-    if z == 0.0 and spec.n != 1.0:  # the origin: a zero, or a pole below n = 1
-        return 0.0 if spec.n > 1.0 else math.inf
+    sign = 1.0
     if y1 == 0.0 and s <= 0.0:  # the outer continuation: a signed mass
         norm = _lower_mass(s, y2)
-        if norm < 0.0:
-            return (2.0 * z ** (spec.n - 1.0) * math.exp(-z * z)
-                    / (_SQRT2 * spec.sigma * norm))
-        lnorm = math.log(norm)
+        sign, lnorm = math.copysign(1.0, norm), math.log(abs(norm))
     else:  # ln W(n/2), W as in _ratio, from the same H, Q or P: W itself
         # under- or overflows long before the density does
         near, far, lower = _edges(s, y1, y2)
         if math.isinf(near):  # untruncated
             lnorm = math.lgamma(s)
         else:
-            p, q, h = (_gamma_inc(s, near, lower) if s > 0.0
-                       else (None, None, _gamma_upper_scaled(s, near)))
+            p, q, h = _gamma_inc(s, near, lower)
             lnorm = math.log(_share(s, near, far, lower)) + (
                 math.log(h) + s * math.log(near) - near if h is not None
                 else math.log(p if lower else q) + math.lgamma(s))
+    if z == 0.0 and spec.n != 1.0:  # the origin: a zero, or a pole below n = 1
+        return 0.0 if spec.n > 1.0 else sign * math.inf
     # log-space: z**(n-1) alone can overflow long before exp(-z*z) pulls
     # the product back down
     lp = (math.log(2.0) + (spec.n - 1.0) * (math.log(z) if z else 0.0)
           - z * z - math.log(_SQRT2 * spec.sigma) - lnorm)
-    return _exp(lp) if lp > -745.0 else 0.0
+    return sign * (_exp(lp) if lp > -745.0 else 0.0)
 
 
 def chi_raw_moment(spec: ScaledChiSpec, k: int) -> float:
@@ -331,8 +329,7 @@ def _share(t: float, near: float, far: float, lower: bool) -> float:
     # Gamma(t) times its regularized Q or P
     if far in (0.0, math.inf):
         return 1.0
-    pn, qn, hn = (_gamma_inc(t, near, lower) if t > 0.0
-                  else (None, None, _gamma_upper_scaled(t, near)))
+    pn, qn, hn = _gamma_inc(t, near, lower)
     # half of ln(far / near); through log1p where far - near is exact
     c = 0.5 * (math.log1p((far - near) / near) if far > 0.5 * near
                else math.log(far / near))
@@ -344,8 +341,7 @@ def _share(t: float, near: float, far: float, lower: bool) -> float:
                          for x, w in _GAUSS10 for u in (c - c * x, c + c * x))
         return (i / hn if hn is not None
                 else t * _dompart(t, near) * i / (pn if lower else qn))
-    pf, qf, hf = (_gamma_inc(t, far, lower) if t > 0.0
-                  else (None, None, _gamma_upper_scaled(t, far)))
+    pf, qf, hf = _gamma_inc(t, far, lower)
     if hn is None or hf is None:
         # Gamma(t) cancels; the difference is taken from the smaller pair
         (gn, cn), (gf, cf) = (((pn, qn), (pf, qf)) if lower
@@ -377,10 +373,8 @@ def _ratio(s: float, y1: float, y2: float, k: int) -> float:
 
 
 def _scaled_upper(t: float, y: float) -> float:
-    # H(t, y) = Gamma(t, y) e^y y^-t; for t > 0 from _gamma_inc, from Q
+    # H(t, y) = Gamma(t, y) e^y y^-t from _gamma_inc; for t > 0 from Q
     # where it forms P first: Q Gamma(t) y^-t e^y = Q / (t dompart)
-    if t <= 0.0:
-        return _gamma_upper_scaled(t, y)
     _, q, h = _gamma_inc(t, y)
     return h if h is not None else q / (t * _dompart(t, y))
 

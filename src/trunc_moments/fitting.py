@@ -32,6 +32,7 @@ _MODEL_SIGMA = {"gauss": ("form2", "form1", "mean_based"),
 
 def _fit_gauss(M: float, v: float, a: float, warnings: list[str]):
     from . import calibrate, utgd
+    from .specfun import xi
     from .utgd import TruncatedGaussianSpec
 
     est = dict.fromkeys(_ESTIMATES)
@@ -67,12 +68,20 @@ def _fit_gauss(M: float, v: float, a: float, warnings: list[str]):
     except ValueError as exc:
         warnings.append(str(exc))
 
-    def density(sigma: float, x: float) -> float:
-        spec = TruncatedGaussianSpec(mu0, sigma, a)
-        mean = utgd.mean_from_params(spec)
-        h = (math.sqrt(2.0 / math.pi) / sigma
-             / math.erfc(-(mu0 - a) / sigma / math.sqrt(2.0)))
-        return utgd.density(mean, spec.r, a, x, h)
+    def density(sigma: float):
+        # (t(r)/sigma) e^(d (r - d/2)), d = (x - a)/sigma >= 0: the Mills-ratio
+        # form.  Above r = 0, where t underflows first, e^(r**2/2) moves into
+        # the height, t e^(r**2/2) = sqrt(2/pi)/xi(r), and d is taken from r
+        r = (mu0 - a) / sigma
+        c = max(r, 0.0)
+        h = (utgd.inverse_mills(r) if r <= 0.0
+             else math.sqrt(2.0 / math.pi) / xi(r)) / sigma
+
+        def at(x: float) -> float:
+            d = (x - a) / sigma - c
+            return h * math.exp(d * (r - c - 0.5 * d)) if x >= a else 0.0
+
+        return at
 
     return est, density
 
@@ -118,8 +127,9 @@ def _fit_chi(M: float, v: float, n: float, lo: float | None,
             else:
                 warnings.append(f"anomalous: {exc}")
 
-    def density(sigma: float, x: float) -> float:
-        return chi.chi_density(spec(sigma), x)
+    def density(sigma: float):
+        at = spec(sigma)
+        return lambda x: chi.chi_density(at, x)
 
     return est, density, implied_cutoff
 
@@ -175,7 +185,8 @@ def fit_sample(data: Sequence[float], model: str, dim: float | None = None,
         hist, edges = np.histogram(values, bins=bins if bins else "fd",
                                    density=True)
         centers = 0.5 * (edges[1:] + edges[:-1])
-        curve = np.array([density(sigma, c) for c in centers])
+        pdf = density(sigma)
+        curve = np.array([pdf(c) for c in centers])
         # both curves integrate to 1 over the window by construction
         rmse = float(np.sqrt(np.mean((hist - curve) ** 2)))
 

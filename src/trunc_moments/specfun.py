@@ -322,7 +322,7 @@ def _p_first(s: float, x: float) -> bool:
 
 
 def _gamma_inc(s: float, x: float, lower: bool = False):
-    """(P, Q, H) for s > 0 and x > 0.
+    """(P, Q, H) for real s and x > 0.
 
     P and Q are the regularized incomplete gammas.  H = Gamma(s, x) e^x x^-s
     is given where Q is computed first (x above about s), since there Q
@@ -331,8 +331,12 @@ def _gamma_inc(s: float, x: float, lower: bool = False):
     x = s + 8, where it is cheaper than the continued fraction and its
     positive terms keep P exact while 1 - P loses Q's digits.  H is then
     the scaled lower integral gamma(s, x) e^x x^-s, given where P is
-    computed first, as P underflows long before gamma(s, x) does.
+    computed first, as P underflows long before gamma(s, x) does.  For
+    s <= 0 there is no regularized pair: (None, None, H), H the upper one
+    whatever ``lower`` says.
     """
+    if s <= 0.0:
+        return None, None, _gamma_upper_scaled(s, x)
     if s >= _TEMME_S and _TEMME_LO * s <= x <= _TEMME_HI * s:
         y = s * _phi(s, x)
         v = math.sqrt(y)
@@ -391,12 +395,9 @@ def gamma_upper(s: float, x: float) -> float:
 
     The raw integral, not the regularized ratio, so it accepts s <= 0
     (where the complete gamma normalizer is useless or infinite).
-    Strategy: the regularized Q (see ``_gamma_inc``) for s > 0; for
-    s <= 0, x^s e^-x times the scaled H = Gamma(s, x) e^x x^-s, which
-    neither under- nor overflows: up to x = 1 (within 1/4 of a pole of
-    Gamma(s), up to x = 1.5) the lower-series complement Gamma(s) x^-s
-    minus the series, with the pole subtracted analytically near a pole
-    (at a pole, its limit); the Legendre continued fraction above.
+    Strategy: ``_gamma_inc``'s regularized Q times Gamma(s), or x^s e^-x
+    times its scaled H = Gamma(s, x) e^x x^-s, which neither under- nor
+    overflows, where Q underflows, Gamma(s) overflows, or s <= 0.
 
     Accuracy, against mpmath for s in [-20, 5e3] and x in [1e-8, 1e4]:
     relative error at most 1e-15 (|s| + x + 20) where the result is a
@@ -414,12 +415,10 @@ def gamma_upper(s: float, x: float) -> float:
         raise ValueError("gamma_upper(s, 0) diverges for s <= 0")
     if x == math.inf:
         return 0.0
-    if s > 0.0:
-        _, q, h = _gamma_inc(s, x)
-        if h is not None and not (q > 1e-300 and s < 171.0):
-            return _xs_emx(s, x, h)  # Q underflows, or Gamma(s) overflows
+    _, q, h = _gamma_inc(s, x)
+    if q is not None and (h is None or q > 1e-300 and s < 171.0):
         return _times_gamma(s, q)
-    return _xs_emx(s, x, _gamma_upper_scaled(s, x))
+    return _xs_emx(s, x, h)  # s <= 0, Q underflows, or Gamma(s) overflows
 
 
 def gamma_lower(s: float, x: float) -> float:

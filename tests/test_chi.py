@@ -176,6 +176,29 @@ class TestDensity:
         assert got == pytest.approx(chi_density(ScaledChiSpec(1.0, n), 1.0),
                                     rel=1e-13)
 
+    def test_outer_continuation_keeps_the_sign_of_its_mass(self):
+        # n = -1: the continued mass gamma(-1/2, 1/2) is negative.  The
+        # density went through z**(n - 1) directly: OverflowError at
+        # R = 1e-300, where it is -inf in log space
+        spec = ScaledChiSpec(1.0, -1.0, upper=1.0, kind=ChiKind.OUTER,
+                             extended=True)
+        assert chi_density(spec, 1e-300) == -math.inf
+        assert chi_density(spec, 0.0) == -math.inf
+        with mpmath.workdps(40):
+            mass = mpmath.gammainc(-0.5, 0, 0.5)
+
+            def want(R):
+                z = mpmath.mpf(R) / mpmath.sqrt(2)
+                return float(2 * z ** -2 * mpmath.exp(-z * z)
+                             / (mpmath.sqrt(2) * mass))
+
+            # ln z**(n - 1) of size 460 is rounded before its exp
+            assert chi_density(spec, 1e-100) == pytest.approx(
+                want(1e-100), rel=2e-13, abs=0.0)
+            for R in (1e-3, 0.1, 0.5, 0.999):
+                assert chi_density(spec, R) == pytest.approx(
+                    want(R), rel=3e-15, abs=0.0)
+
 
 class TestSigmaAndForms:
     def test_printed_grid_cell(self):

@@ -689,6 +689,30 @@ def test_fit_gauss_far_above_cutoff(capsys, tmp_path):
     assert doc["model_sigma"] == "form2"
 
 
+def test_fit_gauss_exponential_quantiles(capsys, tmp_path):
+    # exponential-like data above a cutoff at 0 calibrate to r0 = -81.6,
+    # where the truncated mass erfc(-r0/sqrt(2)) underflows: the density's
+    # height divided by it (ZeroDivisionError below r0 = -38.5)
+    f = tmp_path / "exp.txt"
+    _write_column(f, [-math.log1p(-(i + 0.5) / 20000) for i in range(20000)])
+    code, doc, err = run_json(capsys, "fit", "--input", str(f),
+                              "--model", "gauss", "--lower", "0")
+    assert code == 0
+    assert err == ""
+    assert isinstance(doc["rmse_vs_data"], float)
+    assert math.isfinite(doc["rmse_vs_data"])
+
+
+def test_fit_gauss_density_where_the_mass_is_subnormal():
+    # r0 between -38.5 and -37.5: erfc(-r0/sqrt(2)) is subnormal, and the
+    # height divided by it read inf
+    est, density = fitting._fit_gauss(1.0, 0.99862, 0.0, [])
+    pdf = density(est["form2"])
+    assert all(math.isfinite(pdf(x)) and pdf(x) > 0.0
+               for x in (0.0, 0.5, 1.0, 3.0))
+    assert pdf(-0.5) == 0.0
+
+
 def test_fit_gauss_constant_sample(capsys, tmp_path):
     f = tmp_path / "flat.txt"
     _write_column(f, [2.0] * 40)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import pytest
@@ -16,6 +17,34 @@ from trunc_moments.lognormal import (
 
 # census-style worked example: ln(income) modeled above a reporting floor
 CENSUS = dict(mu=10.53367109, sigma=1.02333081, a=9.6125)
+
+
+def mp_slopes(mu, sigma, a, dps=50):
+    """d(sigma)/d(mu) along the level curves of the two log-variance
+    forms, from mpmath derivatives of the forms themselves; Form II at the
+    congruent mean, held fixed."""
+    with mpmath.workdps(dps):
+        mu_, s_, a_ = map(mpmath.mpf, (mu, sigma, a))
+
+        def xi(z):
+            return mpmath.erfc(-z / mpmath.sqrt(2))
+
+        def forms(m, s, log_m):
+            r = (m - a_) / s
+            x0 = xi(r)
+            d1 = mpmath.log(xi(r + s) / x0)
+            d2 = mpmath.log(xi(r + 2 * s) / x0)
+            return (2 * s * s + 2 * m + d2
+                    + mpmath.log(-mpmath.expm1(-s * s + 2 * d1 - d2)),
+                    2 * log_m + mpmath.log(mpmath.expm1(
+                        -2 * m + 2 * log_m + d2 - 4 * d1)))
+
+        r = (mu_ - a_) / s_
+        log_m = s_ * s_ / 2 + mu_ + mpmath.log(xi(r + s_) / xi(r))
+        return tuple(
+            float(-mpmath.diff(lambda m: forms(m, s_, log_m)[i], mu_)
+                  / mpmath.diff(lambda s: forms(mu_, s, log_m)[i], s_))
+            for i in (0, 1))
 
 
 def mp_back_moments(mu, sigma, a, dps=60):
@@ -114,15 +143,67 @@ class TestSlopes:
         h = 1e-6
 
         def sig_on_curve(form, mu_probe):
-            # sigma that keeps the given log-variance form at its value
-            target = log_var_forms(mu, sigma, a)[form]
+            # sigma that keeps the given log-variance form at its value;
+            # Form II's anchor mean stays fixed along its curve
+            target = log_var_forms(mu, sigma, a, M_y=res.mean_y)[form]
             from scipy.optimize import brentq
             return brentq(
-                lambda s: log_var_forms(mu_probe, s, a)[form] - target,
-                sigma * 0.2, sigma * 5.0, xtol=1e-14)
+                lambda s: log_var_forms(mu_probe, s, a,
+                                        M_y=res.mean_y)[form] - target,
+                sigma * 0.8, sigma * 1.25, xtol=1e-14)
 
         fd1 = (sig_on_curve(0, mu + h) - sig_on_curve(0, mu - h)) / (2 * h)
         assert k1 == pytest.approx(fd1, rel=1e-5)
+        fd2 = (sig_on_curve(1, mu + h) - sig_on_curve(1, mu - h)) / (2 * h)
+        assert k2 == pytest.approx(fd2, rel=1e-5)
+
+    # (r, sigma) boxes and the relative error bounds for (Form I, Form II)
+    # that lognormal_slopes states on them
+    @pytest.mark.parametrize("r_box, sigma_box, bounds", [
+        ((-1.0, 2.0), (0.3, 1.5), (1e-13, 3e-14)),
+        ((-6.0, 4.0), (0.05, 2.5), (1.5e-10, 3.5e-11)),
+        ((-6.0, 4.0), (1e-3, 0.05), (5e-7, 2.5e-10)),
+        ((-80.0, -40.0), (0.01, 0.05), (1.5e-4, 4.5e-8)),
+    ])
+    def test_vs_mpmath(self, r_box, sigma_box, bounds):
+        rng = random.Random(20250)
+        for _ in range(12):
+            r = rng.uniform(*r_box)
+            lo, hi = sigma_box
+            sigma = lo * (hi / lo) ** rng.random()
+            a = rng.uniform(0.0, 10.0)
+            mu = a + r * sigma
+            got = lognormal_slopes(mu, sigma, a, 1.0)
+            for k, want, bound in zip(got, mp_slopes(mu, sigma, a), bounds):
+                assert k == pytest.approx(want, rel=bound, abs=0.0), \
+                    (mu, sigma, a)
+
+    @pytest.mark.parametrize("r, sigma", [(5.0, 20.0), (-1.0, 20.0),
+                                          (1.0, 30.0)])
+    def test_wide_sigma(self, r, sigma):
+        # exp(sigma**2) overflowed in the raw-xi algebra (OverflowError)
+        mu, a = 1.0 + r * sigma, 1.0
+        assert lognormal_slopes(mu, sigma, a, 1.0) == pytest.approx(
+            mp_slopes(mu, sigma, a), rel=1e-13, abs=0.0)
+
+    def test_far_above_the_cutoff(self):
+        # r = 40: every tail underflows and the forms are the untruncated
+        # lognormal's; Form II does not move with sigma there (the raw-xi
+        # algebra read NaN for Form I)
+        sigma = 1.0
+        k1, k2 = lognormal_slopes(41.0, sigma, 1.0, 1.0)
+        c = math.exp(-sigma * sigma) / math.expm1(-sigma * sigma)
+        assert k1 == pytest.approx(-2.0 / (4.0 * sigma - 2.0 * sigma * c),
+                                   rel=1e-15)
+        assert k2 == -math.inf
+
+    def test_deep_cutoff(self):
+        # r = -50: xi(r) underflows, and the slopes divided by it
+        mu, sigma, a = 9.0, 0.02, 10.0
+        got = lognormal_slopes(mu, sigma, a, 1.0)
+        for k, want, bound in zip(got, mp_slopes(mu, sigma, a),
+                                  (1.5e-4, 4.5e-8)):
+            assert k == pytest.approx(want, rel=bound, abs=0.0)
 
     def test_form2_slope_fd_at_fixed_target(self):
         # the Form II curve constrains Var(Y) at fixed E[Y]; reproduce by FD
