@@ -21,10 +21,10 @@ cold process compiles and runs only those.
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import re
 import sys
+import warnings
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -226,22 +226,36 @@ def cmd_vmax(args) -> int:
 # fit
 # ---------------------------------------------------------------------------
 
+# lines handed to numpy's text reader at a time, by their length in
+# characters: big enough that the per-call cost is small, small next to
+# the rows kept (test_read_column's memory bound)
+_BLOCK = 8192
+
+
 def _read_column(path: str, selector: str, lower: float | None = None,
                  upper: float | None = None) -> array:
-    """One numeric column from a UTF-8 CSV/whitespace file, in one pass.
+    """One numeric column from a UTF-8 CSV/whitespace file, read once.
 
     Blank and '#' lines are skipped; the first other line decides CSV (it
     holds a comma) or whitespace, and is a header if the column is picked
-    by name or its cell in the column does not parse.  Values outside
-    [lower, upper] are dropped as they are read, and an ``array("d")``
-    holds the rows kept, 8 bytes each.  The first data row that lacks the
-    column or holds a non-numeric or non-finite (nan, inf) cell in it is
-    an error naming its line, and so is a file without data rows, a header
-    alone included.
+    by name or its cell in the column does not parse; a UTF-8 byte-order
+    mark at the start of the file is dropped.  Values outside [lower,
+    upper] are dropped as they are read, and an ``array("d")`` holds the
+    rows kept, 8 bytes each.  The first data row that lacks the column or
+    holds a non-numeric or non-finite (nan, inf) cell in it is an error
+    naming its line, and so is a file without data rows, a header alone
+    included.
+
+    After the first line the file is read in blocks of lines.  numpy's C
+    text reader parses a block that holds no '#'; a block it refuses, or
+    that holds nan or inf, goes through ``float()`` line by line, the one
+    path that names a line.  Where numpy accepts a cell it reads the value
+    ``float()`` reads; it refuses some that ``float()`` takes ('1_000',
+    non-ASCII digits), and those go the exact way too.
     """
     from array import array
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         lines = enumerate(fh, 1)
         for no, first in lines:
             first = first.strip()
@@ -273,8 +287,6 @@ def _read_column(path: str, selector: str, lower: float | None = None,
                 first_is_data = True
             except ValueError:
                 pass
-        if first_is_data:
-            lines = itertools.chain([(no, first)], lines)
 
         def parse(no: int, line: str) -> float | None:
             """The value on line ``no``, None for a blank or '#' line."""
@@ -298,24 +310,59 @@ def _read_column(path: str, selector: str, lower: float | None = None,
         out = array("d")
         keep = out.append
         seen = False
-        for no, line in lines:
-            # float() strips the same whitespace as parse(), so where the
-            # plain split reads a finite number it is parse()'s number; '#'
-            # lines, lines it cannot read and nan or inf (where x - x is
-            # nan, so true) go to parse()
-            x = None
-            if "#" not in line:
-                try:
-                    x = float(line.split(sep)[idx])
-                except (ValueError, IndexError):
-                    pass
-            if x is None or x - x:
-                x = parse(no, line)
-                if x is None:
+
+        def read_lines(numbered) -> None:
+            """Keep the values of ``(line no, line)`` pairs, line by line."""
+            nonlocal seen
+            for no, line in numbered:
+                # float() strips the same whitespace as parse(), so where
+                # the plain split reads a finite number it is parse()'s
+                # number; '#' lines, lines it cannot read and nan or inf
+                # (where x - x is nan, so true) go to parse()
+                x = None
+                if "#" not in line:
+                    try:
+                        x = float(line.split(sep)[idx])
+                    except (ValueError, IndexError):
+                        pass
+                if x is None or x - x:
+                    x = parse(no, line)
+                    if x is None:
+                        continue
+                seen = True
+                if (lower is None or x >= lower) and \
+                        (upper is None or x <= upper):
+                    keep(x)
+
+        if first_is_data:
+            read_lines([(no, first)])
+        import numpy as np
+
+        with warnings.catch_warnings():
+            # numpy warns of a block of blank lines; it is no error here
+            warnings.filterwarnings("ignore", "loadtxt: input contained no "
+                                    "data", UserWarning)
+            while block := fh.readlines(_BLOCK):
+                start, no = no + 1, no + len(block)
+                # '#' lines go line by line: numpy would read them as data
+                # with comments=None, and with comments="#" it would also
+                # take '1 # note', which is an error here
+                x = None
+                if "#" not in "".join(block):
+                    try:
+                        x = np.loadtxt(block, delimiter=sep, usecols=idx,
+                                       comments=None, ndmin=1, dtype=float)
+                    except ValueError:
+                        pass
+                if x is None or not np.isfinite(x).all():
+                    read_lines(enumerate(block, start))
                     continue
-            seen = True
-            if (lower is None or x >= lower) and (upper is None or x <= upper):
-                keep(x)
+                seen = seen or x.size > 0
+                if lower is not None:
+                    x = x[x >= lower]
+                if upper is not None:
+                    x = x[x <= upper]
+                out.frombytes(memoryview(x).cast("B"))
     if not seen:
         raise ValueError(f"{path}: no data rows")
     return out

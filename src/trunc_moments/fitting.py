@@ -141,7 +141,9 @@ def fit_sample(data: Sequence[float], model: str, dim: float | None = None,
 
     ``data`` is a sequence of at least two values inside [lower, upper];
     it is left unchanged.  An ``array("d")``, as the ``fit`` command reads
-    it, is viewed without a copy; a list is copied once.  ``model`` is
+    it, is viewed without a copy; a list is copied once.  numpy is imported
+    here on first use; in the ``fit`` command the column reader has
+    imported it already.  ``model`` is
     "gauss", truncated below at ``lower`` (default the sample minimum), or
     "chi" of dimension ``dim``, truncated as ``lower`` and ``upper`` give.
     ``bins`` is the histogram's bin count, Freedman-Diaconis when None.

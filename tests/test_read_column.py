@@ -73,16 +73,27 @@ def _outcome(read, *args):
         return str(exc)
 
 
+def _reference_outcome(path, selector, lower, upper):
+    """The reference reader's outcome, with the window applied as fit
+    applied it to the whole column before."""
+    want = _outcome(_reference_read_column, path, selector)
+    if isinstance(want, list):
+        want = [h for h in want if (lower is None or float.fromhex(h) >= lower)
+                and (upper is None or float.fromhex(h) <= upper)]
+    return want
+
+
 # -- generated files ---------------------------------------------------------
 
 _NAMES = ("id", "value", "x", "weight")
-_PAD = st.text(alphabet=" \t\x0b\xa0", max_size=2)
+_PAD = st.text(alphabet=" \t\x0b\x0c\x1c\x85\xa0\u2003", max_size=2)
 _SMALL = st.integers(-3, 3)  # shared with the window bounds, to hit edges
 _NUMBER = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     _SMALL.map(str),
     st.sampled_from(["1e3", "-0.0", "+.5", "1_000", "nan", "-inf",
-                     "Infinity"]))
+                     "Infinity", "\uff11", "inFINity", "1e0001", "1e400",
+                     "4.9e-324"]))
 _CELL = st.builds(lambda pad, cell, pad2: pad + cell + pad2,
                   _PAD, _NUMBER, _PAD)
 _GARBAGE = st.sampled_from(["", "oops", "1.2.3", "--", "0x10", "#", "1 5",
@@ -156,12 +167,8 @@ def data_file(tmp_path_factory):
 def test_matches_the_reference_reader(data_file, text, selector, lower, upper):
     data_file.write_bytes(text.encode("utf-8"))
     path = str(data_file)
-    want = _outcome(_reference_read_column, path, selector)
-    if isinstance(want, list):
-        # the window as fit applied it to the whole column before
-        want = [h for h in want if (lower is None or float.fromhex(h) >= lower)
-                and (upper is None or float.fromhex(h) <= upper)]
-    assert _outcome(cli._read_column, path, selector, lower, upper) == want
+    assert _outcome(cli._read_column, path, selector, lower, upper) == \
+        _reference_outcome(path, selector, lower, upper)
 
 
 @pytest.mark.parametrize("text, selector, message", [
@@ -186,20 +193,87 @@ def test_error_paths(tmp_path, text, selector, message):
     assert str(exc.value) == message.format(path=f)
 
 
+# each file spans several of the reader's blocks, and one line puts its
+# block on the line-by-line path: values and errors are the reference
+# reader's, line numbers included
+@pytest.mark.parametrize("sep", [",", " "])
+@pytest.mark.parametrize("line, cell, end", [
+    (1_500, None, "# a comment"),
+    (1_500, "oops", None),
+    (1_500, None, "\r"),  # a lone CR ends the line
+    (1_500, "\uff11\uff12.5", None),  # fullwidth digits, which float() reads
+    (70_001, "nan", None),
+])
+def test_blocks_numpy_refuses_take_the_exact_path(tmp_path, monkeypatch, sep,
+                                                  line, cell, end):
+    import numpy as np
+
+    rows = max(3_000, line + 500)
+    values = np.random.default_rng(line).normal(0.0, 1.0, rows).tolist()
+    lines = [f"id{sep}value\n"] + [f"{k}{sep}{x!r}\n"
+                                   for k, x in enumerate(values)]
+    k = line - 1  # lines[k] is line number `line`
+    if cell is not None:
+        lines[k] = f"{k}{sep}{cell}\n"
+    elif end.startswith("#"):
+        lines[k] = end + "\n"
+    else:
+        lines[k] = lines[k][:-1] + end
+    f = tmp_path / "long.txt"
+    f.write_text("".join(lines), encoding="utf-8", newline="")
+    assert f.stat().st_size > 3 * cli._BLOCK
+
+    loadtxt, accepted = np.loadtxt, []
+
+    def counting(*args, **kwargs):
+        try:
+            x = loadtxt(*args, **kwargs)
+        except ValueError:
+            accepted.append(False)
+            raise
+        accepted.append(bool(np.isfinite(x).all()))
+        return x
+
+    monkeypatch.setattr(np, "loadtxt", counting)
+    for selector in ("value", "2"):
+        for lower, upper in ((None, None), (-1.0, 0.5)):
+            accepted.clear()
+            assert _outcome(cli._read_column, str(f), selector, lower,
+                            upper) == \
+                _reference_outcome(str(f), selector, lower, upper)
+            # numpy reads the other blocks, up to the line in error
+            assert accepted.count(True) >= 3 and accepted.count(False) <= 1
+
+
+@pytest.mark.parametrize("text, selector, want", [
+    ("id,value\n1,2.5\n2,3.5\n", "id", [1.0, 2.0]),
+    ("1\n2\n3\n", "1", [1.0, 2.0, 3.0]),
+])
+def test_a_byte_order_mark_is_not_part_of_the_first_line(tmp_path, text,
+                                                         selector, want):
+    f = tmp_path / "bom.csv"
+    f.write_text(text, encoding="utf-8-sig")
+    assert list(cli._read_column(str(f), selector)) == want
+
+
 def test_memory_follows_the_rows_kept(tmp_path):
-    # every other row falls in the window [0, 0.5]
+    import numpy  # noqa: F401  the reader's import, not counted below
+
     rows = 200_000
     f = tmp_path / "big.csv"
     with open(f, "w", encoding="utf-8") as fh:
         fh.write("# generated\nid,value,weight\n")
         fh.writelines(f"{k},{0.25 + k % 2 / 2!r},1\n" for k in range(rows))
-    tracemalloc.start()
-    try:
-        out = cli._read_column(str(f), "value", 0.0, 0.5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(out) == rows // 2
-    # one float64 a row kept, plus the array's growth slack (1/16) and the
-    # file buffer: about 8.6 B a row, where a list of floats takes 32 B
-    assert peak < 10 * len(out)
+    # every other row falls in the window [0, 0.5]; without one all are kept
+    for window, share in (((0.0, 0.5), 2), ((None, None), 1)):
+        tracemalloc.start()
+        try:
+            out = cli._read_column(str(f), "value", *window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == rows // share
+        # one float64 a row kept, plus the array's growth slack (1/16) and
+        # one block of lines with numpy's buffers for it: about 9.4 B a row
+        # with half the rows kept, where a list of floats takes 32 B
+        assert peak < 10 * len(out)

@@ -266,7 +266,8 @@ def test_bisect_each_reads_an_undefined_probe_as_past_the_change(
 def test_import_leaves_optimize_and_integrate_unloaded(tmp_path):
     # scipy is a test dependency only: with sys.modules['scipy'] = None any
     # scipy import raises, and every command but fit must also run without
-    # numpy.  fit needs numpy for its moments and histogram, not scipy.
+    # numpy.  fit needs numpy to parse its column and for its moments and
+    # histogram, not scipy.
     # Each command runs in a fresh process, which must load only the
     # package modules that the command evaluates.
     src = str(pathlib.Path(trunc_moments.__file__).parents[1])
@@ -315,6 +316,8 @@ def test_import_leaves_optimize_and_integrate_unloaded(tmp_path):
          "['_roots', 'cli', 'fitting']"),
         (["fit", "--input", str(radii), "--model", "chi"],
          "['_roots', 'cli', 'fitting']"),
+        (["fit", "--input", str(gauss), "--column", "nosuch", "--model",
+          "gauss"], "['_roots', 'cli', 'fitting']"),
     ]
     code = ("import contextlib, io, json, sys\n"
             "sys.modules['scipy'] = None\n"
