@@ -27,8 +27,8 @@ _SOURCES = {
         "log_var_forms", "log_xi", "lognormal_slopes"), "lognormal"),
     "fit_sample": "fitting",
     **dict.fromkeys((
-        "exp_r2_half_xi", "gamma_generalized", "gamma_lower", "gamma_upper",
-        "lambert_w0", "xi"), "specfun"),
+        "exp_r2_half_xi", "gamma_lower", "gamma_upper", "lambert_w0", "xi"),
+        "specfun"),
     **dict.fromkeys((
         "MomentSummary", "Side", "TruncatedGaussianSpec",
         "central_moments_56", "density", "dnormalized_variance_dr",

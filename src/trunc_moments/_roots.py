@@ -1,17 +1,17 @@
 """Root finding for the package's monotone 1-D solves.
 
 ``newton`` is the one Newton iteration, for the solves with a closed-form
-slope: ``calibrate.r_from_variance`` in r, ``chi.chi_calibrate`` in ln|r|
-and Form I of ``calibrate.sigma_newton`` in ln sigma.  The solves without
-one bracket the root and call ``brentq``, which ports scipy's Brent solver
-step for step (same ``xtol + rtol*|x|`` stopping rule, same roots bit for
-bit), so the package need not import ``scipy.optimize``.  ``expand``
-widens a bracket until it holds a sign change, ``scan`` walks a grid up to
-a function's first sign change, and ``bisect_each`` finds the same cell
-for several functions by bisecting over the grid's indices.  A missing
-root or bracket is a ValueError naming the quantity and the range
-searched; an evaluation that overflows or divides by zero counts as
-undefined (NaN).
+slope: ``calibrate.r_from_variance`` in r, ``chi.chi_calibrate`` in ln|r|,
+and ``chi.double_sigma`` and Form I of ``calibrate.sigma_newton`` in
+ln sigma.  The solves without one bracket the root and call ``brentq``,
+which ports scipy's Brent solver step for step (same ``xtol + rtol*|x|``
+stopping rule, same roots bit for bit), so the package need not import
+``scipy.optimize``.  ``expand`` widens a bracket until it holds a sign
+change, ``scan`` walks a grid up to a function's first sign change, and
+``bisect_each`` finds the same cell for several functions by bisecting
+over the grid's indices.  A missing root or bracket is a ValueError naming
+the quantity and the range searched; an evaluation that overflows or
+divides by zero counts as undefined (NaN).
 """
 
 import math
@@ -112,7 +112,10 @@ def newton(g, x: float, target: float, *, increasing: bool,
     below, above = -math.inf, math.inf  # evaluated, either side of the root
     best_x, best, jump, left = x, math.inf, 1.0, math.inf
     for _ in range(100):
-        value, step = g(x)
+        try:
+            value, step = g(x)
+        except ArithmeticError:
+            value = step = math.nan
         f = value - target
         if f != f:
             raise _fail(what, a, b)
@@ -152,16 +155,16 @@ def newton(g, x: float, target: float, *, increasing: bool,
 
 
 def expand(f, a: float, b: float, *, increasing: bool, what: str,
-           tiny: float = 1e-300, huge: float = 1e300, factor: float = 2.0):
+           tiny: float = 1e-300, huge: float = 1e300):
     """Widen [a, b], a < b, until f, monotone in the stated direction,
     changes sign over it; returns (a, b, f(a), f(b)).  The endpoint on the
-    root's side moves away from the other by ``factor`` (dividing towards 0,
-    never across it) while its magnitude stays in [tiny, huge]."""
+    root's side moves away from the other by a factor of 2 (dividing
+    towards 0, never across it) while its magnitude stays in [tiny, huge]."""
     fa, fb = _eval(f, a), _eval(f, b)
     while not _straddles(fa, fb):
         beyond_b = (fb < 0.0) == increasing
         x = b if beyond_b else a
-        x = x * factor if (x > 0.0) == beyond_b else x / factor
+        x = x * 2.0 if (x > 0.0) == beyond_b else x / 2.0
         if fa != fa or fb != fb or not tiny <= abs(x) <= huge:
             raise _fail(what, a, b)
         if beyond_b:

@@ -150,16 +150,8 @@ def chi_density(spec: ScaledChiSpec, R: float) -> float:
     if y1 == 0.0 and s <= 0.0:  # the outer continuation: a signed mass
         norm = _lower_mass(s, y2)
         sign, lnorm = math.copysign(1.0, norm), math.log(abs(norm))
-    else:  # ln W(n/2), W as in _ratio, from the same H, Q or P: W itself
-        # under- or overflows long before the density does
-        near, far, lower = _edges(s, y1, y2)
-        if math.isinf(near):  # untruncated
-            lnorm = math.lgamma(s)
-        else:
-            p, q, h = _gamma_inc(s, near, lower)
-            lnorm = math.log(_share(s, near, far, lower)) + (
-                math.log(h) + s * math.log(near) - near if h is not None
-                else math.log(p if lower else q) + math.lgamma(s))
+    else:
+        lnorm = _log_mass(s, y1, y2)
     if z == 0.0 and spec.n != 1.0:  # the origin: a zero, or a pole below n = 1
         return 0.0 if spec.n > 1.0 else sign * math.inf
     # log-space: z**(n-1) alone can overflow long before exp(-z*z) pulls
@@ -370,6 +362,18 @@ def _ratio(s: float, y1: float, y2: float, k: int) -> float:
     near, far, lower = _edges(s, y1, y2)
     return (_edge_ratio(s, near, k, lower) / _share(s, near, far, lower)
             * _share(s + 0.5 * k, near, far, lower))
+
+
+def _log_mass(s: float, y1: float, y2: float) -> float:
+    # ln W(s), W as in _ratio, from the same H, Q or P: W itself under- or
+    # overflows long before the density does
+    near, far, lower = _edges(s, y1, y2)
+    if math.isinf(near):  # untruncated
+        return math.lgamma(s)
+    p, q, h = _gamma_inc(s, near, lower)
+    return math.log(_share(s, near, far, lower)) + (
+        math.log(h) + s * math.log(near) - near if h is not None
+        else math.log(p if lower else q) + math.lgamma(s))
 
 
 def _scaled_upper(t: float, y: float) -> float:
@@ -600,6 +604,25 @@ def vmax_fixed_r_approx(r_abs: float,
 # calibration and limits
 # ---------------------------------------------------------------------------
 
+def _logit_step(target: float, v: float, lo: float, sup: float,
+                dv: float) -> float:
+    # Newton's step towards target on F = ln((v - lo) / (sup - v)), which
+    # runs over the whole real line, in the variable that moves v at rate
+    # dv; F(target) - F(v) from target - v without cancellation.  NaN at a
+    # limit, or where dv is no finite number
+    try:
+        d = target - v
+        dF = math.log1p(d / (v - lo))
+        dF_dv = 1.0 / (v - lo)
+        if sup < math.inf:
+            dF -= math.log1p(-d / (sup - v))
+            dF_dv += 1.0 / (sup - v)
+        slope = dv * dF_dv
+        return dF / slope if math.isfinite(slope) else math.nan
+    except (ValueError, ZeroDivisionError):
+        return math.nan
+
+
 def chi_calibrate(M: float, target_var: float, n: float,
                   kind: ChiKind = ChiKind.INNER) -> tuple[float, float, float]:
     """Solve for (|r|, sigma, a) matching mean M and the target variance.
@@ -656,18 +679,9 @@ def chi_calibrate(M: float, target_var: float, n: float,
         y = r * r / 2.0
         ratio_m1, dlr = _ratio_m1(s, y, outer)
         v = m2 * ratio_m1
-        try:  # F(target) - F(v), from target - v without cancellation
-            dv = target_var - v
-            dF = math.log1p(dv / (v - lo))
-            slope = 1.0 / (v - lo)
-            if sup < math.inf:
-                dF -= math.log1p(-dv / (sup - v))
-                slope += 1.0 / (sup - v)
-            # dF/d ln|r| = |r|^2 dV/dy, infinite where dlr overflows
-            dF_dlr = 2.0 * y * m2 * (1.0 + ratio_m1) * dlr * slope
-            return v, dF / dF_dlr if math.isfinite(dF_dlr) else math.nan
-        except (ValueError, ZeroDivisionError):  # V at a limit, or no slope
-            return v, math.nan
+        # dV/d ln|r| = |r|^2 dV/dy, infinite where dlr overflows
+        return v, _logit_step(target_var, v, lo, sup,
+                              2.0 * y * m2 * (1.0 + ratio_m1) * dlr)
 
     # tol is far above V's noise, 2e-14 (M^2 + V): a best residual past it
     # means that V jumps across the target between adjacent offsets, as
@@ -679,22 +693,87 @@ def chi_calibrate(M: float, target_var: float, n: float,
     return best_r, sigma, best_r * sigma
 
 
+def _window_sup(n: float, lower: float, upper: float) -> float:
+    # the window mean as sigma -> inf, where the density tends to R^(n-1):
+    # n/(n+1) (u^(n+1) - l^(n+1)) / (u^n - l^n) = b e(n+1) / e(n), with
+    # e(t) = expm1(t a)/t, a = ln(c/b) and b the end whose powers dominate
+    # (c the other): no power underflows, the one positive exponent is at
+    # most |a|/2, and e(0) = a gives the limits at n = 0 and -1
+    b, c = (upper, lower) if n > -0.5 else (lower, upper)
+    q = c / b  # 0 or inf where u/l passes the double range
+    a = math.log(q) if 0.0 < q < math.inf else math.log(c) - math.log(b)
+
+    def e(t: float) -> float:
+        x = t * a
+        return math.expm1(x) / t if abs(x) > 1e-200 else a
+
+    return b * (e(n + 1.0) / e(n))
+
+
 def double_sigma(M: float, n: float, lower: float, upper: float) -> float:
-    """The sigma that puts the mean of the window [lower, upper] at M."""
-    if not lower < M < upper:
-        raise ValueError(f"the doubly truncated mean is confined to "
-                         f"({lower:g}, {upper:g}); got {M:g}")
+    """The sigma that puts the mean of the window [lower, upper] at M.
 
-    # the window pins the mean between its endpoints, and the mean grows
-    # with sigma; bracket by expansion
-    def f(sigma: float) -> float:
-        return chi_raw_moment(ScaledChiSpec(sigma, n, lower=lower, upper=upper,
-                                            kind=ChiKind.DOUBLE), 1) - M
+    The window mean E rises with sigma from ``lower`` to its limit sup,
+    n/(n+1) (u^(n+1) - l^(n+1)) / (u^n - l^n) for l = lower and u = upper.
+    A target outside (lower, sup), or within E's stated error 5e-14 M
+    (``chi_raw_moment``) of either end, is a ValueError naming both ends.
+    Newton steps in ln sigma on ln((E - lower) / (sup - E)), which nears
+    slope 2 at both ends, take the slope from E and the window's two edge
+    densities: 1 to 11 evaluations, 5 in the median, for n from -30 to
+    1e5 on windows 0.07 to 14 times as wide as ``lower``.
+    """
+    # the spec's check of the window, 0 < lower < upper < inf
+    ScaledChiSpec(1.0, n, lower=lower, upper=upper, kind=ChiKind.DOUBLE)
+    try:
+        sup = _window_sup(n, lower, upper)
+    except OverflowError:  # |a|/2 past 709.78: lower subnormal, n near -1/2
+        raise ValueError(f"the powers of the window [{lower:g}, {upper:g}] "
+                         f"at n={n:g} leave the double range") from None
+    noise = 5e-14 * M
+    if not lower + noise < M < sup - noise:
+        raise ValueError(
+            f"the doubly truncated mean on [{lower:g}, {upper:g}] at n={n:g} "
+            f"is confined to ({lower:g}, {sup:g}); got {M:g}"
+            + (f", within its rounding noise 5e-14 M = {noise:g} of an end"
+               if lower < M < sup else ""))
+    s = n / 2.0
 
-    what = f"sigma giving mean {M:g} on [{lower:g}, {upper:g}] at n={n:g}"
-    bracket = _roots.expand(f, upper * 1e-6, upper, increasing=True,
-                            what=what, huge=upper * 1e12, factor=4.0)
-    return _roots.brentq(f, *bracket, what=what)
+    def g(sigma: float) -> tuple[float, float]:
+        r1, r2 = lower / sigma, upper / sigma
+        y1, y2 = r1 * r1 / 2.0, r2 * r2 / 2.0
+        w1 = _ratio(s, y1, y2, 1)
+        mean = _SQRT2 * sigma * w1
+        # dE/dsigma = 2 sqrt(2) (W3 - W1 W2), W_k = _ratio's, and W(t + 1)
+        # = t W(t) + [y^t e^-y] over the edges turns it into W1 and the
+        # edge terms d = y^s e^-y / W(s)
+        try:
+            lw = _log_mass(s, y1, y2)
+            d1, d2 = (math.exp(s * math.log(y) - y - lw)
+                      if 0.0 < y < math.inf else 0.0 for y in (y1, y2))
+        except ValueError:  # W(s) out of the double range: no slope
+            return mean, math.nan
+        cov = 0.5 * w1 - d1 * (w1 - r1 / _SQRT2) - d2 * (r2 / _SQRT2 - w1)
+        # its rounding, up to about 1e-15 of its terms' size (against
+        # mpmath), outgrows it as sigma falls far below lower: below 1e-14
+        # of them it is no slope, and Newton bisects
+        if not abs(cov) > 1e-14 * (w1 + d1 * r1 + d2 * r2):
+            return mean, math.nan
+        return mean, _logit_step(M, mean, lower, sup,
+                                 2.0 * _SQRT2 * sigma * cov)
+
+    # the untruncated sigma, or at n <= 0, where it is no number, the one
+    # of the two limits, E - lower ~ sigma^2/lower and sup - E ~ 1/sigma^2
+    sigma = _sigma_limit(M, n) if n > 0.0 else (
+        math.sqrt(lower) * math.sqrt(sup - lower)
+        * math.sqrt((M - lower) / (sup - M)))
+    # the root lies above about 2e-7 lower (or near the untruncated sigma)
+    # and below about 3e6 upper: E is within its noise of an end beyond.
+    # tol is far above that noise, as chi_calibrate's is above V's
+    return _roots.newton(
+        g, sigma, M, increasing=True,
+        domain=(1e-8 * min(lower, sigma), 1e8 * upper),
+        what=f"sigma giving mean {M:g} on [{lower:g}, {upper:g}] at n={n:g}",
+        noise_evals=1, log=True, tol=1e-10 * M)
 
 
 def _sigma_limit(M: float, n: float) -> float:

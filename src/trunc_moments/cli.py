@@ -166,6 +166,8 @@ def cmd_calibrate_chi(args) -> int:
         return EXIT_USAGE
     try:
         if kind is ChiKind.DOUBLE:
+            if not v > 0.0:  # it feeds residuals.var alone, as a divisor
+                raise ValueError("target variance must be positive")
             sigma = chi.double_sigma(M, n, lo, up)
             r_abs, a = lo / sigma, lo
             spec = ScaledChiSpec(sigma, n, lower=lo, upper=up, kind=kind)
@@ -247,11 +249,12 @@ def _read_column(path: str, selector: str, lower: float | None = None,
     included.
 
     After the first line the file is read in blocks of lines.  numpy's C
-    text reader parses a block that holds no '#'; a block it refuses, or
-    that holds nan or inf, goes through ``float()`` line by line, the one
-    path that names a line.  Where numpy accepts a cell it reads the value
-    ``float()`` reads; it refuses some that ``float()`` takes ('1_000',
-    non-ASCII digits), and those go the exact way too.
+    text reader parses a block without its '#' lines, if no other '#' is
+    left in it; a block it refuses, or that holds nan or inf, goes through
+    ``float()`` line by line, the one path that names a line.  Where numpy
+    accepts a cell it reads the value ``float()`` reads; it refuses some
+    that ``float()`` takes ('1_000', non-ASCII digits), and those go the
+    exact way too.
     """
     from array import array
 
@@ -288,47 +291,30 @@ def _read_column(path: str, selector: str, lower: float | None = None,
             except ValueError:
                 pass
 
-        def parse(no: int, line: str) -> float | None:
-            """The value on line ``no``, None for a blank or '#' line."""
-            line = line.strip()
-            if not line or line.startswith("#"):
-                return None
-            cells = split(line)
-            if idx >= len(cells):
-                raise ValueError(
-                    f"{path}: line {no}: missing column {idx + 1}")
-            try:
-                x = float(cells[idx])
-            except ValueError:
-                raise ValueError(f"{path}: line {no}: non-numeric value "
-                                 f"{cells[idx]!r}") from None
-            if not math.isfinite(x):
-                raise ValueError(f"{path}: line {no}: non-finite value "
-                                 f"{cells[idx]!r}")
-            return x
-
         out = array("d")
         keep = out.append
         seen = False
 
         def read_lines(numbered) -> None:
-            """Keep the values of ``(line no, line)`` pairs, line by line."""
+            """Keep the values of ``(line no, line)`` pairs, line by line,
+            skipping blank and '#' lines."""
             nonlocal seen
             for no, line in numbered:
-                # float() strips the same whitespace as parse(), so where
-                # the plain split reads a finite number it is parse()'s
-                # number; '#' lines, lines it cannot read and nan or inf
-                # (where x - x is nan, so true) go to parse()
-                x = None
-                if "#" not in line:
-                    try:
-                        x = float(line.split(sep)[idx])
-                    except (ValueError, IndexError):
-                        pass
-                if x is None or x - x:
-                    x = parse(no, line)
-                    if x is None:
-                        continue
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                cells = split(line)
+                if idx >= len(cells):
+                    raise ValueError(
+                        f"{path}: line {no}: missing column {idx + 1}")
+                try:
+                    x = float(cells[idx])
+                except ValueError:
+                    raise ValueError(f"{path}: line {no}: non-numeric value "
+                                     f"{cells[idx]!r}") from None
+                if not math.isfinite(x):
+                    raise ValueError(f"{path}: line {no}: non-finite value "
+                                     f"{cells[idx]!r}")
                 seen = True
                 if (lower is None or x >= lower) and \
                         (upper is None or x <= upper):
@@ -344,13 +330,18 @@ def _read_column(path: str, selector: str, lower: float | None = None,
                                     "data", UserWarning)
             while block := fh.readlines(_BLOCK):
                 start, no = no + 1, no + len(block)
-                # '#' lines go line by line: numpy would read them as data
-                # with comments=None, and with comments="#" it would also
-                # take '1 # note', which is an error here
+                # numpy would read '#' lines as data with comments=None, and
+                # with comments="#" it would also take '1 # note', which is
+                # an error here: the comment lines are dropped, and a block
+                # with any other '#' goes line by line
+                data = block
+                if "#" in "".join(block):
+                    data = [line for line in block if "#" not in line
+                            or not line.lstrip().startswith("#")]
                 x = None
-                if "#" not in "".join(block):
+                if data is block or "#" not in "".join(data):
                     try:
-                        x = np.loadtxt(block, delimiter=sep, usecols=idx,
+                        x = np.loadtxt(data, delimiter=sep, usecols=idx,
                                        comments=None, ndmin=1, dtype=float)
                     except ValueError:
                         pass

@@ -8,17 +8,17 @@ Everything here runs on the standard library's ``math`` module:
 * ``exp_r2_half_xi`` -- the product exp(r^2/2) * xi(r).  Written naively this
   is 0 * inf garbage for |r| beyond ~38; routed through the scaled
   complementary error function it is exact down to arbitrarily negative r.
-* upper/lower/generalized incomplete gamma for *real* order, including
-  order <= 0, where the regularized ratios are useless.  Negative order is
-  needed for truncated chi distributions continued to negative dimension
-  counts.  For s > 0 they rest on pure-Python regularized P(s, x) and
-  Q(s, x): power series, Legendre continued fraction and Temme's uniform
-  expansion (Gil, Segura & Temme 2012; DiDonato & Morris 1986).  For
-  s <= 0 the upper one rests on the scaled Gamma(s, x) e^x x^-s.
-  ``gamma_upper`` and ``gamma_generalized`` stay public, but no other
-  module calls them (``gamma_lower`` reads ``gamma_upper``): ``chi`` takes
-  its ratios from the scaled and regularized forms, and ``gamma_lower``
-  only for the outer continuation to n <= 0.
+* upper/lower incomplete gamma for *real* order, including order <= 0,
+  where the regularized ratios are useless.  Negative order is needed for
+  truncated chi distributions continued to negative dimension counts.
+  For s > 0 they rest on pure-Python regularized P(s, x) and Q(s, x):
+  power series, Legendre continued fraction and Temme's uniform expansion
+  (Gil, Segura & Temme 2012; DiDonato & Morris 1986).  For s <= 0 the
+  upper one rests on the scaled Gamma(s, x) e^x x^-s.
+  ``gamma_upper`` stays public, but no other module calls it
+  (``gamma_lower`` reads it): ``chi`` takes its ratios from the scaled and
+  regularized forms, and ``gamma_lower`` only for the outer continuation
+  to n <= 0.
 * ``lambert_w0`` -- principal branch Lambert W on [0, inf), by Halley
   iteration.
 
@@ -34,7 +34,6 @@ __all__ = [
     "exp_r2_half_xi",
     "gamma_upper",
     "gamma_lower",
-    "gamma_generalized",
     "lambert_w0",
 ]
 
@@ -455,36 +454,6 @@ def gamma_lower(s: float, x: float) -> float:
     if x <= _COMPLEMENT_X:
         return _xs(s, x, _gamma_lower_series(s, x))
     return math.gamma(s) - gamma_upper(s, x)
-
-
-def gamma_generalized(s: float, y1: float, y2: float) -> float:
-    """Gamma(s, y1) - Gamma(s, y2): the integral over the window [y1, y2].
-
-    Requires 0 <= y1 < y2.  y2 may be inf (reduces to gamma_upper).
-
-    Accuracy, against mpmath for s in [-20, 5e3] and cutoffs in [1e-8, 1e4]:
-    absolute error at most 1e-15 (|s| + y2 + 20) times the larger of
-    |Gamma(s, y1)| and |Gamma(s, y2)|, or, where s > 0 and the regularized
-    P(s, y2) <= 1/2, times the larger of the two lower integrals.
-    """
-    s = float(s)
-    y1 = float(y1)
-    y2 = float(y2)
-    if math.isnan(s) or math.isnan(y1) or math.isnan(y2):
-        return math.nan
-    if not 0.0 <= y1 < y2:
-        raise ValueError(f"gamma_generalized requires 0 <= y1 < y2, got ({y1}, {y2})")
-    if math.isinf(y2):
-        return gamma_upper(s, y1) if y1 > 0.0 else (
-            gamma_upper(s, 0.0) if s > 0.0 else math.inf
-        )
-    if y1 == 0.0:
-        return gamma_lower(s, y2)
-    if s > 0.0 and _gamma_inc(s, y2, lower=True)[0] <= 0.5:
-        # both cutoffs below the median: the lower integrals are the
-        # smaller pair, so their difference keeps more digits
-        return gamma_lower(s, y2) - gamma_lower(s, y1)
-    return gamma_upper(s, y1) - gamma_upper(s, y2)
 
 
 def lambert_w0(x: float) -> float:

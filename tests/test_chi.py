@@ -637,13 +637,59 @@ class TestCalibrate:
         spec = ScaledChiSpec(sigma, 2.0, lower=0.5, upper=1.5,
                              kind=ChiKind.DOUBLE)
         assert chi_raw_moment(spec, 1) == pytest.approx(1.0, rel=1e-12)
-        with pytest.raises(ValueError, match=r"^the doubly truncated mean "
-                           r"is confined to \(1, 2\); got 2.5$"):
-            double_sigma(2.5, 1.0, 1.0, 2.0)
         # for n = 1 the window mean tops out at its midpoint
-        with pytest.raises(ValueError, match=r"^no sigma giving mean 1.8 on "
-                           r"\[1, 2\] at n=1 in "):
-            double_sigma(1.8, 1.0, 1.0, 2.0)
+        for M in (2.5, 1.8):
+            with pytest.raises(ValueError, match=(
+                    r"^the doubly truncated mean on \[1, 2\] at n=1 is "
+                    rf"confined to \(1, 1.5\); got {M}$")):
+                double_sigma(M, 1.0, 1.0, 2.0)
+        # any sigma far enough out reproduces these
+        for M in (1.0 + 1e-15, 1.5 - 1e-15):
+            with pytest.raises(ValueError, match=(
+                    r"confined to \(1, 1.5\); got 1(.5)?, within its rounding "
+                    r"noise 5e-14 M = .* of an end$")):
+                double_sigma(M, 1.0, 1.0, 2.0)
+
+    @pytest.mark.parametrize("n", [1e-9, 0.0, -1e-9, -1.0 + 1e-9, -1.0,
+                                   -1.0 - 1e-9, 1e5, -30.0])
+    def test_window_mean_sup(self, n):
+        # n/(n+1) (u^(n+1) - l^(n+1)) / (u^n - l^n) is 0/0 at n = 0 and -1,
+        # cancels near them and overflows at n = 1e5
+        with mpmath.workdps(60):
+            l, u, m = mpmath.mpf(1), mpmath.mpf(2), mpmath.mpf(n)
+            if n == 0.0:
+                want = (u - l) / mpmath.log(u / l)
+            elif n == -1.0:
+                want = mpmath.log(u / l) / (1 / l - 1 / u)
+            else:
+                want = m / (m + 1) * (u ** (m + 1) - l ** (m + 1)) / (
+                    u ** m - l ** m)
+        assert chi._window_sup(n, 1.0, 2.0) == pytest.approx(float(want),
+                                                              rel=1e-15)
+
+    @pytest.mark.parametrize("M, n, lower, upper, share", [
+        # near the limits n = 0 and -1 of the supremum
+        (1.3, 1e-9, 1.0, 2.0, None),
+        (1.3, -1e-9, 1.0, 2.0, None),
+        (1.3, -1.0 + 1e-9, 1.0, 2.0, None),
+        (1.3, -1.0 - 1e-9, 1.0, 2.0, None),
+        # the mean is lower to the last bit for sigma below about 3e-6: a
+        # Newton step on the mean itself from the untruncated sigma, 377,
+        # lands at 7e-25 and stops there on a zero step
+        (301.0, 1.0, 300.0, 320.0, None),
+        # 1e-9 (sup - lower) below the supremum, at sigma from 5.7e3 up
+        (None, 3.0, 1.0, 2.0, 1e-9),
+        (None, 1.0, 0.5, 3.0, 1e-9),
+        (None, -5.0, 0.2, 3.0, 1e-9),
+    ])
+    def test_double_sigma_against_mpmath(self, M, n, lower, upper, share):
+        if M is None:
+            sup = chi._window_sup(n, lower, upper)
+            M = sup - share * (sup - lower)
+        sigma = double_sigma(M, n, lower, upper)
+        y1, y2 = ((x / sigma) ** 2 / 2.0 for x in (lower, upper))
+        mean = math.sqrt(2.0) * sigma * mp_window_ratio(n, y1, y2, 1)
+        assert mean == pytest.approx(M, rel=1e-12)
 
     @pytest.mark.parametrize("n", [50.0, 200.0])
     def test_high_dimension_roundtrip(self, n):

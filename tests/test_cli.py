@@ -348,7 +348,36 @@ def test_calibrate_chi_double_unattainable_mean(capsys):
                          "0.1", "--dim", "1", "--trunc", "double",
                          "--lower", "1", "--upper", "2")
     assert code == 2
-    assert err.startswith("infeasible: no sigma")
+    assert err == ("infeasible: the doubly truncated mean on [1, 2] at n=1 "
+                   "is confined to (1, 1.5); got 1.8\n")
+
+
+@pytest.mark.parametrize("argv, bound", [
+    # exited 2 naming the searched sigma, "in [2e-06, 5.49756e+11]"
+    (["--mean", "1.7", "--dim", "3", "--lower", "1", "--upper", "2"],
+     "(1, 1.60714)"),
+    # the supremum itself: exited 0 with sigma = 5.03e7
+    (["--mean", "1.75", "--dim", "1", "--lower", "0.5", "--upper", "3"],
+     "(0.5, 1.75)"),
+])
+def test_calibrate_chi_double_names_the_mean_bounds(capsys, argv, bound):
+    # the window mean runs from lower (sigma -> 0) to n/(n+1) (u^(n+1) -
+    # l^(n+1)) / (u^n - l^n) (sigma -> inf): 45/28 at n = 3 on [1, 2]
+    code, out, err = run(capsys, "calibrate-chi", "--var", "0.01",
+                         "--trunc", "double", *argv)
+    assert code == 2
+    assert f"is confined to {bound}; got {argv[1]}" in err
+
+
+@pytest.mark.parametrize("var", ["0", "-1"])
+def test_calibrate_chi_double_needs_a_positive_var(capsys, var):
+    # 0 raised ZeroDivisionError in residuals.var; -1 exited 0 with a
+    # negative residual
+    code, out, err = run(capsys, "calibrate-chi", "--mean", "1.5", "--var",
+                         var, "--dim", "3", "--trunc", "double",
+                         "--lower", "1", "--upper", "2")
+    assert code == 2
+    assert err == "infeasible: target variance must be positive\n"
 
 
 def test_calibrate_chi_double(capsys):
@@ -847,6 +876,11 @@ _FUZZ_COMMANDS = st.one_of(
 @example(argv=["calibrate-chi", "--mean", "1", "--var", "1",
                "--dim", "1.175494351e-38"])
 @example(argv=["calibrate-chi", "--mean", "1", "--var", "1", "--dim", "5e-324"])
+@example(argv=["calibrate-chi", "--mean", "1.5", "--var", "0", "--dim", "3",
+               "--trunc", "double", "--lower", "1", "--upper", "2"])
+# the powers of the window leave the double range
+@example(argv=["calibrate-chi", "--mean", "1", "--var", "1", "--dim", "-0.5",
+               "--trunc", "double", "--lower", "5e-324", "--upper", "1e308"])
 @example(argv=["calibrate-gauss", "--mean", "1.3e154", "--var", "1",
                "--cutoff", "1", "--method", "point-slope", "--mu1", "0"])
 # a tie: 1.5779353160075068e16 + 1 rounds back to itself

@@ -184,6 +184,9 @@ def test_matches_the_reference_reader(data_file, text, selector, lower, upper):
     ("id value\n# c\n\n", "2", "{path}: no data rows"),
     ("x,y\n1,2\n3, nan\n", "y", "{path}: line 3: non-finite value 'nan'"),
     ("1\n-inf\n", "1", "{path}: line 2: non-finite value '-inf'"),
+    # the comment line goes, the inline '#' stays an error
+    ("x,y\n1,2\n# c\n3,4 # note\n", "y",
+     "{path}: line 4: non-numeric value '4 # note'"),
 ])
 def test_error_paths(tmp_path, text, selector, message):
     f = tmp_path / "data.csv"
@@ -194,8 +197,8 @@ def test_error_paths(tmp_path, text, selector, message):
 
 
 # each file spans several of the reader's blocks, and one line puts its
-# block on the line-by-line path: values and errors are the reference
-# reader's, line numbers included
+# block on the line-by-line path, or (a comment line) is dropped from it:
+# values and errors are the reference reader's, line numbers included
 @pytest.mark.parametrize("sep", [",", " "])
 @pytest.mark.parametrize("line, cell, end", [
     (1_500, None, "# a comment"),
@@ -243,6 +246,38 @@ def test_blocks_numpy_refuses_take_the_exact_path(tmp_path, monkeypatch, sep,
                 _reference_outcome(str(f), selector, lower, upper)
             # numpy reads the other blocks, up to the line in error
             assert accepted.count(True) >= 3 and accepted.count(False) <= 1
+
+
+@pytest.mark.parametrize("sep", [",", " "])
+def test_comment_lines_leave_the_blocks_to_numpy(tmp_path, monkeypatch, sep):
+    import numpy as np
+
+    rows = 20_000
+    values = np.random.default_rng(7).normal(0.0, 1.0, rows).tolist()
+    lines = [f"id{sep}value\n"]
+    for k, x in enumerate(values):
+        if k % 200 == 0:
+            lines.append("  # section\n" if k % 400 else "# section\n")
+        lines.append(f"{k}{sep}{x!r}\n")
+    f = tmp_path / "sections.txt"
+    f.write_text("".join(lines), encoding="utf-8")
+    assert f.stat().st_size > 30 * cli._BLOCK
+
+    loadtxt, sizes = np.loadtxt, []
+
+    def counting(*args, **kwargs):
+        x = loadtxt(*args, **kwargs)  # a refusal fails the test
+        assert np.isfinite(x).all()
+        sizes.append(x.size)
+        return x
+
+    monkeypatch.setattr(np, "loadtxt", counting)
+    for lower, upper in ((None, None), (-1.0, 0.5)):
+        sizes.clear()
+        assert _outcome(cli._read_column, str(f), "value", lower, upper) == \
+            _reference_outcome(str(f), "value", lower, upper)
+        # numpy read every block, and so every row
+        assert sum(sizes) == rows
 
 
 @pytest.mark.parametrize("text, selector, want", [

@@ -468,6 +468,20 @@ def test_newton_names_the_quantity_on_nan():
                       what="widget", noise_evals=4)
 
 
+@pytest.mark.parametrize("fault", [ZeroDivisionError, OverflowError])
+def test_newton_reads_an_arithmetic_error_as_nan(fault):
+    # as in brentq, an evaluation that divides by zero or overflows is
+    # undefined: it raised out of the solve
+    def g(x):
+        if x > 1.0:
+            raise fault
+        return x, 5.0
+
+    with pytest.raises(ValueError, match=r"^no widget in \[-8, 8\]$"):
+        _roots.newton(g, 0.0, 3.0, increasing=True, domain=(-8.0, 8.0),
+                      what="widget", noise_evals=4)
+
+
 def test_newton_stops_on_a_zero_step():
     # a step that leaves x unchanged ends the search at x, whatever the
     # residual: where the value is flat to its last bit (Form I's Q
