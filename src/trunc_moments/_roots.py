@@ -2,21 +2,24 @@
 
 ``newton`` is the one Newton iteration, for the solves with a closed-form
 slope: ``calibrate.r_from_variance`` in r, ``chi.chi_calibrate`` in ln|r|,
-and ``chi.double_sigma`` and Form I of ``calibrate.sigma_newton`` in
-ln sigma.  The solves without one bracket the root and call ``brentq``,
-which ports scipy's Brent solver step for step (same ``xtol + rtol*|x|``
-stopping rule, same roots bit for bit), so the package need not import
-``scipy.optimize``.  ``expand`` widens a bracket until it holds a sign
-change, ``scan`` walks a grid up to a function's first sign change, and
-``bisect_each`` finds the same cell for several functions by bisecting
+and ``chi.double_sigma``, Form I of ``calibrate.sigma_newton`` and Form I
+of ``lognormal.calibrate_original`` in ln sigma.  The solves without one
+bracket the root and call ``brentq``, which ports scipy's Brent solver
+step for step (same ``xtol + rtol*|x|`` stopping rule, same roots bit for
+bit), so the package need not import ``scipy.optimize``.  ``expand``
+widens a bracket until it holds a sign change, and ``scan``, the one grid
+search, finds a function's first sign-change cell on a grid by bisecting
 over the grid's indices.  A missing root or bracket is a ValueError naming
 the quantity and the range searched; an evaluation that overflows or
 divides by zero counts as undefined (NaN).
 """
 
+import functools
 import math
 
 RTOL = 8.9e-16  # just above 4 * machine epsilon, the floor scipy accepts
+# the magnitudes between which ``expand`` moves an endpoint
+_TINY, _HUGE = 1e-300, 1e300
 
 
 def _fail(what: str, a: float, b: float) -> ValueError:
@@ -30,12 +33,12 @@ def _eval(f, x: float) -> float:
         return math.nan
 
 
-def _value(f, x, undefined=math.nan):
-    # f(x) for the grid searches, which also read a ValueError as undefined
+def _value(f, x):
+    # f(x) for the grid search, which also reads a ValueError as undefined
     try:
         return f(x)
     except (ArithmeticError, ValueError):
-        return undefined
+        return math.nan
 
 
 def _straddles(fa: float, fb: float) -> bool:
@@ -154,18 +157,18 @@ def newton(g, x: float, target: float, *, increasing: bool,
     return best_x
 
 
-def expand(f, a: float, b: float, *, increasing: bool, what: str,
-           tiny: float = 1e-300, huge: float = 1e300):
+def expand(f, a: float, b: float, *, increasing: bool, what: str):
     """Widen [a, b], a < b, until f, monotone in the stated direction,
     changes sign over it; returns (a, b, f(a), f(b)).  The endpoint on the
     root's side moves away from the other by a factor of 2 (dividing
-    towards 0, never across it) while its magnitude stays in [tiny, huge]."""
+    towards 0, never across it) while its magnitude stays in [_TINY,
+    _HUGE]."""
     fa, fb = _eval(f, a), _eval(f, b)
     while not _straddles(fa, fb):
         beyond_b = (fb < 0.0) == increasing
         x = b if beyond_b else a
         x = x * 2.0 if (x > 0.0) == beyond_b else x / 2.0
-        if fa != fa or fb != fb or not tiny <= abs(x) <= huge:
+        if fa != fa or fb != fb or not _TINY <= abs(x) <= _HUGE:
             raise _fail(what, a, b)
         if beyond_b:
             b, fb = x, _eval(f, x)
@@ -174,61 +177,27 @@ def expand(f, a: float, b: float, *, increasing: bool, what: str,
     return a, b, fa, fb
 
 
-def scan(f, grid, *, what: str):
+def scan(f, grid, *, what: str, start: int | None = None):
     """First cell of ``grid`` over which f changes sign, as (a, b, f(a),
-    f(b)); a cell is skipped if f is NaN or raises at either end."""
-    found = _walk(lambda j: _value(f, grid[j]), len(grid))
+    f(b)), skipping cells where f is NaN or raises at either end.
+
+    The cell is found by bisection over the indices of ``grid``: between
+    grid[0] and grid[-1] or, given ``start``, between the nearest indices
+    on either side of the sign change that a gallop outward from
+    grid[start] reaches.  A probe where f is undefined counts as beyond
+    the sign change.  The cell so found is the walk's first one provided
+    f changes sign at most once between grid[0] and the probe that bounds
+    the search.  Where f is zero or undefined at grid[0], the search ends
+    on an undefined point, or f has no point of the other sign, a walk up
+    the grid decides instead.  f is evaluated at most once per grid point;
+    a grid without such a cell raises the no-root error.
+    """
+    g = functools.cache(lambda j: _value(f, grid[j]))
+    found = _first_change(g, len(grid), start) or _walk(g, len(grid))
     if found is None:
         raise _fail(what, min(grid), max(grid))
     j, fa, fb = found
     return grid[j], grid[j + 1], fa, fb
-
-
-def bisect_each(at, fs, grid,
-                start: int | None = None) -> tuple[list, int | None]:
-    """``scan``'s cell for each f in ``fs``, found by bisection over the
-    indices of ``grid`` instead of a walk from its first point.
-
-    fs[0] bisects between grid[0] and grid[-1], or, given ``start`` (the
-    index of its previous cell), gallops outward from grid[start] to the
-    nearest indices on either side of its sign change and bisects between
-    them; each later f gallops the same way from fs[0]'s cell.  A probe
-    where f is undefined counts as beyond the sign change.  A cell so found
-    is the walk's first one provided f changes sign at most once between
-    grid[0] and the probe that bounds the search.  Where f is zero or
-    undefined at grid[0], the search ends on an undefined point, or f has
-    no point of the other sign, the walk up the grid decides instead.  A
-    function without a sign change gets (min(grid), max(grid), nan, nan),
-    on which ``brentq`` raises the no-root error that ``scan`` would.
-
-    Each point's p = at(x) is computed once per call, whichever search or
-    walk asks for it, and f is evaluated at p (``at`` None passes x
-    itself); a raise in ``at`` leaves every f undefined there.  Returns
-    the cells and the index of fs[0]'s cell, the next call's ``start``
-    (None where fs[0] has no sign change).
-    """
-    seen = {}  # j -> at(grid[j]), None where it raises
-
-    def p_at(j):
-        if j not in seen:
-            seen[j] = grid[j] if at is None else _value(at, grid[j], None)
-        return seen[j]
-
-    cells, hint = [], start
-    for f in fs:
-        def g(j, f=f):
-            p = p_at(j)
-            return math.nan if p is None else _value(f, p)
-        found = _first_change(g, len(grid), hint) or _walk(g, len(grid))
-        if found is None:
-            j, cell = None, (min(grid), max(grid), math.nan, math.nan)
-        else:
-            j, fa, fb = found
-            cell = (grid[j], grid[j + 1], fa, fb)
-        if not cells:
-            hint = j
-        cells.append(cell)
-    return cells, hint
 
 
 def _walk(g, n: int):
@@ -248,14 +217,13 @@ def _first_change(g, n: int, hint: int | None):
     """(j, g(j), g(j + 1)) for the cell of the indices 0..n-1 over which g
     leaves the sign of g(0), a NaN probe counting as past it; None where
     g(0) is zero or NaN, g never leaves its sign, or the cell's upper end
-    is NaN: see ``bisect_each``."""
-    vals = {0: g(0)}
-    negative = vals[0] < 0.0
-    if not (negative or vals[0] > 0.0):
+    is NaN: see ``scan``."""
+    negative = g(0) < 0.0
+    if not (negative or g(0) > 0.0):
         return None
 
     def crossed(j):  # True where g(j) is NaN
-        v = vals[j] = g(j)
+        v = g(j)
         return not (v < 0.0 if negative else v > 0.0)
 
     if hint is None:
@@ -281,5 +249,5 @@ def _first_change(g, n: int, hint: int | None):
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if crossed(mid) else (mid, hi)
-    fb = vals[hi]
-    return None if fb != fb else (lo, vals[lo], fb)
+    fb = g(hi)
+    return None if fb != fb else (lo, g(lo), fb)

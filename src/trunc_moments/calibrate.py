@@ -203,7 +203,7 @@ def solve_U_approx2(vhat: float, tol: float = 1e-12) -> float:
         s = _sigma_approx2_unchecked(u)
         return s * s - (vhat + 1.0 - u)
 
-    # g < 0 at U -> 1-; scan down from there by 0.02 for a sign change (the
+    # g < 0 at U -> 1-; search down from there by 0.02 for a sign change (the
     # bracket may start slightly below 0.9 when vhat sits at the dispatch
     # boundary), then solve between that U and U -> 1- (g is monotone)
     what = f"function-2 location U for vhat={vhat:g}"

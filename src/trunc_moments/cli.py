@@ -108,6 +108,14 @@ def cmd_calibrate_gauss(args) -> int:
     from . import calibrate
     from .utgd import Side
 
+    # an option that the chosen method does not read is refused, not dropped
+    for option, methods in (("mu1", ("two-point", "point-slope")),
+                            ("mu2", ("two-point",)),
+                            ("rounds", ("point-slope",))):
+        if getattr(args, option) is not None and args.method not in methods:
+            print(f"calibrate-gauss: error: --{option} applies only to "
+                  f"--method {' or '.join(methods)}", file=sys.stderr)
+            return EXIT_USAGE
     M, v, a, side = args.mean, args.var, args.cutoff, Side(args.side)
     try:
         if args.method == "auto":
@@ -119,7 +127,8 @@ def cmd_calibrate_gauss(args) -> int:
         elif args.method == "two-point":
             res = calibrate.two_point(M, v, a, args.mu1, args.mu2, side)
         else:
-            res = calibrate.point_slope(M, v, a, args.mu1, args.rounds, side)
+            rounds = 3 if args.rounds is None else args.rounds
+            res = calibrate.point_slope(M, v, a, args.mu1, rounds, side)
     except ValueError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -433,7 +442,7 @@ def build_parser() -> _Parser:
                             "point-slope"])
     p.add_argument("--mu1", type=_finite, default=None)
     p.add_argument("--mu2", type=_finite, default=None)
-    p.add_argument("--rounds", type=_positive(int), default=3)
+    p.add_argument("--rounds", type=_positive(int), default=None)
     _add_precision(p)
     p.set_defaults(func=cmd_calibrate_gauss)
 

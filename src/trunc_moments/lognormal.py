@@ -22,6 +22,7 @@ d ln xi/dz.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import namedtuple
 
@@ -65,14 +66,20 @@ def _log_xi_steps(r: float, sigma: float) -> tuple[float, float]:
     return log_xi(r + sigma) - lx0, log_xi(r + 2.0 * sigma) - lx0
 
 
-def back_moments(mu: float, sigma: float, a: float) -> LognormalMoments:
-    """Mean and variance of Y = e^X for X truncated-Gaussian."""
+def _form_args(mu: float, sigma: float,
+               a: float) -> tuple[float, float, tuple[float, float]]:
+    # (sigma, r, the log-xi steps at r), the arguments both forms share
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
     r = (mu - a) / sigma
-    steps = _log_xi_steps(r, sigma)
-    lm = 0.5 * sigma * sigma + mu + steps[0]
-    lv = _log_var_form1(mu, sigma, r, steps)
+    return sigma, r, _log_xi_steps(r, sigma)
+
+
+def back_moments(mu: float, sigma: float, a: float) -> LognormalMoments:
+    """Mean and variance of Y = e^X for X truncated-Gaussian."""
+    args = _form_args(mu, sigma, a)
+    lm = 0.5 * sigma * sigma + mu + args[2][0]
+    lv = _log_var_form1(mu, *args)
     if lm > 700.0 or lv > 1400.0:
         raise OverflowError("back-transformed moments exceed float range")
     return LognormalMoments(mean_y=math.exp(lm), var_y=math.exp(lv),
@@ -113,14 +120,10 @@ def log_var_forms(mu: float, sigma: float, a: float,
                   M_y: float | None = None) -> tuple[float, float]:
     """ln Var(Y) per Form I (no mean needed) and Form II (anchored to the
     supplied mean of Y; defaults to the congruent mean)."""
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
-    r = (mu - a) / sigma
-    steps = _log_xi_steps(r, sigma)
-    log_m = (0.5 * sigma * sigma + mu + steps[0] if M_y is None
+    args = _form_args(mu, sigma, a)
+    log_m = (0.5 * sigma * sigma + mu + args[2][0] if M_y is None
              else math.log(M_y))
-    return (_log_var_form1(mu, sigma, r, steps),
-            _log_var_form2(mu, sigma, r, steps, log_m))
+    return _log_var_form1(mu, *args), _log_var_form2(mu, *args, log_m)
 
 
 def lognormal_slopes(mu: float, sigma: float, a: float,
@@ -134,19 +137,28 @@ def lognormal_slopes(mu: float, sigma: float, a: float,
     sigma in [0.3, 1.5]; 1.5e-10, 3.5e-11 for r in [-6, 4] and sigma in
     [0.05, 2.5]; 5e-7, 2.5e-10 there for sigma in [1e-3, 0.05]; 1.5e-4,
     4.5e-8 for r in [-80, -40] and sigma in [0.01, 0.05].  Form I's slope
-    is ill-conditioned as sigma -> 0: a few percent off below 1e-4.
+    is within 5e-8 for r in [-3, 2] and sigma in [1e-6, 1e-2], where it
+    takes the small-sigma expansion of ``_partials``.
     """
     del M_y
     return (_level_slope(VarianceForm.I, mu, sigma, a),
             _level_slope(VarianceForm.II, mu, sigma, a))
 
 
-def _level_slope(form: VarianceForm, mu: float, sigma: float,
-                 a: float) -> float:
-    # minus the ratio of the form's partials in mu and sigma.  The steps
-    # d_k = ln xi(z_k) - ln xi(z_0), z_k = r + k sigma, move with z at the
-    # inverse Mills ratio t(z_k): by (t_k - t_0)/sigma with mu, and by
-    # k t_k - r (t_k - t_0)/sigma with sigma
+def _partials(form: VarianceForm, mu: float, sigma: float,
+              a: float) -> tuple[float, float]:
+    """Partials in mu and sigma of Form I's log variance, or of Form II's
+    expm1 argument, whose level curves are Form II's.
+
+    The steps d_k = ln xi(z_k) - ln xi(z_0), z_k = r + k sigma, move with
+    z at the inverse Mills ratio t_k = t(z_k): by m_k = (t_k - t_0)/sigma
+    with mu, and by s_k = k t_k - r m_k with sigma.  Where |q| < 1e-7 the
+    second differences of t keep few digits (2.7% off at r = 2, sigma =
+    1e-7), so Form I takes q and its partials from their expansions about
+    z_1, correct to relative O(sigma**2).  Form I's sigma-partial, which
+    steers its Newton solve, is positive for r in [-1e4, 1e6] over the
+    whole sigma grid (tested); below r = -1e4 its s_k terms cancel.
+    """
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
     r = (mu - a) / sigma
@@ -155,48 +167,55 @@ def _level_slope(form: VarianceForm, mu: float, sigma: float,
     t2 = _SQRT_2_OVER_PI / exp_r2_half_xi(r + 2.0 * sigma)
     m1, m2 = (t1 - t0) / sigma, (t2 - t0) / sigma
     s1, s2 = t1 - r * m1, 2.0 * t2 - r * m2
-    if form is VarianceForm.II:  # ln expm1(-2 mu + d2 - 4 d1 + const)
-        den = s2 - 4.0 * s1  # 0 where every t underflows (r > 37.7)
-        return (2.0 - m2 + 4.0 * m1) / den if den else -math.inf
+    if form is VarianceForm.II:  # -2 mu + d2 - 4 d1 + const
+        return -(2.0 - m2 + 4.0 * m1), s2 - 4.0 * s1  # 0 where r > 37.7
     # 2 sigma**2 + 2 mu + d2 + ln(-expm1(q)), and q = -sigma**2 + 2 d1 - d2
     # = ln(t0 t2 / t1**2).  Where t2 underflows (r + 2 sigma > 37.5) q is
     # -sigma**2 up to the tail at z_0, which counts only for sigma > 15,
     # where c ~ -e^q vanishes
     q = math.log(t0 / t1 * (t2 / t1)) if t2 > 1e-300 else -sigma * sigma
-    if q > -1e-12:  # rounding noise; the delta-method limit, as in the form
-        q = -sigma * sigma * _core(r)[2]
+    if q > -1e-7:  # with Q = 1 - z t - t**2 at z_1 and Q' = t'' there:
+        t, s, big_q = _core(r + sigma)
+        big_q_dz = t * (s * s - big_q)
+        q = -sigma * sigma * big_q
+        dq_mu, dq_sigma = (-sigma * big_q_dz,
+                           sigma * ((r - sigma) * big_q_dz - 2.0 * big_q))
+    else:
+        dq_mu, dq_sigma = 2.0 * m1 - m2, 2.0 * (s1 - sigma) - s2
     c = math.exp(q) / math.expm1(q)  # d ln(-expm1(q))/dq
-    return -((2.0 + m2 + c * (2.0 * m1 - m2))
-             / (4.0 * sigma + s2 + c * (2.0 * (s1 - sigma) - s2)))
+    return 2.0 + m2 + c * dq_mu, 4.0 * sigma + s2 + c * dq_sigma
+
+
+def _level_slope(form: VarianceForm, mu: float, sigma: float,
+                 a: float) -> float:
+    # minus the ratio of the form's partials in mu and sigma
+    d_mu, d_sigma = _partials(form, mu, sigma, a)
+    return -d_mu / d_sigma if d_sigma else -math.inf
 
 
 _SIGMA_GRID = [10.0 ** (-6.0 + 7.8 * i / 160.0) for i in range(161)]
 
 
 def _sigma_pair(mu: float, a: float, log_M_y: float, target: float,
-                start: int | None) -> tuple[float, float, int | None]:
-    """The sigma at which each log-variance form meets the target at this
-    mu: the Form I root, the Form II root, and the grid index of Form I's
-    cell, where the next round's search starts.
+                seed: float) -> tuple[float, float]:
+    """Form I's and Form II's roots in sigma at this mu, as
+    ``calibrate_original`` describes; Form I's Newton solve starts at
+    ``seed``."""
+    def form1(s: float) -> tuple[float, float]:  # value, step in ln s
+        value = _log_var_form1(mu, *_form_args(mu, s, a))
+        slope = s * _partials(VarianceForm.I, mu, s, a)[1]
+        return value, (target - value) / slope
 
-    Each form's root lies in its first sign-change cell on the sigma grid;
-    the curves are only defined where the expm1/log1p arguments stay in
-    range, so a cell with a NaN end is skipped instead of trusting a fixed
-    bracket.  ``_roots.bisect_each`` finds both cells by bisection,
-    evaluating the log-xi steps once per grid point it probes for both
-    forms; each form's Brent solve starts from its own cell.
-    """
-    def at(s: float) -> tuple[float, float, tuple[float, float]]:
-        r = (mu - a) / s
-        return s, r, _log_xi_steps(r, s)
+    def gap2(s: float) -> float:
+        return _log_var_form2(mu, *_form_args(mu, s, a), log_M_y) - target
 
-    gaps = (lambda p: _log_var_form1(mu, *p) - target,
-            lambda p: _log_var_form2(mu, *p, log_M_y) - target)
-    cells, start = _roots.bisect_each(at, gaps, _SIGMA_GRID, start)
     what = "sigma reproducing the target variance at this mu"
-    s1, s2 = (_roots.brentq(lambda s: gap(at(s)), *cell, what=what)
-              for gap, cell in zip(gaps, cells))
-    return s1, s2, start
+    s1 = _roots.newton(form1, seed, target, increasing=True, log=True,
+                       domain=(_SIGMA_GRID[0], _SIGMA_GRID[-1]),
+                       what=what, noise_evals=1)
+    start = min(bisect.bisect(_SIGMA_GRID, s1) - 1, len(_SIGMA_GRID) - 2)
+    cell = _roots.scan(gap2, _SIGMA_GRID, what=what, start=start)
+    return s1, _roots.brentq(gap2, *cell, what=what)
 
 
 def calibrate_original(M_y: float, var_y: float, a: float, mu_seed: float,
@@ -206,21 +225,21 @@ def calibrate_original(M_y: float, var_y: float, a: float, mu_seed: float,
 
     Runs the point-slope intersection on the log of the two variance forms
     (the raw variance is too steep in sigma for stable slopes when Var(Y)
-    is large).  Each round takes, for each form, the root in the first
-    cell of the 161-point log grid of sigma in [1e-6, 63.1] over which
-    that form's log variance crosses the target, that is its
-    smallest-sigma root.  The cells are found by bisection over the grid
-    indices: Form I between the grid's ends in the first round and by a
-    gallop from its previous cell after that, Form II by a gallop from
-    Form I's cell; a probe where a form's log variance is undefined counts
-    as beyond its crossing.  That finds the first crossing provided a
-    form's log variance crosses the target at most once between
-    sigma = 1e-6 and the probe beyond the crossing, which held on every
-    census-like request measured.  Where a form's gap is NaN at
-    sigma = 1e-6, the bisection ends on a NaN, or no probe crosses, the
-    round walks the grid up from sigma = 1e-6 instead.  A round in which
-    either form has no such cell raises ValueError("no sigma reproducing
-    the target variance at this mu in [1e-06, 63.0957]").
+    is large).  Each round takes, for each form, the smallest sigma in
+    [1e-6, 63.0957] at which that form's log variance meets the target.
+    Form I's rises with sigma (tested), so its root is one Newton solve in
+    ln sigma, started at the untruncated lognormal's sigma for the target
+    in the first round and at the previous root after that.  Form II's may
+    cross the target twice or be undefined above some sigma; its root lies
+    in the first cell of the 161-point log grid of sigma over which it
+    crosses, which ``_roots.scan`` finds by bisecting the grid indices
+    from the cell of Form I's root.  That finds the first crossing
+    provided Form II crosses the target at most once between sigma = 1e-6
+    and the probe beyond the crossing, which held on every census-like
+    request measured; where ``scan`` cannot vouch for its cell it walks
+    the grid up from sigma = 1e-6.  A round in which either form has no
+    root raises ValueError("no sigma reproducing the target variance at
+    this mu in [1e-06, 63.0957]").
     """
     if not M_y > math.exp(a):
         raise ValueError("target mean must exceed e**cutoff")
@@ -232,9 +251,12 @@ def calibrate_original(M_y: float, var_y: float, a: float, mu_seed: float,
     mu0 = sigma0 = math.nan
     growth = 0
     gap_prev = math.inf
-    start = None  # the grid index of Form I's cell in the previous round
+    # sigma**2 = ln((1 + sqrt(1 + 4 Var e^(-2 mu)))/2) without truncation;
+    # the cap keeps exp finite and the seed far above the grid
+    w = 4.0 * math.exp(min(target - 2.0 * mu, 700.0))
+    s1 = math.sqrt(math.log((1.0 + math.sqrt(1.0 + w)) / 2.0))
     for _ in range(rounds):
-        s1, s2, start = _sigma_pair(mu, a, log_m, target, start)
+        s1, s2 = _sigma_pair(mu, a, log_m, target, s1)
         k1 = _level_slope(VarianceForm.I, mu, s1, a)
         k2 = _level_slope(VarianceForm.II, mu, s2, a)
         mu0, sigma0 = _intersect(mu, s1, s2, k1, k2)

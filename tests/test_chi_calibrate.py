@@ -5,6 +5,7 @@ noise, a named diagnostic where there is no root, and a bounded number of
 kernel calls."""
 
 import math
+from unittest import mock
 
 import pytest
 
@@ -34,8 +35,9 @@ def former_chi_calibrate(M: float, target_var: float, n: float,
         return chi_var_form2(M, r, n, kind) - target_var
 
     what = f"offset |r| with {kind.value}-truncation variance {target_var:g}"
-    bracket = _roots.expand(g, 1e-10, 1.0, increasing=kind is ChiKind.OUTER,
-                            what=what, huge=1e6)
+    with mock.patch.object(_roots, "_HUGE", 1e6):
+        bracket = _roots.expand(g, 1e-10, 1.0,
+                                increasing=kind is ChiKind.OUTER, what=what)
     return _roots.brentq(g, *bracket, what=what)
 
 

@@ -489,6 +489,23 @@ def test_calibrate_chi_window_options_need_double(capsys, trunc, option):
     assert f"{option} applies only to --trunc double" in err
 
 
+@pytest.mark.parametrize("method,option,value,readers", [
+    ("auto", "--rounds", "5", "point-slope"),
+    ("point-slope", "--mu2", "1", "two-point"),
+    ("approx1", "--mu1", "1", "two-point or point-slope"),
+    ("two-point", "--rounds", "3", "point-slope"),
+])
+def test_calibrate_gauss_refuses_options_its_method_ignores(
+        capsys, method, option, value, readers):
+    # were silently dropped with exit 0
+    code, out, err = run(capsys, "calibrate-gauss", "--mean", "1.3", "--var",
+                         "3", "--cutoff", "-1", "--method", method, option,
+                         value)
+    assert code == 1
+    assert out == ""
+    assert f"{option} applies only to --method {readers}" in err
+
+
 def test_calibrate_chi_double_needs_a_positive_lower(capsys):
     # a usage error, not "infeasible" (exit 2) from the model's own check
     code, out, err = run(capsys, "calibrate-chi", "--mean", "1", "--var",
@@ -862,6 +879,18 @@ _FUZZ_COMMANDS = st.one_of(
 )
 
 
+def _ignored_gauss_option(argv):
+    """Whether a calibrate-gauss argv gives an option that its --method
+    does not read."""
+    words = [w for arg in argv for w in arg.split("=", 1)]
+    method = (words[words.index("--method") + 1] if "--method" in words
+              else "auto")
+    readers = {"--mu1": ("two-point", "point-slope"),
+               "--mu2": ("two-point",), "--rounds": ("point-slope",)}
+    return any(option in words and method not in methods
+               for option, methods in readers.items())
+
+
 @given(argv=_FUZZ_COMMANDS)
 @settings(max_examples=200, deadline=None)
 @example(argv=["vmax", "--r", "1300"])
@@ -883,6 +912,11 @@ _FUZZ_COMMANDS = st.one_of(
                "--trunc", "double", "--lower", "5e-324", "--upper", "1e308"])
 @example(argv=["calibrate-gauss", "--mean", "1.3e154", "--var", "1",
                "--cutoff", "1", "--method", "point-slope", "--mu1", "0"])
+# options that the chosen method does not read
+@example(argv=["calibrate-gauss", "--mean", "1.3", "--var", "3",
+               "--cutoff", "-1", "--rounds", "5"])
+@example(argv=["calibrate-gauss", "--mean", "1.3", "--var", "3",
+               "--cutoff", "-1", "--method", "point-slope", "--mu2", "1"])
 # a tie: 1.5779353160075068e16 + 1 rounds back to itself
 @example(argv=["plot-data", "--figure", "vmax-vs-n",
                "--min=1.5779353160075068e+16", "--max=1.5779353160075078e+16",
@@ -903,3 +937,6 @@ def test_fuzz_exit_codes(fuzz_data, argv):
     assert "Traceback" not in err.getvalue()
     # every drawn option has its value: none is taken for an option name
     assert "expected one argument" not in err.getvalue()
+    # an option that the method does not read is a usage error
+    if argv[0] == "calibrate-gauss" and _ignored_gauss_option(argv):
+        assert code == 1

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trunc_moments import lognormal
+from trunc_moments.calibrate import VarianceForm
 from trunc_moments.lognormal import (
     back_moments,
     calibrate_original,
@@ -205,6 +206,20 @@ class TestSlopes:
                                   (1.5e-4, 4.5e-8)):
             assert k == pytest.approx(want, rel=bound, abs=0.0)
 
+    def test_form1_small_sigma_vs_mpmath(self):
+        # the bound lognormal_slopes states down to sigma = 1e-6, where the
+        # t-differences gave 2.5e-2 at r = -3 and 5.7e-4 at r = 2
+        rng = random.Random(20261020)
+        cases = [(2.0, 1e-6), (-3.0, 1e-6), (-3.0, 1e-5), (0.0, 1e-2)]
+        cases += [(rng.uniform(-3.0, 2.0), 10.0 ** rng.uniform(-6.0, -2.0))
+                  for _ in range(40)]
+        for r, sigma in cases:
+            a = rng.uniform(0.0, 10.0)
+            mu = a + r * sigma
+            got = lognormal_slopes(mu, sigma, a, 1.0)[0]
+            assert got == pytest.approx(mp_slopes(mu, sigma, a)[0],
+                                        rel=5e-8, abs=0.0), (r, sigma)
+
     def test_form2_slope_fd_at_fixed_target(self):
         # the Form II curve constrains Var(Y) at fixed E[Y]; reproduce by FD
         mu, sigma, a = 10.6, 0.96, 9.6125
@@ -221,6 +236,37 @@ class TestSlopes:
         h = 1e-6
         fd2 = (sig2(mu + h) - sig2(mu - h)) / (2 * h)
         assert k2 == pytest.approx(fd2, rel=1e-5)
+
+
+class TestForm1Rises:
+    """``calibrate_original`` solves Form I by Newton in sigma, which needs
+    Form I's log variance to rise with sigma."""
+
+    def test_sigma_partial_is_positive(self):
+        # r = (mu - a)/sigma in [-1e4, 1e6] over the whole sigma grid; in
+        # the deeper left tail the partial's terms cancel
+        rng = random.Random(28)
+        rs = [-1e4, -1e3, -60.0, -10.0, -1.0, 0.0, 1.0, 10.0, 40.0, 1e3, 1e6]
+        rs += [rng.uniform(-60.0, 40.0) for _ in range(20)]
+        for r in rs:
+            a = rng.uniform(0.0, 10.0)
+            for sigma in lognormal._SIGMA_GRID:
+                d_sigma = lognormal._partials(VarianceForm.I, a + r * sigma,
+                                              sigma, a)[1]
+                assert d_sigma > 0.0, (r, sigma)
+
+    def test_log_variance_rises_along_the_grid(self):
+        # at fixed mu - a in [-60, 40]: r runs from (mu - a)/63 to 1e6 (mu - a)
+        rng = random.Random(2028)
+        for _ in range(100):
+            a = rng.uniform(0.0, 15.0)
+            mu = a + rng.uniform(-60.0, 40.0)
+            values = []
+            for sigma in lognormal._SIGMA_GRID:
+                r = (mu - a) / sigma
+                values.append(lognormal._log_var_form1(
+                    mu, sigma, r, lognormal._log_xi_steps(r, sigma)))
+            assert all(map(float.__lt__, values, values[1:])), mu - a
 
 
 class TestCalibrateOriginal:

@@ -1,9 +1,11 @@
+import ast
 import importlib
 import json
 import math
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -97,9 +99,17 @@ def test_expand_follows_the_stated_direction_on_flat_curves():
 
 
 def test_expand_stops_at_its_limit():
-    with pytest.raises(ValueError, match=r"no x in \[0\.5, 1024\]"):
-        _roots.expand(lambda x: x - 1e9, 0.5, 1.0, increasing=True, what="x",
-                      huge=1024.0)
+    # b doubles from 1 while it stays below _HUGE, a halves from 0.5 while
+    # it stays above _TINY; the message names the last bracket searched
+    top = 2.0 ** math.floor(math.log2(_roots._HUGE))
+    with pytest.raises(ValueError,
+                       match=re.escape(f"no x in [0.5, {top:.6g}]")):
+        _roots.expand(lambda x: x - math.inf, 0.5, 1.0, increasing=True,
+                      what="x")
+    bottom = 2.0 ** math.ceil(math.log2(_roots._TINY))
+    with pytest.raises(ValueError,
+                       match=re.escape(f"no x in [{bottom:.6g}, 1]")):
+        _roots.expand(lambda x: x, 0.5, 1.0, increasing=True, what="x")
 
 
 def test_scan_skips_undefined_cells():
@@ -164,45 +174,49 @@ def _count_walks(monkeypatch):
     return walks
 
 
-def test_bisect_each_shares_one_pass():
+def _scan_or_raise(f, grid, start=None):
+    try:
+        return _roots.scan(f, grid, what="x", start=start)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _former_cell(at, f, grid):
+    """The oracle's cell, or the error that ``scan`` raises for its
+    whole-grid cell with NaN ends."""
+    cell = _former_scan_each(at, (f,), grid)[0]
+    return cell if cell[2] == cell[2] else "no x in [0, 6]"
+
+
+def test_scan_evaluates_each_point_once():
     grid = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
     visited = []
 
-    def at(x):
-        visited.append(x)
-        if x == 2.0:  # undefined for every function
-            raise ZeroDivisionError
-        return x
+    def f_of(root):
+        def f(x):
+            visited.append(x)
+            if x == 2.0:  # undefined
+                raise ZeroDivisionError
+            return x - root
+        return f
 
-    def raises_at_4(x):
-        if x == 4.0:
-            raise ValueError
-        return x - 4.5
-
-    fs = (lambda x: x - 0.5, lambda x: x - 3.5, lambda x: x - 2.5,
-          raises_at_4, lambda x: x + 1.0)
-    cells, first = _roots.bisect_each(at, fs, grid)
-    assert cells[:2] == [(0.0, 1.0, -0.5, 0.5), (3.0, 4.0, -0.5, 0.5)]
-    assert first == 0
-    # the next two change sign only over cells with an undefined end, and
-    # the last never: each gets the whole grid with NaN ends
-    for cell in cells[2:]:
-        assert cell[:2] == (0.0, 6.0) and all(map(math.isnan, cell[2:]))
+    # bisection between the grid's ends: four of the seven points
+    assert _roots.scan(f_of(0.5), grid, what="x") == (0.0, 1.0, -0.5, 0.5)
+    assert sorted(visited) == [0.0, 1.0, 3.0, 6.0]
+    # the sign changes only over a cell with an undefined end, or never:
+    # the walk that vouches for it reuses the bisection's probes
+    for root in (2.5, -1.0):
+        visited.clear()
         with pytest.raises(ValueError, match=r"no x in \[0, 6\]"):
-            _roots.brentq(lambda x: x, *cell, what="x")
-    # their walks evaluate ``at`` nowhere twice
-    assert sorted(visited) == grid
-    assert repr(cells) == repr(_former_scan_each(at, fs, grid))
-    # the first two need five of the seven points
-    visited.clear()
-    assert _roots.bisect_each(at, fs[:2], grid) == (cells[:2], 0)
-    assert sorted(visited) == [0.0, 1.0, 3.0, 4.0, 6.0]
+            _roots.scan(f_of(root), grid, what="x")
+        assert sorted(visited) == grid
+        assert _former_cell(None, f_of(root), grid) == "no x in [0, 6]"
 
 
-def test_bisect_each_finds_the_walks_cells():
-    # each f changes sign once, is undefined above a cap (sometimes below
-    # its root) and wherever ``at`` raises; from any start the bisection
-    # gives the walk's cells, evaluating ``at`` once per point at most
+def test_scan_finds_the_walks_cells():
+    # f changes sign once, is undefined above a cap (sometimes below its
+    # root) and at a few holes; from any start the bisection gives the
+    # walk's cell, evaluating f once per point at most
     rng = np.random.default_rng(12)
     grid = [float(x) for x in np.linspace(0.0, 10.0, 41)]
     for i in range(300):
@@ -215,20 +229,22 @@ def test_bisect_each_finds_the_walks_cells():
                 raise OverflowError
             return x
 
-        def f_of(root, sign, cap):
-            return lambda x: math.nan if x > cap else sign * (x - root)
+        root, sign, cap = (float(rng.uniform(-0.5, 10.5)),
+                           float(rng.choice([-1.0, 1.0])),
+                           float(rng.uniform(0.0, 20.0)))
 
-        fs = [f_of(float(rng.uniform(-0.5, 10.5)),
-                   float(rng.choice([-1.0, 1.0])),
-                   float(rng.uniform(0.0, 20.0))) for _ in range(3)]
+        def f(x):
+            return math.nan if x > cap else sign * (x - root)
+
         start = None if i % 3 == 0 else int(rng.integers(0, len(grid) - 1))
-        want = _former_scan_each(at, fs, grid)
+        want = _former_scan_each(at, (f,), grid)[0]
         visited.clear()
-        cells, first = _roots.bisect_each(at, fs, grid, start)
-        assert repr(cells) == repr(want), i  # NaN ends included
+        got = _scan_or_raise(lambda x: f(at(x)), grid, start)
+        if want[2] != want[2]:
+            assert got == "no x in [0, 10]", i
+        else:
+            assert repr(got) == repr(want), i
         assert len(set(visited)) == len(visited), i
-        assert first == (None if want[0][2] != want[0][2]
-                         else grid.index(want[0][0])), i
 
 
 @pytest.mark.parametrize("f", [
@@ -238,12 +254,14 @@ def test_bisect_each_finds_the_walks_cells():
     lambda x: x + 1.0,                            # no sign change
 ])
 def test_bisect_each_walks_where_it_cannot_vouch(monkeypatch, f):
+    # named, as its test ids are, for the grid bisection that
+    # ``_roots.bisect_each`` ran and ``scan`` now runs
     grid = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-    want = _former_scan_each(None, (f,), grid)
+    want = _former_cell(None, f, grid)
     walks = _count_walks(monkeypatch)
-    cells, _ = _roots.bisect_each(None, (f,), grid)
+    got = _scan_or_raise(f, grid)
     assert len(walks) == 1
-    assert repr(cells) == repr(want)
+    assert repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("start", [None, 0, 1, 3, 5])
@@ -254,13 +272,34 @@ def test_bisect_each_walks_where_it_cannot_vouch(monkeypatch, f):
 ])
 def test_bisect_each_reads_an_undefined_probe_as_past_the_change(
         monkeypatch, f, start):
+    # named, as its test ids are, for the grid bisection that
+    # ``_roots.bisect_each`` ran and ``scan`` now runs
     grid = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-    want = _former_scan_each(None, (f,), grid)
+    want = _former_cell(None, f, grid)
     walks = _count_walks(monkeypatch)
-    cells, first = _roots.bisect_each(None, (f,), grid, start)
+    got = _roots.scan(f, grid, what="x", start=start)
     assert not walks
-    assert repr(cells) == repr(want)
-    assert first == grid.index(want[0][0])
+    assert repr(got) == repr(want)
+
+
+def test_every_public_helper_has_a_caller():
+    # a function of _roots that no other module of the package calls is
+    # dead code, whatever its tests
+    package = pathlib.Path(_roots.__file__).parent
+    public = {node.name for node in ast.parse(
+        pathlib.Path(_roots.__file__).read_text()).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    called = set()
+    for path in package.glob("*.py"):
+        if path.name == "_roots.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in public
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "_roots"):
+                called.add(node.attr)
+    assert "scan" in public
+    assert called == public
 
 
 def test_import_leaves_optimize_and_integrate_unloaded(tmp_path):
