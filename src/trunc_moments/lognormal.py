@@ -50,25 +50,37 @@ def log_xi(z: float) -> float:
     return -0.5 * z * z + math.log(exp_r2_half_xi(z))
 
 
-def _log_xi_steps(r: float, sigma: float) -> tuple[float, float]:
-    """log xi(r + sigma) - log xi(r) and log xi(r + 2 sigma) - log xi(r).
+def _log_xi_steps(r: float, sigma: float) -> tuple[tuple[float, ...], ...]:
+    """The steps d_k = ln xi(z_k) - ln xi(z_0), z_k = r + k sigma, for k =
+    1, 2, and their partials, from one tail evaluation per point.
 
-    In the left tail log xi(z) ~ -z**2/2; that part of each step is taken
-    in closed form, so the small second differences the variance forms
-    need are not lost in the rounding of two large logs.
+    The steps move with z at the inverse Mills ratio t_k = t(z_k) = d ln
+    xi/dz: by m_k = (t_k - t_0)/sigma with mu, and by s_k = k t_k - r m_k
+    with sigma; returns (d1, d2), (m1, m2, s1, s2).  In the left tail
+    log xi(z) ~ -z**2/2; that part of each step is taken in closed form,
+    so the small second differences the variance forms need are not lost
+    in the rounding of two large logs.
     """
-    if r < -1.0 and r + 2.0 * sigma < 37.0:
-        l0, l1, l2 = (math.log(exp_r2_half_xi(r + k * sigma))
-                      for k in (0.0, 1.0, 2.0))
-        return (l1 - l0 - sigma * (r + 0.5 * sigma),
-                l2 - l0 - 2.0 * sigma * (r + sigma))
-    lx0 = log_xi(r)
-    return log_xi(r + sigma) - lx0, log_xi(r + 2.0 * sigma) - lx0
+    z1, z2 = r + sigma, r + 2.0 * sigma
+    if r < -1.0 and z2 < 37.0:
+        e0, e1, e2 = exp_r2_half_xi(r), exp_r2_half_xi(z1), exp_r2_half_xi(z2)
+        l0 = math.log(e0)
+        steps = (math.log(e1) - l0 - sigma * (r + 0.5 * sigma),
+                 math.log(e2) - l0 - 2.0 * sigma * (r + sigma))
+        t0, t1, t2 = (_SQRT_2_OVER_PI / e0, _SQRT_2_OVER_PI / e1,
+                      _SQRT_2_OVER_PI / e2)
+    else:  # t = sqrt(2/pi) e^(-z**2/2) / xi(z)
+        l0, l1, l2 = log_xi(r), log_xi(z1), log_xi(z2)
+        steps = l1 - l0, l2 - l0
+        t0 = _SQRT_2_OVER_PI * math.exp(-0.5 * r * r - l0)
+        t1 = _SQRT_2_OVER_PI * math.exp(-0.5 * z1 * z1 - l1)
+        t2 = _SQRT_2_OVER_PI * math.exp(-0.5 * z2 * z2 - l2)
+    m1, m2 = (t1 - t0) / sigma, (t2 - t0) / sigma
+    return steps, (m1, m2, t1 - r * m1, 2.0 * t2 - r * m2)
 
 
-def _form_args(mu: float, sigma: float,
-               a: float) -> tuple[float, float, tuple[float, float]]:
-    # (sigma, r, the log-xi steps at r), the arguments both forms share
+def _form_args(mu: float, sigma: float, a: float) -> tuple:
+    # (sigma, r, _log_xi_steps(r, sigma)), the arguments both forms share
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
     r = (mu - a) / sigma
@@ -78,32 +90,50 @@ def _form_args(mu: float, sigma: float,
 def back_moments(mu: float, sigma: float, a: float) -> LognormalMoments:
     """Mean and variance of Y = e^X for X truncated-Gaussian."""
     args = _form_args(mu, sigma, a)
-    lm = 0.5 * sigma * sigma + mu + args[2][0]
-    lv = _log_var_form1(mu, *args)
+    lm = 0.5 * sigma * sigma + mu + args[2][0][0]
+    lv = _form1(mu, *args)[0]
     if lm > 700.0 or lv > 1400.0:
         raise OverflowError("back-transformed moments exceed float range")
     return LognormalMoments(mean_y=math.exp(lm), var_y=math.exp(lv),
                             log_var_y=lv)
 
 
-def _log_var_form1(mu: float, sigma: float, r: float,
-                   steps: tuple[float, float]) -> float:
-    # steps = _log_xi_steps(r, sigma), passed in so that both forms share it
-    d1, d2 = steps
-    s2 = sigma * sigma
-    # Var = E[Y^2] - E[Y]^2, with the second-moment term factored out;
+def _form1(mu: float, sigma: float, r: float,
+           tails: tuple) -> tuple[float, float, float]:
+    """Form I's log variance and its partials in mu and sigma; ``tails`` =
+    ``_log_xi_steps(r, sigma)``, passed in so that both forms share it.
+
+    Var = E[Y^2] - E[Y]^2, with the second-moment term factored out, is
+    2 sigma**2 + 2 mu + d2 + ln(-expm1(q)), q = -sigma**2 + 2 d1 - d2.
+    Where |q| < 1e-7 the second differences of ln xi and of t keep few
+    digits (the slope 2.7% off at r = 2, sigma = 1e-7, the log variance
+    2.6e-4 at r = -2.7, sigma = 4e-6), so q and its partials come from
+    their expansions about z_1, correct to relative O(sigma**2): the log
+    variance is within 5e-8 of mpmath for r in [-3, 2] and sigma in
+    [1e-6, 1e-2] (tested), the slope as ``lognormal_slopes`` states.  The
+    sigma-partial, which steers ``_sigma_pair``'s Newton solve, is
+    positive for r in [-1e4, 1e6] over the whole sigma grid (tested);
+    below r = -1e4 its s_k terms cancel.
+    """
+    (d1, d2), (m1, m2, s1, s2) = tails
+    q = -sigma * sigma + 2.0 * d1 - d2
+    if q > -1e-7:  # with Q = 1 - z t - t**2 at z_1 and Q' = t'' there:
+        t, s, big_q = _core(r + sigma)
+        big_q_dz = t * (s * s - big_q)
+        q = -sigma * sigma * big_q
+        dq_mu, dq_sigma = (-sigma * big_q_dz,
+                           sigma * ((r - sigma) * big_q_dz - 2.0 * big_q))
+    else:
+        dq_mu, dq_sigma = 2.0 * m1 - m2, 2.0 * (s1 - sigma) - s2
+    c = math.exp(q) / math.expm1(q)  # d ln(-expm1(q))/dq
     # q -> 0- as sigma -> 0, so 1 - e^q goes through expm1
-    q = -s2 + 2.0 * d1 - d2
-    if q > -1e-12:
-        # the log-xi second difference is pure rounding noise here; use the
-        # delta-method limit Var(y) ~ e^{2 mu} sigma**2 Q(r) instead
-        q = -s2 * _core(r)[2]
-    return 2.0 * s2 + 2.0 * mu + d2 + math.log(-math.expm1(q))
+    return (2.0 * sigma * sigma + 2.0 * mu + d2 + math.log(-math.expm1(q)),
+            2.0 + m2 + c * dq_mu, 4.0 * sigma + s2 + c * dq_sigma)
 
 
-def _log_var_form2(mu: float, sigma: float, r: float,
-                   steps: tuple[float, float], log_M_y: float) -> float:
-    d1, d2 = steps
+def _log_var_form2(mu: float, sigma: float, r: float, tails: tuple,
+                   log_M_y: float) -> float:
+    (d1, d2), _ = tails
     arg = -2.0 * mu + 2.0 * log_M_y + d2 - 4.0 * d1
     # arg = log(1 + Var/M_y^2); near sigma -> 0 it sinks into rounding noise
     # of the log-xi differences, so switch to the delta-method limit there
@@ -121,9 +151,9 @@ def log_var_forms(mu: float, sigma: float, a: float,
     """ln Var(Y) per Form I (no mean needed) and Form II (anchored to the
     supplied mean of Y; defaults to the congruent mean)."""
     args = _form_args(mu, sigma, a)
-    log_m = (0.5 * sigma * sigma + mu + args[2][0] if M_y is None
+    log_m = (0.5 * sigma * sigma + mu + args[2][0][0] if M_y is None
              else math.log(M_y))
-    return _log_var_form1(mu, *args), _log_var_form2(mu, *args, log_m)
+    return _form1(mu, *args)[0], _log_var_form2(mu, *args, log_m)
 
 
 def lognormal_slopes(mu: float, sigma: float, a: float,
@@ -138,58 +168,24 @@ def lognormal_slopes(mu: float, sigma: float, a: float,
     [0.05, 2.5]; 5e-7, 2.5e-10 there for sigma in [1e-3, 0.05]; 1.5e-4,
     4.5e-8 for r in [-80, -40] and sigma in [0.01, 0.05].  Form I's slope
     is within 5e-8 for r in [-3, 2] and sigma in [1e-6, 1e-2], where it
-    takes the small-sigma expansion of ``_partials``.
+    takes the small-sigma expansion of ``_form1``.
     """
     del M_y
     return (_level_slope(VarianceForm.I, mu, sigma, a),
             _level_slope(VarianceForm.II, mu, sigma, a))
 
 
-def _partials(form: VarianceForm, mu: float, sigma: float,
-              a: float) -> tuple[float, float]:
-    """Partials in mu and sigma of Form I's log variance, or of Form II's
-    expm1 argument, whose level curves are Form II's.
-
-    The steps d_k = ln xi(z_k) - ln xi(z_0), z_k = r + k sigma, move with
-    z at the inverse Mills ratio t_k = t(z_k): by m_k = (t_k - t_0)/sigma
-    with mu, and by s_k = k t_k - r m_k with sigma.  Where |q| < 1e-7 the
-    second differences of t keep few digits (2.7% off at r = 2, sigma =
-    1e-7), so Form I takes q and its partials from their expansions about
-    z_1, correct to relative O(sigma**2).  Form I's sigma-partial, which
-    steers its Newton solve, is positive for r in [-1e4, 1e6] over the
-    whole sigma grid (tested); below r = -1e4 its s_k terms cancel.
-    """
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
-    r = (mu - a) / sigma
-    t0 = _SQRT_2_OVER_PI / exp_r2_half_xi(r)
-    t1 = _SQRT_2_OVER_PI / exp_r2_half_xi(r + sigma)
-    t2 = _SQRT_2_OVER_PI / exp_r2_half_xi(r + 2.0 * sigma)
-    m1, m2 = (t1 - t0) / sigma, (t2 - t0) / sigma
-    s1, s2 = t1 - r * m1, 2.0 * t2 - r * m2
-    if form is VarianceForm.II:  # -2 mu + d2 - 4 d1 + const
-        return -(2.0 - m2 + 4.0 * m1), s2 - 4.0 * s1  # 0 where r > 37.7
-    # 2 sigma**2 + 2 mu + d2 + ln(-expm1(q)), and q = -sigma**2 + 2 d1 - d2
-    # = ln(t0 t2 / t1**2).  Where t2 underflows (r + 2 sigma > 37.5) q is
-    # -sigma**2 up to the tail at z_0, which counts only for sigma > 15,
-    # where c ~ -e^q vanishes
-    q = math.log(t0 / t1 * (t2 / t1)) if t2 > 1e-300 else -sigma * sigma
-    if q > -1e-7:  # with Q = 1 - z t - t**2 at z_1 and Q' = t'' there:
-        t, s, big_q = _core(r + sigma)
-        big_q_dz = t * (s * s - big_q)
-        q = -sigma * sigma * big_q
-        dq_mu, dq_sigma = (-sigma * big_q_dz,
-                           sigma * ((r - sigma) * big_q_dz - 2.0 * big_q))
-    else:
-        dq_mu, dq_sigma = 2.0 * m1 - m2, 2.0 * (s1 - sigma) - s2
-    c = math.exp(q) / math.expm1(q)  # d ln(-expm1(q))/dq
-    return 2.0 + m2 + c * dq_mu, 4.0 * sigma + s2 + c * dq_sigma
-
-
 def _level_slope(form: VarianceForm, mu: float, sigma: float,
                  a: float) -> float:
-    # minus the ratio of the form's partials in mu and sigma
-    d_mu, d_sigma = _partials(form, mu, sigma, a)
+    # minus the ratio of the partials in mu and sigma of Form I's log
+    # variance, or of Form II's expm1 argument -2 mu + d2 - 4 d1 + const,
+    # whose level curves are Form II's
+    sigma, r, tails = _form_args(mu, sigma, a)
+    if form is VarianceForm.I:
+        d_mu, d_sigma = _form1(mu, sigma, r, tails)[1:]
+    else:  # (-2, 0) where t underflows, r > 37.7
+        m1, m2, s1, s2 = tails[1]
+        d_mu, d_sigma = -(2.0 - m2 + 4.0 * m1), s2 - 4.0 * s1
     return -d_mu / d_sigma if d_sigma else -math.inf
 
 
@@ -202,9 +198,8 @@ def _sigma_pair(mu: float, a: float, log_M_y: float, target: float,
     ``calibrate_original`` describes; Form I's Newton solve starts at
     ``seed``."""
     def form1(s: float) -> tuple[float, float]:  # value, step in ln s
-        value = _log_var_form1(mu, *_form_args(mu, s, a))
-        slope = s * _partials(VarianceForm.I, mu, s, a)[1]
-        return value, (target - value) / slope
+        value, _, d_sigma = _form1(mu, *_form_args(mu, s, a))
+        return value, (target - value) / (s * d_sigma)
 
     def gap2(s: float) -> float:
         return _log_var_form2(mu, *_form_args(mu, s, a), log_M_y) - target
@@ -252,7 +247,8 @@ def calibrate_original(M_y: float, var_y: float, a: float, mu_seed: float,
     growth = 0
     gap_prev = math.inf
     # sigma**2 = ln((1 + sqrt(1 + 4 Var e^(-2 mu)))/2) without truncation;
-    # the cap keeps exp finite and the seed far above the grid
+    # the cap keeps exp finite, so the seed is at most 18.7 and Newton
+    # climbs from there to larger roots
     w = 4.0 * math.exp(min(target - 2.0 * mu, 700.0))
     s1 = math.sqrt(math.log((1.0 + math.sqrt(1.0 + w)) / 2.0))
     for _ in range(rounds):

@@ -51,7 +51,7 @@ def _former_solve_sigma(log_var_at_sigma, target_log_var):
 
 def _form1(mu, s, a):
     r = (mu - a) / s
-    return lognormal._log_var_form1(mu, s, r, lognormal._log_xi_steps(r, s))
+    return lognormal._form1(mu, s, r, lognormal._log_xi_steps(r, s))[0]
 
 
 def _form2(mu, s, a, log_m):
@@ -60,11 +60,13 @@ def _form2(mu, s, a, log_m):
                                     log_m)
 
 
-def _former_calibrate_original(M_y, var_y, a, mu_seed, rounds=3):
+def _former_calibrate_original(M_y, var_y, a, mu_seed, rounds=3,
+                               trace=None):
     """The former ``calibrate_original``: two scans of the sigma grid per
     round, one per variance form, each evaluating the log-xi steps at
     every grid point it visits.  The slopes, the intersection and the
-    back-transform are the package's own."""
+    back-transform are the package's own.  Each round's (mu, s1, s2) is
+    appended to ``trace``."""
     if not M_y > math.exp(a):
         raise ValueError("target mean must exceed e**cutoff")
     if not var_y > 0.0 or rounds < 1:
@@ -78,6 +80,8 @@ def _former_calibrate_original(M_y, var_y, a, mu_seed, rounds=3):
         s1 = _former_solve_sigma(lambda s: _form1(mu, s, a), target)
         s2 = _former_solve_sigma(
             lambda s: _form2(mu, s, a, math.log(M_y)), target)
+        if trace is not None:
+            trace.append((mu, s1, s2))
         k1 = lognormal_slopes(mu, s1, a, M_y)[0]
         k2 = lognormal_slopes(mu, s2, a, M_y)[1]
         mu0, sigma0 = _intersect(mu, s1, s2, k1, k2)
@@ -102,9 +106,9 @@ def _outcome(solve, *args, **kwargs):
         return type(exc).__name__, str(exc)
 
 
-def _assert_same_outcome(got, want, req=None, rel=1e-13):
+def _assert_same_outcome(got, want, req=None):
     """The same exception type and message, or mu0 and sigma0 within
-    ``rel`` relative: Form I's root comes from a Newton solve, not from
+    1e-13 relative: Form I's root comes from a Newton solve, not from
     Brent in the grid cell that the former scan found, and the two differ
     in their last bits (at most 1.1e-14 relative over 3 800 solves)."""
     if not isinstance(want, CalibrationResult):
@@ -112,7 +116,7 @@ def _assert_same_outcome(got, want, req=None, rel=1e-13):
     else:
         assert isinstance(got, CalibrationResult), req
         assert (got.mu0, got.sigma0) == pytest.approx(
-            (want.mu0, want.sigma0), rel=rel, abs=0.0), req
+            (want.mu0, want.sigma0), rel=1e-13, abs=0.0), req
 
 
 def _census_like(rng):
@@ -150,16 +154,26 @@ def test_same_results_as_two_scans_property(mu, sigma, shift, seed_off,
     except OverflowError:
         return
     req = (back.mean_y, back.var_y * var_scale, a, mu + seed_off)
-    want = _outcome(_former_calibrate_original, *req, rounds=rounds)
+    trace = []
+    want = _outcome(_former_calibrate_original, *req, rounds=rounds,
+                    trace=trace)
+    got = _outcome(calibrate_original, *req, rounds=rounds)
+    # every round's pair of roots, at the former's mu, within 1e-13
+    log_m, target = math.log(req[0]), math.log(req[1])
+    seed = 1.0
+    for mu_k, s1, s2 in trace:
+        pair = lognormal._sigma_pair(mu_k, a, log_m, target, seed)
+        assert pair == pytest.approx((s1, s2), rel=1e-13, abs=0.0), req
+        seed = s1
     # Where the rounds have not converged (the result misses a target by
-    # more than 1e-8), it is a point on the way, often diverging (mu0 =
-    # -446 after 4 rounds), and each round multiplies the last-bit
-    # difference of the Form I roots: up to 1.7e-11 relative over 2 500
-    # such draws, against 5.8e-14 over 770 converged ones
-    converged = (not isinstance(want, CalibrationResult)
-                 or max(want.mean_resid, want.var_resid) <= 1e-8)
-    _assert_same_outcome(_outcome(calibrate_original, *req, rounds=rounds),
-                         want, req, rel=1e-13 if converged else 1e-9)
+    # more than 1e-8), the result is a point on the way, often diverging
+    # (mu0 = -446 after 4 rounds), and each round multiplies the roots'
+    # last-bit differences; there the rounds above are the comparison
+    if (isinstance(want, CalibrationResult)
+            and max(want.mean_resid, want.var_resid) > 1e-8):
+        assert isinstance(got, CalibrationResult), req
+    else:
+        _assert_same_outcome(got, want, req)
 
 
 # -- the erfcx asymptotic series ----------------------------------------------
@@ -197,7 +211,7 @@ def test_one_step_evaluation_per_grid_point_and_round(monkeypatch):
     # bisection, each at most once a round, and then runs one Brent solve
     form1_at, form2_at = [], []
     brent_calls, in_brent = [0], [False]
-    form1, form2 = lognormal._log_var_form1, lognormal._log_var_form2
+    form1, form2 = lognormal._form1, lognormal._log_var_form2
     brentq = _roots.brentq
 
     def counted_form1(mu, sigma, *args):
@@ -227,7 +241,7 @@ def test_one_step_evaluation_per_grid_point_and_round(monkeypatch):
         raise AssertionError("the income example needs no walk")
 
     sigma_pair = lognormal._sigma_pair
-    monkeypatch.setattr(lognormal, "_log_var_form1", counted_form1)
+    monkeypatch.setattr(lognormal, "_form1", counted_form1)
     monkeypatch.setattr(lognormal, "_log_var_form2", counted_form2)
     monkeypatch.setattr(_roots, "brentq", counted_brentq)
     monkeypatch.setattr(lognormal, "_sigma_pair", counted_pair)
@@ -244,9 +258,10 @@ def test_one_step_evaluation_per_grid_point_and_round(monkeypatch):
         assert len(set(at2)) == len(at2)
         assert set(at2) <= set(_SIGMA_GRID)
     # round 1 starts Newton at the untruncated sigma, later rounds at the
-    # previous root; Form II gallops from the cell of Form I's root, where
-    # its own crossing lies.  The walk took 125 grid points a round
-    assert [len(v) for v in form1_at] == [4, 5, 4]
+    # previous root; each round adds one Form I evaluation for the slope at
+    # the root.  Form II gallops from the cell of Form I's root, where its
+    # own crossing lies.  The walk took 125 grid points a round
+    assert [len(v) for v in form1_at] == [4 + 1, 5 + 1, 4 + 1]
     assert [len(v) for v in form2_at] == [3, 3, 3]
 
 

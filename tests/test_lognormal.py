@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trunc_moments import lognormal
-from trunc_moments.calibrate import VarianceForm
 from trunc_moments.lognormal import (
     back_moments,
     calibrate_original,
@@ -46,6 +45,19 @@ def mp_slopes(mu, sigma, a, dps=50):
             float(-mpmath.diff(lambda m: forms(m, s_, log_m)[i], mu_)
                   / mpmath.diff(lambda s: forms(mu_, s, log_m)[i], s_))
             for i in (0, 1))
+
+
+def mp_log_var_form1(mu, sigma, a, dps=80):
+    """Form I's ln Var(Y) in mpmath, digits enough for its cancellation
+    at sigma = 1e-6."""
+    with mpmath.workdps(dps):
+        mu_, s_, a_ = map(mpmath.mpf, (mu, sigma, a))
+        r = (mu_ - a_) / s_
+        x0, x1, x2 = (mpmath.erfc(-(r + k * s_) / mpmath.sqrt(2))
+                      for k in range(3))
+        d1, d2 = mpmath.log(x1 / x0), mpmath.log(x2 / x0)
+        return float(2 * s_ * s_ + 2 * mu_ + d2
+                     + mpmath.log(-mpmath.expm1(-s_ * s_ + 2 * d1 - d2)))
 
 
 def mp_back_moments(mu, sigma, a, dps=60):
@@ -130,6 +142,22 @@ class TestLogVarForms:
         want = 2.0 * math.log(res.mean_y) + math.log(var_form1(sigma, r))
         assert lv1 == pytest.approx(want, abs=1e-6)
         assert lv2 == pytest.approx(want, abs=1e-6)
+
+
+    def test_form1_small_sigma_vs_mpmath(self):
+        # the bound ``_form1`` states down to sigma = 1e-6; the log-xi
+        # second differences gave 2.6e-4 at r = -2.73, sigma = 4e-6 and
+        # 3.7e-5 at r = -3, sigma = 1e-5
+        rng = random.Random(20261021)
+        cases = [(-2.7317, 4.0106e-6), (-3.0, 1e-5), (0.0, 3e-6),
+                 (-3.0, 1e-4), (2.0, 1e-6), (-2.9784, 1.1553e-3)]
+        cases += [(rng.uniform(-3.0, 2.0), 10.0 ** rng.uniform(-6.0, -2.0))
+                  for _ in range(40)]
+        for r, sigma in cases:
+            a = rng.uniform(0.0, 10.0)
+            mu = a + r * sigma
+            assert log_var_forms(mu, sigma, a)[0] == pytest.approx(
+                mp_log_var_form1(mu, sigma, a), abs=5e-8), (r, sigma)
 
 
 class TestSlopes:
@@ -251,8 +279,9 @@ class TestForm1Rises:
         for r in rs:
             a = rng.uniform(0.0, 10.0)
             for sigma in lognormal._SIGMA_GRID:
-                d_sigma = lognormal._partials(VarianceForm.I, a + r * sigma,
-                                              sigma, a)[1]
+                mu = a + r * sigma
+                d_sigma = lognormal._form1(
+                    mu, *lognormal._form_args(mu, sigma, a))[2]
                 assert d_sigma > 0.0, (r, sigma)
 
     def test_log_variance_rises_along_the_grid(self):
@@ -264,8 +293,8 @@ class TestForm1Rises:
             values = []
             for sigma in lognormal._SIGMA_GRID:
                 r = (mu - a) / sigma
-                values.append(lognormal._log_var_form1(
-                    mu, sigma, r, lognormal._log_xi_steps(r, sigma)))
+                values.append(lognormal._form1(
+                    mu, sigma, r, lognormal._log_xi_steps(r, sigma))[0])
             assert all(map(float.__lt__, values, values[1:])), mu - a
 
 
