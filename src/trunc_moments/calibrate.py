@@ -82,6 +82,7 @@ APPROX1_SET_I = ApproxFn1Params(
 APPROX1_SET_II = ApproxFn1Params(
     c1=0.8458237100024218, c2=-0.0076717015064936, c3=-0.0000294382245497,
     d1=0.3625552742358368, d2=0.0015595446175739, d3=0.0000206350887888)
+_U_TOL, _APPROX1_MAXITER = 1e-12, 200  # U solves' tolerance; function 1's cap
 
 
 class Method(str, Enum):
@@ -149,8 +150,8 @@ def sigma_approx1(U: float, params: ApproxFn1Params = APPROX1_SET_II) -> float:
     return math.sqrt(2.0 - math.exp(-params.alpha(U) * (1.0 - U) ** params.beta(U)) - U)
 
 
-def solve_U_approx1(vhat: float, params: ApproxFn1Params = APPROX1_SET_II,
-                    tol: float = 1e-12, maxiter: int = 200) -> float:
+def solve_U_approx1(vhat: float,
+                    params: ApproxFn1Params = APPROX1_SET_II) -> float:
     """Normalized location with approximate normalized variance vhat, by
     damped fixed-point recursion of function 1."""
     if not 0.0 < vhat < 1.0:
@@ -158,7 +159,7 @@ def solve_U_approx1(vhat: float, params: ApproxFn1Params = APPROX1_SET_II,
     lg = -math.log1p(-vhat)
     u = 0.0
     prev_step = 0.0
-    for it in range(maxiter):
+    for _ in range(_APPROX1_MAXITER):
         alpha = params.alpha(u)
         if not alpha > 0.0:  # U far below -100: the power turns complex
             raise ValueError(
@@ -169,10 +170,10 @@ def solve_U_approx1(vhat: float, params: ApproxFn1Params = APPROX1_SET_II,
         if step * prev_step < 0.0:  # oscillating: damp
             u_next = u + 0.5 * step
             step = 0.5 * step
-        if abs(step) <= tol:
+        if abs(step) <= _U_TOL:
             return u_next
         u, prev_step = u_next, step
-    raise RuntimeError(f"no fixed point after {maxiter} iterations")
+    raise RuntimeError(f"no fixed point after {_APPROX1_MAXITER} iterations")
 
 
 def sigma_approx2(U: float) -> float:
@@ -189,7 +190,7 @@ def _sigma_approx2_unchecked(U: float) -> float:
 _APPROX2_GRID = (1.0 - 1e-13, *accumulate([0.9] + [0.02] * 19, sub))
 
 
-def solve_U_approx2(vhat: float, tol: float = 1e-12) -> float:
+def solve_U_approx2(vhat: float) -> float:
     """Normalized location whose function-2 variance equals vhat.
 
     The recursion U <- vhat + 1 - sigma~(U)**2 is repelling at the solution
@@ -208,7 +209,7 @@ def solve_U_approx2(vhat: float, tol: float = 1e-12) -> float:
     # boundary), then solve between that U and U -> 1- (g is monotone)
     what = f"function-2 location U for vhat={vhat:g}"
     _, lo, _, glo = _roots.scan(g, _APPROX2_GRID, what=what)
-    return _roots.brentq(g, lo, _APPROX2_GRID[0], glo, what=what, xtol=tol)
+    return _roots.brentq(g, lo, _APPROX2_GRID[0], glo, what=what, xtol=_U_TOL)
 
 
 # ---------------------------------------------------------------------------

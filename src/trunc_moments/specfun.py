@@ -28,6 +28,7 @@ NaN inputs propagate to NaN results.  Domain violations raise ValueError.
 from __future__ import annotations
 
 import math
+import sys
 
 __all__ = [
     "xi",
@@ -246,7 +247,9 @@ def _phi(s: float, x: float) -> float:
     mu = (x - s) / s
     t = mu / (2.0 + mu)
     if abs(t) > 1.0 / 3.0:  # mu outside [-1/2, 1]: about 3 ulps cancel
-        return mu - math.log(x / s)
+        ratio = x / s  # below the normal doubles it loses digits, or is 0
+        return mu - (math.log(ratio) if ratio >= sys.float_info.min
+                     else math.log(x) - math.log(s))
     t2 = t * t
     acc = 0.0
     for c in _ATANH_TAIL:

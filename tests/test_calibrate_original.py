@@ -1,8 +1,9 @@
-"""``calibrate_original`` solves Form I's level curve by Newton and brackets
-Form II's by bisection over the sigma grid: the same results (to 1e-13)
-and the same errors as the two scans it replaced, one log-xi step
-evaluation per grid point probed, and the walk up the grid only where the
-bisection cannot vouch for its cell."""
+"""``calibrate_original`` solves both level curves by Newton, Form II's in
+the grid cell that a bisection over the sigma grid finds: the same
+results (to 1e-13) and the same errors as the two scans and Brent solves
+it replaced, one log-xi step evaluation per sigma and round, the slopes'
+included, and the walk up the grid only where the bisection cannot vouch
+for its cell."""
 
 import math
 import random
@@ -50,14 +51,11 @@ def _former_solve_sigma(log_var_at_sigma, target_log_var):
 
 
 def _form1(mu, s, a):
-    r = (mu - a) / s
-    return lognormal._form1(mu, s, r, lognormal._log_xi_steps(r, s))[0]
+    return lognormal._forms(mu, s, a)[1]
 
 
 def _form2(mu, s, a, log_m):
-    r = (mu - a) / s
-    return lognormal._log_var_form2(mu, s, r, lognormal._log_xi_steps(r, s),
-                                    log_m)
+    return lognormal._forms(mu, s, a, log_m)[2]
 
 
 def _former_calibrate_original(M_y, var_y, a, mu_seed, rounds=3,
@@ -108,9 +106,10 @@ def _outcome(solve, *args, **kwargs):
 
 def _assert_same_outcome(got, want, req=None):
     """The same exception type and message, or mu0 and sigma0 within
-    1e-13 relative: Form I's root comes from a Newton solve, not from
-    Brent in the grid cell that the former scan found, and the two differ
-    in their last bits (at most 1.1e-14 relative over 3 800 solves)."""
+    1e-13 relative: both roots come from Newton solves, not from Brent in
+    the grid cells that the former scans found, and the two differ in
+    their last bits (mu0 and sigma0 at most 1.3e-14 relative apart on
+    1 800 census-like requests)."""
     if not isinstance(want, CalibrationResult):
         assert got == want, req
     else:
@@ -162,7 +161,7 @@ def test_same_results_as_two_scans_property(mu, sigma, shift, seed_off,
     log_m, target = math.log(req[0]), math.log(req[1])
     seed = 1.0
     for mu_k, s1, s2 in trace:
-        pair = lognormal._sigma_pair(mu_k, a, log_m, target, seed)
+        pair = lognormal._sigma_pair(mu_k, a, log_m, target, seed)[:2]
         assert pair == pytest.approx((s1, s2), rel=1e-13, abs=0.0), req
         seed = s1
     # Where the rounds have not converged (the result misses a target by
@@ -205,64 +204,66 @@ def test_erfcx_series_matches_the_former_loop_on_a_grid():
 
 # -- evaluation count -----------------------------------------------------------
 
-def test_one_step_evaluation_per_grid_point_and_round(monkeypatch):
-    # the income example: Form I's Newton solve evaluates off the grid and
-    # never inside ``brentq``; Form II probes grid points for its
-    # bisection, each at most once a round, and then runs one Brent solve
-    form1_at, form2_at = [], []
-    brent_calls, in_brent = [0], [False]
-    form1, form2 = lognormal._form1, lognormal._log_var_form2
-    brentq = _roots.brentq
+def _count_steps(monkeypatch):
+    """The sigmas of the ``_log_xi_steps`` calls, one list per round (a
+    ``_sigma_pair`` call) after a first list for what comes before any;
+    ``_roots.brentq`` must not be called."""
+    rounds = [[]]
+    steps, sigma_pair = lognormal._log_xi_steps, lognormal._sigma_pair
 
-    def counted_form1(mu, sigma, *args):
-        assert not in_brent[0]
-        form1_at[-1].append(sigma)
-        return form1(mu, sigma, *args)
-
-    def counted_form2(mu, sigma, *args):
-        if not in_brent[0]:
-            form2_at[-1].append(sigma)
-        return form2(mu, sigma, *args)
-
-    def counted_brentq(f, *args, **kwargs):
-        brent_calls[0] += 1
-        in_brent[0] = True
-        try:
-            return brentq(f, *args, **kwargs)
-        finally:
-            in_brent[0] = False
+    def counted_steps(r, sigma):
+        rounds[-1].append(sigma)
+        return steps(r, sigma)
 
     def counted_pair(*args):
-        form1_at.append([])
-        form2_at.append([])
+        rounds.append([])
         return sigma_pair(*args)
 
+    def no_brentq(*args, **kwargs):  # not an Exception, which _outcome takes
+        pytest.fail("calibrate_original calls brentq")
+
+    monkeypatch.setattr(lognormal, "_log_xi_steps", counted_steps)
+    monkeypatch.setattr(lognormal, "_sigma_pair", counted_pair)
+    monkeypatch.setattr(_roots, "brentq", no_brentq)
+    return rounds
+
+
+def test_one_step_evaluation_per_sigma_and_round(monkeypatch):
+    # the income example: both roots are Newton solves, and each sigma's
+    # tails are computed once a round, the slopes' included.  Form I's
+    # Newton solve evaluates off the grid; Form II probes 3 grid points,
+    # galloping from the cell of Form I's root, then solves by Newton in
+    # its cell.  The walk took 125 grid points a round
     def no_walk(*args):
         raise AssertionError("the income example needs no walk")
 
-    sigma_pair = lognormal._sigma_pair
-    monkeypatch.setattr(lognormal, "_form1", counted_form1)
-    monkeypatch.setattr(lognormal, "_log_var_form2", counted_form2)
-    monkeypatch.setattr(_roots, "brentq", counted_brentq)
-    monkeypatch.setattr(lognormal, "_sigma_pair", counted_pair)
     monkeypatch.setattr(_roots, "_walk", no_walk)
-    rounds = 3
-    calibrate_original(*INCOME, rounds=rounds)
-
-    back = form1_at[-1].pop()  # the final back-transform
+    rounds = _count_steps(monkeypatch)
+    calibrate_original(*INCOME)
+    back = rounds[-1].pop()  # the final back-transform
     assert back == pytest.approx(1.02333081, abs=5e-5)
-    assert len(form1_at) == len(form2_at) == rounds
-    assert brent_calls[0] == rounds
-    for at1, at2 in zip(form1_at, form2_at):
-        assert not set(at1) & set(_SIGMA_GRID)
-        assert len(set(at2)) == len(at2)
-        assert set(at2) <= set(_SIGMA_GRID)
-    # round 1 starts Newton at the untruncated sigma, later rounds at the
-    # previous root; each round adds one Form I evaluation for the slope at
-    # the root.  Form II gallops from the cell of Form I's root, where its
-    # own crossing lies.  The walk took 125 grid points a round
-    assert [len(v) for v in form1_at] == [4 + 1, 5 + 1, 4 + 1]
-    assert [len(v) for v in form2_at] == [3, 3, 3]
+    assert rounds[0] == []
+    assert [len(at) for at in rounds[1:]] == [10, 12, 11]
+    for at in rounds[1:]:
+        assert len(set(at)) == len(at)
+        assert len(set(at) & set(_SIGMA_GRID)) == 3
+
+
+def test_step_evaluations_on_census_like_requests(monkeypatch):
+    # at most once per sigma and round, and no more a request than this
+    # sample took when Form II's Brent solve and the separate evaluations
+    # for the slopes went (54.25 a request before)
+    rounds = _count_steps(monkeypatch)
+    rng = random.Random(20261018)
+    total = 0
+    for _ in range(150):
+        req = _census_like(rng)
+        rounds[:] = [[]]
+        _outcome(calibrate_original, *req)
+        total += sum(map(len, rounds))
+        for at in rounds[1:]:
+            assert len(set(at)) == len(at)
+    assert total <= 6806  # 45.37 a request
 
 
 # -- the walk, where the bisection cannot vouch for its cell --------------------

@@ -295,6 +295,19 @@ class TestSigmaAndForms:
                                                             rel=1e-14)
 
 
+    def test_cutoff_whose_ratio_to_the_order_underflows(self):
+        # at |r| = 3.2e-161, y = |r|**2/2 is subnormal and y/s underflows
+        # to 0 at s = 500, so Temme's exponent read log(0) and both raised
+        # 'math domain error'; the truncation is negligible there
+        v = chi_var_form2(1.0, 3.2e-161, 1000.0)
+        assert v == pytest.approx(vmax_fixed_n(1.0, 1000.0), rel=0.0,
+                                  abs=2e-14 * (1.0 + v))
+        with mpmath.workdps(30):
+            want = float(mpmath.sqrt(2) * mpmath.gamma(500.5)
+                         / mpmath.gamma(500))
+        spec = ScaledChiSpec(1.0, 1000.0, lower=3.2e-161)
+        assert chi_raw_moment(spec, 1) == pytest.approx(want, rel=1e-14)
+
 def mp_inner(n, r, orders=(1, 2, 3)):
     """Inner variance, sigma and the raw moments of ``orders`` at M = 1 from
     the upper incomplete gammas."""

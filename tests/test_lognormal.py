@@ -144,20 +144,24 @@ class TestLogVarForms:
         assert lv2 == pytest.approx(want, abs=1e-6)
 
 
-    def test_form1_small_sigma_vs_mpmath(self):
-        # the bound ``_form1`` states down to sigma = 1e-6; the log-xi
-        # second differences gave 2.6e-4 at r = -2.73, sigma = 4e-6 and
-        # 3.7e-5 at r = -3, sigma = 1e-5
+    def test_small_sigma_vs_mpmath(self):
+        # the bound ``_forms`` states down to sigma = 1e-6 at the congruent
+        # mean, where Form II's log variance is Form I's; the log-xi second
+        # differences gave Form I 2.6e-4 at r = -2.73, sigma = 4e-6 and
+        # 3.7e-5 at r = -3, sigma = 1e-5, and Form II 3.7e-5 and 2.5e-6 at
+        # r = -3 and 0, sigma = 1e-5
         rng = random.Random(20261021)
         cases = [(-2.7317, 4.0106e-6), (-3.0, 1e-5), (0.0, 3e-6),
-                 (-3.0, 1e-4), (2.0, 1e-6), (-2.9784, 1.1553e-3)]
+                 (-3.0, 1e-4), (2.0, 1e-6), (-2.9784, 1.1553e-3),
+                 (0.0, 1e-5)]
         cases += [(rng.uniform(-3.0, 2.0), 10.0 ** rng.uniform(-6.0, -2.0))
                   for _ in range(40)]
         for r, sigma in cases:
             a = rng.uniform(0.0, 10.0)
             mu = a + r * sigma
-            assert log_var_forms(mu, sigma, a)[0] == pytest.approx(
-                mp_log_var_form1(mu, sigma, a), abs=5e-8), (r, sigma)
+            want = mp_log_var_form1(mu, sigma, a)
+            assert log_var_forms(mu, sigma, a) == pytest.approx(
+                (want, want), abs=5e-8), (r, sigma)
 
 
 class TestSlopes:
@@ -272,7 +276,9 @@ class TestForm1Rises:
 
     def test_sigma_partial_is_positive(self):
         # r = (mu - a)/sigma in [-1e4, 1e6] over the whole sigma grid; in
-        # the deeper left tail the partial's terms cancel
+        # the deeper left tail the partial's terms cancel.  Form II is
+        # anchored to the mean e^mu, where its arg falls past -709 up the
+        # grid: its partials' factor e^arg/expm1(arg) must not overflow
         rng = random.Random(28)
         rs = [-1e4, -1e3, -60.0, -10.0, -1.0, 0.0, 1.0, 10.0, 40.0, 1e3, 1e6]
         rs += [rng.uniform(-60.0, 40.0) for _ in range(20)]
@@ -280,9 +286,39 @@ class TestForm1Rises:
             a = rng.uniform(0.0, 10.0)
             for sigma in lognormal._SIGMA_GRID:
                 mu = a + r * sigma
-                d_sigma = lognormal._form1(
-                    mu, *lognormal._form_args(mu, sigma, a))[2]
+                parts = lognormal._forms(mu, sigma, a, mu)[3]
+                d_sigma = lognormal._partials(parts)[0][1]
                 assert d_sigma > 0.0, (r, sigma)
+
+    @pytest.mark.parametrize("root, seed", [(1.0, 1e-6), (1e-5, 1e-3)])
+    def test_newton_from_the_deep_left_tail(self, monkeypatch, root, seed):
+        # at mu - a = -10, r runs below -1e4 for sigma below 1e-3, where the
+        # sigma-partial's terms cancel (8.0e16 at r = -1e7): Newton stepped
+        # by it to sigma = 1.0000000007e-6, 55.6 below the target in ln
+        # Var, from the first seed, and to 9.44e-6, 0.23 below, from the
+        # second.  Form I's solve now takes no step there
+        mu, a = 0.0, 10.0
+        target = lognormal._forms(mu, root, a)[1]
+        newton, got = lognormal._roots.newton, []
+
+        def form1_only(*args, **kwargs):  # Form I's solve comes first
+            try:
+                got.append(newton(*args, **kwargs))
+            except ValueError as exc:
+                got.append(str(exc))
+            raise LookupError
+
+        monkeypatch.setattr(lognormal._roots, "newton", form1_only)
+        with pytest.raises(LookupError):
+            lognormal._sigma_pair(mu, a, 0.0, target, seed)
+        if root == 1.0:
+            assert got == [pytest.approx(1.0, rel=1e-13)]
+        else:
+            # r = -1e6: Form I's computed log variance jumps over the
+            # target by 1.1e-4 (both q's carry about r**2 ulps there), so
+            # the nearest sigma misses it by 4e-5, beyond the solve's 1e-6
+            assert got == ["no sigma reproducing the target variance at "
+                           "this mu in [1e-06, 63.0957]"]
 
     def test_log_variance_rises_along_the_grid(self):
         # at fixed mu - a in [-60, 40]: r runs from (mu - a)/63 to 1e6 (mu - a)
@@ -292,9 +328,8 @@ class TestForm1Rises:
             mu = a + rng.uniform(-60.0, 40.0)
             values = []
             for sigma in lognormal._SIGMA_GRID:
-                r = (mu - a) / sigma
-                values.append(lognormal._form1(
-                    mu, sigma, r, lognormal._log_xi_steps(r, sigma))[0])
+                # Form II, at the mean e^mu, is undefined up the grid
+                values.append(lognormal._forms(mu, sigma, a, mu)[1])
             assert all(map(float.__lt__, values, values[1:])), mu - a
 
 
