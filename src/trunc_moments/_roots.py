@@ -1,15 +1,17 @@
 """Root finding for the package's monotone 1-D solves.
 
 ``newton`` is the one Newton iteration, for the solves with a closed-form
-slope: ``calibrate.r_from_variance`` in r, ``chi.chi_calibrate`` in ln|r|,
-and ``chi.double_sigma``, Form I of ``calibrate.sigma_newton`` and both
-sigma-roots of ``lognormal.calibrate_original`` in ln sigma.  The solves
-without one bracket the root and call ``brentq``, which ports scipy's
-Brent solver step for step (same ``xtol + rtol*|x|`` stopping rule, same
-roots bit for bit), so the package need not import ``scipy.optimize``.
-``expand`` widens a bracket until it holds a sign change, and ``scan``,
-the one grid search, finds a function's first sign-change cell on a grid
-by bisecting over the grid's indices.  A missing root or bracket is a
+slope: ``calibrate.r_from_variance`` in r, ``calibrate.solve_U_approx2``
+in ln(1 - U), ``chi.chi_calibrate`` in ln|r|, and ``chi.double_sigma``,
+Form I of ``calibrate.sigma_newton`` and both sigma-roots of
+``lognormal.calibrate_original`` in ln sigma.  The two solves without
+one, ``chi.nvmx_search`` and ``fitting._solve_scalar``, bracket the root
+and call ``brentq``, which ports scipy's Brent solver step for step (same
+``xtol + rtol*|x|`` stopping rule, same roots bit for bit), so the
+package need not import ``scipy.optimize``.  ``expand`` widens a bracket
+until it holds a sign change, and ``scan``, the one grid search, finds a
+function's first sign-change cell on a grid by bisecting over the grid's
+indices.  A missing root or bracket is a
 ValueError naming the quantity and the range searched; an evaluation
 that overflows or divides by zero counts as undefined (NaN).
 """

@@ -11,7 +11,9 @@ Two closed-form approximating functions give cheap starting points:
 * fn 1: sigma ~ sqrt(2 - exp(-alpha*(1-U)**beta) - U) with alpha, beta
   quadratics in U; good for moderate-to-deep truncation (U well below 1).
 * fn 2: sigma ~ U / sqrt(W(1/(2*pi*(1-U)**2))) via the Lambert W function;
-  good for weak truncation (U in [0.9, 1)).
+  good for weak truncation (U in [0.9, 1)).  It is solved for ln(1 - U),
+  with W from w + ln w = -ln(2*pi) - 2 ln(1 - U), so every vhat up to its
+  maximum 0.33442 has a location, however close to 1 it lies.
 
 Refinement uses the two-point secant method or the point-slope
 (tangent-intersection) method on the sigma(mu) curves.  ``calibrate_auto``
@@ -30,14 +32,10 @@ import math
 import sys
 from collections import namedtuple
 from enum import Enum
-from functools import lru_cache
-from itertools import accumulate
-from operator import sub
 
 from . import _roots
-from .specfun import _polyval, lambert_w0
-from .utgd import Side, _core, _sign, _vhat_slope, dsigma1_dmu, \
-    normalized_variance
+from .specfun import _polyval, _w0_exp
+from .utgd import Side, _core, _sign, _vhat_slope, dsigma1_dmu
 
 __all__ = [
     "ApproxFn1Params",
@@ -82,7 +80,7 @@ APPROX1_SET_I = ApproxFn1Params(
 APPROX1_SET_II = ApproxFn1Params(
     c1=0.8458237100024218, c2=-0.0076717015064936, c3=-0.0000294382245497,
     d1=0.3625552742358368, d2=0.0015595446175739, d3=0.0000206350887888)
-_U_TOL, _APPROX1_MAXITER = 1e-12, 200  # U solves' tolerance; function 1's cap
+_U_TOL, _APPROX1_MAXITER = 1e-12, 200  # function 1's U tolerance and cap
 
 
 class Method(str, Enum):
@@ -180,36 +178,65 @@ def sigma_approx2(U: float) -> float:
     """Approximate normalized sigma near the untruncated limit (function 2)."""
     if not 0.9 <= U < 1.0:
         raise ValueError(f"U={U} outside approximating function 2 validity")
-    return _sigma_approx2_unchecked(U)
+    return _approx2(math.log1p(-U))[1]
 
 
-def _sigma_approx2_unchecked(U: float) -> float:
-    return U / math.sqrt(lambert_w0(1.0 / (2.0 * math.pi * (1.0 - U) ** 2)))
+_LN_2PI = math.log(2.0 * math.pi)
+# function 2's normalized variance sigma~**2 - (1 - U) peaks at ln(1 - U) =
+# _APPROX2_PEAK_L (U = 0.78335), at _APPROX2_VHAT_MAX: 50-digit mpmath
+# values, which a test recomputes
+_APPROX2_PEAK_L, _APPROX2_VHAT_MAX = -1.5294623586648546, 0.3344232791701668
 
 
-_APPROX2_GRID = (1.0 - 1e-13, *accumulate([0.9] + [0.02] * 19, sub))
+def _approx2(l: float) -> tuple[float, float, float]:
+    """Function 2 at l = ln(1 - U): U, sigma~ and w = W(1/(2 pi (1 - U)**2)),
+    w from w + ln w = -ln(2 pi) - 2 l, so no power of 1 - U is formed."""
+    U = -math.expm1(l)
+    w = _w0_exp(-_LN_2PI - 2.0 * l)
+    return U, U / math.sqrt(w), w
+
+
+def _approx2_log_eps(vhat: float) -> float:
+    """``solve_U_approx2``'s root as l = ln(1 - U)."""
+    if not 0.0 < vhat < 1.0:
+        raise ValueError("normalized variance must lie in (0, 1)")
+    if vhat > _APPROX2_VHAT_MAX:
+        raise ValueError(
+            f"vhat={vhat:.15g} exceeds approximating function 2's maximum "
+            f"normalized variance {_APPROX2_VHAT_MAX:.5f} (at U = 0.78335)")
+
+    def g(l: float) -> tuple[float, float]:
+        U, s, w = _approx2(l)
+        eps, s2 = math.exp(l), s * s
+        # the slope 2 U**2/(w (1 + w)) - 2 U eps/w - eps over s2 = U**2/w,
+        # which keeps it from underflowing where vhat is below 1e-154
+        k = 2.0 / (1.0 + w) - 2.0 * eps / U - eps / s2
+        v = s2 - eps
+        return v, (vhat - v) / s2 / k if k > 0.0 else math.nan
+
+    # seed: sigma~**2 ~ 1/w ~ 1/L; below the lower end L overflows
+    return _roots.newton(
+        g, min(-0.5 * (_LN_2PI + 1.0 / vhat), _APPROX2_PEAK_L), vhat,
+        increasing=True, domain=(-0.25 * sys.float_info.max, _APPROX2_PEAK_L),
+        noise_evals=2, what=f"function-2 ln(1 - U) for vhat={vhat:g}")
 
 
 def solve_U_approx2(vhat: float) -> float:
     """Normalized location whose function-2 variance equals vhat.
 
-    The recursion U <- vhat + 1 - sigma~(U)**2 is repelling at the solution
-    (its derivative there exceeds 1), so the fixed point is located by
-    bracketed root finding on the same equation instead.
+    The variance sigma~**2 - (1 - U) rises strictly in l = ln(1 - U) from 0
+    as l -> -inf to its maximum 0.33442 at U = 0.78335; a larger vhat
+    raises ValueError naming that maximum.  Newton steps in l
+    (``_roots.newton``) on the closed-form slope, with W(1/(2 pi (1 - U)**2))
+    from ``specfun._w0_exp`` (dw/dl = -2w/(1 + w)), find the root from the
+    seed sigma~**2 ~ 1/L: 5.5 evaluations on average over vhat in (0,
+    0.33442), up to 25 next to the maximum, where the root is double.  U is
+    within 1e-14 relative of 50-digit mpmath from vhat = 1e-300 to 0.3344;
+    below 1 - U = 5.6e-17 it rounds to 1 and ``calibrate_approx2`` reads
+    sigma~ at l.  Below vhat = 1.1e-308 the root lies past l = -4.5e307,
+    where L = -ln(2 pi) - 2 l overflows, and ValueError names that range.
     """
-    if not 0.0 < vhat < 1.0:
-        raise ValueError("normalized variance must lie in (0, 1)")
-
-    def g(u: float) -> float:
-        s = _sigma_approx2_unchecked(u)
-        return s * s - (vhat + 1.0 - u)
-
-    # g < 0 at U -> 1-; search down from there by 0.02 for a sign change (the
-    # bracket may start slightly below 0.9 when vhat sits at the dispatch
-    # boundary), then solve between that U and U -> 1- (g is monotone)
-    what = f"function-2 location U for vhat={vhat:g}"
-    _, lo, _, glo = _roots.scan(g, _APPROX2_GRID, what=what)
-    return _roots.brentq(g, lo, _APPROX2_GRID[0], glo, what=what, xtol=_U_TOL)
+    return -math.expm1(_approx2_log_eps(vhat))
 
 
 # ---------------------------------------------------------------------------
@@ -398,29 +425,32 @@ def calibrate_approx2(M: float, target_var: float, a: float,
                       side: Side = Side.LEFT) -> CalibrationResult:
     """Closed-form calibration from approximating function 2 alone."""
     sign, d = _frame(M, target_var, a, side)
-    U = solve_U_approx2(target_var / (d * d))
-    return _finish(a + sign * U * d, d * _sigma_approx2_unchecked(U), M,
-                   target_var, a, sign, Method.APPROX2, 1)
+    U, s, _ = _approx2(_approx2_log_eps(target_var / (d * d)))
+    return _finish(a + sign * U * d, d * s, M, target_var, a, sign,
+                   Method.APPROX2, 1)
 
 
 # ---------------------------------------------------------------------------
 # automatic dispatch
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
+# the normalized variance on the congruent manifold where U = r/s(r) = 0.9,
+# the handover point between the two approximating functions; a test
+# recomputes it
+_SWITCH_VHAT = 0.30160029345162614
+
+
 def approx_switch_vhat() -> float:
     """Normalized variance on the congruent manifold at U = 0.9 -- the
     handover point between the two approximating functions."""
-    r = _roots.brentq(lambda r: r / _core(r)[1] - 0.9, 0.0, 10.0,
-                      what="offset r at U = 0.9", xtol=1e-15)
-    return normalized_variance(r)
+    return _SWITCH_VHAT
 
 
 def _approx_seed(target_var: float, d: float) -> tuple[Method, float]:
     """Approximating function valid at this target, d = |M - a|, and the
     offset from the cutoff of the location it gives."""
     vhat = target_var / (d * d)
-    if vhat >= approx_switch_vhat():
+    if vhat >= _SWITCH_VHAT:
         return Method.APPROX1, solve_U_approx1(vhat) * d
     return Method.APPROX2, solve_U_approx2(vhat) * d
 

@@ -118,6 +118,11 @@ def cmd_calibrate_gauss(args) -> int:
             return EXIT_USAGE
     M, v, a, side = args.mean, args.var, args.cutoff, Side(args.side)
     try:
+        calibrate._frame(M, v, a, side)
+    except ValueError as exc:  # it names the attainable bound
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    try:
         if args.method == "auto":
             res = calibrate.calibrate_auto(M, v, a, side)
         elif args.method == "approx1":
@@ -130,7 +135,10 @@ def cmd_calibrate_gauss(args) -> int:
             rounds = 3 if args.rounds is None else args.rounds
             res = calibrate.point_slope(M, v, a, args.mu1, rounds, side)
     except ValueError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
+        # the target is attainable: a paper method's failure is its own
+        print(f"infeasible: {exc}" if args.method == "auto" else
+              f"method {args.method} failed: {exc}; the target is "
+              "attainable: --method auto reaches it", file=sys.stderr)
         return EXIT_INFEASIBLE
 
     _emit_json({

@@ -19,8 +19,9 @@ Everything here runs on the standard library's ``math`` module:
   (``gamma_lower`` reads it): ``chi`` takes its ratios from the scaled and
   regularized forms, and ``gamma_lower`` only for the outer continuation
   to n <= 0.
-* ``lambert_w0`` -- principal branch Lambert W on [0, inf), by Halley
-  iteration.
+* ``lambert_w0`` -- principal branch Lambert W on [0, inf), by Newton
+  steps on w + ln w = ln x; ``_w0_exp(L)`` gives W(e^L) by the same steps
+  where e^L would overflow.
 
 NaN inputs propagate to NaN results.  Domain violations raise ValueError.
 """
@@ -460,29 +461,33 @@ def gamma_lower(s: float, x: float) -> float:
 
 
 def lambert_w0(x: float) -> float:
-    """Principal-branch Lambert W for x >= 0, by Halley iteration.
-
-    Seeded with log1p(x) (exact at 0, asymptotically tight for large x);
-    converges to ~1 ulp in a handful of cubic steps.
-    """
+    """Principal-branch Lambert W for x >= 0: ``_w0_exp`` at ln x, to
+    within a few ulps."""
     x = float(x)
     if math.isnan(x):
         return math.nan
     if x < 0.0:
         raise ValueError("lambert_w0 implemented for x >= 0 only")
-    if x == 0.0:
-        return 0.0
-    if math.isinf(x):
-        return math.inf
-    w = math.log1p(x)
-    for _ in range(50):
-        ew = math.exp(w)
-        f = w * ew - x
-        if f == 0.0:
-            break
-        denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)
-        dw = f / denom
-        w -= dw
-        if abs(dw) <= 1e-15 * max(1.0, abs(w)):
+    if x == 0.0 or math.isinf(x):
+        return x
+    return _w0_exp(math.log(x), x)
+
+
+def _w0_exp(L: float, x: float | None = None) -> float:
+    """W(e^L), the w > 0 with w + ln w = L, without forming e^L.
+
+    Newton steps w <- w (1 + ln(e^L / w))/(1 + w), which converge from any
+    w > 0 (Iacono & Boyd 2017), from log1p(e^L), or L - ln L past L = 709.
+    Given x = e^L, ln(e^L / w) is read as ln(x / w), which keeps the digits
+    that the rounding of ln x would cost where w is small.  A step below
+    1e-9 w leaves a relative error below 1e-18/2, so the iteration stops
+    there: at most 5 steps.
+    """
+    w = math.log1p(math.exp(L)) if L < 709.0 else L - math.log(L)
+    for _ in range(50):  # a NaN L never meets the test below
+        step = w * ((L - math.log(w) if x is None else math.log(x / w)) - w) \
+            / (1.0 + w)
+        w += step
+        if abs(step) <= 1e-9 * w:
             break
     return w

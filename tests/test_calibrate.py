@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from test_r_from_variance import vhat_noise
-from trunc_moments import _roots, calibrate, utgd
+from trunc_moments import _roots, calibrate, specfun, utgd
 from trunc_moments.calibrate import (
     APPROX1_SET_I,
     Method,
@@ -279,6 +279,100 @@ class TestApproximations:
             assert abs(sigma_approx2(U) - exact) / exact < 0.009
 
 
+def _former_solve_U_approx2(vhat):
+    """Function 2's U as found before the solve moved to ln(1 - U): a sign
+    change on a 21-point U grid from 1 - 1e-13 down by 0.02, then Brent."""
+    grid = [1.0 - 1e-13] + [0.9 - 0.02 * i for i in range(20)]
+
+    def g(u):
+        w = specfun.lambert_w0(1.0 / (2.0 * math.pi * (1.0 - u) ** 2))
+        return u * u / w - (vhat + 1.0 - u)
+
+    _, lo, _, glo = _roots.scan(g, grid, what="function-2 location U")
+    return _roots.brentq(g, lo, grid[0], glo, what="function-2 location U",
+                         xtol=1e-12)
+
+
+def _mp_approx2(vhat):
+    """Function 2's U and sigma~ at variance vhat in 50-digit mpmath, solved
+    for ln w, w = W(1/(2 pi (1 - U)**2)): 1 - U = 1/sqrt(2 pi w e^w)."""
+    with mpmath.workdps(50):
+        def parts(t):
+            w = mpmath.exp(t)
+            eps = 1 / mpmath.sqrt(2 * mpmath.pi * w * mpmath.exp(w))
+            return 1 - eps, eps, w
+
+        def ln_ratio(t):
+            U, eps, w = parts(t)
+            return mpmath.log((U * U / w - eps) / vhat)
+
+        # sigma~**2 ~ 1/w far out; w > 1.1 on the rising branch
+        t = mpmath.findroot(ln_ratio, max(-math.log(vhat), 0.5))
+        U, _, w = parts(t)
+        return U, U / mpmath.sqrt(w)
+
+
+class TestApproxFunction2:
+    # function 2's variance sigma~**2 - (1 - U) peaks at U* = 0.78335
+    def test_peak_constants(self):
+        with mpmath.workdps(50):
+            def v(l):
+                eps = mpmath.exp(l)
+                w = mpmath.lambertw(1 / (2 * mpmath.pi * eps ** 2)).real
+                return (1 - eps) ** 2 / w - eps
+
+            peak = mpmath.findroot(lambda l: mpmath.diff(v, l), -1.5)
+            assert calibrate._APPROX2_PEAK_L == float(peak)
+            assert calibrate._APPROX2_VHAT_MAX == float(v(peak))
+
+    def test_log_grid_against_mpmath(self):
+        # U, and sigma~ where U rounds to 1, to 1e-14 relative from
+        # vhat = 1e-300 up to 0.3344, 2.3e-5 below the maximum, where the
+        # root is double and its conditioning falls
+        for vhat in np.geomspace(1e-300, 0.3344, 121):
+            U, s, _ = calibrate._approx2(calibrate._approx2_log_eps(vhat))
+            U_mp, s_mp = _mp_approx2(float(vhat))
+            assert abs(U - U_mp) <= 1e-14 * U_mp, vhat
+            assert abs(s - s_mp) <= 1e-14 * s_mp, vhat
+            assert solve_U_approx2(vhat) == U
+
+    def test_former_solver_agrees(self):
+        # on the range the former grid reached, within its Brent xtol
+        for vhat in np.linspace(0.0186, 0.333, 200):
+            assert solve_U_approx2(vhat) == pytest.approx(
+                _former_solve_U_approx2(vhat), abs=1e-12, rel=0.0)
+
+    def test_above_the_maximum(self):
+        peak = calibrate._APPROX2_VHAT_MAX
+        U = solve_U_approx2(peak)  # the double root: 1e-8 in l
+        assert U == pytest.approx(0.7833478828573955, abs=1e-7)
+        for vhat in (math.nextafter(peak, 1.0), 0.34, 0.9):
+            with pytest.raises(ValueError, match=re.escape(
+                    "approximating function 2's maximum normalized "
+                    "variance 0.33442 (at U = 0.78335)")):
+                solve_U_approx2(vhat)
+
+    def test_evaluation_counts(self):
+        # 5.5 evaluations on average from the seed sigma~**2 ~ 1/L, up to
+        # 25 next to the maximum, where Newton converges only linearly
+        counts = []
+        for vhat in np.linspace(1e-6, calibrate._APPROX2_VHAT_MAX, 2001):
+            with mock.patch.object(calibrate, "_approx2",
+                                   wraps=calibrate._approx2) as spy:
+                solve_U_approx2(float(vhat))
+            counts.append(spy.call_count)
+        assert np.mean(counts) < 6.0
+        assert max(counts) <= 26
+
+    def test_sigma_at_the_rounding_of_U(self):
+        # below 1 - U = 5.6e-17 U is 1 and sigma~ carries the answer:
+        # calibrate_approx2 meets both moments of an untruncated model
+        for vhat in (1e-3, 1e-100, 1e-300):
+            res = calibrate_approx2(1.0, vhat, 0.0)
+            assert res.mu0 == 1.0
+            assert res.sigma0 == pytest.approx(math.sqrt(vhat), rel=1e-15)
+
+
 def _mp_mean_var(mu, sigma, a, side):
     """Mean and variance of the truncated Gaussian (mu, sigma, a, side),
     from the closed forms in mpmath.  1 - r*t - t**2 cancels about
@@ -415,9 +509,23 @@ class TestAutoPipeline:
 
 
 def test_switch_point_value():
-    # normalized variance where the two approximating functions hand over
-    assert calibrate.approx_switch_vhat() == pytest.approx(
-        0.30160029345162614, abs=1e-12)
+    # normalized variance where the two approximating functions hand over,
+    # U = r/s(r) = 0.9: the literal is the Brent root that approx_switch_vhat
+    # solved for on first use, bit for bit
+    r = _roots.brentq(lambda r: r / utgd._core(r)[1] - 0.9, 0.0, 10.0,
+                      what="offset r at U = 0.9", xtol=1e-15)
+    assert calibrate.approx_switch_vhat() == utgd.normalized_variance(r)
+    with mpmath.workdps(40):
+        r = mpmath.findroot(lambda r: r / (r + _mp_mills(r)) - 0.9, 2.3)
+        t = _mp_mills(r)
+        assert calibrate.approx_switch_vhat() == pytest.approx(
+            float((1 - r * t - t * t) / (r + t) ** 2), rel=1e-15)
+
+
+def _mp_mills(r):
+    """t(r) = phi(r)/Phi(r) in mpmath."""
+    return mpmath.sqrt(2 / mpmath.pi) / (mpmath.exp(r ** 2 / 2)
+                                         * mpmath.erfc(-r / mpmath.sqrt(2)))
 
 
 @pytest.mark.parametrize("side", list(Side))

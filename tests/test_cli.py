@@ -194,16 +194,56 @@ def test_calibrate_gauss_infeasible(capsys):
 
 @pytest.mark.parametrize("var", ["1e-14", "0.999999999999"])
 def test_calibrate_gauss_out_of_seed_range(capsys, var):
-    # beyond an approximating function's reach its diagnostic is named;
-    # no solver message leaks and no traceback escapes
-    method = "approx2" if var == "1e-14" else "approx1"
+    # function 2 is solved in ln(1 - U), so approx2 reaches vhat = 1e-14,
+    # where its grid stopped at 1 - U = 1e-13 and it exited 2 as
+    # "infeasible".  Beyond function 1's reach its failure is named as the
+    # method's own, with the method that reaches the attainable target
+    if var == "1e-14":
+        code, doc, err = run_json(capsys, "calibrate-gauss", "--mean", "1",
+                                  "--var", var, "--cutoff", "0",
+                                  "--method", "approx2")
+        assert (code, err) == (0, "")
+        assert doc["sigma"] == pytest.approx(1e-7, rel=1e-12)
+        return
     code, out, err = run(capsys, "calibrate-gauss", "--mean", "1",
-                         "--var", var, "--cutoff", "0", "--method", method)
-    assert code == 2
-    assert err.startswith("infeasible: ")
-    assert "different signs" not in err
-    assert ("function-2 location U" if var == "1e-14"
-            else "validity U in [-100, 0.9]") in err
+                         "--var", var, "--cutoff", "0", "--method", "approx1")
+    assert code == 2 and out == ""
+    assert err.startswith("method approx1 failed: ")
+    assert "validity U in [-100, 0.9]" in err
+    assert err.endswith("; the target is attainable: --method auto "
+                        "reaches it\n")
+
+
+@pytest.mark.parametrize("method", ["approx2", "two-point", "point-slope"])
+def test_calibrate_gauss_paper_methods_below_the_grid(capsys, method):
+    # vhat = 0.01 lies below function 2's former grid (1 - U >= 1e-13):
+    # approx2 and the methods it seeds exited 2 with "infeasible: no
+    # function-2 location U"; there 1 - U rounds to 0 and mu = M
+    code, doc, err = run_json(capsys, "calibrate-gauss", "--mean", "1",
+                              "--var", "0.01", "--cutoff", "0",
+                              "--method", method)
+    assert (code, err) == (0, "")
+    assert (doc["mu"], doc["sigma"], doc["method"]) == (1.0, 0.1, method)
+
+
+@pytest.mark.parametrize("method,argv,failure", [
+    ("approx1", ["--var", "0.01"], "U=0.9999947016360748 outside "
+     "approximating function 1 validity"),
+    ("approx2", ["--var", "0.5"], "vhat=0.5 exceeds approximating function "
+     "2's maximum normalized variance 0.33442 (at U = 0.78335)"),
+    ("two-point", ["--var", "0.5", "--mu1", "0.5", "--mu2", "0.5"],
+     "the two sampling locations must differ"),
+])
+def test_calibrate_gauss_names_a_method_failure(capsys, method, argv,
+                                                failure):
+    # a target inside the attainable bound that a paper method cannot
+    # solve is that method's failure, not an infeasible target; the exit
+    # code stays 2
+    code, out, err = run(capsys, "calibrate-gauss", "--mean", "1",
+                         "--cutoff", "0", "--method", method, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"method {method} failed: {failure}; the target is "
+                   "attainable: --method auto reaches it\n")
 
 
 def test_calibrate_gauss_auto_beyond_the_seeds(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trunc_moments import _nvmx_slope
+from trunc_moments import _nvmx_slope, specfun
 from trunc_moments.specfun import (
     exp_r2_half_xi,
     gamma_lower,
@@ -143,6 +143,23 @@ def test_lambert_w0_edges():
     assert lambert_w0(math.e) == pytest.approx(1.0, rel=1e-14)
     with pytest.raises(ValueError):
         lambert_w0(-0.5)  # negative arguments are out of scope here
+
+
+@pytest.mark.parametrize("x", [1e-300, 1e-20, 0.5, 1e8, 1e303, 1e305, 1e308])
+def test_lambert_w0_against_mpmath(x):
+    # the Halley iteration's denominator overflowed for x in about [1e303,
+    # 1e306) and returned its seed log1p(x), 0.95% off
+    w = mpmath.lambertw(x).real
+    assert abs(lambert_w0(x) - w) <= 4e-16 * w
+
+
+@pytest.mark.parametrize("L", [1.2, 709.0, 710.0, 1e6, 1e300, math.log(1e308)])
+def test_w0_exp_solves_its_equation(L):
+    # W(e^L) where e^L overflows, checked by w + ln w = L
+    w = specfun._w0_exp(L)
+    assert abs(w + math.log(w) - L) <= 2 * math.ulp(L)
+    if L < 709.0:
+        assert w == pytest.approx(lambert_w0(math.exp(L)), rel=4e-16)
 
 
 # -- mpmath sweep at the tolerances the docstrings state ----------------------
