@@ -91,22 +91,25 @@ def _row_format(p: int, columns: int):
     return "\t".join([f"{{:.{p}g}}"] + [f"{{:.{p}f}}"] * columns).format
 
 
+# The utgd figures are drawn at unit mean and zero cutoff, where the
+# variance, its slope and the shape measures are their normalized kernels.
+
 def _var_rows(p: int):
-    from .utgd import var_form2
+    from .utgd import normalized_variance
     fmt = _row_format(p, 1)
-    return lambda r: fmt(r, var_form2(1.0, r, 0.0))
+    return lambda r: fmt(r, normalized_variance(r))
 
 
 def _dvar_rows(p: int):
-    from .utgd import dvar_dr
+    from .utgd import dnormalized_variance_dr
     fmt = _row_format(p, 1)
-    return lambda r: fmt(r, dvar_dr(1.0, r, 0.0))
+    return lambda r: fmt(r, dnormalized_variance_dr(r))
 
 
 def _kurtosis_rows(p: int):
-    from .utgd import skewness_kurtosis
+    from .utgd import _shape
     fmt = _row_format(p, 2)
-    return lambda r: fmt(r, *skewness_kurtosis(1.0, r, 0.0)[:2])
+    return lambda r: fmt(r, *_shape(r))
 
 
 def _slope_form1_rows(p: int):

@@ -9,20 +9,28 @@ central moments are all smooth functions of r.
 
 Numerically the module works with three scaled quantities::
 
-    t = sqrt(2/pi) / exp_r2_half_xi(r)      # inverse Mills ratio
+    t = sqrt(2/pi) / erfcx(-r/sqrt(2))      # inverse Mills ratio
     s = r + t                               # so  M = a + sigma*s
     Q = 1 - r*t - t**2                      # so  Var = sigma**2 * Q
 
 The direct expressions cancel catastrophically for r << 0 (t -> -r, Q ->
-O(1/r**2)), so below ``_SERIES_CUT`` everything switches to rational
-functions of u = 1/r**2 whose integer coefficients are generated exactly
-at import time from the double-factorial tail expansion of the Mills
-ratio.  The two zones agree to ~1e-11 relative at the cut.  Each series
-polynomial is evaluated only as deep as its terms carry digits at u
-(``_with_depths``): every term it omits is below 2**-60/L of its leading
-term, L its length.  At the cut psi and phi take all their terms and the
-other seven 19 to 23 of their 30 to 46; from r = -60 on none takes more
-than 10.
+O(1/r**2)), so the left tail is split into zones:
+
+* t, s, Q, the variance and dsigma1/dmu switch below ``_SERIES_CUT``
+  (-11), and the variance's slope below ``_DVHAT_SERIES_CUT`` (-9.75), to
+  rational functions of u = 1/r**2 whose integer coefficients are
+  generated exactly at import time from the double-factorial tail
+  expansion of the Mills ratio.  The two zones agree to ~1e-11 relative
+  at the cut.  Each series polynomial is evaluated only as deep as its
+  terms carry digits at u (``_with_depths``): every term it omits is
+  below 2**-60/L of its leading term, L its length.  At the cut psi and
+  phi take all their terms and the other five 19 to 22 of their 30 to 32;
+  from r = -60 on none takes more than 10.
+* The skewness, kurtosis and 5th and 6th central moments, which cancel
+  harder, switch at and below ``_TAIL_CUT`` (-4) to the Laplace continued
+  fraction of the Mills ratio (``_excess_tail``): its tails are the
+  ratios of successive raw moments of the excess over the cutoff, from
+  which the central moments follow with little cancellation.
 
 Right-sided truncation is handled by the mirror identity: in the offsets
 sign*(x - a) from the cutoff, with the sign from ``_sign``, an upper-tail
@@ -38,7 +46,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from enum import Enum
 
-from .specfun import exp_r2_half_xi
+from .specfun import _SQRT2, _erfcx
 
 __all__ = [
     "Side",
@@ -70,6 +78,10 @@ _SERIES_CUT = -11.0
 # The derivative cancels harder in the direct zone and less in the series,
 # so its errors against mpmath cross higher, near 1e-8 at r = -9.75.
 _DVHAT_SERIES_CUT = -9.75
+# At and below this the shape measures and cm5/cm6 come from the continued
+# fraction (``_excess_tail``); above it the direct form's kurtosis stays
+# within 3.4e-10 of mpmath, where at r = -5 it is 2.6e-9 off.
+_TAIL_CUT = -4.0
 
 
 class Side(str, Enum):
@@ -131,42 +143,20 @@ def _series_coefficients(order: int):
                 out[i + j] += pi * qj
         return out
 
-    def polyadd(*ps):
-        n = max(len(p) for p in ps)
-        return [sum(p[i] for p in ps if i < len(p)) for i in range(n)]
-
-    def shift(p, k):
-        return [0] * k + p
-
-    psi2 = polymul(psi, psi)
-    phi2 = polymul(phi, phi)
     # vhat = (psi**2 - phi) / (u * phi**2) = N(u) / D(u)
-    num = polyadd(psi2, [-c for c in phi])
+    num = polymul(psi, psi)
+    for i, c in enumerate(phi):
+        num[i] -= c
     assert num[0] == 0
     n_coef = num[1:]
-    d_coef = phi2
-
-    # skewness numerator: ((phi-1) + u*phi*(phi+2) - u**2*phi**2) / u**2;
-    # the leading u**0 and u**1 coefficients cancel exactly
-    phi_plus2 = [phi[0] + 2] + phi[1:]
-    pser = polyadd(shift(phi[1:], 1), shift(polymul(phi, phi_plus2), 1),
-                   [-c for c in shift(phi2, 2)])
-    assert pser[0] == 0 and pser[1] == 0
-    s_coef = pser[2:]
-
-    # excess-kurtosis numerator: (-(1-3u)psi**3 + (7-4u)psi**2 - 12psi + 6)/u**4
-    psi3 = polymul(psi2, psi)
-    pk = polyadd(polymul([-1, 3], psi3), polymul([7, -4], psi2),
-                 [-12 * c for c in psi], [6])
-    assert pk[:4] == [0, 0, 0, 0]
-    k_coef = pk[4:]
+    d_coef = polymul(phi, phi)
 
     # dN/du, dD/du and D - N are formed on the exact integers too; only then
     # is each coefficient rounded to a float, once instead of in every call
     dn, dd = ([k * c for k, c in enumerate(p)][1:] for p in (n_coef, d_coef))
     d_minus_n = [de - nu for de, nu in zip(d_coef, n_coef)]
     return [_with_depths([float(c) for c in p]) for p in (
-        psi, phi, n_coef, d_coef, s_coef, k_coef, dn, dd, d_minus_n)]
+        psi, phi, n_coef, d_coef, dn, dd, d_minus_n)]
 
 
 def _with_depths(coef: list[float]) -> tuple[tuple, tuple]:
@@ -203,7 +193,7 @@ def _series(poly: tuple[tuple, tuple], u: float) -> float:
     return acc
 
 
-(_PSI, _PHI, _VHAT_NUM, _VHAT_DEN, _SKEW_NUM, _KURT_NUM,
+(_PSI, _PHI, _VHAT_NUM, _VHAT_DEN,
  _VHAT_NUM_D, _VHAT_DEN_D, _VHAT_DEN_MINUS_NUM) = _series_coefficients(16)
 
 
@@ -221,7 +211,7 @@ def _core(r: float) -> tuple[float, float, float]:
         return math.nan, math.nan, math.nan
     if r > _SERIES_CUT:
         # underflows to 0 for r > ~38; correct limit
-        t = _SQRT_2_OVER_PI / exp_r2_half_xi(r)
+        t = _SQRT_2_OVER_PI / _erfcx(-r / _SQRT2)
         return t, r + t, 1.0 - r * t - t * t
     u = 1.0 / (r * r)
     psi = _series(_PSI, u)
@@ -294,6 +284,69 @@ def dsigma1_dmu(r: float) -> float:
     n = _series(_VHAT_NUM, u)
     dn = _series(_VHAT_DEN_MINUS_NUM, u)
     return t * dn / (r * t * dn - 2.0 * n)
+
+
+# ---------------------------------------------------------------------------
+# the left tail's continued fraction
+# ---------------------------------------------------------------------------
+
+def _excess_tail(r: float, n: int) -> tuple[float, float]:
+    """(u, y_(n+1)) at offset r <= _TAIL_CUT, with x = -r and u = 1/r**2:
+    the raw moments of the excess W = Z - x of the standardized variable
+    Z >= x are E[W**k] = y_1 ... y_k / x**k, and y_k = k/(1 + u y_(k+1))
+    takes the caller from y_(n+1) down to y_1.
+
+    Integration by parts gives E[W**(k+1)] + x E[W**k] = k E[W**(k-1)], so
+    the ratios rho_k = E[W**k]/E[W**(k-1)] = k/(x + rho_(k+1)) are the tails
+    of the Laplace continued fraction of the Mills ratio (A&S 26.2.14), run
+    bottom-up here in the scaled y_k = x rho_k, which neither overflow nor
+    underflow.  From depth n + 8 + 450u, started at the fixed point of that
+    step, the shape measures are within 4.1e-14 of mpmath on [-60, -4], and
+    cm5 and cm6 within 3.2e-14 relative."""
+    u = 1.0 / (r * r)
+    k = n + 8 + int(450.0 * u)
+    y = 2.0 * k / (1.0 + math.sqrt(1.0 + 4.0 * u * k))
+    for k in range(k - 1, n, -1):
+        y = k / (1.0 + u * y)
+    return u, y
+
+
+def _central(ys: list[float], n: int) -> float:
+    """x**n times the n-th central moment of W from ys = [y_1, ...] of
+    ``_excess_tail``: sum_j C(n, j) E[W**j] (-E[W])**(n - j) by Horner's
+    rule in the y_j."""
+    acc = 1.0
+    for j in range(n - 1, -1, -1):
+        acc = acc * ys[j] + math.comb(n, j) * (-ys[0]) ** (n - j)
+    return acc
+
+
+def _shape(r: float) -> tuple[float, float]:
+    """Left-side (skewness, kurtosis) at offset r.
+
+    Above ``_TAIL_CUT`` they come from t, s and Q, which lose about r**4
+    ulps: within 3.4e-10 of mpmath on (-4, -3], 5.2e-11 on (-3, -2] and
+    4.7e-12 on (-2, -1].  From the cut down they come from
+    ``_excess_tail``, where the central moments cancel by at most a
+    factor of about 7: within 4.1e-14 on [-60, -4] and 9e-15 from there
+    to r = -2**18."""
+    if not r <= _TAIL_CUT:  # NaN too, through _core
+        t, s, q = _core(r)
+        p3 = r * r - 1.0 + 3.0 * r * t + 2.0 * t * t
+        inner = (r * (r * r - 3.0) * t + (7.0 * r * r - 4.0) * t * t
+                 + 12.0 * r * t ** 3 + 6.0 * t ** 4)
+        return t * p3 / q ** 1.5, 3.0 - inner / (q * q)
+    u, y = _excess_tail(r, 4)
+    y4 = 4.0 / (1.0 + u * y)
+    y3 = 3.0 / (1.0 + u * y4)
+    y2 = 2.0 / (1.0 + u * y3)
+    y1 = 1.0 / (1.0 + u * y2)
+    # x**k E[(W - E[W])**k] / y1 for k = 2, 3, 4: d (so vhat = d/y1), then
+    # the two numerators below, by Horner's rule as in _central
+    d = y2 - y1
+    return ((y2 * (y3 - 3.0 * y1) + 2.0 * y1 * y1) / (math.sqrt(y1) * d ** 1.5),
+            (y2 * (y3 * (y4 - 4.0 * y1) + 6.0 * y1 * y1) - 3.0 * y1 ** 3)
+            / (y1 * d * d))
 
 
 _SIGN = {Side.LEFT: 1.0, Side.RIGHT: -1.0}
@@ -377,40 +430,16 @@ def skewness_kurtosis(M: float, r: float, a: float,
     """Return (S, K, S_un, K_un): normalized and unnormalized skewness and
     kurtosis.  The normalized pair depend on r (and side) only.
 
-    Next to the switch from the direct form to the u-series at r = -10
-    (left side) the kurtosis loses digits: against mpmath it is up to
-    2.9e-7 absolute off near r = -9.94 and 5.9e-8 on (-11, -10], and above
-    1e-8 over about r in (-12, -7); the skewness stays within 7e-10.
-    From r = -10 down its series polynomials take only their terms above
-    2**-60/L of the leading one, within 4 ulps of the full polynomials.
+    In offsets from the cutoff (r of the left side) the normalized pair is
+    within 1e-9 absolute of mpmath on [-2**18, 38] and within 1e-12 from
+    r = -4 down, where the continued fraction takes over (``_shape``).
     The unnormalized pair takes the variance as ``var_form2`` does."""
     if M == a:
         raise ValueError("M must differ from the cutoff")
     sign = _sign(side)
-    r *= sign
-    # the shape measures cancel harder than the variance, so they leave the
-    # direct zone earlier (both routes agree to ~1e-8 at the crossover)
-    if r > -10.0:
-        t, s, q = _core(r)
-        p3 = r * r - 1.0 + 3.0 * r * t + 2.0 * t * t
-        skew = t * p3 / q ** 1.5
-        inner = (r * (r * r - 3.0) * t + (7.0 * r * r - 4.0) * t * t
-                 + 12.0 * r * t ** 3 + 6.0 * t ** 4)
-        kurt = 3.0 - inner / (q * q)
-        vh = q / (s * s)
-    else:
-        # same expressions pushed through the u = 1/r**2 series; the integer
-        # polynomial algebra removes the leading-order cancellations
-        u = 1.0 / (r * r)
-        phi = _series(_PHI, u)
-        vh = _series(_VHAT_NUM, u) / _series(_VHAT_DEN, u)
-        skew = _series(_SKEW_NUM, u) / (phi ** 3 * vh ** 1.5)
-        kurt = 3.0 - _series(_KURT_NUM, u) / (phi ** 4 * vh * vh)
-        if r > _SERIES_CUT:  # the variance is still on its direct side
-            vh = normalized_variance(r)
-    # vh is normalized_variance(r) in each zone, so var is var_form2's
+    skew, kurt = _shape(sign * r)
     d = M - a
-    var = d * d * vh
+    var = d * d * normalized_variance(sign * r)
     return sign * skew, kurt, sign * skew * var ** 1.5, kurt * var * var
 
 
@@ -426,14 +455,24 @@ def central_moments_56(M: float, r: float, a: float,
                        side: Side = Side.LEFT) -> tuple[float, float]:
     """Unnormalized 5th and 6th central moments.
 
-    They are shifted from moments about the parent mean, which cancel as r
-    falls: against mpmath the relative errors are 4e-13 / 2e-12 at r = -2,
-    1e-4 / 1e-2 at r = -20 and 2 / 1.4e3 at r = -50.
+    From r = -4 down (left side) they come from the continued fraction
+    (``_excess_tail``): within 3.2e-14 relative of mpmath on
+    [-2**18, -4].  Above, they are shifted from moments about the parent
+    mean, which cancel as r falls: within 2.2e-9 relative on (-4, -3],
+    1.5e-10 on (-3, -2] and 1e-11 on (-2, 37]; above, cm5 underflows.
     """
     if M == a:
         raise ValueError("M must differ from the cutoff")
     sign = _sign(side)
     r *= sign
+    if r <= _TAIL_CUT:
+        u, y = _excess_tail(r, 6)
+        ys = [0.0] * 6
+        for k in range(6, 0, -1):
+            y = ys[k - 1] = k / (1.0 + u * y)
+        # sigma**k x**-k = ((M - a)/y_1)**k, as s = E[W] = y_1/x
+        d = abs(M - a) / ys[0]
+        return sign * _central(ys, 5) * d ** 5, _central(ys, 6) * d ** 6
     t, s, _ = _core(r)
     sigma = abs(M - a) / s
     ell = _centered_l(r, t, 6)
@@ -473,8 +512,9 @@ def dvar_dr(M: float, r: float, a: float) -> float:
 
 
 def moment_summary(spec: TruncatedGaussianSpec) -> MomentSummary:
-    """All housed moments of a truncated Gaussian in one pass; cm5 and
-    cm6 are ``central_moments_56``'s, as inaccurate for negative r."""
+    """All housed moments of a truncated Gaussian in one pass; skewness,
+    kurtosis, cm5 and cm6 are those of ``skewness_kurtosis`` and
+    ``central_moments_56``, with their stated bounds."""
     sign = _sign(spec.side)
     r = sign * spec.r
     t, s, _ = _core(r)
@@ -488,8 +528,7 @@ def moment_summary(spec: TruncatedGaussianSpec) -> MomentSummary:
         for k in (1, 2, 3, 4)
     ]
     var = var_form1(spec.sigma, r)
-    # normalized S and K depend on r alone, so any M > a works here
-    skew, kurt, _, _ = skewness_kurtosis(a + 1.0, r, a)
+    skew, kurt = _shape(r)
     mean = a + scale * s
     cm5, cm6 = central_moments_56(mean, spec.r, a, side=spec.side)
     return MomentSummary(mean=mean, m2=raw[1], m3=raw[2], m4=raw[3],

@@ -49,12 +49,61 @@ def test_table_matches_golden(capsys, name):
 @pytest.mark.parametrize("figure", ["var-vs-r", "dvar-vs-r", "kurtosis",
                                     "slope-form1"])
 def test_plot_data_matches_golden(capsys, figure):
-    # the utgd figures over both series cuts and the shape cut at -10
+    # the utgd figures over both series cuts and the shape cut at -4
     code, out, err = run(capsys, "plot-data", "--figure", figure, "--min",
                          "-60", "--max", "38", "--step", "0.25",
                          "--precision", "8")
     assert code == 0
     assert out == (GOLDEN / "plot" / f"{figure}.tsv").read_text()
+
+
+def _mp_figure_columns(figure, r):
+    """The data columns of a utgd figure's row at r (unit mean, zero
+    cutoff) from their definitions, at 50 digits."""
+    def q(x):
+        t = mpmath.sqrt(2 / mpmath.pi) / (mpmath.exp(x * x / 2)
+                                          * mpmath.erfc(-x / mpmath.sqrt(2)))
+        return t, 1 - x * t - t * t
+
+    def vhat(x):
+        t, qx = q(x)
+        return qx / (x + t) ** 2
+
+    with mpmath.workdps(50):
+        r = mpmath.mpf(r)
+        if figure == "var-vs-r":
+            return [vhat(r)]
+        if figure == "dvar-vs-r":
+            return [mpmath.diff(vhat, r)]
+        if figure == "slope-form1":
+            dq = mpmath.diff(lambda x: q(x)[1], r)
+            return [dq / (r * dq - 2 * q(r)[1])]
+        # raw moments of the standardized variable z >= -r by their
+        # recurrence, then the central ones
+        t = q(r)[0]
+        m = [mpmath.mpf(1), t]
+        for k in range(2, 5):
+            m.append((k - 1) * m[k - 2] + (-r) ** (k - 1) * t)
+        c2 = m[2] - m[1] ** 2
+        c3 = m[3] - 3 * m[1] * m[2] + 2 * m[1] ** 3
+        c4 = m[4] - 4 * m[1] * m[3] + 6 * m[1] ** 2 * m[2] - 3 * m[1] ** 4
+        return [c3 / c2 ** 1.5, c4 / c2 ** 2]
+
+
+@pytest.mark.parametrize("figure", ["var-vs-r", "dvar-vs-r", "kurtosis",
+                                    "slope-form1"])
+def test_plot_golden_rows_against_mpmath(figure):
+    # every printed value is within one unit of its last digit of the
+    # value it stands for, so a golden file cannot freeze a wrong digit
+    header, *rows = (GOLDEN / "plot" / f"{figure}.tsv").read_text().splitlines()
+    off = []
+    for row in rows:
+        r, *cols = row.split("\t")
+        for col, want in zip(cols, _mp_figure_columns(figure, float(r))):
+            unit = 10.0 ** -len(col.partition(".")[2])
+            if not abs(mpmath.mpf(col) - want) <= unit:
+                off.append((r, col, float(want)))
+    assert not off, off
 
 
 def test_table_unknown_name(capsys):

@@ -66,6 +66,27 @@ def test_brentq_uses_supplied_endpoint_values():
     assert 0.0 not in calls and 1.0 not in calls
 
 
+@pytest.mark.parametrize("quantum,xtol", [(1e-6, 1e-300), (1e-6, 1e-14),
+                                          (1e-12, 1e-300), (1e-15, 1e-300)])
+def test_brentq_evaluates_each_x_at_most_once(quantum, xtol):
+    # a step function is flat about its root, where Brent's last steps are
+    # the least ones it takes: delta = (xtol + RTOL|x|)/2 is at least two
+    # ulps of x, so every step reaches a new x, and f is called once there
+    def step(x):  # never 0: it jumps across 0 at 0.3
+        return math.floor(x / quantum) * quantum - 0.3 + 0.5 * quantum
+
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return step(x)
+
+    root = _roots.brentq(f, 0.0, 1.0, what="x", xtol=xtol)
+    assert root == _scipy(step, 0.0, 1.0, xtol)
+    assert abs(root - 0.3) <= 2 * quantum
+    assert len(calls) == len(set(calls))
+
+
 def test_brentq_names_quantity_and_range():
     with pytest.raises(ValueError, match=r"no widget in \[1, 2\]"):
         _roots.brentq(lambda x: x, 1.0, 2.0, what="widget")

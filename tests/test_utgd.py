@@ -25,6 +25,43 @@ def mp_core(r, dps=50):
         return float(t), float(s), float(q / (s * s))
 
 
+def mp_central_moments(r, ks, dps=40):
+    """(E[W], [E[(W - E[W])**k] for k in ks]) for the excess W = Z - x of a
+    standard normal Z >= x = -r, by quadrature of W's density, which is
+    proportional to exp(-x w - w**2/2) on w >= 0; about the mean, so
+    nothing cancels."""
+    with mpmath.workdps(dps):
+        x = -mpmath.mpf(r)
+
+        def f(w):
+            return mpmath.exp(-x * w - w * w / 2)
+
+        # the mass lies within a few 1/x of 0 for x > 0, near -x otherwise
+        peak, width = max(-x, 0), 1 / (abs(x) + 1)
+        pts = [0, peak + width, peak + 10 * width, mpmath.inf]
+        mass = mpmath.quad(f, pts)
+        mean = mpmath.quad(lambda w: w * f(w), pts) / mass
+        return mean, [mpmath.quad(lambda w: (w - mean) ** k * f(w), pts) / mass
+                      for k in ks]
+
+
+def mp_shape(r):
+    """(skewness, kurtosis) at r from the raw moments of z >= -r by their
+    recurrence m_k = (k-1) m_(k-2) + (-r)**(k-1) t: the 4th central moment
+    cancels about 8 log10|r| digits, which the working precision adds."""
+    with mpmath.workdps(40 + int(8 * math.log10(max(1.0, abs(r))))):
+        x = -mpmath.mpf(r)
+        t = mpmath.sqrt(2 / mpmath.pi) / (mpmath.exp(x * x / 2)
+                                          * mpmath.erfc(x / mpmath.sqrt(2)))
+        m = [mpmath.mpf(1), t]
+        for k in range(2, 5):
+            m.append((k - 1) * m[k - 2] + x ** (k - 1) * t)
+        c2 = m[2] - m[1] ** 2
+        c3 = m[3] - 3 * m[1] * m[2] + 2 * m[1] ** 3
+        c4 = m[4] - 4 * m[1] * m[3] + 6 * m[1] ** 2 * m[2] - 3 * m[1] ** 4
+        return float(c3 / c2 ** 1.5), float(c4 / c2 ** 2)
+
+
 def test_inverse_mills_at_zero():
     assert utgd.inverse_mills(0.0) == pytest.approx(SQRT_2_PI, rel=1e-15)
 
@@ -101,16 +138,14 @@ def test_dvar_asymptotes():
 # the series zone: log-spaced r in [-2**18, -11], and the sweeps' grid there
 SERIES_GRID = sorted({-2.0 ** (k / 64.0) for k in range(222, 64 * 18 + 1)}
                      | {k * 0.01 for k in range(-6000, -1099)} | {-11.0})
-SERIES_POLYS = ("_PSI", "_PHI", "_VHAT_NUM", "_VHAT_DEN", "_SKEW_NUM",
-                "_KURT_NUM", "_VHAT_NUM_D", "_VHAT_DEN_D",
-                "_VHAT_DEN_MINUS_NUM")
+SERIES_POLYS = ("_PSI", "_PHI", "_VHAT_NUM", "_VHAT_DEN", "_VHAT_NUM_D",
+                "_VHAT_DEN_D", "_VHAT_DEN_MINUS_NUM")
 
 
 def series_kernels(r):
     t, s, q = utgd._core(r)
     return {"t": t, "s": s, "q": q, "vhat": utgd.normalized_variance(r),
             "vhat_slope": utgd._vhat_slope(r),
-            "shape": utgd.skewness_kurtosis(1.0, r, 0.0),
             "dsigma1_dmu": utgd.dsigma1_dmu(r)}
 
 
@@ -234,28 +269,37 @@ class TestShape:
         assert s == pytest.approx(2.0, rel=1e-5)
         assert k == pytest.approx(9.0, rel=1e-5)
 
-    @pytest.mark.parametrize("r", [-50.0, -11.0, -10.0, -9.5, -3.0, 0.0, 4.0])
+    @pytest.mark.parametrize("r", [-1000.0, -50.0, -11.0, -10.0, -9.94,
+                                   -9.5, -7.0, -5.0, -3.0, 0.0, 4.0])
     def test_against_mpmath_moments(self, r):
-        with mpmath.workdps(50):
-            r_ = mpmath.mpf(r)
-            z0 = mpmath.erfc(-r_ / mpmath.sqrt(2)) / 2
-
-            def raw(k):
-                # standard parent, cutoff at -r so that (mu - a)/sigma = r
-                return mpmath.quad(
-                    lambda x: x ** k * mpmath.npdf(x) / z0, [-r_, mpmath.inf])
-
-            m1, m2, m3, m4 = (raw(k) for k in (1, 2, 3, 4))
-            var = m2 - m1 ** 2
-            cm3 = m3 - 3 * m1 * m2 + 2 * m1 ** 3
-            cm4 = m4 - 4 * m1 * m3 + 6 * m1 ** 2 * m2 - 3 * m1 ** 4
-            want_s = float(cm3 / var ** 1.5)
-            want_k = float(cm4 / var ** 2)
-        # the reference frame is parent-centered, ours is cutoff-centered:
-        # shift the raw moments to the truncated mean before normalizing
+        _, (c2, c3, c4) = mp_central_moments(r, (2, 3, 4))
+        want_s = float(c3 / c2 ** 1.5)
+        want_k = float(c4 / c2 ** 2)
         s, k, _, _ = utgd.skewness_kurtosis(1.0 - r, r, -r)
-        assert s == pytest.approx(want_s, rel=2e-8, abs=1e-10)
-        assert k == pytest.approx(want_k, rel=2e-8)
+        # the continued fraction from r = -4 down, the direct form above
+        tol = 1e-12 if r <= -4.0 else 1e-9
+        assert s == pytest.approx(want_s, abs=tol)
+        assert k == pytest.approx(want_k, abs=tol)
+
+    @pytest.mark.parametrize("r", [-2.0 ** k for k in range(2, 19)]
+                             + [-4.5, -6.0, -12.0, -100.0, -3e4])
+    def test_deep_tail_against_the_moment_recurrence(self, r):
+        s, k = mp_shape(r)
+        got_s, got_k, _, _ = utgd.skewness_kurtosis(1.0, r, 0.0)
+        assert got_s == pytest.approx(s, abs=1e-12)
+        assert got_k == pytest.approx(k, abs=1e-12)
+
+    def test_grid_across_the_former_series_switch(self):
+        # where a switch from the direct form to u-series polynomials at
+        # r = -10 left the kurtosis up to 2.9e-7 off (near r = -9.94)
+        off = []
+        for i in range(-1200, -499):
+            r = i / 100.0
+            s, k = mp_shape(r)
+            got_s, got_k, _, _ = utgd.skewness_kurtosis(1.0, r, 0.0)
+            if not (abs(got_s - s) <= 1e-9 and abs(got_k - k) <= 1e-9):
+                off.append((r, got_s - s, got_k - k))
+        assert not off, off
 
     def test_right_side_flips_skewness(self):
         sl, kl, _, _ = utgd.skewness_kurtosis(1.0, 0.7, 0.0, Side.LEFT)
@@ -282,6 +326,22 @@ def test_central_moments_56_vs_quadrature():
     got6 = oracle.quad_moment(dens, (a, math.inf), k=6, center=M)
     assert cm5 == pytest.approx(got5.value, rel=1e-10)
     assert cm6 == pytest.approx(got6.value, rel=1e-10)
+
+
+@pytest.mark.parametrize("r", [-1000.0, -50.0, -20.0, -5.0, -3.0, -2.0])
+def test_central_moments_56_left_tail_vs_quadrature(r):
+    # at M - a = 1 the unnormalized moments are those of the excess over
+    # the cutoff divided by its mean's powers; the shift from the parent
+    # mean was 2.0 / 1.4e3 relative off at r = -50
+    mean, (c5, c6) = mp_central_moments(r, (5, 6))
+    cm5, cm6 = utgd.central_moments_56(1.0, r, 0.0)
+    assert cm5 == pytest.approx(float(c5 / mean ** 5), rel=1e-9)
+    assert cm6 == pytest.approx(float(c6 / mean ** 6), rel=1e-9)
+
+
+def test_central_moments_56_right_side_mirror():
+    cm5, cm6 = utgd.central_moments_56(1.0, -20.0, 0.0)
+    assert utgd.central_moments_56(-1.0, 20.0, 0.0, Side.RIGHT) == (-cm5, cm6)
 
 
 class TestHeightAndDensity:
