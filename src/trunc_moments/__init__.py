@@ -33,9 +33,10 @@ _SOURCES = {
         "MomentSummary", "Side", "TruncatedGaussianSpec",
         "central_moments_56", "density", "dnormalized_variance_dr",
         "dsigma1_dmu", "dvar_dr", "inverse_mills", "mean_from_params",
-        "moment_summary", "normalized_variance", "r_from_height",
-        "sigma_from_mean_r", "skewness_kurtosis", "var_form1", "var_form2",
-        "var_from_mu_sigma", "var_max_from_height"), "utgd"),
+        "moment_summary", "normalized_shape", "normalized_variance",
+        "r_from_height", "sigma_from_mean_r", "skewness_kurtosis",
+        "var_form1", "var_form2", "var_from_mu_sigma", "var_max_from_height"),
+        "utgd"),
 }
 
 __all__ = sorted(_SOURCES)

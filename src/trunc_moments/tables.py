@@ -107,9 +107,9 @@ def _dvar_rows(p: int):
 
 
 def _kurtosis_rows(p: int):
-    from .utgd import _shape
+    from .utgd import normalized_shape
     fmt = _row_format(p, 2)
-    return lambda r: fmt(r, *_shape(r))
+    return lambda r: fmt(r, *normalized_shape(r))
 
 
 def _slope_form1_rows(p: int):

@@ -68,6 +68,7 @@ __all__ = [
     "normalized_variance",
     "dnormalized_variance_dr",
     "dsigma1_dmu",
+    "normalized_shape",
 ]
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -290,6 +291,11 @@ def dsigma1_dmu(r: float) -> float:
 # the left tail's continued fraction
 # ---------------------------------------------------------------------------
 
+# the depths k of ``_excess_tail`` as floats, which divide faster than ints,
+# past its deepest start: 42, at the cut with n = 6
+_DEPTHS = tuple(float(k) for k in range(64))
+
+
 def _excess_tail(r: float, n: int) -> tuple[float, float]:
     """(u, y_(n+1)) at offset r <= _TAIL_CUT, with x = -r and u = 1/r**2:
     the raw moments of the excess W = Z - x of the standardized variable
@@ -306,7 +312,7 @@ def _excess_tail(r: float, n: int) -> tuple[float, float]:
     u = 1.0 / (r * r)
     k = n + 8 + int(450.0 * u)
     y = 2.0 * k / (1.0 + math.sqrt(1.0 + 4.0 * u * k))
-    for k in range(k - 1, n, -1):
+    for k in _DEPTHS[k - 1:n:-1]:
         y = k / (1.0 + u * y)
     return u, y
 
@@ -321,21 +327,26 @@ def _central(ys: list[float], n: int) -> float:
     return acc
 
 
-def _shape(r: float) -> tuple[float, float]:
-    """Left-side (skewness, kurtosis) at offset r.
+def _direct_shape(r: float, t: float, q: float) -> tuple[float, float]:
+    """(skewness, kurtosis) from ``_core``'s t and Q at offset r."""
+    p3 = r * r - 1.0 + 3.0 * r * t + 2.0 * t * t
+    inner = (r * (r * r - 3.0) * t + (7.0 * r * r - 4.0) * t * t
+             + 12.0 * r * t ** 3 + 6.0 * t ** 4)
+    return t * p3 / q ** 1.5, 3.0 - inner / (q * q)
 
-    Above ``_TAIL_CUT`` they come from t, s and Q, which lose about r**4
-    ulps: within 3.4e-10 of mpmath on (-4, -3], 5.2e-11 on (-3, -2] and
-    4.7e-12 on (-2, -1].  From the cut down they come from
+
+def normalized_shape(r: float) -> tuple[float, float]:
+    """Left-side (skewness, kurtosis) at offset r; depends on r only.
+
+    Above ``_TAIL_CUT`` (-4) they come from t, s and Q, which lose about
+    r**4 ulps: within 3.4e-10 of mpmath on (-4, -3], 5.2e-11 on (-3, -2]
+    and 4.7e-12 on (-2, -1].  From the cut down they come from
     ``_excess_tail``, where the central moments cancel by at most a
     factor of about 7: within 4.1e-14 on [-60, -4] and 9e-15 from there
     to r = -2**18."""
     if not r <= _TAIL_CUT:  # NaN too, through _core
-        t, s, q = _core(r)
-        p3 = r * r - 1.0 + 3.0 * r * t + 2.0 * t * t
-        inner = (r * (r * r - 3.0) * t + (7.0 * r * r - 4.0) * t * t
-                 + 12.0 * r * t ** 3 + 6.0 * t ** 4)
-        return t * p3 / q ** 1.5, 3.0 - inner / (q * q)
+        t, _, q = _core(r)
+        return _direct_shape(r, t, q)
     u, y = _excess_tail(r, 4)
     y4 = 4.0 / (1.0 + u * y)
     y3 = 3.0 / (1.0 + u * y4)
@@ -344,8 +355,8 @@ def _shape(r: float) -> tuple[float, float]:
     # x**k E[(W - E[W])**k] / y1 for k = 2, 3, 4: d (so vhat = d/y1), then
     # the two numerators below, by Horner's rule as in _central
     d = y2 - y1
-    return ((y2 * (y3 - 3.0 * y1) + 2.0 * y1 * y1) / (math.sqrt(y1) * d ** 1.5),
-            (y2 * (y3 * (y4 - 4.0 * y1) + 6.0 * y1 * y1) - 3.0 * y1 ** 3)
+    return ((y2 * (y3 - 3.0 * y1) + 2.0 * y1 * y1) / (d * math.sqrt(y1 * d)),
+            (y2 * (y3 * (y4 - 4.0 * y1) + 6.0 * y1 * y1) - 3.0 * y1 * y1 * y1)
             / (y1 * d * d))
 
 
@@ -432,14 +443,22 @@ def skewness_kurtosis(M: float, r: float, a: float,
 
     In offsets from the cutoff (r of the left side) the normalized pair is
     within 1e-9 absolute of mpmath on [-2**18, 38] and within 1e-12 from
-    r = -4 down, where the continued fraction takes over (``_shape``).
-    The unnormalized pair takes the variance as ``var_form2`` does."""
+    r = -4 down, where the continued fraction takes over
+    (``normalized_shape``).  The unnormalized pair takes the variance as
+    ``var_form2`` does."""
     if M == a:
         raise ValueError("M must differ from the cutoff")
     sign = _sign(side)
-    skew, kurt = _shape(sign * r)
+    r *= sign
+    if r <= _TAIL_CUT:
+        skew, kurt = normalized_shape(r)
+        vh = normalized_variance(r)
+    else:  # NaN too
+        t, s, q = _core(r)
+        skew, kurt = _direct_shape(r, t, q)
+        vh = q / (s * s)  # normalized_variance's, bit for bit
     d = M - a
-    var = d * d * normalized_variance(sign * r)
+    var = d * d * vh
     return sign * skew, kurt, sign * skew * var ** 1.5, kurt * var * var
 
 
@@ -517,7 +536,7 @@ def moment_summary(spec: TruncatedGaussianSpec) -> MomentSummary:
     ``central_moments_56``, with their stated bounds."""
     sign = _sign(spec.side)
     r = sign * spec.r
-    t, s, _ = _core(r)
+    t, s, q = _core(r)
     a = spec.cutoff
     # X = mu + sign*sigma*Z, Z standardized on the left side at offset r
     scale = sign * spec.sigma
@@ -528,7 +547,8 @@ def moment_summary(spec: TruncatedGaussianSpec) -> MomentSummary:
         for k in (1, 2, 3, 4)
     ]
     var = var_form1(spec.sigma, r)
-    skew, kurt = _shape(r)
+    skew, kurt = (normalized_shape(r) if r <= _TAIL_CUT
+                  else _direct_shape(r, t, q))
     mean = a + scale * s
     cm5, cm6 = central_moments_56(mean, spec.r, a, side=spec.side)
     return MomentSummary(mean=mean, m2=raw[1], m3=raw[2], m4=raw[3],

@@ -276,10 +276,13 @@ class TestShape:
         want_s = float(c3 / c2 ** 1.5)
         want_k = float(c4 / c2 ** 2)
         s, k, _, _ = utgd.skewness_kurtosis(1.0 - r, r, -r)
-        # the continued fraction from r = -4 down, the direct form above
+        # the continued fraction from r = -4 down, the direct form above;
+        # never looser than the former rel=2e-8 (with abs=1e-10 for S)
         tol = 1e-12 if r <= -4.0 else 1e-9
-        assert s == pytest.approx(want_s, abs=tol)
-        assert k == pytest.approx(want_k, abs=tol)
+        assert s == pytest.approx(
+            want_s, abs=min(tol, max(2e-8 * abs(want_s), 1e-10)))
+        assert k == pytest.approx(
+            want_k, abs=min(tol, max(2e-8 * abs(want_k), 1e-12)))
 
     @pytest.mark.parametrize("r", [-2.0 ** k for k in range(2, 19)]
                              + [-4.5, -6.0, -12.0, -100.0, -3e4])
@@ -300,6 +303,17 @@ class TestShape:
             if not (abs(got_s - s) <= 1e-9 and abs(got_k - k) <= 1e-9):
                 off.append((r, got_s - s, got_k - k))
         assert not off, off
+
+    @pytest.mark.parametrize("r", [-100.0, -10.5, -4.0, -3.99, 0.5, 20.0])
+    def test_wrappers_share_the_normalized_kernel(self, r):
+        # on either side of the -4 cut, bit for bit: the normalized pair is
+        # normalized_shape's, the unnormalized pair scales by var_form2
+        skew, kurt = utgd.normalized_shape(r)
+        var = utgd.var_form2(-2.0, -r, 0.0, Side.RIGHT)
+        assert utgd.skewness_kurtosis(-2.0, -r, 0.0, Side.RIGHT) == (
+            -skew, kurt, -skew * var ** 1.5, kurt * var * var)
+        summary = utgd.moment_summary(TruncatedGaussianSpec(2.0 * r, 2.0, 0.0))
+        assert (summary.skewness, summary.kurtosis) == (skew, kurt)
 
     def test_right_side_flips_skewness(self):
         sl, kl, _, _ = utgd.skewness_kurtosis(1.0, 0.7, 0.0, Side.LEFT)
