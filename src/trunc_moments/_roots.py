@@ -97,10 +97,14 @@ def brentq(f, a: float, b: float, fa: float | None = None,
 
 def newton(g, x: float, target: float, *, increasing: bool,
            domain: tuple[float, float], what: str, noise_evals: int,
-           log: bool = False, tol: float = math.inf) -> float:
+           log: bool = False, slope: bool = False,
+           tol: float = math.inf) -> float:
     """Safeguarded Newton iteration from x for the x in ``domain`` at which
     a quantity, monotone in x, equals ``target``: g(x) gives the quantity
-    and a Newton step towards the target (NaN if none), in ln x if ``log``.
+    and a Newton step towards the target (NaN if none), in ln x if ``log``;
+    with ``slope``, the quantity and its derivative in x, from which the
+    step is formed here, so that a kernel can be passed as it is, with no
+    wrapper to call per evaluation (``calibrate.r_from_variance``).
 
     A step that leaves the bracket of evaluated points bisects it or, while
     a side is open, moves 1, 2, 4, ... towards the root, stopping at the
@@ -124,9 +128,12 @@ def newton(g, x: float, target: float, *, increasing: bool,
         f = value - target
         if f != f:
             raise _fail(what, a, b)
-        if abs(f) < best:
-            best_x, best = x, abs(f)
-        if abs(f) <= floor or left == 0:
+        if slope:  # g gave the quantity's slope; a wrong sign leaves the
+            step = -f / step if step else math.nan  # bracket, as NaN does
+        err = abs(f)
+        if err < best:
+            best_x, best = x, err
+        if err <= floor or left == 0:
             break
         up = (f < 0.0) == increasing  # the root lies above x
         if up:

@@ -130,11 +130,12 @@ def _finish(mu0: float, sigma0: float, M: float, target_var: float, a: float,
     # far larger than |mu|
     mean = mu0 + sign * sigma0 * t if r > 0.0 else a + sign * sigma0 * s
     var = sigma0 * sigma0 * q
+    # by position: by keyword the namedtuple took about twice as long
+    # (0.7 against 0.35 us), on every calibration
     return CalibrationResult(
-        mu0=mu0, sigma0=sigma0, method=method, iterations=iterations,
-        mean_resid=abs(mean - M) / abs(M) if M else abs(mean - M),
-        var_resid=abs(var - target_var) / target_var,
-        mean_achieved=mean, var_achieved=var)
+        mu0, sigma0, method, iterations,
+        abs(mean - M) / abs(M) if M else abs(mean - M),
+        abs(var - target_var) / target_var, mean, var)
 
 
 # ---------------------------------------------------------------------------
@@ -249,14 +250,6 @@ _R_SEED_MID = (0.38264131895812736, -1.30691370884815, -0.11443844716745484,
                -0.03442959015155442, -0.0003054611707185797,
                -0.0014413761282916569, 0.00010338270358562153)
 
-# evaluations after the first Newton step below 1e-8 * max(1, |r|), each a
-# fresh draw of vhat's evaluation noise.  For vhat in [0.965, 0.985] (r in
-# about (-11, -7)) a Brent bracket shrunk to neighbouring floats left a
-# residual above 1e-12 relative at 9.7% of 3000 targets; the best of the
-# 5 draws that 4 allow there (6 evaluations in all) at 4.5%
-_NOISE_EVALS = 4
-
-
 def _r_seed(vhat: float) -> float:
     """Closed-form start for ``r_from_variance``, within 1.4e-4 * max(1, |r|)
     of the root."""
@@ -278,27 +271,23 @@ def r_from_variance(vhat_target: float) -> float:
     Newton steps (``_roots.newton``) from the closed-form seed ``_r_seed``,
     with vhat and its slope from one kernel call per step.  Once a step
     falls below 1e-8 * max(1, |r|) the iterate holds the root to within
-    vhat's evaluation noise, each further step a fresh draw of it, so at
-    most ``_NOISE_EVALS`` more evaluations follow; the evaluated r with the
-    smallest residual is returned.
+    vhat's evaluation noise, and one more evaluation follows; the evaluated
+    r with the smallest residual is returned.
 
     The root is thus as sharp as that noise divided by the slope: a few ulps
-    of vhat for r >= 0 and r <= -11, up to about 7e-12 relative on (-11, -2),
-    where the kept residual is the best of up to 5 draws.  It takes one
-    evaluation within 1e-6 of 1, nearly always one below vhat = 0.0123
-    (r > 9, where 1/sqrt(vhat) is the root up to rounding), and at most 6
-    over 50 000 random targets spread over the whole range.
+    of vhat for r >= 0 and r <= -4 (up to 8 on (-11, -4], where t, s and Q
+    come from the continued fraction), up to about 2e-13 relative on (-4,
+    -2).  It takes one evaluation within 1e-6 of 1, nearly always one below
+    vhat = 0.0123 (r > 9, where 1/sqrt(vhat) is the root up to rounding),
+    and at most 3 over 40 000 random targets spread over the whole range
+    (2.9 on average for vhat uniform on (0, 1)).
     """
     if not 0.0 < vhat_target < 1.0:
         raise ValueError("normalized variance must lie in (0, 1)")
 
-    def g(r: float) -> tuple[float, float]:
-        v, slope = _vhat_slope(r)
-        return v, (vhat_target - v) / slope if slope < 0.0 else math.nan
-
     return _roots.newton(
-        g, _r_seed(vhat_target), vhat_target, increasing=False,
-        domain=(-math.inf, math.inf), noise_evals=_NOISE_EVALS,
+        _vhat_slope, _r_seed(vhat_target), vhat_target, increasing=False,
+        domain=(-math.inf, math.inf), noise_evals=1, slope=True,
         what="offset r")  # vhat is finite at every finite r: never raised
 
 
@@ -310,7 +299,7 @@ def sigma_newton(target_var: float, mu: float, a: float, M: float,
     Form II is sigma = (mu - a)/r, r from ``r_from_variance``.  Form I,
     sigma**2 Q(r), takes Newton steps in ln sigma over every sigma that
     leaves r finite, on the slope d ln Var/d ln sigma = 2/(1 - r k), k =
-    ``dsigma1_dmu(r)``: 1 to 6 evaluations, 4.3 on average, for mu - a in
+    ``dsigma1_dmu(r)``: 1 to 6 evaluations, 4.2 on average, for mu - a in
     +-[1e-3, 10] and variances in [1e-4, 10].  Where no sigma reproduces
     the target to 1e-8, as where Q rounds to 0 (r below about -1e8),
     ValueError names the range searched."""

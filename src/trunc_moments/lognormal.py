@@ -29,7 +29,7 @@ from collections import namedtuple
 from . import _roots
 from .calibrate import CalibrationResult, Method, _intersect
 from .specfun import _SQRT2, exp_r2_half_xi
-from .utgd import _SQRT_2_OVER_PI, _core
+from .utgd import _SQRT_2_OVER_PI, _TAIL_CUT, _core
 
 __all__ = [
     "LognormalMoments",
@@ -80,9 +80,10 @@ def _forms(mu: float, sigma: float, a: float,
     - q, exactly -q at the congruent mean.  Below |q| = 1e-7, where the
     second differences keep few digits, q and its partials come from their
     expansions about z_1: at the congruent mean both log variances are
-    within 5e-8 of mpmath for r in [-3, 2] and sigma in [1e-6, 1e-2]
-    (tested).  With a supplied mean Form II is as accurate as ln M_y, one
-    ulp of which moves it by about 1e-4 at sigma = 1e-6.
+    within 5e-8 of mpmath for r in [-3, 2] and sigma in [1e-6, 1e-2], and
+    for r in [-10, -6] and sigma in [1e-6, 3e-3] (tested).  With a
+    supplied mean Form II is as accurate as ln M_y, one ulp of which moves
+    it by about 1e-4 at sigma = 1e-6.
     """
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
@@ -92,7 +93,7 @@ def _forms(mu: float, sigma: float, a: float,
     core = None
     if q > -1e-7:  # (t, s, Q) at z_1, as _core gives them
         z, t = r + sigma, _SQRT_2_OVER_PI * math.exp(-ws[1])
-        core = (t, z + t, 1.0 - z * t - t * t) if z > -11.0 else _core(z)
+        core = (t, z + t, 1.0 - z * t - t * t) if z > _TAIL_CUT else _core(z)
         q = -sigma * sigma * core[2]
     # q -> 0- as sigma -> 0, so 1 - e^q goes through expm1
     lv1 = 2.0 * sigma * sigma + 2.0 * mu + d2 + math.log(-math.expm1(q))

@@ -16,21 +16,23 @@ Numerically the module works with three scaled quantities::
 The direct expressions cancel catastrophically for r << 0 (t -> -r, Q ->
 O(1/r**2)), so the left tail is split into zones:
 
-* t, s, Q, the variance and dsigma1/dmu switch below ``_SERIES_CUT``
-  (-11), and the variance's slope below ``_DVHAT_SERIES_CUT`` (-9.75), to
-  rational functions of u = 1/r**2 whose integer coefficients are
-  generated exactly at import time from the double-factorial tail
-  expansion of the Mills ratio.  The two zones agree to ~1e-11 relative
-  at the cut.  Each series polynomial is evaluated only as deep as its
-  terms carry digits at u (``_with_depths``): every term it omits is
-  below 2**-60/L of its leading term, L its length.  At the cut psi and
-  phi take all their terms and the other five 19 to 22 of their 30 to 32;
-  from r = -60 on none takes more than 10.
-* The skewness, kurtosis and 5th and 6th central moments, which cancel
-  harder, switch at and below ``_TAIL_CUT`` (-4) to the Laplace continued
-  fraction of the Mills ratio (``_excess_tail``): its tails are the
-  ratios of successive raw moments of the excess over the cutoff, from
-  which the central moments follow with little cancellation.
+* At and below ``_TAIL_CUT`` (-4) everything comes from the Laplace
+  continued fraction of the Mills ratio (``_excess_tail``): its tails are
+  the ratios of successive raw moments of the excess over the cutoff,
+  from which t, s, Q and the central moments follow with little
+  cancellation.  The skewness, kurtosis and 5th and 6th central moments
+  take it all the way down; t, s and Q, and so the variance, its slope
+  and dsigma1/dmu, take it on (-11, -4]: t, s and Q within 6.5e-16
+  relative of mpmath there, vhat within 8 ulps.
+* At and below ``_SERIES_CUT`` (-11) t, s, Q, the variance, its slope
+  and dsigma1/dmu are rational functions of u = 1/r**2 whose integer
+  coefficients are generated exactly at import time from the
+  double-factorial tail expansion of the Mills ratio.  Each series
+  polynomial is evaluated only as deep as its terms carry digits at u
+  (``_with_depths``): every term it omits is below 2**-60/L of its
+  leading term, L its length.  At the cut psi and phi take all their
+  terms and the other five 19 to 22 of their 30 to 32; from r = -60 on
+  none takes more than 10.
 
 Right-sided truncation is handled by the mirror identity: in the offsets
 sign*(x - a) from the cutoff, with the sign from ``_sign``, an upper-tail
@@ -73,16 +75,15 @@ __all__ = [
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
-# Below this the asymptotic series in u = 1/r**2 beats the direct t/s/Q
-# route (their errors against mpmath cross near r = -10.5).
-_SERIES_CUT = -11.0
-# The derivative cancels harder in the direct zone and less in the series,
-# so its errors against mpmath cross higher, near 1e-8 at r = -9.75.
-_DVHAT_SERIES_CUT = -9.75
-# At and below this the shape measures and cm5/cm6 come from the continued
-# fraction (``_excess_tail``); above it the direct form's kurtosis stays
-# within 3.4e-10 of mpmath, where at r = -5 it is 2.6e-9 off.
+# At and below this t, s, Q, the shape measures and cm5/cm6 come from the
+# continued fraction (``_excess_tail``); above it the direct form's
+# kurtosis stays within 3.4e-10 of mpmath, where at r = -5 it is 2.6e-9 off.
 _TAIL_CUT = -4.0
+# At and below this t, s, Q and the variance's kernels come from the
+# asymptotic series in u = 1/r**2.  Its Q = 1 - phi/psi**2 cancels about
+# r**2 ulps, which the fraction's would not; but perfbench's reference
+# misreads correct Q deep in the tail, so that switch waits for it.
+_SERIES_CUT = -11.0
 
 
 class Side(str, Enum):
@@ -205,15 +206,25 @@ def _series(poly: tuple[tuple, tuple], u: float) -> float:
 def _core(r: float) -> tuple[float, float, float]:
     """Return (t, s, Q) at offset r, picking the numerically safe zone.
 
-    In the series zone (r <= -11) psi and phi take only their terms above
+    Above -4 they come straight from erfcx.  On (-11, -4] they come from
+    the continued fraction (``_excess_tail``), within 6.5e-16 relative of
+    mpmath, where the direct 1 - rt - t**2 was up to 4.2e-12 off.  In the
+    series zone (r <= -11) psi and phi take only their terms above
     2**-60/L of the leading one (``_with_depths``): within 4 ulps of all
     their terms (Q within 4 ulps of 1) on r in [-2**18, -11]."""
     if math.isnan(r):
         return math.nan, math.nan, math.nan
-    if r > _SERIES_CUT:
+    if r > _TAIL_CUT:
         # underflows to 0 for r > ~38; correct limit
         t = _SQRT_2_OVER_PI / _erfcx(-r / _SQRT2)
         return t, r + t, 1.0 - r * t - t * t
+    if r > _SERIES_CUT:
+        # E[W] = y1/x and Var W = u y1 (y2 - y1) for the excess W over x = -r
+        u, y = _excess_tail(r, 2)
+        y2 = 2.0 / (1.0 + u * y)
+        y1 = 1.0 / (1.0 + u * y2)
+        s = -y1 / r
+        return s - r, s, u * y1 * (y2 - y1)
     u = 1.0 / (r * r)
     psi = _series(_PSI, u)
     phi = _series(_PHI, u)
@@ -254,7 +265,7 @@ def _vhat_slope(r: float) -> tuple[float, float]:
     ``dnormalized_variance_dr`` bit for bit."""
     if math.isnan(r):
         return math.nan, math.nan
-    if r > _DVHAT_SERIES_CUT:
+    if r > _SERIES_CUT:
         t, s, q = _core(r)
         # exact reduction of d(Q/s**2)/dr via t' = -t*s, Q' = t*(s**2 - Q)
         return q / (s * s), t + q * (t * s - 2.0) / (s * s * s)
@@ -264,11 +275,7 @@ def _vhat_slope(r: float) -> tuple[float, float]:
     dn = _series(_VHAT_NUM_D, u)
     dd = _series(_VHAT_DEN_D, u)
     # -2/r^3 as -2u/r: r ** 3 overflows from |r| = 5.6e102 on
-    slope = (-2.0 * u / r) * (dn * d - n * dd) / (d * d)
-    if r > _SERIES_CUT:  # vhat is still on its direct side of the cut
-        t, s, q = _core(r)
-        return q / (s * s), slope
-    return n / d, slope
+    return n / d, (-2.0 * u / r) * (dn * d - n * dd) / (d * d)
 
 
 def dsigma1_dmu(r: float) -> float:
@@ -307,8 +314,9 @@ def _excess_tail(r: float, n: int) -> tuple[float, float]:
     of the Laplace continued fraction of the Mills ratio (A&S 26.2.14), run
     bottom-up here in the scaled y_k = x rho_k, which neither overflow nor
     underflow.  From depth n + 8 + 450u, started at the fixed point of that
-    step, the shape measures are within 4.1e-14 of mpmath on [-60, -4], and
-    cm5 and cm6 within 3.2e-14 relative."""
+    step, the shape measures are within 4.1e-14 of mpmath on [-60, -4],
+    cm5 and cm6 within 3.2e-14 relative, and ``_core``'s t, s and Q (n =
+    2) within 6.5e-16 relative on (-11, -4]."""
     u = 1.0 / (r * r)
     k = n + 8 + int(450.0 * u)
     y = 2.0 * k / (1.0 + math.sqrt(1.0 + 4.0 * u * k))

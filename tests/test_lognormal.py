@@ -156,6 +156,10 @@ class TestLogVarForms:
                  (0.0, 1e-5)]
         cases += [(rng.uniform(-3.0, 2.0), 10.0 ** rng.uniform(-6.0, -2.0))
                   for _ in range(40)]
+        # deeper, where Q at z_1 comes from the continued fraction (r <= -4)
+        cases += [(-6.0, 1e-6), (-10.0, 1e-6), (-6.0, 1e-5), (-10.0, 3e-3)]
+        cases += [(rng.uniform(-10.0, -6.0), 10.0 ** rng.uniform(-6.0, -3.0))
+                  for _ in range(10)]
         for r, sigma in cases:
             a = rng.uniform(0.0, 10.0)
             mu = a + r * sigma

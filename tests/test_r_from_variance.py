@@ -6,6 +6,7 @@ bounded number of kernel calls."""
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -39,14 +40,18 @@ def former_r_from_variance(vhat_target: float) -> float:
 def vhat_noise(r: float) -> float:
     """Bound, in ulps of vhat, on |normalized_variance(r) - vhat(r)|.
 
-    Below 0 the direct zone's 1 - rt - t**2 and r + t cancel, and the
-    rounding of t is amplified about r**4 times; below the series cut at
-    -11 the truncation error of the u = 1/r**2 series falls off like
-    (11/r)**30.  ``test_vhat_noise_bound`` holds the kernel to it."""
+    On (-4, 0) the direct zone's 1 - rt - t**2 and r + t cancel, and the
+    rounding of t is amplified about r**4 times; on (-11, -4] t, s and Q
+    come from the continued fraction, which does not cancel; below the
+    series cut at -11 the truncation error of the u = 1/r**2 series falls
+    off like (11/r)**30.  ``test_vhat_noise_bound`` holds the kernel to
+    it."""
     if r >= 0.0:
         return 16.0
-    if r > -11.0:
+    if r > -4.0:
         return 256.0 + 16.0 * r ** 4
+    if r > -11.0:
+        return 16.0
     return 4.0 + 8e3 * (11.0 / r) ** 30
 
 
@@ -64,7 +69,7 @@ def mp_vhat(r: float) -> float:
     (0.0, 3.0), (3.0, 38.0)])
 def test_vhat_noise_bound(lo, hi):
     # the bound is about twice the worst error of a random 400-point scan
-    # per zone
+    # per zone (8 ulps on a 4 000-point scan of [-11, -4])
     for k in range(200):
         r = lo + (hi - lo) * (k + 0.5) / 200
         v = utgd.normalized_variance(r)
@@ -94,9 +99,9 @@ def test_agrees_with_the_former_solver(log10_gap, near_one):
     vhat = 1.0 - gap if near_one else gap
     r_new, r_old = r_from_variance(vhat), former_r_from_variance(vhat)
     res_new, res_old = residual(r_new, vhat), residual(r_old, vhat)
-    # where vhat's evaluation noise exceeds a few ulps (r in about (-11, -2))
+    # where vhat's evaluation noise exceeds a few ulps (r in about (-4, -1))
     # a root is any r whose residual is within that noise, and which one a
-    # solver keeps is luck; the new one keeps the best of several draws
+    # solver keeps is luck
     noise = vhat_noise(r_old) * math.ulp(vhat)
     assert res_new <= max(res_old, 2.0 * noise) + 2.0 * math.ulp(vhat)
     # both roots lie within the noise floor, over the slope, of the true one
@@ -107,9 +112,9 @@ def test_agrees_with_the_former_solver(log10_gap, near_one):
     assert abs(r_new - r_old) <= tol + 4.0 * math.ulp(r_old)
 
 
-@pytest.mark.parametrize("vhat", GUARD_TARGETS)
-def test_evaluations_per_inversion(monkeypatch, vhat):
-    # a silent fall-back to bracketing would take 9 to 521 evaluations here
+def count_calls(monkeypatch) -> list[float]:
+    """The offsets at which ``r_from_variance`` calls its kernel, from now
+    on."""
     calls = []
 
     def counted(r):
@@ -117,8 +122,32 @@ def test_evaluations_per_inversion(monkeypatch, vhat):
         return utgd._vhat_slope(r)
 
     monkeypatch.setattr(calibrate, "_vhat_slope", counted)
+    return calls
+
+
+def test_at_most_three_evaluations(monkeypatch):
+    # the seed, one Newton step and one evaluation after the step that
+    # falls below 1e-8 max(1, |r|): with vhat within a few ulps on (-11,
+    # -4] no evaluation is spent on redrawing its noise, where up to 6 were
+    calls = count_calls(monkeypatch)
+    rng = np.random.default_rng(34)
+    targets = np.concatenate([rng.uniform(0.0, 1.0, 3000),
+                              10.0 ** rng.uniform(-300.0, 0.0, 500),
+                              1.0 - 10.0 ** rng.uniform(-15.9, 0.0, 500)])
+    counts = []
+    for vhat in targets:
+        calls.clear()
+        r_from_variance(float(vhat))
+        counts.append(len(calls))
+    assert max(counts) <= 3
+
+
+@pytest.mark.parametrize("vhat", GUARD_TARGETS)
+def test_evaluations_per_inversion(monkeypatch, vhat):
+    # a silent fall-back to bracketing would take 9 to 521 evaluations here
+    calls = count_calls(monkeypatch)
     r = r_from_variance(vhat)
-    assert len(calls) <= 6
+    assert len(calls) <= 3
     noise = vhat_noise(r) * math.ulp(vhat)
     assert residual(r, vhat) <= max(
         residual(former_r_from_variance(vhat), vhat), 2.0 * noise) \
@@ -144,10 +173,11 @@ def test_subnormal_target(vhat):
     assert r_from_variance(vhat) == 1.0 / math.sqrt(vhat)
 
 
-def former_dvhat(r: float) -> float:
-    """The former ``dnormalized_variance_dr``, before it became the slope
-    half of ``utgd._vhat_slope``."""
-    if r > utgd._DVHAT_SERIES_CUT:
+def zoned_dvhat(r: float) -> float:
+    """``dnormalized_variance_dr`` from the pieces of the public kernels:
+    the reduction of d(Q/s**2)/dr on ``_core``'s t, s and Q above the
+    series cut, the quotient rule on the series polynomials from it down."""
+    if r > utgd._SERIES_CUT:
         t, s, q = utgd._core(r)
         return t + q * (t * s - 2.0) / (s * s * s)
     u = 1.0 / (r * r)
@@ -159,11 +189,11 @@ def former_dvhat(r: float) -> float:
 
 
 def test_slope_kernel_is_bit_identical_to_the_public_kernels():
-    rs = [-2.0 ** 18, -1e3, -11.0, -10.99, -10.5, -9.75, -9.74, -3.0, 0.0,
-          2.0, 40.0, 1e200] + [k / 64.0 for k in range(-1280, 1281)]
+    rs = [-2.0 ** 18, -1e3, -11.0, -10.99, -10.5, -9.75, -4.0, -3.99,
+          -3.0, 0.0, 2.0, 40.0, 1e200] + [k / 64.0 for k in range(-1280, 1281)]
     for r in rs:
         assert utgd._vhat_slope(r) == (utgd.normalized_variance(r),
-                                       former_dvhat(r)), r
+                                       zoned_dvhat(r)), r
 
 
 def test_seed_is_close():

@@ -466,6 +466,18 @@ def test_newton_brings_back_a_poor_seed(seed):
     assert len(g.xs) <= 30
 
 
+@pytest.mark.parametrize("seed", [1e-3, 0.5, 40.0, -30.0])
+def test_newton_steps_from_a_slope_as_from_a_step(seed):
+    # with ``slope`` g gives x**3 and its derivative, and the iterates are
+    # those of the Newton steps that _cube gives, bit for bit
+    stepped = _traced(_cube)
+    sloped = _traced(lambda x: (x ** 3, 3.0 * x * x))
+    for g, kw in ((stepped, {}), (sloped, {"slope": True})):
+        _roots.newton(g, seed, 2.0, increasing=True, domain=(-100.0, 100.0),
+                      what="x", noise_evals=4, **kw)
+    assert sloped.xs == stepped.xs
+
+
 def test_newton_bisects_past_a_wrong_signed_step():
     # every step points away from the root: only the bracket's jump and
     # bisection reach it, and the bisection's steps fall below 1e-8 like

@@ -114,18 +114,53 @@ def test_dvhat_matches_finite_difference(r):
                                -9.0, -8.5, -8.0])
 def test_dvhat_against_mpmath(r):
     # [-20, -11] is series zone: the direct formula was off by up to 2e-6
-    # relative here (r = -16 is a slope-table row).  On (-11, -8] both routes
-    # cancel; the derivative's own cut at -9.75, where their errors cross,
-    # holds it to 1.0e-8 (the direct formula was 2.4e-8 off near -10.59).
-    rel = 1e-12 if r <= -11.0 else 1.5e-8
+    # relative here (r = -16 is a slope-table row).  On (-11, -8] the direct
+    # slope on the continued fraction's t, s and Q holds it to 1e-11; with
+    # the direct t, s and Q, and the series below a cut at -9.75, it was
+    # 1.0e-8 (the direct formula alone 2.4e-8 off near -10.59).
+    rel = 1e-12 if r <= -11.0 else 1e-11
     with mpmath.workdps(60):
-        def vhat(x):
-            t = mpmath.sqrt(2 / mpmath.pi) / (mpmath.exp(x ** 2 / 2)
-                                              * mpmath.erfc(-x / mpmath.sqrt(2)))
-            return (1 - x * t - t * t) / (x + t) ** 2
-
-        want = float(mpmath.diff(vhat, mpmath.mpf(r)))
+        want = float(mpmath.diff(mp_vhat, mpmath.mpf(r)))
     assert utgd.dnormalized_variance_dr(r) == pytest.approx(want, rel=rel)
+
+
+def mp_vhat(x):
+    """vhat at the mpmath number x, in the working precision."""
+    t, q = mp_t_q(x)
+    return q / (x + t) ** 2
+
+
+def mp_t_q(x):
+    """(t, Q) at the mpmath number x, in the working precision."""
+    t = mpmath.sqrt(2 / mpmath.pi) / (mpmath.exp(x ** 2 / 2)
+                                      * mpmath.erfc(-x / mpmath.sqrt(2)))
+    return t, 1 - x * t - t * t
+
+
+# (-11, -4], where _core's t, s and Q come from the continued fraction
+FRACTION_GRID = [-11.0 + 7.0 * (k + 0.5) / 200 for k in range(200)] + [-4.0]
+
+
+def test_dvhat_in_the_fraction_zone():
+    # t + Q (ts - 2)/s**3 falls from about -r to 4/r**3 and so cancels
+    # about r**4 times: 3.9e-12 at worst on a 300-point scan; the former
+    # route, direct above -9.75 and series below, was 9.2e-9 off
+    for r in FRACTION_GRID:
+        with mpmath.workdps(60):
+            want = float(mpmath.diff(mp_vhat, mpmath.mpf(r)))
+        assert utgd.dnormalized_variance_dr(r) == pytest.approx(
+            want, rel=8e-12), r
+
+
+def test_dsigma1_dmu_in_the_fraction_zone():
+    # dQ/(r dQ - 2Q), dQ = t (s**2 - Q): 1.9e-14 at worst on a 300-point
+    # scan, where the direct t, s and Q gave 1.3e-10
+    for r in FRACTION_GRID:
+        with mpmath.workdps(60):
+            x = mpmath.mpf(r)
+            dq = mpmath.diff(lambda y: mp_t_q(y)[1], x)
+            want = float(dq / (x * dq - 2 * mp_t_q(x)[1]))
+        assert utgd.dsigma1_dmu(r) == pytest.approx(want, rel=5e-14), r
 
 
 def test_dvar_asymptotes():
