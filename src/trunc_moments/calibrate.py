@@ -130,11 +130,14 @@ def _finish(mu0: float, sigma0: float, M: float, target_var: float, a: float,
     # far larger than |mu|
     mean = mu0 + sign * sigma0 * t if r > 0.0 else a + sign * sigma0 * s
     var = sigma0 * sigma0 * q
-    # by position: by keyword the namedtuple took about twice as long
-    # (0.7 against 0.35 us), on every calibration
+    # the mean's residual is relative to |M - a|, the scale of the mean's
+    # offset from the cutoff: relative to |M| a mean next to 0 reads as far
+    # off for an error of a few ulps of |M - a|.  By position: by keyword
+    # the namedtuple took about twice as long (0.7 against 0.35 us), on
+    # every calibration
     return CalibrationResult(
         mu0, sigma0, method, iterations,
-        abs(mean - M) / abs(M) if M else abs(mean - M),
+        abs(mean - M) / abs(M - a),
         abs(var - target_var) / target_var, mean, var)
 
 
@@ -275,10 +278,10 @@ def r_from_variance(vhat_target: float) -> float:
     r with the smallest residual is returned.
 
     The root is thus as sharp as that noise divided by the slope: a few ulps
-    of vhat for r >= 0 and r <= -4 (up to 8 on (-11, -4], where t, s and Q
-    come from the continued fraction), up to about 2e-13 relative on (-4,
-    -2).  It takes one evaluation within 1e-6 of 1, nearly always one below
-    vhat = 0.0123 (r > 9, where 1/sqrt(vhat) is the root up to rounding),
+    of vhat for r >= 0, 2 from r = -4 down (where vhat comes from the
+    continued fraction), up to about 2e-13 relative on (-4, -2).  It takes
+    one evaluation within 1e-6 of 1, nearly always one below vhat =
+    0.0123 (r > 9, where 1/sqrt(vhat) is the root up to rounding),
     and at most 3 over 40 000 random targets spread over the whole range
     (2.9 on average for vhat uniform on (0, 1)).
     """

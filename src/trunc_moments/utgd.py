@@ -20,19 +20,19 @@ O(1/r**2)), so the left tail is split into zones:
   continued fraction of the Mills ratio (``_excess_tail``): its tails are
   the ratios of successive raw moments of the excess over the cutoff,
   from which t, s, Q and the central moments follow with little
-  cancellation.  The skewness, kurtosis and 5th and 6th central moments
-  take it all the way down; t, s and Q, and so the variance, its slope
-  and dsigma1/dmu, take it on (-11, -4]: t, s and Q within 6.5e-16
-  relative of mpmath there, vhat within 8 ulps.
-* At and below ``_SERIES_CUT`` (-11) t, s, Q, the variance, its slope
-  and dsigma1/dmu are rational functions of u = 1/r**2 whose integer
-  coefficients are generated exactly at import time from the
-  double-factorial tail expansion of the Mills ratio.  Each series
-  polynomial is evaluated only as deep as its terms carry digits at u
-  (``_with_depths``): every term it omits is below 2**-60/L of its
-  leading term, L its length.  At the cut psi and phi take all their
-  terms and the other five 19 to 22 of their 30 to 32; from r = -60 on
-  none takes more than 10.
+  cancellation.  The variance, its slope, dsigma1/dmu, the skewness,
+  kurtosis and 5th and 6th central moments take it all the way down:
+  vhat within 2 ulps of mpmath on [-2**18, -4], its slope within 2e-14
+  relative and dsigma1/dmu within 3e-15.  t, s and Q take it on (-11,
+  -4], within 6.5e-16 relative of mpmath.
+* At and below ``_SERIES_CUT`` (-11) ``_core``'s t, s and Q alone are
+  rational functions of u = 1/r**2, from the double-factorial tail
+  expansion psi of the Mills ratio and phi = (1 - psi)/u, each evaluated
+  only as deep as its terms carry digits at u (``_with_depths``).  Its
+  Q = 1 - phi/psi**2 cancels about r**2 ulps, which the fraction's would
+  not; the mean, Form I of the calibrations and the lognormal forms read
+  it there, and the benchmark's reference misreads correct variances
+  from |r| ~ 1e5 on, so that switch waits for a better reference.
 
 Right-sided truncation is handled by the mirror identity: in the offsets
 sign*(x - a) from the cutoff, with the sign from ``_sign``, an upper-tail
@@ -75,11 +75,12 @@ __all__ = [
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
-# At and below this t, s, Q, the shape measures and cm5/cm6 come from the
-# continued fraction (``_excess_tail``); above it the direct form's
-# kurtosis stays within 3.4e-10 of mpmath, where at r = -5 it is 2.6e-9 off.
+# At and below this vhat, its slope, dsigma1/dmu, the shape measures and
+# cm5/cm6 come from the continued fraction (``_excess_tail``), and so do t,
+# s and Q down to ``_SERIES_CUT``; above it the direct form's kurtosis stays
+# within 3.4e-10 of mpmath, where at r = -5 it is 2.6e-9 off.
 _TAIL_CUT = -4.0
-# At and below this t, s, Q and the variance's kernels come from the
+# At and below this ``_core``'s t, s and Q, and only they, come from the
 # asymptotic series in u = 1/r**2.  Its Q = 1 - phi/psi**2 cancels about
 # r**2 ulps, which the fraction's would not; but perfbench's reference
 # misreads correct Q deep in the tail, so that switch waits for it.
@@ -137,28 +138,7 @@ def _series_coefficients(order: int):
         psi.append(-psi[-1] * (2 * k - 1))
     # phi(u) = (1 - psi(u)) / u, exact because psi(0) = 1
     phi = [-c for c in psi[1:]]
-
-    def polymul(p, q):
-        out = [0] * (len(p) + len(q) - 1)
-        for i, pi in enumerate(p):
-            for j, qj in enumerate(q):
-                out[i + j] += pi * qj
-        return out
-
-    # vhat = (psi**2 - phi) / (u * phi**2) = N(u) / D(u)
-    num = polymul(psi, psi)
-    for i, c in enumerate(phi):
-        num[i] -= c
-    assert num[0] == 0
-    n_coef = num[1:]
-    d_coef = polymul(phi, phi)
-
-    # dN/du, dD/du and D - N are formed on the exact integers too; only then
-    # is each coefficient rounded to a float, once instead of in every call
-    dn, dd = ([k * c for k, c in enumerate(p)][1:] for p in (n_coef, d_coef))
-    d_minus_n = [de - nu for de, nu in zip(d_coef, n_coef)]
-    return [_with_depths([float(c) for c in p]) for p in (
-        psi, phi, n_coef, d_coef, dn, dd, d_minus_n)]
+    return [_with_depths([float(c) for c in p]) for p in (psi, phi)]
 
 
 def _with_depths(coef: list[float]) -> tuple[tuple, tuple]:
@@ -195,8 +175,7 @@ def _series(poly: tuple[tuple, tuple], u: float) -> float:
     return acc
 
 
-(_PSI, _PHI, _VHAT_NUM, _VHAT_DEN,
- _VHAT_NUM_D, _VHAT_DEN_D, _VHAT_DEN_MINUS_NUM) = _series_coefficients(16)
+_PSI, _PHI = _series_coefficients(16)
 
 
 # ---------------------------------------------------------------------------
@@ -242,16 +221,14 @@ def inverse_mills(r: float) -> float:
 def normalized_variance(r: float) -> float:
     """Variance divided by (M - a)**2; depends on r only.
 
-    For r <= -11 it is N(u)/D(u), u = 1/r**2, each polynomial cut to the
-    terms above 2**-60/L of its leading one: within 4 ulps of the full
-    polynomials on r in [-2**18, -11]."""
-    if math.isnan(r):
-        return math.nan
-    if r > _SERIES_CUT:
+    From ``_TAIL_CUT`` (-4) down it is 1 - u y_2 (y_3 - y_2) on the
+    continued fraction's tails (``_fraction``), u = 1/r**2: within 2 ulps
+    of mpmath on [-2**18, -4]."""
+    if not r <= _TAIL_CUT:  # NaN too, through _core
         t, s, q = _core(r)
         return q / (s * s)
-    u = 1.0 / (r * r)
-    return _series(_VHAT_NUM, u) / _series(_VHAT_DEN, u)
+    u, _, y2, y3, _ = _fraction(r)
+    return 1.0 - u * y2 * (y3 - y2)
 
 
 def dnormalized_variance_dr(r: float) -> float:
@@ -260,38 +237,32 @@ def dnormalized_variance_dr(r: float) -> float:
 
 
 def _vhat_slope(r: float) -> tuple[float, float]:
-    """(vhat, dvhat/dr) at r from one ``_core`` call or one set of series
-    polynomials; each value equals that of ``normalized_variance`` and
-    ``dnormalized_variance_dr`` bit for bit."""
-    if math.isnan(r):
-        return math.nan, math.nan
-    if r > _SERIES_CUT:
+    """(vhat, dvhat/dr) at r from one ``_core`` call or one ``_fraction``
+    pass; each value equals that of ``normalized_variance`` and
+    ``dnormalized_variance_dr`` bit for bit.  From r = -4 down the slope
+    is within 2e-14 relative of mpmath."""
+    if not r <= _TAIL_CUT:
         t, s, q = _core(r)
         # exact reduction of d(Q/s**2)/dr via t' = -t*s, Q' = t*(s**2 - Q)
         return q / (s * s), t + q * (t * s - 2.0) / (s * s * s)
-    u = 1.0 / (r * r)
-    n = _series(_VHAT_NUM, u)
-    d = _series(_VHAT_DEN, u)
-    dn = _series(_VHAT_NUM_D, u)
-    dd = _series(_VHAT_DEN_D, u)
-    # -2/r^3 as -2u/r: r ** 3 overflows from |r| = 5.6e102 on
-    return n / d, (-2.0 * u / r) * (dn * d - n * dd) / (d * d)
+    u, y1, y2, y3, y4 = _fraction(r)
+    # 1/r**3 as u/r: u*u*r underflows from |r| = 1e77 on
+    return (1.0 - u * y2 * (y3 - y2),
+            u / r * y2 * (y1 * y2 - 2.0 * y2 * y3 + y3 * y4) / y1)
 
 
 def dsigma1_dmu(r: float) -> float:
     """Slope of the Form I level curve sigma_1(mu) at offset r; negative for
-    all r, with infimum ~ -0.32471 near r ~ 0.5988."""
-    if math.isnan(r):
-        return math.nan
-    if r > _SERIES_CUT:
+    all r, with infimum ~ -0.32471 near r ~ 0.5988.  From r = -4 down it
+    is within 3e-15 relative of mpmath."""
+    if not r <= _TAIL_CUT:
         t, s, q = _core(r)
         dq = t * (s * s - q)  # dQ/dr
         return dq / (r * dq - 2.0 * q)
-    u = 1.0 / (r * r)
-    t = -r / _series(_PSI, u)  # _core's t, without its phi
-    n = _series(_VHAT_NUM, u)
-    dn = _series(_VHAT_DEN_MINUS_NUM, u)
-    return t * dn / (r * t * dn - 2.0 * n)
+    # Q = u y1 (y2 - y1) and dQ/dr = u y1 g/x, x = -r
+    u, y1, y2, y3, _ = _fraction(r)
+    g = y1 * y2 * (y3 - y2) * (1.0 + u * y1)
+    return g / (g + 2.0 * (y2 - y1)) / r  # r * (...) overflows near -max
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +286,24 @@ def _excess_tail(r: float, n: int) -> tuple[float, float]:
     bottom-up here in the scaled y_k = x rho_k, which neither overflow nor
     underflow.  From depth n + 8 + 450u, started at the fixed point of that
     step, the shape measures are within 4.1e-14 of mpmath on [-60, -4],
-    cm5 and cm6 within 3.2e-14 relative, and ``_core``'s t, s and Q (n =
-    2) within 6.5e-16 relative on (-11, -4]."""
+    cm5 and cm6 within 3.2e-14 relative, vhat, its slope and dsigma1/dmu
+    (n = 4, ``_fraction``) as their docstrings state, and ``_core``'s t, s
+    and Q (n = 2) within 6.5e-16 relative on (-11, -4]."""
     u = 1.0 / (r * r)
     k = n + 8 + int(450.0 * u)
     y = 2.0 * k / (1.0 + math.sqrt(1.0 + 4.0 * u * k))
     for k in _DEPTHS[k - 1:n:-1]:
         y = k / (1.0 + u * y)
     return u, y
+
+
+def _fraction(r: float) -> tuple[float, float, float, float, float]:
+    """(u, y_1, y_2, y_3, y_4) of ``_excess_tail`` at r <= _TAIL_CUT."""
+    u, y = _excess_tail(r, 4)
+    y4 = 4.0 / (1.0 + u * y)
+    y3 = 3.0 / (1.0 + u * y4)
+    y2 = 2.0 / (1.0 + u * y3)
+    return u, 1.0 / (1.0 + u * y2), y2, y3, y4
 
 
 def _central(ys: list[float], n: int) -> float:
@@ -349,23 +330,27 @@ def normalized_shape(r: float) -> tuple[float, float]:
     Above ``_TAIL_CUT`` (-4) they come from t, s and Q, which lose about
     r**4 ulps: within 3.4e-10 of mpmath on (-4, -3], 5.2e-11 on (-3, -2]
     and 4.7e-12 on (-2, -1].  From the cut down they come from
-    ``_excess_tail``, where the central moments cancel by at most a
-    factor of about 7: within 4.1e-14 on [-60, -4] and 9e-15 from there
-    to r = -2**18."""
+    ``_fraction``, where the central moments cancel by at most a factor
+    of about 7: within 4.1e-14 on [-60, -4] and 9e-15 from there to
+    r = -2**18."""
     if not r <= _TAIL_CUT:  # NaN too, through _core
         t, _, q = _core(r)
         return _direct_shape(r, t, q)
-    u, y = _excess_tail(r, 4)
-    y4 = 4.0 / (1.0 + u * y)
-    y3 = 3.0 / (1.0 + u * y4)
-    y2 = 2.0 / (1.0 + u * y3)
-    y1 = 1.0 / (1.0 + u * y2)
-    # x**k E[(W - E[W])**k] / y1 for k = 2, 3, 4: d (so vhat = d/y1), then
-    # the two numerators below, by Horner's rule as in _central
+    return _tail_shape(r)[:2]
+
+
+def _tail_shape(r: float) -> tuple[float, float, float]:
+    """(skewness, kurtosis, vhat) at r <= _TAIL_CUT from one ``_fraction``
+    pass, bit for bit those of ``normalized_shape`` and
+    ``normalized_variance``."""
+    u, y1, y2, y3, y4 = _fraction(r)
+    # x**k E[(W - E[W])**k] / y1 for k = 2, 3, 4: d (vhat = d/y1, formed
+    # as in normalized_variance), then the two numerators below, by
+    # Horner's rule as in _central
     d = y2 - y1
     return ((y2 * (y3 - 3.0 * y1) + 2.0 * y1 * y1) / (d * math.sqrt(y1 * d)),
             (y2 * (y3 * (y4 - 4.0 * y1) + 6.0 * y1 * y1) - 3.0 * y1 * y1 * y1)
-            / (y1 * d * d))
+            / (y1 * d * d), 1.0 - u * y2 * (y3 - y2))
 
 
 _SIGN = {Side.LEFT: 1.0, Side.RIGHT: -1.0}
@@ -459,8 +444,7 @@ def skewness_kurtosis(M: float, r: float, a: float,
     sign = _sign(side)
     r *= sign
     if r <= _TAIL_CUT:
-        skew, kurt = normalized_shape(r)
-        vh = normalized_variance(r)
+        skew, kurt, vh = _tail_shape(r)
     else:  # NaN too
         t, s, q = _core(r)
         skew, kurt = _direct_shape(r, t, q)

@@ -32,6 +32,9 @@ from trunc_moments.utgd import Side, TruncatedGaussianSpec, dsigma1_dmu
 # the two running examples: (mean, variance, cutoff)
 A = (1.3, 3.0, -1.0)
 B = (1.8, 0.4, 0.5)
+# a mean next to 0: calibrate_auto's mean is 1.2e-15 |M - a| off, which
+# relative to |M| read 2.3e-12
+C = (0.002304685806706175, 16.398848695791177, -4.426486076499787)
 
 # each method with a target it reaches and its sampling locations
 _METHODS = {
@@ -446,7 +449,8 @@ class TestIntersectionMethods:
 
 class TestAutoPipeline:
     @pytest.mark.parametrize("case,seed", [(A, Method.APPROX1),
-                                           (B, Method.APPROX2)])
+                                           (B, Method.APPROX2),
+                                           (C, Method.APPROX1)])
     def test_converges_and_picks_seed(self, case, seed):
         # the seed is the default mu1 of two_point and point_slope;
         # calibrate_auto itself inverts vhat(r) exactly

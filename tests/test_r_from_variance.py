@@ -41,18 +41,15 @@ def vhat_noise(r: float) -> float:
     """Bound, in ulps of vhat, on |normalized_variance(r) - vhat(r)|.
 
     On (-4, 0) the direct zone's 1 - rt - t**2 and r + t cancel, and the
-    rounding of t is amplified about r**4 times; on (-11, -4] t, s and Q
-    come from the continued fraction, which does not cancel; below the
-    series cut at -11 the truncation error of the u = 1/r**2 series falls
-    off like (11/r)**30.  ``test_vhat_noise_bound`` holds the kernel to
-    it."""
+    rounding of t is amplified about r**4 times; from -4 down vhat is
+    1 - u y2 (y3 - y2) on the continued fraction's tails, which does not
+    cancel (1 ulp at worst on a 3 000-point scan of [-2**18, -4]).
+    ``test_vhat_noise_bound`` holds the kernel to it."""
     if r >= 0.0:
         return 16.0
     if r > -4.0:
         return 256.0 + 16.0 * r ** 4
-    if r > -11.0:
-        return 16.0
-    return 4.0 + 8e3 * (11.0 / r) ** 30
+    return 2.0
 
 
 def mp_vhat(r: float) -> float:
@@ -69,7 +66,7 @@ def mp_vhat(r: float) -> float:
     (0.0, 3.0), (3.0, 38.0)])
 def test_vhat_noise_bound(lo, hi):
     # the bound is about twice the worst error of a random 400-point scan
-    # per zone (8 ulps on a 4 000-point scan of [-11, -4])
+    # per zone (1 ulp on a 3 000-point scan of [-2**18, -4])
     for k in range(200):
         r = lo + (hi - lo) * (k + 0.5) / 200
         v = utgd.normalized_variance(r)
@@ -175,22 +172,19 @@ def test_subnormal_target(vhat):
 
 def zoned_dvhat(r: float) -> float:
     """``dnormalized_variance_dr`` from the pieces of the public kernels:
-    the reduction of d(Q/s**2)/dr on ``_core``'s t, s and Q above the
-    series cut, the quotient rule on the series polynomials from it down."""
-    if r > utgd._SERIES_CUT:
+    the reduction of d(Q/s**2)/dr on ``_core``'s t, s and Q above the tail
+    cut, the continued fraction's tails from it down."""
+    if r > utgd._TAIL_CUT:
         t, s, q = utgd._core(r)
         return t + q * (t * s - 2.0) / (s * s * s)
-    u = 1.0 / (r * r)
-    n = utgd._series(utgd._VHAT_NUM, u)
-    d = utgd._series(utgd._VHAT_DEN, u)
-    dn = utgd._series(utgd._VHAT_NUM_D, u)
-    dd = utgd._series(utgd._VHAT_DEN_D, u)
-    return (-2.0 * u / r) * (dn * d - n * dd) / (d * d)
+    u, y1, y2, y3, y4 = utgd._fraction(r)
+    return u / r * y2 * (y1 * y2 - 2.0 * y2 * y3 + y3 * y4) / y1
 
 
 def test_slope_kernel_is_bit_identical_to_the_public_kernels():
-    rs = [-2.0 ** 18, -1e3, -11.0, -10.99, -10.5, -9.75, -4.0, -3.99,
-          -3.0, 0.0, 2.0, 40.0, 1e200] + [k / 64.0 for k in range(-1280, 1281)]
+    rs = [-math.inf, -1e300, -1e100, -2.0 ** 18, -1e3, -11.0, -10.99,
+          -10.5, -9.75, -4.0, -3.99, -3.0, 0.0, 2.0, 40.0, 1e200]
+    rs += [k / 64.0 for k in range(-1280, 1281)]
     for r in rs:
         assert utgd._vhat_slope(r) == (utgd.normalized_variance(r),
                                        zoned_dvhat(r)), r

@@ -1,5 +1,6 @@
 import bisect
 import math
+import sys
 
 import mpmath
 import pytest
@@ -137,30 +138,45 @@ def mp_t_q(x):
     return t, 1 - x * t - t * t
 
 
-# (-11, -4], where _core's t, s and Q come from the continued fraction
-FRACTION_GRID = [-11.0 + 7.0 * (k + 0.5) / 200 for k in range(200)] + [-4.0]
+def mp_slopes(r):
+    """(dvhat/dr, dsigma1/dmu) at r from the exact reductions of the
+    derivatives on t, s and Q (t' = -t s, Q' = t (s**2 - Q)), in a working
+    precision that covers their cancellation: about 8 log10|r| digits."""
+    with mpmath.workdps(30 + int(8 * math.log10(max(1.0, abs(r))))):
+        x = mpmath.mpf(r)
+        t, q = mp_t_q(x)
+        s = x + t
+        dq = t * (s * s - q)
+        return float(t + q * (t * s - 2) / s ** 3), float(dq / (x * dq - 2 * q))
+
+
+# log-spaced r in [-2**18, -4], where vhat, its slope and dsigma1/dmu come
+# from the continued fraction
+TAIL_GRID = [-2.0 ** (2.0 + 16.0 * k / 399) for k in range(400)]
 
 
 def test_dvhat_in_the_fraction_zone():
-    # t + Q (ts - 2)/s**3 falls from about -r to 4/r**3 and so cancels
-    # about r**4 times: 3.9e-12 at worst on a 300-point scan; the former
-    # route, direct above -9.75 and series below, was 9.2e-9 off
-    for r in FRACTION_GRID:
-        with mpmath.workdps(60):
-            want = float(mpmath.diff(mp_vhat, mpmath.mpf(r)))
+    # (u/r) y2 (y1 y2 - 2 y2 y3 + y3 y4)/y1: 1.1e-14 at worst on a
+    # 3 000-point scan; t + Q (ts - 2)/s**3 on the fraction's t, s and Q
+    # was 3.9e-12 off on (-11, -4], the series 3.2e-10 below
+    for r in TAIL_GRID:
         assert utgd.dnormalized_variance_dr(r) == pytest.approx(
-            want, rel=8e-12), r
+            mp_slopes(r)[0], rel=2e-14), r
 
 
 def test_dsigma1_dmu_in_the_fraction_zone():
-    # dQ/(r dQ - 2Q), dQ = t (s**2 - Q): 1.9e-14 at worst on a 300-point
-    # scan, where the direct t, s and Q gave 1.3e-10
-    for r in FRACTION_GRID:
-        with mpmath.workdps(60):
-            x = mpmath.mpf(r)
-            dq = mpmath.diff(lambda y: mp_t_q(y)[1], x)
-            want = float(dq / (x * dq - 2 * mp_t_q(x)[1]))
-        assert utgd.dsigma1_dmu(r) == pytest.approx(want, rel=5e-14), r
+    # g/(r (g + 2 (y2 - y1))), g = y1 y2 (y3 - y2)(1 + u y1): 6.7e-16 at
+    # worst on a 3 000-point scan; dQ/(r dQ - 2Q) on the fraction's t, s
+    # and Q was 1.9e-14 off on (-11, -4], the series 1e-11 below
+    for r in TAIL_GRID:
+        assert utgd.dsigma1_dmu(r) == pytest.approx(
+            mp_slopes(r)[1], rel=3e-15), r
+    # beyond it ~ 1/(2r), also where u = 1/r**2 underflows to 0 (the
+    # series read NaN there), down to the last float
+    for r in (-1e100, -1e160, -1e300, -sys.float_info.max):
+        assert utgd.dsigma1_dmu(r) == pytest.approx(0.5 / r, rel=1e-14), r
+    assert utgd.dsigma1_dmu(-math.inf) == 0.0
+    assert math.copysign(1.0, utgd.dsigma1_dmu(-math.inf)) == -1.0
 
 
 def test_dvar_asymptotes():
@@ -168,37 +184,33 @@ def test_dvar_asymptotes():
     r = 1024.0
     assert utgd.dvar_dr(1.0, r, 0.0) == pytest.approx(-2.0 / r ** 3, rel=1e-3)
     assert utgd.dvar_dr(1.0, -r, 0.0) == pytest.approx(-4.0 / r ** 3, rel=1e-3)
+    # 4/r**3 formed as 4u/r, u = 1/r**2, which u*u*r would underflow from
+    # |r| = 1e77; at -inf the limit -0.0
+    assert utgd.dnormalized_variance_dr(-1e100) == pytest.approx(
+        -4e-300, rel=1e-14)
+    assert math.copysign(1.0, utgd.dnormalized_variance_dr(-math.inf)) == -1.0
+    assert utgd.dnormalized_variance_dr(-math.inf) == 0.0
 
 
 # the series zone: log-spaced r in [-2**18, -11], and the sweeps' grid there
 SERIES_GRID = sorted({-2.0 ** (k / 64.0) for k in range(222, 64 * 18 + 1)}
                      | {k * 0.01 for k in range(-6000, -1099)} | {-11.0})
-SERIES_POLYS = ("_PSI", "_PHI", "_VHAT_NUM", "_VHAT_DEN", "_VHAT_NUM_D",
-                "_VHAT_DEN_D", "_VHAT_DEN_MINUS_NUM")
-
-
-def series_kernels(r):
-    t, s, q = utgd._core(r)
-    return {"t": t, "s": s, "q": q, "vhat": utgd.normalized_variance(r),
-            "vhat_slope": utgd._vhat_slope(r),
-            "dsigma1_dmu": utgd.dsigma1_dmu(r)}
+SERIES_POLYS = ("_PSI", "_PHI")
 
 
 def test_series_depth_keeps_the_full_depth_digits(monkeypatch):
-    # each series kernel, taking only the terms that carry digits at its u,
-    # stays within 4 ulps of Horner's rule over every coefficient (Q within
-    # 4 ulps of 1, as it is 1 minus a sum near 1)
+    # _core's t, s and Q, from psi and phi taking only the terms that carry
+    # digits at u, stay within 4 ulps of Horner's rule over every
+    # coefficient (Q within 4 ulps of 1, as it is 1 minus a sum near 1)
     from trunc_moments.specfun import _polyval
 
-    got = [series_kernels(r) for r in SERIES_GRID]
+    got = [utgd._core(r) for r in SERIES_GRID]
     monkeypatch.setattr(utgd, "_series",
                         lambda poly, u: _polyval(poly[1][-1][::-1], u))
     for r, have in zip(SERIES_GRID, got):
-        for key, want in series_kernels(r).items():
-            for x, y in zip(*((v if isinstance(v, tuple) else (v,))
-                              for v in (have[key], want))):
-                ulp = math.ulp(1.0 if key == "q" else y)
-                assert abs(x - y) <= 4.0 * ulp, (r, key, x, y)
+        for key, x, y in zip("tsq", have, utgd._core(r)):
+            ulp = math.ulp(1.0 if key == "q" else y)
+            assert abs(x - y) <= 4.0 * ulp, (r, key, x, y)
 
 
 def depth(name, r):
@@ -220,8 +232,8 @@ def test_series_depth_follows_its_rule():
 
 
 def test_series_kernels_take_only_the_terms_with_digits(monkeypatch):
-    # the kernels run Horner over just that depth: at r = -60 no polynomial
-    # over more than 10 terms, at r = -11 psi and phi over all of theirs
+    # _core runs Horner over just that depth: at r = -60 over at most 10
+    # terms, at r = -11 over all of psi's and phi's
     taken = []
 
     class Counted(tuple):
@@ -240,13 +252,12 @@ def test_series_kernels_take_only_the_terms_with_digits(monkeypatch):
             counted(name, head) for head in heads)))
     for r in (-2.0 ** 18, -60.0, -20.0, -11.0):
         taken.clear()
-        series_kernels(r)
+        utgd._core(r)
         assert {name for name, _ in taken} == set(SERIES_POLYS)
         assert all(k == depth(name, r) for name, k in taken), (r, taken)
         if r == -60.0:
             assert max(k for _, k in taken) <= 10
-    assert all(k == len(getattr(utgd, name)[1][-1]) for name, k in taken
-               if name in ("_PSI", "_PHI"))
+    assert all(k == len(getattr(utgd, name)[1][-1]) for name, k in taken)
 
 
 class TestMeanAndForms:
