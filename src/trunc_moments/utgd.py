@@ -17,7 +17,7 @@ The direct expressions cancel catastrophically for r << 0 (t -> -r, Q ->
 O(1/r**2)), so the left tail is split into zones:
 
 * At and below ``_TAIL_CUT`` (-4) everything comes from the Laplace
-  continued fraction of the Mills ratio (``_excess_tail``): its tails are
+  continued fraction of the Mills ratio, whose tails (``_tails``) are
   the ratios of successive raw moments of the excess over the cutoff,
   from which t, s, Q and the central moments follow with little
   cancellation.  The variance, its slope, dsigma1/dmu, the skewness,
@@ -76,9 +76,9 @@ __all__ = [
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 # At and below this vhat, its slope, dsigma1/dmu, the shape measures and
-# cm5/cm6 come from the continued fraction (``_excess_tail``), and so do t,
-# s and Q down to ``_SERIES_CUT``; above it the direct form's kurtosis stays
-# within 3.4e-10 of mpmath, where at r = -5 it is 2.6e-9 off.
+# cm5/cm6 come from the continued fraction's tails (``_tails``), and so do
+# t, s and Q down to ``_SERIES_CUT``; above it the direct form's kurtosis
+# stays within 3.4e-10 of mpmath, where at r = -5 it is 2.6e-9 off.
 _TAIL_CUT = -4.0
 # At and below this ``_core``'s t, s and Q, and only they, come from the
 # asymptotic series in u = 1/r**2.  Its Q = 1 - phi/psi**2 cancels about
@@ -186,7 +186,7 @@ def _core(r: float) -> tuple[float, float, float]:
     """Return (t, s, Q) at offset r, picking the numerically safe zone.
 
     Above -4 they come straight from erfcx.  On (-11, -4] they come from
-    the continued fraction (``_excess_tail``), within 6.5e-16 relative of
+    the continued fraction (``_tails``), within 6.5e-16 relative of
     mpmath, where the direct 1 - rt - t**2 was up to 4.2e-12 off.  In the
     series zone (r <= -11) psi and phi take only their terms above
     2**-60/L of the leading one (``_with_depths``): within 4 ulps of all
@@ -199,9 +199,7 @@ def _core(r: float) -> tuple[float, float, float]:
         return t, r + t, 1.0 - r * t - t * t
     if r > _SERIES_CUT:
         # E[W] = y1/x and Var W = u y1 (y2 - y1) for the excess W over x = -r
-        u, y = _excess_tail(r, 2)
-        y2 = 2.0 / (1.0 + u * y)
-        y1 = 1.0 / (1.0 + u * y2)
+        u, (y1, y2) = _tails(r, 2)
         s = -y1 / r
         return s - r, s, u * y1 * (y2 - y1)
     u = 1.0 / (r * r)
@@ -222,12 +220,12 @@ def normalized_variance(r: float) -> float:
     """Variance divided by (M - a)**2; depends on r only.
 
     From ``_TAIL_CUT`` (-4) down it is 1 - u y_2 (y_3 - y_2) on the
-    continued fraction's tails (``_fraction``), u = 1/r**2: within 2 ulps
-    of mpmath on [-2**18, -4]."""
+    continued fraction's tails (``_tails``), u = 1/r**2: within 2 ulps of
+    mpmath on [-2**18, -4]."""
     if not r <= _TAIL_CUT:  # NaN too, through _core
         t, s, q = _core(r)
         return q / (s * s)
-    u, _, y2, y3, _ = _fraction(r)
+    u, (_, y2, y3, _) = _tails(r, 4)
     return 1.0 - u * y2 * (y3 - y2)
 
 
@@ -237,7 +235,7 @@ def dnormalized_variance_dr(r: float) -> float:
 
 
 def _vhat_slope(r: float) -> tuple[float, float]:
-    """(vhat, dvhat/dr) at r from one ``_core`` call or one ``_fraction``
+    """(vhat, dvhat/dr) at r from one ``_core`` call or one ``_tails``
     pass; each value equals that of ``normalized_variance`` and
     ``dnormalized_variance_dr`` bit for bit.  From r = -4 down the slope
     is within 2e-14 relative of mpmath."""
@@ -245,7 +243,7 @@ def _vhat_slope(r: float) -> tuple[float, float]:
         t, s, q = _core(r)
         # exact reduction of d(Q/s**2)/dr via t' = -t*s, Q' = t*(s**2 - Q)
         return q / (s * s), t + q * (t * s - 2.0) / (s * s * s)
-    u, y1, y2, y3, y4 = _fraction(r)
+    u, (y1, y2, y3, y4) = _tails(r, 4)
     # 1/r**3 as u/r: u*u*r underflows from |r| = 1e77 on
     return (1.0 - u * y2 * (y3 - y2),
             u / r * y2 * (y1 * y2 - 2.0 * y2 * y3 + y3 * y4) / y1)
@@ -260,7 +258,7 @@ def dsigma1_dmu(r: float) -> float:
         dq = t * (s * s - q)  # dQ/dr
         return dq / (r * dq - 2.0 * q)
     # Q = u y1 (y2 - y1) and dQ/dr = u y1 g/x, x = -r
-    u, y1, y2, y3, _ = _fraction(r)
+    u, (y1, y2, y3, _) = _tails(r, 4)
     g = y1 * y2 * (y3 - y2) * (1.0 + u * y1)
     return g / (g + 2.0 * (y2 - y1)) / r  # r * (...) overflows near -max
 
@@ -269,46 +267,39 @@ def dsigma1_dmu(r: float) -> float:
 # the left tail's continued fraction
 # ---------------------------------------------------------------------------
 
-# the depths k of ``_excess_tail`` as floats, which divide faster than ints,
-# past its deepest start: 42, at the cut with n = 6
+# the depths k of ``_tails`` as floats, which divide faster than ints, up
+# to its deepest start at the cut: 36 + m for m <= 28
 _DEPTHS = tuple(float(k) for k in range(64))
 
 
-def _excess_tail(r: float, n: int) -> tuple[float, float]:
-    """(u, y_(n+1)) at offset r <= _TAIL_CUT, with x = -r and u = 1/r**2:
-    the raw moments of the excess W = Z - x of the standardized variable
-    Z >= x are E[W**k] = y_1 ... y_k / x**k, and y_k = k/(1 + u y_(k+1))
-    takes the caller from y_(n+1) down to y_1.
+def _tails(r: float, m: int) -> tuple[float, list[float]]:
+    """(u, [y_1, ..., y_m]) at offset r <= _TAIL_CUT, with x = -r and u =
+    1/r**2: the raw moments of the excess W = Z - x of the standardized
+    variable Z >= x are E[W**k] = y_1 ... y_k / x**k.  ``_DEPTHS`` covers m
+    up to 28 at the cut, more below it.
 
     Integration by parts gives E[W**(k+1)] + x E[W**k] = k E[W**(k-1)], so
     the ratios rho_k = E[W**k]/E[W**(k-1)] = k/(x + rho_(k+1)) are the tails
     of the Laplace continued fraction of the Mills ratio (A&S 26.2.14), run
-    bottom-up here in the scaled y_k = x rho_k, which neither overflow nor
-    underflow.  From depth n + 8 + 450u, started at the fixed point of that
-    step, the shape measures are within 4.1e-14 of mpmath on [-60, -4],
-    cm5 and cm6 within 3.2e-14 relative, vhat, its slope and dsigma1/dmu
-    (n = 4, ``_fraction``) as their docstrings state, and ``_core``'s t, s
-    and Q (n = 2) within 6.5e-16 relative on (-11, -4]."""
+    bottom-up here in the scaled y_k = x rho_k = k/(1 + u y_(k+1)), which
+    neither overflow nor underflow.  From depth m + 8 + 450u, started at the
+    fixed point of that step, the shape measures are within 4.1e-14 of
+    mpmath on [-60, -4], cm5 and cm6 (m = 6) within 3.2e-14 relative, vhat,
+    its slope and dsigma1/dmu (m = 4) as their docstrings state, and
+    ``_core``'s t, s and Q (m = 2) within 6.5e-16 relative on (-11, -4]."""
     u = 1.0 / (r * r)
-    k = n + 8 + int(450.0 * u)
+    k = m + 8 + int(450.0 * u)
     y = 2.0 * k / (1.0 + math.sqrt(1.0 + 4.0 * u * k))
-    for k in _DEPTHS[k - 1:n:-1]:
+    ys = []
+    for k in _DEPTHS[k - 1:0:-1]:
         y = k / (1.0 + u * y)
-    return u, y
-
-
-def _fraction(r: float) -> tuple[float, float, float, float, float]:
-    """(u, y_1, y_2, y_3, y_4) of ``_excess_tail`` at r <= _TAIL_CUT."""
-    u, y = _excess_tail(r, 4)
-    y4 = 4.0 / (1.0 + u * y)
-    y3 = 3.0 / (1.0 + u * y4)
-    y2 = 2.0 / (1.0 + u * y3)
-    return u, 1.0 / (1.0 + u * y2), y2, y3, y4
+        ys.append(y)
+    return u, ys[:-m - 1:-1]
 
 
 def _central(ys: list[float], n: int) -> float:
     """x**n times the n-th central moment of W from ys = [y_1, ...] of
-    ``_excess_tail``: sum_j C(n, j) E[W**j] (-E[W])**(n - j) by Horner's
+    ``_tails``: sum_j C(n, j) E[W**j] (-E[W])**(n - j) by Horner's
     rule in the y_j."""
     acc = 1.0
     for j in range(n - 1, -1, -1):
@@ -330,20 +321,21 @@ def normalized_shape(r: float) -> tuple[float, float]:
     Above ``_TAIL_CUT`` (-4) they come from t, s and Q, which lose about
     r**4 ulps: within 3.4e-10 of mpmath on (-4, -3], 5.2e-11 on (-3, -2]
     and 4.7e-12 on (-2, -1].  From the cut down they come from
-    ``_fraction``, where the central moments cancel by at most a factor
-    of about 7: within 4.1e-14 on [-60, -4] and 9e-15 from there to
+    ``_tails``, where the central moments cancel by at most a factor of
+    about 7: within 4.1e-14 on [-60, -4] and 9e-15 from there to
     r = -2**18."""
-    if not r <= _TAIL_CUT:  # NaN too, through _core
-        t, _, q = _core(r)
-        return _direct_shape(r, t, q)
-    return _tail_shape(r)[:2]
+    return _shape(r)[:2]
 
 
-def _tail_shape(r: float) -> tuple[float, float, float]:
-    """(skewness, kurtosis, vhat) at r <= _TAIL_CUT from one ``_fraction``
-    pass, bit for bit those of ``normalized_shape`` and
+def _shape(r: float) -> tuple[float, float, float]:
+    """(skewness, kurtosis, vhat) at offset r from one ``_core`` call or
+    one ``_tails`` pass, bit for bit those of ``normalized_shape`` and
     ``normalized_variance``."""
-    u, y1, y2, y3, y4 = _fraction(r)
+    if not r <= _TAIL_CUT:  # NaN too, through _core
+        t, s, q = _core(r)
+        skew, kurt = _direct_shape(r, t, q)
+        return skew, kurt, q / (s * s)
+    u, (y1, y2, y3, y4) = _tails(r, 4)
     # x**k E[(W - E[W])**k] / y1 for k = 2, 3, 4: d (vhat = d/y1, formed
     # as in normalized_variance), then the two numerators below, by
     # Horner's rule as in _central
@@ -442,13 +434,7 @@ def skewness_kurtosis(M: float, r: float, a: float,
     if M == a:
         raise ValueError("M must differ from the cutoff")
     sign = _sign(side)
-    r *= sign
-    if r <= _TAIL_CUT:
-        skew, kurt, vh = _tail_shape(r)
-    else:  # NaN too
-        t, s, q = _core(r)
-        skew, kurt = _direct_shape(r, t, q)
-        vh = q / (s * s)  # normalized_variance's, bit for bit
+    skew, kurt, vh = _shape(sign * r)
     d = M - a
     var = d * d * vh
     return sign * skew, kurt, sign * skew * var ** 1.5, kurt * var * var
@@ -467,20 +453,18 @@ def central_moments_56(M: float, r: float, a: float,
     """Unnormalized 5th and 6th central moments.
 
     From r = -4 down (left side) they come from the continued fraction
-    (``_excess_tail``): within 3.2e-14 relative of mpmath on
-    [-2**18, -4].  Above, they are shifted from moments about the parent
-    mean, which cancel as r falls: within 2.2e-9 relative on (-4, -3],
-    1.5e-10 on (-3, -2] and 1e-11 on (-2, 37]; above, cm5 underflows.
+    (``_tails``): within 3.2e-14 relative of mpmath on [-2**18, -4].
+    Above, they are shifted from moments about the parent mean, which
+    cancel as r falls: within 4e-9 relative on (-4, -3] (cm6 3.9e-9 and
+    cm5 4.6e-10 on a 617-point scan dense at the cut), 1.5e-10 on (-3, -2]
+    and 1e-11 on (-2, 37]; above, cm5 underflows.
     """
     if M == a:
         raise ValueError("M must differ from the cutoff")
     sign = _sign(side)
     r *= sign
     if r <= _TAIL_CUT:
-        u, y = _excess_tail(r, 6)
-        ys = [0.0] * 6
-        for k in range(6, 0, -1):
-            y = ys[k - 1] = k / (1.0 + u * y)
+        _, ys = _tails(r, 6)
         # sigma**k x**-k = ((M - a)/y_1)**k, as s = E[W] = y_1/x
         d = abs(M - a) / ys[0]
         return sign * _central(ys, 5) * d ** 5, _central(ys, 6) * d ** 6
@@ -533,16 +517,16 @@ def moment_summary(spec: TruncatedGaussianSpec) -> MomentSummary:
     # X = mu + sign*sigma*Z, Z standardized on the left side at offset r
     scale = sign * spec.sigma
     ell = _centered_l(r, t, 4)
-    raw = [
+    m2, m3, m4 = (
         sum(math.comb(k, j) * scale ** j * ell[j] * spec.mu ** (k - j)
             for j in range(k + 1))
-        for k in (1, 2, 3, 4)
-    ]
-    var = var_form1(spec.sigma, r)
-    skew, kurt = (normalized_shape(r) if r <= _TAIL_CUT
+        for k in (2, 3, 4))
+    # var_form1's variance and normalized_shape's pair, bit for bit
+    skew, kurt = (_shape(r)[:2] if r <= _TAIL_CUT
                   else _direct_shape(r, t, q))
     mean = a + scale * s
     cm5, cm6 = central_moments_56(mean, spec.r, a, side=spec.side)
-    return MomentSummary(mean=mean, m2=raw[1], m3=raw[2], m4=raw[3],
-                         variance=var, skewness=sign * skew, kurtosis=kurt,
+    return MomentSummary(mean=mean, m2=m2, m3=m3, m4=m4,
+                         variance=spec.sigma * spec.sigma * q,
+                         skewness=sign * skew, kurtosis=kurt,
                          cm5=cm5, cm6=cm6)

@@ -1,7 +1,8 @@
 """Independent ground truth for the analytic moment formulas.
 
 Nothing in here reuses the closed forms from the other modules: moments
-come from adaptive quadrature of the bare density, and distributions can
+come from adaptive quadrature of the bare density, the truncated Gaussian's
+scaled quantities from their definitions in mpmath, and distributions can
 also be sampled by rejection from their untruncated parents.  Tests compare
 the analytic expressions against these estimates.
 """
@@ -11,13 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
 from trunc_moments.chi import ScaledChiSpec
 from trunc_moments.utgd import Side, TruncatedGaussianSpec
 
-__all__ = ["OracleEstimate", "SampleSummary", "quad_moment", "sample_truncated"]
+__all__ = ["OracleEstimate", "SampleSummary", "mp_gauss", "quad_moment",
+           "sample_truncated"]
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,21 @@ def quad_moment(density, support: tuple[float, float], k: int = 1,
     bound = mom_err / mass + abs(value) * mass_err / mass
     return OracleEstimate(value=value, abs_err_bound=bound,
                           evaluations=n1 + n2)
+
+
+def mp_gauss(r):
+    """(t, Q, vhat) of the standard normal truncated to z >= -r, in mpmath
+    at the caller's working precision: the inverse Mills ratio t =
+    phi(r)/Phi(r) = E[z], the variance Q = 1 - r t - t**2 and the normalized
+    variance vhat = Q/(r + t)**2.  r may be an mpmath number, so that
+    ``mpmath.diff`` differentiates through it.  For r < 0, Q cancels about
+    2 log10(r**2) digits and r + t about log10(r**2); the caller's working
+    precision covers them."""
+    r = mpmath.mpf(r)
+    t = mpmath.sqrt(2 / mpmath.pi) / (mpmath.exp(r * r / 2)
+                                      * mpmath.erfc(-r / mpmath.sqrt(2)))
+    q = 1 - r * t - t * t
+    return t, q, q / (r + t) ** 2
 
 
 def _sample_gauss(spec: TruncatedGaussianSpec, count: int,

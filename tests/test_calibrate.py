@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from test_r_from_variance import vhat_noise
+import oracle
+from test_r_from_variance import SEAMS, vhat_noise
 from trunc_moments import _roots, calibrate, specfun, utgd
 from trunc_moments.calibrate import (
     APPROX1_SET_I,
@@ -125,9 +126,7 @@ def q_noise(r: float) -> float:
 def mp_q(r: float) -> float:
     # 1 - rt - t**2 cancels about 2 log10(r**2) digits
     with mpmath.workdps(40 + int(4 * math.log10(max(1.0, abs(r))))):
-        r_ = mpmath.mpf(r)
-        t = mpmath.npdf(r_) / mpmath.ncdf(r_)
-        return float(1 - r_ * t - t * t)
+        return float(oracle.mp_gauss(r)[1])
 
 
 @pytest.mark.parametrize("lo,hi", [
@@ -138,8 +137,8 @@ def test_q_noise_bound(lo, hi):
     # the bound is two to four times the worst error of a random 400-point
     # scan per zone (more just below 0, where its floor of 256 rules; 5
     # ulps on a 4 000-point scan of [-11, -4])
-    for k in range(200):
-        r = lo + (hi - lo) * (k + 0.5) / 200
+    rs = [lo + (hi - lo) * (k + 0.5) / 200 for k in range(200)]
+    for r in rs + [r for r in SEAMS if lo <= r <= hi]:
         q = utgd._core(r)[2]
         assert abs(q - mp_q(r)) <= q_noise(r) * math.ulp(q), r
 
@@ -390,11 +389,10 @@ def _mp_mean_var(mu, sigma, a, side):
         r_ = (mpmath.mpf(mu) - a) / sigma
         if side is Side.RIGHT:
             r_ = -r_
-        t = mpmath.sqrt(2 / mpmath.pi) / (mpmath.exp(r_ ** 2 / 2)
-                                          * mpmath.erfc(-r_ / mpmath.sqrt(2)))
+        t, q, _ = oracle.mp_gauss(r_)
         s = sigma * (r_ + t)
         mean = a + s if side is Side.LEFT else a - s
-        return float(mean), float(sigma ** 2 * (1 - r_ * t - t * t))
+        return float(mean), float(sigma ** 2 * q)
 
 
 def _s_of(r):
@@ -525,16 +523,10 @@ def test_switch_point_value():
                       what="offset r at U = 0.9", xtol=1e-15)
     assert calibrate.approx_switch_vhat() == utgd.normalized_variance(r)
     with mpmath.workdps(40):
-        r = mpmath.findroot(lambda r: r / (r + _mp_mills(r)) - 0.9, 2.3)
-        t = _mp_mills(r)
+        r = mpmath.findroot(
+            lambda r: r / (r + oracle.mp_gauss(r)[0]) - 0.9, 2.3)
         assert calibrate.approx_switch_vhat() == pytest.approx(
-            float((1 - r * t - t * t) / (r + t) ** 2), rel=1e-15)
-
-
-def _mp_mills(r):
-    """t(r) = phi(r)/Phi(r) in mpmath."""
-    return mpmath.sqrt(2 / mpmath.pi) / (mpmath.exp(r ** 2 / 2)
-                                         * mpmath.erfc(-r / mpmath.sqrt(2)))
+            float(oracle.mp_gauss(r)[2]), rel=1e-15)
 
 
 @pytest.mark.parametrize("side", list(Side))

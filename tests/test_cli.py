@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracle
 import trunc_moments
 from trunc_moments import cli, fitting, tables
 from trunc_moments.chi import ChiKind
@@ -60,27 +61,18 @@ def test_plot_data_matches_golden(capsys, figure):
 def _mp_figure_columns(figure, r):
     """The data columns of a utgd figure's row at r (unit mean, zero
     cutoff) from their definitions, at 50 digits."""
-    def q(x):
-        t = mpmath.sqrt(2 / mpmath.pi) / (mpmath.exp(x * x / 2)
-                                          * mpmath.erfc(-x / mpmath.sqrt(2)))
-        return t, 1 - x * t - t * t
-
-    def vhat(x):
-        t, qx = q(x)
-        return qx / (x + t) ** 2
-
     with mpmath.workdps(50):
         r = mpmath.mpf(r)
+        t, q, vhat = oracle.mp_gauss(r)
         if figure == "var-vs-r":
-            return [vhat(r)]
+            return [vhat]
         if figure == "dvar-vs-r":
-            return [mpmath.diff(vhat, r)]
+            return [mpmath.diff(lambda x: oracle.mp_gauss(x)[2], r)]
         if figure == "slope-form1":
-            dq = mpmath.diff(lambda x: q(x)[1], r)
-            return [dq / (r * dq - 2 * q(r)[1])]
+            dq = mpmath.diff(lambda x: oracle.mp_gauss(x)[1], r)
+            return [dq / (r * dq - 2 * q)]
         # raw moments of the standardized variable z >= -r by their
         # recurrence, then the central ones
-        t = q(r)[0]
         m = [mpmath.mpf(1), t]
         for k in range(2, 5):
             m.append((k - 1) * m[k - 2] + (-r) ** (k - 1) * t)

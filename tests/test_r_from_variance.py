@@ -11,12 +11,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from trunc_moments import _roots, calibrate, utgd
 from trunc_moments.calibrate import r_from_variance
 
 HALF_PI_M1 = math.pi / 2.0 - 1.0  # vhat(0), the half-normal
 GUARD_TARGETS = [1e-300, 1e-12, 0.018, 0.1, 0.3, HALF_PI_M1, 0.9, 0.95, 0.98,
                  1.0 - 1e-6, 1.0 - 1e-12]
+# the left tail's zone cuts, utgd._TAIL_CUT and _SERIES_CUT, and their float
+# neighbours, which the kernels' sweeps take besides their grids
+SEAMS = [x for cut in (-4.0, -11.0)
+         for x in (math.nextafter(cut, -math.inf), cut,
+                   math.nextafter(cut, 0.0))]
 
 
 # -- the former solver, kept as the oracle ------------------------------------
@@ -55,9 +61,7 @@ def vhat_noise(r: float) -> float:
 def mp_vhat(r: float) -> float:
     # 1 - rt - t**2 cancels about 2 log10(r**2) digits
     with mpmath.workdps(40 + int(4 * math.log10(max(1.0, abs(r))))):
-        r_ = mpmath.mpf(r)
-        t = mpmath.npdf(r_) / mpmath.ncdf(r_)
-        return float((1 - r_ * t - t * t) / (r_ + t) ** 2)
+        return float(oracle.mp_gauss(r)[2])
 
 
 @pytest.mark.parametrize("lo,hi", [
@@ -66,9 +70,10 @@ def mp_vhat(r: float) -> float:
     (0.0, 3.0), (3.0, 38.0)])
 def test_vhat_noise_bound(lo, hi):
     # the bound is about twice the worst error of a random 400-point scan
-    # per zone (1 ulp on a 3 000-point scan of [-2**18, -4])
-    for k in range(200):
-        r = lo + (hi - lo) * (k + 0.5) / 200
+    # per zone (1 ulp on a 3 000-point scan of [-2**18, -4]); 509 ulps just
+    # above the -4 cut
+    rs = [lo + (hi - lo) * (k + 0.5) / 200 for k in range(200)]
+    for r in rs + [r for r in SEAMS if lo <= r <= hi]:
         v = utgd.normalized_variance(r)
         assert abs(v - mp_vhat(r)) <= vhat_noise(r) * math.ulp(v), r
 
@@ -177,7 +182,7 @@ def zoned_dvhat(r: float) -> float:
     if r > utgd._TAIL_CUT:
         t, s, q = utgd._core(r)
         return t + q * (t * s - 2.0) / (s * s * s)
-    u, y1, y2, y3, y4 = utgd._fraction(r)
+    u, (y1, y2, y3, y4) = utgd._tails(r, 4)
     return u / r * y2 * (y1 * y2 - 2.0 * y2 * y3 + y3 * y4) / y1
 
 

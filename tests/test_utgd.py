@@ -9,21 +9,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import oracle
+from test_r_from_variance import SEAMS
 from trunc_moments import utgd
 from trunc_moments.utgd import Side, TruncatedGaussianSpec
 
 SQRT_2_PI = math.sqrt(2.0 / math.pi)
-
-
-def mp_core(r, dps=50):
-    """High-precision (t, s, vhat) straight from the defining integrals."""
-    with mpmath.workdps(dps):
-        r_ = mpmath.mpf(r)
-        t = mpmath.sqrt(2 / mpmath.pi) / (mpmath.exp(r_ ** 2 / 2)
-                                          * mpmath.erfc(-r_ / mpmath.sqrt(2)))
-        s = r_ + t
-        q = 1 - r_ * t - t * t
-        return float(t), float(s), float(q / (s * s))
 
 
 def mp_central_moments(r, ks, dps=40):
@@ -52,8 +42,7 @@ def mp_shape(r):
     cancels about 8 log10|r| digits, which the working precision adds."""
     with mpmath.workdps(40 + int(8 * math.log10(max(1.0, abs(r))))):
         x = -mpmath.mpf(r)
-        t = mpmath.sqrt(2 / mpmath.pi) / (mpmath.exp(x * x / 2)
-                                          * mpmath.erfc(x / mpmath.sqrt(2)))
+        t, _, _ = oracle.mp_gauss(r)
         m = [mpmath.mpf(1), t]
         for k in range(2, 5):
             m.append((k - 1) * m[k - 2] + x ** (k - 1) * t)
@@ -77,7 +66,8 @@ def test_inverse_mills_positive_and_dominates_r(r):
 @pytest.mark.parametrize("r", [-1e6, -3e4, -500.0, -21.0, -20.0, -19.5,
                                -8.0, -2.0, 0.0, 1.0, 5.0, 30.0])
 def test_core_against_mpmath(r):
-    t, s, vhat = mp_core(r)
+    with mpmath.workdps(50):
+        t, _, vhat = map(float, oracle.mp_gauss(r))
     assert utgd.inverse_mills(r) == pytest.approx(t, rel=5e-15)
     # the direct zone loses a few digits to cancellation just above the
     # series handover; 1e-10 is the honest envelope there
@@ -121,21 +111,9 @@ def test_dvhat_against_mpmath(r):
     # 1.0e-8 (the direct formula alone 2.4e-8 off near -10.59).
     rel = 1e-12 if r <= -11.0 else 1e-11
     with mpmath.workdps(60):
-        want = float(mpmath.diff(mp_vhat, mpmath.mpf(r)))
+        want = float(mpmath.diff(lambda x: oracle.mp_gauss(x)[2],
+                                 mpmath.mpf(r)))
     assert utgd.dnormalized_variance_dr(r) == pytest.approx(want, rel=rel)
-
-
-def mp_vhat(x):
-    """vhat at the mpmath number x, in the working precision."""
-    t, q = mp_t_q(x)
-    return q / (x + t) ** 2
-
-
-def mp_t_q(x):
-    """(t, Q) at the mpmath number x, in the working precision."""
-    t = mpmath.sqrt(2 / mpmath.pi) / (mpmath.exp(x ** 2 / 2)
-                                      * mpmath.erfc(-x / mpmath.sqrt(2)))
-    return t, 1 - x * t - t * t
 
 
 def mp_slopes(r):
@@ -144,7 +122,7 @@ def mp_slopes(r):
     precision that covers their cancellation: about 8 log10|r| digits."""
     with mpmath.workdps(30 + int(8 * math.log10(max(1.0, abs(r))))):
         x = mpmath.mpf(r)
-        t, q = mp_t_q(x)
+        t, q, _ = oracle.mp_gauss(x)
         s = x + t
         dq = t * (s * s - q)
         return float(t + q * (t * s - 2) / s ** 3), float(dq / (x * dq - 2 * q))
@@ -153,6 +131,35 @@ def mp_slopes(r):
 # log-spaced r in [-2**18, -4], where vhat, its slope and dsigma1/dmu come
 # from the continued fraction
 TAIL_GRID = [-2.0 ** (2.0 + 16.0 * k / 399) for k in range(400)]
+
+
+def mp_tails(r, m):
+    """[y_1, ..., y_m], y_k = x E[W**k]/E[W**(k-1)] for the excess W = Z - x
+    of a standard normal Z >= x = -r, from E[W] = t - x forward by
+    E[W**(k+1)] = k E[W**(k-1)] - x E[W**k]: E[W] and each step cancel
+    about 2 log10 x digits, which the working precision adds."""
+    with mpmath.workdps(30 + int(2 * (m + 1) * math.log10(abs(r)))):
+        x = -mpmath.mpf(r)
+        t, _, _ = oracle.mp_gauss(r)
+        e = [mpmath.mpf(1), t - x]
+        for k in range(1, m):
+            e.append(k * e[k - 1] - x * e[k])
+        return [float(x * e[k] / e[k - 1]) for k in range(1, m + 1)]
+
+
+def test_tails_against_the_moment_ratios():
+    # the continued fraction's tails at the depths its callers take, on a
+    # 3 400-point scan: y_m, the one nearest the fraction's start, within
+    # 1.2e-14 relative (y_6 of m = 6 near r = -8.66, where the depth
+    # m + 8 + 450u steps down), the others within 1.7e-15
+    for r in TAIL_GRID:
+        want = mp_tails(r, 6)
+        for m in (2, 4, 6):
+            u, ys = utgd._tails(r, m)
+            assert u == 1.0 / (r * r) and len(ys) == m, (r, m)
+            for k, (got, y) in enumerate(zip(ys, want), 1):
+                rel = 2e-14 if k == m else 4e-15
+                assert abs(got - y) <= rel * y, (r, m, k)
 
 
 def test_dvhat_in_the_fraction_zone():
@@ -315,8 +322,9 @@ class TestShape:
         assert s == pytest.approx(2.0, rel=1e-5)
         assert k == pytest.approx(9.0, rel=1e-5)
 
-    @pytest.mark.parametrize("r", [-1000.0, -50.0, -11.0, -10.0, -9.94,
-                                   -9.5, -7.0, -5.0, -3.0, 0.0, 4.0])
+    # SEAMS adds the cuts at -4 and -11 and their float neighbours
+    @pytest.mark.parametrize("r", [-1000.0, -50.0, -10.0, -9.94, -9.5, -7.0,
+                                   -5.0, -3.0, 0.0, 4.0] + SEAMS)
     def test_against_mpmath_moments(self, r):
         _, (c2, c3, c4) = mp_central_moments(r, (2, 3, 4))
         want_s = float(c3 / c2 ** 1.5)
@@ -388,15 +396,19 @@ def test_central_moments_56_vs_quadrature():
     assert cm6 == pytest.approx(got6.value, rel=1e-10)
 
 
-@pytest.mark.parametrize("r", [-1000.0, -50.0, -20.0, -5.0, -3.0, -2.0])
+@pytest.mark.parametrize("r", [-1000.0, -50.0, -20.0, -5.0, -3.0, -2.0,
+                               math.nextafter(-4.0, 0.0)])
 def test_central_moments_56_left_tail_vs_quadrature(r):
     # at M - a = 1 the unnormalized moments are those of the excess over
     # the cutoff divided by its mean's powers; the shift from the parent
-    # mean was 2.0 / 1.4e3 relative off at r = -50
+    # mean was 2.0 / 1.4e3 relative off at r = -50.  Just above the -4 cut
+    # the shift's cancellation leaves cm6 2.9e-9 off (3.9e-9 at worst on
+    # (-4, -3])
+    rel = 4e-9 if -4.0 < r < -3.0 else 1e-9
     mean, (c5, c6) = mp_central_moments(r, (5, 6))
     cm5, cm6 = utgd.central_moments_56(1.0, r, 0.0)
-    assert cm5 == pytest.approx(float(c5 / mean ** 5), rel=1e-9)
-    assert cm6 == pytest.approx(float(c6 / mean ** 6), rel=1e-9)
+    assert cm5 == pytest.approx(float(c5 / mean ** 5), rel=rel)
+    assert cm6 == pytest.approx(float(c6 / mean ** 6), rel=rel)
 
 
 def test_central_moments_56_right_side_mirror():
