@@ -24,8 +24,8 @@ from collections import namedtuple
 from enum import Enum
 
 from . import _roots
-from .specfun import (_dompart, _exp, _gamma_inc, _gamma_upper_scaled,
-                      _xs, gamma_lower)
+from .specfun import (_dompart, _erfcx, _exp, _gamma_inc, _gamma_p_series,
+                      _gamma_upper_scaled, _xs, gamma_lower)
 
 __all__ = [
     "ChiKind",
@@ -49,6 +49,9 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_SQRT_PI = math.sqrt(math.pi)
+# the top order of the half-integer ladder (chi._gammas)
+_LADDER_CAP = 10.5
 
 
 class ChiKind(str, Enum):
@@ -170,6 +173,11 @@ def chi_raw_moment(spec: ScaledChiSpec, k: int) -> float:
     is within 2e-15 relative of mpmath for |r| = cutoff/sigma up to 1000
     and n up to 1e6, where the ratio is the complete one (inner |r| = 0,
     outer |r|^2/2 far above n/2) too: 1.3e-15 on 3 000 n in [2e-3, 2e6].
+    For whole n with (n + k)/2 at most 10.5 both gammas come from the
+    half-integer ladder instead: closed forms at orders 1/2 and 1 stepped
+    up by Gamma(t + 1, y) = t Gamma(t, y) + y^t e^-y (DLMF 8.8.2), a sum
+    of positive terms; 1.4e-15 is the worst of 400 random points of n in
+    [1, 19] and |r| in [1e-10, 1000], for either kind and k <= 3.
     Inner truncation at n <= 0 takes the ratio from the scaled
     H = Gamma(s, y) e^y y^-s, s = n/2 and y = |r|^2/2, which neither
     under- nor overflows there: for k <= 3 within 2e-14 relative for n in
@@ -212,6 +220,9 @@ def chi_sigma_from_mean(M: float, r_abs: float, n: float,
     the worst on a grid of n in [0.5, 1e6] and |r| in [0, 1000] is
     8.3e-16; outer: 1.0e-15 on random points of n in [1e-3, 1e6] and |r|
     in [1e-10, 1000]; 1.2e-15 where the ratio is the complete one).
+    For whole n up to 20 the two gammas come from the half-integer ladder
+    (see ``chi_raw_moment``): 1.4e-15 inner and outer is the worst of 400
+    random points of n in [1, 19] and |r| in [1e-10, 1000].
     Inner truncation at n <= 0 takes the scaled ratio that
     ``chi_raw_moment`` states: within 1e-14 relative for n in [-40, 0]
     and |r| in [1e-10, 1000] (5.7e-15 measured).  There |r| = 0 raises
@@ -275,6 +286,59 @@ def _complete_ratio(s: float, k: int) -> float:
     return g
 
 
+def _gammas(orders: tuple[float, ...], y: float, lower: bool = False):
+    # _gamma_inc's (P, Q, H) at each of the ascending orders, all s + j/2
+    # for whole j, and y > 0.  Where 2s is a whole number, 0 < s and the
+    # top order is at most _LADDER_CAP -- the paper's integer n -- they
+    # come from the half-integer ladder, with None for the forms it does
+    # not form: from orders 1/2 and 1 by Gamma(t + 1, y) = t Gamma(t, y)
+    # + y^t e^-y (DLMF 8.8.2), each step a sum of positive terms.  Past
+    # that cap the steps cost more than _gamma_inc (y < 1), and y = inf
+    # (|r| past 1.3e154) is left to it too
+    s, top = orders[0], orders[-1]
+    if not (0.0 < s and top <= _LADDER_CAP and (2.0 * s).is_integer()
+            and y < math.inf):
+        return [_gamma_inc(t, y, lower) for t in orders]
+    if lower and y < s + 2.0:
+        # the scaled lower L_t = gamma(t, y) e^y y^-t, by its series at the
+        # top two orders, then down by L_t = (1 + y L_{t+1}) / t
+        g = {t: _gamma_p_series(t, y) / t for t in (top - 0.5, top)
+             if t >= s}
+        t = top - 1.0
+        while t >= s:
+            g[t] = (1.0 + y * g[t + 1.0]) / t
+            t -= 0.5
+        return [(None, None, g[t]) for t in orders]
+    out = []
+    t, r = 0.5, math.sqrt(y)
+    if not lower and y >= 1.0:
+        # the scaled upper H_t = Gamma(t, y) e^y y^-t: H_1/2 =
+        # sqrt(pi) erfcx(sqrt(y)) / sqrt(y) and H_1 = 1/y (DLMF 8.4), then
+        # H_{t+1} = (t H_t + 1) / y; a and b are at the orders t and t + 1/2
+        a, b = _SQRT_PI * _erfcx(r) / r, 1.0 / y
+        for u in orders:
+            while t < u:
+                a, b, t = b, (t * a + 1.0) / y, t + 0.5
+            out.append((None, None, a))
+        return out
+    # the regularized Q (upper, y < 1, where H overflows as y -> 0) or P
+    # (lower, y >= s + 2, where its steps lose no digits) from Q_1/2 =
+    # erfc(sqrt(y)) and Q_1 = e^-y, or P_1/2 = erf(sqrt(y)) and P_1 =
+    # -expm1(-y): Q_{t+1} = Q_t + d_t and P_{t+1} = P_t - d_t, d_t = y^t e^-y
+    # / Gamma(t + 1) the Poisson term, carried with the step's sign
+    e = math.exp(-y)
+    da, db = 2.0 * r * e / _SQRT_PI, y * e
+    if lower:
+        a, b, da, db = math.erf(r), -math.expm1(-y), -da, -db
+    else:
+        a, b = math.erfc(r), e
+    for u in orders:
+        while t < u:
+            a, b, da, db, t = b, a + da, db, da * y / (t + 1.0), t + 0.5
+        out.append((a, None, None) if lower else (None, a, None))
+    return out
+
+
 def _edge_ratio(s: float, y: float, k: int, lower: bool = False) -> float:
     # G(s + k/2, y) / G(s, y), G the upper incomplete gamma at any real s,
     # or the lower one for s > 0 with ``lower``; from the same scaled H or
@@ -293,8 +357,7 @@ def _edge_ratio(s: float, y: float, k: int, lower: bool = False) -> float:
                     + y ** (0.5 * k - 1.0) / _gamma_upper_scaled(s, y))
         return (_gamma_upper_scaled(t, y) / _gamma_upper_scaled(s, y)
                 * y ** (0.5 * k))
-    p0, q0, h0 = _gamma_inc(s, y, lower)
-    pk, qk, hk = _gamma_inc(s + 0.5 * k, y, lower)
+    (p0, q0, h0), (pk, qk, hk) = _gammas((s, s + 0.5 * k), y, lower)
     if h0 is not None and hk is not None:
         return hk / h0 * y ** (0.5 * k)
     return _complete_ratio(s, k) * (pk / p0 if lower else qk / q0)
@@ -386,7 +449,8 @@ def _scaled_upper(t: float, y: float) -> float:
 def _ratio_m1(s: float, y: float,
               lower: bool = False) -> tuple[float, float]:
     # (ratio - 1, d ln(ratio)/dy), ratio = G(s, y) G(s+1, y) / G(s+1/2, y)^2
-    # and G as in _edge_ratio.  Where G comes first they come scaled,
+    # and G as in _edge_ratio, from _gammas (for whole n its half-integer
+    # ladder).  Where G comes first they come scaled,
     # H = G(., y) e^y y^-., which never underflows; elsewhere as
     # regularized Q or P, with the complete gammas folded into the Wallis
     # ratio.  For s > 0 the upper G(s+1, y) is s G(s, y) + y^s e^-y; for
@@ -412,10 +476,9 @@ def _ratio_m1(s: float, y: float,
         h0, h1, h2 = (_scaled_upper(t, y) for t in (s, a, s + 1.0))
         return (h0 * h2 / (h1 * h1) - 1.0,
                 (2.0 / h1 - 1.0 / h0 - 1.0 / h2) / y)
-    p0, q0, h0 = _gamma_inc(s, y, lower)
-    p1, q1, h1 = _gamma_inc(a, y, lower)
     if lower:
-        p2, _, h2 = _gamma_inc(a + 0.5, y, True)
+        (p0, _, h0), (p1, _, h1), (p2, _, h2) = _gammas((s, a, a + 0.5), y,
+                                                        True)
         if None not in (h0, h1, h2):
             return (h0 * h2 / (h1 * h1) - 1.0,
                     (1.0 / h0 + 1.0 / h2 - 2.0 / h1) / y)
@@ -423,6 +486,7 @@ def _ratio_m1(s: float, y: float,
         d = _dompart(s, y)
         return (p0 * p2 / (g * g * p1 * p1) - 1.0,
                 d * (s / p0 + y / p2 - 2.0 * math.sqrt(y * s) / (g * p1)) / y)
+    (p0, q0, h0), (p1, q1, h1) = _gammas((s, a), y)
     if h0 is not None and h1 is not None:
         return (h0 * (s * h0 + 1.0) / (y * h1 * h1) - 1.0,
                 (2.0 / h1 - 1.0 / h0) / y - 1.0 / (s * h0 + 1.0))
@@ -447,9 +511,15 @@ def chi_var_form2(M: float, r_abs: float, n: float,
     2.8e-8; 5.4e-11 is measured), and for inner like r^4 deep in the
     tail, where V nears M^2/r^4; outer V lies between M^2/(n(n+2)) and
     about M^2/(2n).  Where the ratio is the complete one, 2.2e-15
-    (M^2 + V) is measured.  Inner truncation at n <= 0 takes the ratio of
-    three scaled H (see ``chi_raw_moment``): within 2e-14 (M^2 + V) for n
-    in [-40, 0] and |r| in [1e-10, 1000] (9.5e-15 (M^2 + V) measured).
+    (M^2 + V) is measured.  For whole n from 1 to 19 (inner: 20), the
+    paper's, the three gammas come from the half-integer ladder (see
+    ``chi_raw_moment``), at a third to a half of the cost: within the same
+    bound, 2.9e-15 (M^2 + V) inner and 2.8e-15 outer measured on 400
+    random points of n in [1, 19] and |r| in [1e-10, 1000] (the general
+    incomplete gammas read 3.0e-15 and 2.6e-15 there).  Inner truncation
+    at n <= 0 takes the ratio of three scaled H (see ``chi_raw_moment``):
+    within 2e-14 (M^2 + V) for n in [-40, 0] and |r| in [1e-10, 1000]
+    (9.5e-15 (M^2 + V) measured).
     Far below that domain, from |r| of about 1e-153 down, where |r|^2/2
     nears the smallest normal double, the inner variance for n near 0 is
     NaN or inf: for n within about 0.004 of 0 at |r| = 1e-153, 0.08 at

@@ -198,6 +198,7 @@ def cmd_calibrate_chi(args) -> int:
         return EXIT_INFEASIBLE
     mean = chi.chi_raw_moment(spec, 1)
     var = chi.chi_var_form1(spec)
+    resid = {"mean": abs(mean - M) / M, "var": abs(var - v) / v}
     _emit_json({
         "r": r_abs,
         "sigma": sigma,
@@ -207,8 +208,13 @@ def cmd_calibrate_chi(args) -> int:
         "trunc": kind.value,
         "achieved_mean": mean,
         "achieved_var": var,
-        "residuals": {"mean": abs(mean - M) / M, "var": abs(var - v) / v},
+        "residuals": resid,
     }, args.precision)
+    # --trunc double solves for the mean alone: there --var only feeds
+    # residuals.var
+    if kind is not ChiKind.DOUBLE and max(resid.values()) > 1e-8:
+        print("warning: residuals exceed 1e-8", file=sys.stderr)
+        return EXIT_INFEASIBLE
     return EXIT_OK
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from trunc_moments import _nvmx_slope, chi
+from trunc_moments import _nvmx_slope, chi, utgd
 from trunc_moments.chi import (
     ChiKind,
     ScaledChiSpec,
@@ -931,6 +932,115 @@ class TestVmax:
     def test_fixed_r_approx_at_zero(self):
         assert vmax_fixed_r_approx(0.0) == pytest.approx(
             (math.pi - 2.0) / 2.0, rel=1e-10)
+
+
+def _float_neighbours(x):
+    return math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)
+
+
+def mp_kernels(s, y, lower):
+    """(ratio - 1, d ln(ratio)/dy, [G(s + k/2)/G(s) for k = 1, 2, 3]) at 50
+    digits, G the upper incomplete gamma or with ``lower`` the lower one;
+    the orders are formed in mpmath, exactly 1/2 apart as the kernel's."""
+    with mpmath.workdps(50):
+        s, y, h = mpmath.mpf(s), mpmath.mpf(y), mpmath.mpf(1) / 2
+        g = [mpmath.gammainc(s + k * h, 0, y) if lower
+             else mpmath.gammainc(s + k * h, y) for k in range(4)]
+
+        # d ln G(t, y)/dy = +-y^(t-1) e^-y / G(t, y), lower and upper
+        def dlog(k):
+            d = y ** (s + k * h - 1) * mpmath.exp(-y) / g[k]
+            return d if lower else -d
+
+        return (g[0] * g[2] / g[1] ** 2 - 1, dlog(0) + dlog(2) - 2 * dlog(1),
+                [g[k] / g[0] for k in (1, 2, 3)])
+
+
+class TestHalfIntegerLadder:
+    """For 2s a whole number the kernels take their incomplete gammas from
+    the half-integer ladder (``chi._gammas``), up to ``_LADDER_CAP``."""
+
+    def test_n_1_is_the_gaussian_truncated_at_minus_r(self):
+        # the inner law at n = 1 is |Z| given |Z| >= |r|, the Gaussian
+        # truncated at r = -|r|: V/M^2 = Q/t^2 from utgd._core, by H_1/2
+        # from the same erfcx.  Within the sum of the two stated bounds:
+        # chi_var_form2's 2e-14 (M^2 + V), and _core's Q within 4 ulps of 1
+        for i in range(601):
+            x = 10.0 ** (-3.0 + i / 100.0)
+            t, _, q = utgd._core(-x)
+            want = q / (t * t)
+            assert abs(chi_var_form2(1.0, x, 1.0) - want) <= (
+                2e-14 * (1.0 + want) + 4.0 * math.ulp(1.0) / (t * t)), x
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 19, 20])
+    def test_seams_against_mpmath(self, n):
+        # each switch and its two float neighbours: upper H against Q at
+        # y = 1, lower series against P at y = s + 2, and the ladder
+        # against _gamma_inc at the order cap (outer s + 1 and inner
+        # s + 1/2 at 10.5).  The value meets chi_var_form2's stated bound,
+        # 2e-14 (M^2 + V), and G(s + k/2)/G(s) chi_raw_moment's 2e-15.  The
+        # slope, a second difference in the order that cancels where the
+        # ratio does, has no stated bound; 1.6e-11 is the worst measured
+        # here (outer, y = 0.5)
+        s = n / 2.0
+        cases = ([(s, y, False) for y in _float_neighbours(1.0)]
+                 + [(s, y, True) for y in _float_neighbours(s + 2.0)])
+        if n == 19:
+            cases += [(top, y, lower) for y in (0.5, 3.0, 12.0, 30.0)
+                      for cap, lower in ((9.5, True), (10.0, False))
+                      for top in _float_neighbours(cap)]
+        for s, y, lower in cases:
+            rm1, slope, edges = mp_kernels(s, y, lower)
+            got, dgot = chi._ratio_m1(s, y, lower)
+            assert abs(got - rm1) <= 2e-14 * (1.0 + rm1), (s, y, lower)
+            assert abs(dgot - slope) <= 1e-10 * abs(slope), (s, y, lower)
+            for k, want in zip((1, 2, 3), edges):
+                got = chi._edge_ratio(s, y, k, lower)
+                assert abs(got - want) <= 2e-15 * want, (s, y, lower, k)
+
+    @pytest.mark.parametrize("kind", [ChiKind.INNER, ChiKind.OUTER])
+    def test_integer_n_takes_no_general_gamma(self, monkeypatch, kind):
+        def general(*args):
+            raise AssertionError("the general incomplete gamma was taken")
+
+        monkeypatch.setattr(chi, "_gamma_inc", general)
+        for n in range(1, 20):
+            for r_abs in (1e-8, 0.3, 1.4, 2.0, 4.5, 9.0, 40.0):
+                chi_var_form2(1.0, r_abs, n, kind)
+                chi_sigma_from_mean(1.0, r_abs, n, kind)
+
+
+class TestSigns:
+    """The signs that make the paper's UTSCD maximum a theorem for every
+    real n >= 1: log-concavity makes V/M^2 fall in |r|, and the concavity
+    of psi makes the untruncated V/M^2 fall in n."""
+
+    def test_digamma_second_difference_is_negative(self):
+        # psi(s) + psi(s + 1) - 2 psi(s + 1/2) = d ln(V/M^2 + 1)/ds at |r| = 0
+        for i in range(601):
+            s = 0.5 * 10.0 ** (i / 100.0 * math.log10(2e6))
+            assert _nvmx_slope._digamma_diff2(s) < 0.0, s
+
+    def test_vmax_falls_in_n(self):
+        grid = [10.0 ** (i / 100.0) for i in range(401)]
+        v = [vmax_fixed_n(1.0, n) for n in grid]
+        assert all(a > b for a, b in zip(v, v[1:]))
+
+    def test_inner_ratio_falls_in_y(self):
+        # d ln(ratio)/dy < 0 at every point of the grid.  It may read 0
+        # only where y^s e^-y / Gamma(s + 1), the factor that the kernel
+        # forms first and every term of the slope carries, is below the
+        # smallest normal double (n >= 31 at |r| near 1e-10): 288 of the
+        # 9 640 points, each such
+        tiny = math.log(sys.float_info.min)
+        for n in range(1, 41):
+            s = n / 2.0
+            for i in range(241):
+                r_abs = 10.0 ** (-10.0 + i / 20.0)
+                y = r_abs * r_abs / 2.0
+                slope = chi._ratio_m1(s, y)[1]
+                assert slope < 0.0 or slope == 0.0 and (
+                    s * math.log(y) - y - math.lgamma(s + 1.0) < tiny), (n, y)
 
 
 class TestLimits:

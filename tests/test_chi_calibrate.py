@@ -137,6 +137,42 @@ def test_evaluations_on_the_benchmark_mix(monkeypatch, kind):
     assert sum(counts) <= 5.25 * len(counts)
 
 
+@pytest.mark.parametrize("kind", [ChiKind.INNER, ChiKind.OUTER])
+def test_the_benchmark_mix_stays_on_the_ladder(monkeypatch, kind):
+    # n in {1, 2, 3, 5, 8}: every incomplete gamma comes from the
+    # half-integer ladder, none from the general _gamma_inc (Legendre's
+    # fraction, the series or Temme's expansion, 3.4 to 17.7 us a kernel
+    # call).  The outer ladder's only series are its two top orders where
+    # y < s + 2
+    general, series, below = [], [], []
+
+    def counted(counts, f):
+        def g(*args):
+            counts.append(args)
+            return f(*args)
+        return g
+
+    gammas = chi._gammas
+
+    def ladder(orders, y, lower=False):
+        if lower and y < orders[0] + 2.0:
+            below.append(y)
+        return gammas(orders, y, lower)
+
+    monkeypatch.setattr(chi, "_gamma_inc", counted(general, chi._gamma_inc))
+    monkeypatch.setattr(chi, "_gamma_p_series",
+                        counted(series, chi._gamma_p_series))
+    monkeypatch.setattr(chi, "_gammas", ladder)
+    for n in BENCH_DIMS:
+        for M in (0.1, 1000.0):
+            lo, sup = limits(M, n, kind)
+            for k in range(1, 20):
+                chi_calibrate(M, lo + 0.05 * k * (sup - lo), n, kind)
+    assert general == []
+    assert len(series) == 2 * len(below)
+    assert (len(below) > 0) is (kind is ChiKind.OUTER)
+
+
 def test_no_representable_root():
     # at n = -2 the inner variance grows without bound as |r| -> 0, but
     # slowly: V = 999 lies near |r| = 3e-162, where y = |r|^2/2 is

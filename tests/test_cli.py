@@ -389,12 +389,17 @@ def test_calibrate_chi_at_tiny_dim(capsys, dim):
 def test_calibrate_chi_inner_at_negative_dim(capsys, dim, var):
     # exited 2 ("no offset |r|"): the raw incomplete gammas read NaN at
     # |r| = 1e-10 from n = -35 on and divided by 0 from |r| ~ 38.  2e-5 is
-    # the variance's absolute bound, 2e-14 (M^2 + V), relative to V = 1e-9
+    # the variance's absolute bound, 2e-14 (M^2 + V), relative to V = 1e-9.
+    # The answer is printed either way; a residual past 1e-8 (5.3e-7 at
+    # n = -10, where mpmath puts the variance at the returned |r| 3.2e-7
+    # off) adds the warning and exit 2, as calibrate-gauss does
     code, doc, err = run_json(capsys, "calibrate-chi", "--mean", "1",
                               "--var", var, "--dim", dim)
-    assert code == 0
     assert doc["residuals"]["mean"] < 1e-12
     assert doc["residuals"]["var"] <= 2e-5
+    warned = (2, "warning: residuals exceed 1e-8\n")
+    assert (code, err) == (warned if doc["residuals"]["var"] > 1e-8
+                           else (0, ""))
 
 
 def test_calibrate_chi_infeasible(capsys):
@@ -539,6 +544,29 @@ def test_calibrate_chi_rejects_a_target_inside_the_noise(capsys, var):
     assert err.startswith("infeasible: no offset |r| with inner-truncation "
                           "variance ")
     assert err.endswith("noise 2e-14 (M^2 + V) = 2e-14 of a limit\n")
+
+
+def test_calibrate_chi_warns_on_a_residual_past_1e_8(capsys):
+    # deep in the tail (|r| = 1000) the inner variance is rounding noise of
+    # M^2: this exited 0 with residuals.var 1.33e-4.  It is still printed,
+    # with calibrate-gauss's warning and exit 2
+    code, doc, err = run_json(capsys, "calibrate-chi", "--mean", "1",
+                              "--var", "1e-12", "--dim", "3")
+    assert code == 2
+    assert err == "warning: residuals exceed 1e-8\n"
+    assert doc["r"] == pytest.approx(999.999, rel=2e-4)  # mpmath's root
+    assert doc["residuals"]["var"] > 1e-8
+
+
+def test_calibrate_chi_double_reports_the_var_residual_alone(capsys):
+    # --trunc double solves for the mean only: --var feeds residuals.var,
+    # and no residual rule applies to it
+    code, doc, err = run_json(capsys, "calibrate-chi", "--mean", "1.5",
+                              "--var", "0.01", "--dim", "3", "--trunc",
+                              "double", "--lower", "1", "--upper", "2")
+    assert (code, err) == (0, "")
+    assert doc["residuals"]["mean"] < 1e-12
+    assert doc["residuals"]["var"] > 1.0
 
 
 @pytest.mark.parametrize("method,code,warning", [
