@@ -188,7 +188,7 @@ def _gamma_p_series_ds(s: float, x: float) -> tuple[float, float]:
 
 
 def _dlog_gamma_upper_ds(s: float, x: float):
-    """(Q, H, dlog) for real s and x > 0, on the branches that
+    """(Q, H, dlog, step) for real s and x > 0, on the branches that
     ``specfun._gamma_inc`` takes.
 
     Where they form the scaled H = Gamma(s, x) e^x x^-s first, Q is None
@@ -197,7 +197,10 @@ def _dlog_gamma_upper_ds(s: float, x: float):
     dlog = d ln Q/ds, which stays small where Q is near 1, so that the
     large part of d/ds ln Gamma(s, x), psi(s) - ln x, can be differenced
     analytically by the caller.  Temme's expansion is differentiated
-    through d eta/ds = -1/(s f(eta)), f(eta) = eta/(lambda - 1).
+    through d eta/ds = -1/(s f(eta)), f(eta) = eta/(lambda - 1).  On the
+    power series, step is the pair (x^s e^-x / Gamma(s + 1), psi(s + 1) -
+    ln x) that it has formed, which carries Q and d ln Q/ds from s to
+    s + 1; elsewhere it is None.
 
     Against mpmath (tests/test_specfun.py), dlog is within 5e-16 (1 +
     |dlog|) on the continued fraction and Temme's expansion, 2e-15 on the
@@ -205,7 +208,7 @@ def _dlog_gamma_upper_ds(s: float, x: float):
     """
     if s <= 0.0:
         h, d = _gamma_upper_scaled_ds(s, x)
-        return None, h, d
+        return None, h, d, None
     if s >= _TEMME_S and _TEMME_LO * s <= x <= _TEMME_HI * s:
         y = s * _phi(s, x)
         mu = (x - s) / s
@@ -222,18 +225,19 @@ def _dlog_gamma_upper_ds(s: float, x: float):
         if x < s:
             ey = math.exp(-y) / root
             q = 0.5 * math.erfc(-math.sqrt(y)) + ey * t
-            return q, None, ey * dq / q
+            return q, None, ey * dq / q, None
         t += 0.5 * root * _erfcx(math.sqrt(y))
         return (None, t * _gamma_star(s) / s,
-                _digamma(s, s) - math.log1p(mu) + dq / t)
+                _digamma(s, s) - math.log1p(mu) + dq / t, None)
     if _p_first(s, x):
         series, dseries = _gamma_p_series_ds(s, x)
         dom = _dompart(s, x)
+        psi = _digamma(s + 1.0, x)
         q = 1.0 - dom * series
-        return q, None, dom * (series * _digamma(s + 1.0, x) - dseries) / q
+        return q, None, dom * (series * psi - dseries) / q, (dom, psi)
     h, d = (_gamma_upper_scaled_ds(s, x) if x < 1.0
             else _gamma_upper_cf_ds(s, x))
-    return None, h, d
+    return None, h, d, None
 
 
 def _digamma_diff2(s: float) -> float:
@@ -267,18 +271,18 @@ def _dlog_ratio_dn(s: float, y: float) -> float:
     # of positive terms; for s <= 0 the latter cancels and it is computed
     a = s + 0.5
     s = a - 0.5  # the orders exactly 1/2 apart, as in chi._ratio_m1
-    q0, h0, d0 = _dlog_gamma_upper_ds(s, y)
-    _, h1, d1 = _dlog_gamma_upper_ds(a, y)
+    q0, h0, d0, step = _dlog_gamma_upper_ds(s, y)
+    _, h1, d1, _ = _dlog_gamma_upper_ds(a, y)
     if h0 is None:  # Q first at s, so at s + 1/2 and s + 1 too
-        dom = _dompart(s, y)
-        d2 = (q0 * d0 - dom * _digamma(s + 1.0, y)) / (q0 + dom)
+        dom, psi = step or (_dompart(s, y), _digamma(s + 1.0, y))
+        d2 = (q0 * d0 - dom * psi) / (q0 + dom)
         return 0.5 * (_digamma_diff2(s) + d0 + d2 - 2.0 * d1)
     if h1 is None:
         d1 += _digamma(a, y)
     if s > 0.0:
         d2 = d0 + (1.0 - d0 / h0) / (s + 1.0 / h0)
     else:
-        _, h2, d2 = _dlog_gamma_upper_ds(s + 1.0, y)
+        _, h2, d2, _ = _dlog_gamma_upper_ds(s + 1.0, y)
         if h2 is None:
             d2 += _digamma(s + 1.0, y)
     return 0.5 * (d0 + d2 - 2.0 * d1)

@@ -4,24 +4,22 @@
 slope: ``calibrate.r_from_variance`` in r, ``calibrate.solve_U_approx2``
 in ln(1 - U), ``chi.chi_calibrate`` in ln|r|, and ``chi.double_sigma``,
 Form I of ``calibrate.sigma_newton`` and both sigma-roots of
-``lognormal.calibrate_original`` in ln sigma.  The two solves without
-one, ``chi.nvmx_search`` and ``fitting._solve_scalar``, bracket the root
-and call ``brentq``, which ports scipy's Brent solver step for step (same
-``xtol + rtol*|x|`` stopping rule, same roots bit for bit), so the
-package need not import ``scipy.optimize``.  ``expand`` widens a bracket
-until it holds a sign change, and ``scan``, the one grid search, finds a
-function's first sign-change cell on a grid by bisecting over the grid's
-indices.  A missing root or bracket is a
-ValueError naming the quantity and the range searched; an evaluation
-that overflows or divides by zero counts as undefined (NaN).
+``lognormal.calibrate_original`` in ln sigma.  ``secant``, for
+``chi.nvmx_search``, takes secant steps from a close seed and hands a
+bracket on which they stall to Brent's steps.  ``fitting._solve_scalar``
+brackets its root on a grid and calls ``brentq``, which ports scipy's
+Brent solver step for step (same ``xtol + rtol*|x|`` stopping rule, same
+roots bit for bit), so the package need not import ``scipy.optimize``.
+``scan``, the one grid search, finds a function's first sign-change cell
+on a grid by bisecting over the grid's indices.  A missing root or
+bracket is a ValueError naming the quantity and the range searched; an
+evaluation that overflows or divides by zero counts as undefined (NaN).
 """
 
 import functools
 import math
 
 RTOL = 8.9e-16  # just above 4 * machine epsilon, the floor scipy accepts
-# the magnitudes between which ``expand`` moves an endpoint
-_TINY, _HUGE = 1e-300, 1e300
 
 
 def _fail(what: str, a: float, b: float) -> ValueError:
@@ -51,11 +49,22 @@ def brentq(f, a: float, b: float, fa: float | None = None,
            fb: float | None = None, *, what: str,
            xtol: float = 1e-300) -> float:
     """Root of f in [a, b]; fa and fb are f(a) and f(b) if already known."""
-    xpre, xcur = float(a), float(b)
-    fpre = _eval(f, xpre) if fa is None else fa
-    fcur = _eval(f, xcur) if fb is None else fb
-    if not _straddles(fpre, fcur):
+    a, b = float(a), float(b)
+    fa = _eval(f, a) if fa is None else fa
+    fb = _eval(f, b) if fb is None else fb
+    x = _brent(f, a, b, fa, fb, xtol, False) if _straddles(fa, fb) else None
+    if x is None:
         raise _fail(what, a, b)
+    return x
+
+
+def _brent(f, xpre: float, xcur: float, fpre: float, fcur: float,
+           xtol: float, settle: bool) -> float | None:
+    """Brent's steps over [xpre, xcur], across which f changes sign; None
+    where f turns undefined or 100 steps do not reach the tolerance.  With
+    ``settle``, an interpolation step within the tolerance ends the search
+    at its end, unevaluated, where Brent's method would step on by the
+    tolerance to close the bracket."""
     xblk, fblk, spre, scur = xpre, fpre, 0.0, 0.0  # returns xpre if fpre == 0
     for _ in range(100):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
@@ -81,6 +90,8 @@ def brentq(f, a: float, b: float, fa: float | None = None,
             except ZeroDivisionError:  # inf or NaN in C: bisect
                 pass
         if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            if settle and abs(stry) <= 2 * delta:
+                return xcur + stry
             spre, scur = scur, stry
         else:
             spre = scur = sbis
@@ -92,7 +103,70 @@ def brentq(f, a: float, b: float, fa: float | None = None,
             break
         if fcur != fcur:
             break
-    raise _fail(what, a, b)
+    return None
+
+
+def secant(f, x: float, *, what: str, xtol: float) -> float:
+    """Root of f, decreasing on x > 0, by secant steps from a seed x close
+    to it: the first to x (1 +- 1e-3), on the root's side, each later one
+    through the last two points.
+
+    Until f changes sign no step leaves the band [0.95 x, 1.05 x], whose
+    end on the root's side moves away by a factor of 2 (dividing towards
+    0) each time the iterate reaches it: far from its root, f may sit at
+    its rounding level with either sign.  Once f has changed sign, a step
+    that leaves the bracket of evaluated points, or is not below half the
+    step before it, hands the bracket to Brent's steps, which bisect where
+    interpolation stalls.  The search stops on a step within xtol + RTOL
+    |x|, at the step's end, unevaluated, or on a bracket that narrow.  A
+    NaN value, or no root in 100 steps, raises the no-root error naming
+    the band.
+    """
+    lo, hi = 0.95 * x, 1.05 * x
+    below = above = None  # (x, f(x)), the latest on each side of the root
+    xpre = fpre = None
+    last = math.inf  # the last step
+    for _ in range(100):
+        fx = _eval(f, x)
+        if fx != fx:
+            break
+        if fx == 0.0:
+            return x
+        up = fx > 0.0  # the root lies above x
+        if up:
+            below = x, fx
+        else:
+            above = x, fx
+        if xpre is None:
+            x_next = x * (1.0 + 1e-3 if up else 1.0 - 1e-3)
+        elif fx != fpre:
+            x_next = x - fx * (x - xpre) / (fx - fpre)
+        else:
+            x_next = math.nan
+        step = abs(x_next - x)
+        if below and above:
+            if not (below[0] < x_next < above[0] and 2.0 * step < last):
+                xo, fo = above if up else below
+                x = _brent(f, xo, x, fo, fx, xtol, True)
+                if x is None:
+                    break
+                return x
+        elif up:
+            if x >= hi:
+                hi *= 2.0
+            if not x < x_next <= hi:  # NaN, or the wrong way, or past it
+                x_next = hi
+                step = x_next - x
+        else:
+            if x <= lo:
+                lo *= 0.5
+            if not lo <= x_next < x:
+                x_next = lo
+                step = x - x_next
+        if step <= xtol + RTOL * x:
+            return x_next
+        xpre, fpre, x, last = x, fx, x_next, step
+    raise _fail(what, lo, hi)
 
 
 def newton(g, x: float, target: float, *, increasing: bool,
@@ -164,26 +238,6 @@ def newton(g, x: float, target: float, *, increasing: bool,
     if best > tol:
         raise _fail(what, a, b)
     return best_x
-
-
-def expand(f, a: float, b: float, *, increasing: bool, what: str):
-    """Widen [a, b], a < b, until f, monotone in the stated direction,
-    changes sign over it; returns (a, b, f(a), f(b)).  The endpoint on the
-    root's side moves away from the other by a factor of 2 (dividing
-    towards 0, never across it) while its magnitude stays in [_TINY,
-    _HUGE]."""
-    fa, fb = _eval(f, a), _eval(f, b)
-    while not _straddles(fa, fb):
-        beyond_b = (fb < 0.0) == increasing
-        x = b if beyond_b else a
-        x = x * 2.0 if (x > 0.0) == beyond_b else x / 2.0
-        if fa != fa or fb != fb or not _TINY <= abs(x) <= _HUGE:
-            raise _fail(what, a, b)
-        if beyond_b:
-            b, fb = x, _eval(f, x)
-        else:
-            a, fa = x, _eval(f, x)
-    return a, b, fa, fb
 
 
 def scan(f, grid, *, what: str, start: int | None = None):

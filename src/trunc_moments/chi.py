@@ -604,18 +604,22 @@ def nvmx_search(M: float, r_abs: float) -> VmaxReport:
     """Exact vmx dimensionality: the root of dV/dn; also reports the best
     flanking integer >= 1.
 
-    Brent's method on the exact slope d ln(ratio)/dn, which has the sign
-    of dV/dn (``_nvmx_slope``: the second difference of d/ds ln
-    Gamma(s, y) over the orders s, s + 1/2, s + 1, from the derivatives of
-    the incomplete-gamma kernels in their order), bracketed around the
+    Secant steps (``_roots.secant``) on the exact slope d ln(ratio)/dn,
+    which has the sign of dV/dn (``_nvmx_slope``: the second difference of
+    d/ds ln Gamma(s, y) over the orders s, s + 1/2, s + 1, from the
+    derivatives of the incomplete-gamma kernels in their order), from the
     fitted estimate, which is at least 1e-3 in n + 1 (the fit reaches
-    n = -1 as |r| -> 0, the search does not).  It stops at 1e-13 max(1,
-    n + 1), above the slope's rounding: within 1e-12 max(1, |n|) of mpmath
-    for |r| from 1e-60 to 1000 (2e-13 relative measured at |r| = 1000,
-    1e-14 or less elsewhere).  7 to 9 slope evaluations for |r| in
-    [0.05, 10] (7.8 on average over log-uniform |r|), 14 at |r| = 100 and
-    19 at 1000, each costing about 1.9 ``chi_var_form2`` calls, and two or
-    three of those for the reported variances.
+    n = -1 as |r| -> 0, the search does not), within a band of +-5% about
+    it that widens only on the root's side: above |r| = 100 the slope far
+    below its root is at its rounding level and may have either sign.
+    Where the steps stall, Brent's steps take over.  It stops on a step of
+    1e-13 max(1, n + 1), about the slope's rounding: within 1e-12 max(1,
+    |n|) of mpmath for |r| from 1e-60 to 1000 (2.2e-13 relative measured
+    at |r| = 1000, 1.6e-14 or less up to |r| = 100).  2 to 7 slope
+    evaluations for |r| in [0.05, 10] (5.9 on average over log-uniform
+    |r|), 14 at |r| = 100 and 18 at 1000, each costing about 1.4
+    ``chi_var_form2`` calls, and two or three of those for the reported
+    variances.
 
     Defined for 0 < |r| <= 1000, the domain on which ``chi_var_form2``
     meets its stated accuracy (there n_vmx stays near r^2, about 1e6).
@@ -640,14 +644,13 @@ def nvmx_search(M: float, r_abs: float) -> VmaxReport:
 
     # work in m = n + 1 > 0, so that widening towards 0 never leaves n > -1
     m = max(nvmx_approx(r_abs) + 1.0, 1e-3)
-    what = f"variance-maximizing dimension at |r|={r_abs:g}"
-    bracket = _roots.expand(slope, 0.95 * m, 1.05 * m, increasing=False,
-                            what=what)
-    # the slope's rounding moves its zero by up to about 1e-13 max(1, m)
-    # (below m = 1, s = (m - 1)/2 resolves m to 2.2e-16 at best), so Brent
-    # stops there instead of bisecting that rounding
-    n_real = _roots.brentq(slope, *bracket, what=what,
-                           xtol=1e-13 * max(1.0, bracket[0])) - 1.0
+    # the slope's rounding moves its zero by about 1e-13 max(1, m), and by
+    # 2e-13 m at |r| = 1000 (below m = 1, s = (m - 1)/2 resolves m to
+    # 2.2e-16 at best), so the search stops there instead of stepping
+    # through that rounding
+    n_real = _roots.secant(
+        slope, m, xtol=1e-13 * max(1.0, m),
+        what=f"variance-maximizing dimension at |r|={r_abs:g}") - 1.0
     cands = {k: v(k) for k in {max(1, math.floor(n_real)),
                                max(1, math.ceil(n_real))}}
     n_int = max(cands, key=cands.get)

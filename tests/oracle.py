@@ -4,7 +4,9 @@ Nothing in here reuses the closed forms from the other modules: moments
 come from adaptive quadrature of the bare density, the truncated Gaussian's
 scaled quantities from their definitions in mpmath, and distributions can
 also be sampled by rejection from their untruncated parents.  Tests compare
-the analytic expressions against these estimates.
+the analytic expressions against these estimates.  ``expand`` is the
+bracket search of the package's former expand-then-Brent solvers, which
+tests rebuild as references for the solvers that replaced them.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
+from trunc_moments._roots import _eval, _fail, _straddles
 from trunc_moments.chi import ScaledChiSpec
 from trunc_moments.utgd import Side, TruncatedGaussianSpec
 
-__all__ = ["OracleEstimate", "SampleSummary", "mp_gauss", "quad_moment",
-           "sample_truncated"]
+__all__ = ["OracleEstimate", "SampleSummary", "expand", "mp_gauss",
+           "quad_moment", "sample_truncated"]
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,28 @@ def mp_gauss(r):
                                       * mpmath.erfc(-r / mpmath.sqrt(2)))
     q = 1 - r * t - t * t
     return t, q, q / (r + t) ** 2
+
+
+def expand(f, a: float, b: float, *, increasing: bool, what: str,
+           tiny: float = 1e-300, huge: float = 1e300):
+    """Widen [a, b], a < b, until f, monotone in the stated direction,
+    changes sign over it; returns (a, b, f(a), f(b)).  The endpoint on the
+    root's side moves away from the other by a factor of 2 (dividing
+    towards 0, never across it) while its magnitude stays in [tiny,
+    huge]; past that, or where f is NaN at an end, the no-root error
+    names the last bracket searched."""
+    fa, fb = _eval(f, a), _eval(f, b)
+    while not _straddles(fa, fb):
+        beyond_b = (fb < 0.0) == increasing
+        x = b if beyond_b else a
+        x = x * 2.0 if (x > 0.0) == beyond_b else x / 2.0
+        if fa != fa or fb != fb or not tiny <= abs(x) <= huge:
+            raise _fail(what, a, b)
+        if beyond_b:
+            b, fb = x, _eval(f, x)
+        else:
+            a, fa = x, _eval(f, x)
+    return a, b, fa, fb
 
 
 def _sample_gauss(spec: TruncatedGaussianSpec, count: int,

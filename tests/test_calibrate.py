@@ -101,8 +101,8 @@ def former_sigma_form1(target_var: float, u: float) -> float:
 
     lo, hi = (1e-8, 1.0) if u > 0.0 else (-1.0, -1e-8)
     what = f"Form I offset r for variance {target_var:g}"
-    with mock.patch.multiple(_roots, _TINY=1e-280, _HUGE=1e12):
-        bracket = _roots.expand(f, lo, hi, increasing=u < 0.0, what=what)
+    bracket = oracle.expand(f, lo, hi, increasing=u < 0.0, what=what,
+                            tiny=1e-280, huge=1e12)
     return u / _roots.brentq(f, *bracket, what=what)
 
 

@@ -5,10 +5,10 @@ noise, a named diagnostic where there is no root, and a bounded number of
 kernel calls."""
 
 import math
-from unittest import mock
 
 import pytest
 
+import oracle
 from trunc_moments import _roots, chi
 from trunc_moments.chi import (ChiKind, LimitDirection, chi_calibrate,
                                chi_var_form2)
@@ -35,9 +35,8 @@ def former_chi_calibrate(M: float, target_var: float, n: float,
         return chi_var_form2(M, r, n, kind) - target_var
 
     what = f"offset |r| with {kind.value}-truncation variance {target_var:g}"
-    with mock.patch.object(_roots, "_HUGE", 1e6):
-        bracket = _roots.expand(g, 1e-10, 1.0,
-                                increasing=kind is ChiKind.OUTER, what=what)
+    bracket = oracle.expand(g, 1e-10, 1.0, increasing=kind is ChiKind.OUTER,
+                            what=what, huge=1e6)
     return _roots.brentq(g, *bracket, what=what)
 
 

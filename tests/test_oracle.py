@@ -1,10 +1,11 @@
 import math
+import re
 
 import pytest
 
 from trunc_moments import utgd
 from trunc_moments.chi import ChiKind, ScaledChiSpec, chi_raw_moment, chi_var_form1
-from oracle import quad_moment, sample_truncated
+from oracle import expand, quad_moment, sample_truncated
 from trunc_moments.utgd import Side, TruncatedGaussianSpec
 
 
@@ -103,3 +104,43 @@ class TestSampler:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             sample_truncated(TruncatedGaussianSpec(0.0, 1.0, 0.0), 0, seed=1)
+
+
+# -- the former solvers' bracket search ---------------------------------------
+
+@pytest.mark.parametrize("increasing,a,root,want", [
+    (True, -1.0, 100.0, (-1.0, 128.0)),       # b grows outwards
+    (True, -1.0, -3.0, (-4.0, 1.0)),          # a grows outwards
+    (False, 1e-3, 1e-9, (1e-3 / 2 ** 20, 1.0)),  # a shrinks towards 0
+])
+def test_expand_moves_the_endpoint_on_the_root_side(increasing, a, root,
+                                                    want):
+    sign = 1.0 if increasing else -1.0
+    a, b, fa, fb = expand(lambda x: sign * (x - root), a, 1.0,
+                          increasing=increasing, what="x")
+    assert (a, b) == want
+    assert fa * fb <= 0.0
+
+
+def test_expand_follows_the_stated_direction_on_flat_curves():
+    # |f| is equal at both ends, so only the stated monotonicity says that
+    # the root lies beyond b
+    def step(x):
+        return 1.0 if x < 5.0 else -1.0
+
+    assert expand(step, 1e-3, 1.0, increasing=False, what="x") == \
+        (1e-3, 8.0, 1.0, -1.0)
+
+
+def test_expand_stops_at_its_limit():
+    # b doubles from 1 while it stays below the default huge = 1e300, a
+    # halves from 0.5 while it stays above tiny = 1e-300; the message names
+    # the last bracket searched
+    top = 2.0 ** math.floor(math.log2(1e300))
+    with pytest.raises(ValueError,
+                       match=re.escape(f"no x in [0.5, {top:.6g}]")):
+        expand(lambda x: x - math.inf, 0.5, 1.0, increasing=True, what="x")
+    bottom = 2.0 ** math.ceil(math.log2(1e-300))
+    with pytest.raises(ValueError,
+                       match=re.escape(f"no x in [{bottom:.6g}, 1]")):
+        expand(lambda x: x, 0.5, 1.0, increasing=True, what="x")

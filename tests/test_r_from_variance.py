@@ -37,7 +37,7 @@ def former_r_from_variance(vhat_target: float) -> float:
         return utgd.normalized_variance(r) - vhat_target
 
     what = f"offset r with normalized variance {vhat_target:g}"
-    return _roots.brentq(f, *_roots.expand(
+    return _roots.brentq(f, *oracle.expand(
         f, -1.0, 1.0, increasing=False, what=what), what=what)
 
 

@@ -95,42 +95,78 @@ def test_brentq_names_quantity_and_range():
                       what="widget")
 
 
-@pytest.mark.parametrize("increasing,a,root,want", [
-    (True, -1.0, 100.0, (-1.0, 128.0)),       # b grows outwards
-    (True, -1.0, -3.0, (-4.0, 1.0)),          # a grows outwards
-    (False, 1e-3, 1e-9, (1e-3 / 2 ** 20, 1.0)),  # a shrinks towards 0
+def _recorded(f):
+    points = []
+
+    def g(x):
+        points.append(x)
+        return f(x)
+
+    return g, points
+
+
+@pytest.mark.parametrize("f,x,root", [
+    (lambda x: 2.0 - x ** 3, 1.3, 2.0 ** (1.0 / 3.0)),
+    (lambda x: math.exp(-x) - 0.5, 0.7, math.log(2.0)),
+    (lambda x: -3.0 - math.log(x), 0.05, math.exp(-3.0)),
 ])
-def test_expand_moves_the_endpoint_on_the_root_side(increasing, a, root,
-                                                    want):
-    sign = 1.0 if increasing else -1.0
-    a, b, fa, fb = _roots.expand(lambda x: sign * (x - root), a, 1.0,
-                                 increasing=increasing, what="x")
-    assert (a, b) == want
-    assert fa * fb <= 0.0
+def test_secant_finds_the_root(f, x, root):
+    got = _roots.secant(f, x, what="x", xtol=1e-13)
+    assert abs(got - root) <= 1e-13
 
 
-def test_expand_follows_the_stated_direction_on_flat_curves():
-    # |f| is equal at both ends, so only the stated monotonicity says that
-    # the root lies beyond b
-    def step(x):
-        return 1.0 if x < 5.0 else -1.0
+def test_secant_widens_its_band_only_on_the_roots_side():
+    # the probe 1e-3 above the seed, then the band's end, 1.05 x, and
+    # doublings of it while f keeps its sign; the secant step from 42 and
+    # 84 lands in the widened band
+    g, points = _recorded(lambda x: 100.0 - x)
+    assert _roots.secant(g, 10.0, what="x", xtol=1e-13) == 100.0
+    assert points == [10.0, 10.0 * (1.0 + 1e-3), 10.5, 21.0, 42.0, 84.0,
+                      100.0]
 
-    assert _roots.expand(step, 1e-3, 1.0, increasing=False, what="x") == \
-        (1e-3, 8.0, 1.0, -1.0)
+
+def test_secant_keeps_to_the_band_where_the_step_points_out_of_it():
+    # the secant step from the seed points below 0.95 of it, where f is at
+    # a rounding level of the wrong sign, as the n_vmx slope is at large
+    # |r|; the band's end stops it, and f changes sign there
+    def f(x):
+        return -1e-16 if x < 0.95 else -math.atan(50.0 * (x - 1.0))
+
+    g, points = _recorded(f)
+    got = _roots.secant(g, 1.03, what="x", xtol=1e-13)
+    assert abs(got - 1.0) <= 1e-13
+    assert min(points) == 0.95 * 1.03
 
 
-def test_expand_stops_at_its_limit():
-    # b doubles from 1 while it stays below _HUGE, a halves from 0.5 while
-    # it stays above _TINY; the message names the last bracket searched
-    top = 2.0 ** math.floor(math.log2(_roots._HUGE))
-    with pytest.raises(ValueError,
-                       match=re.escape(f"no x in [0.5, {top:.6g}]")):
-        _roots.expand(lambda x: x - math.inf, 0.5, 1.0, increasing=True,
-                      what="x")
-    bottom = 2.0 ** math.ceil(math.log2(_roots._TINY))
-    with pytest.raises(ValueError,
-                       match=re.escape(f"no x in [{bottom:.6g}, 1]")):
-        _roots.expand(lambda x: x, 0.5, 1.0, increasing=True, what="x")
+def test_secant_hands_a_stalled_bracket_to_brent(monkeypatch):
+    # secant steps on |x - 0.7|^0.3 do not shrink by half; Brent's steps
+    # bisect where they must, in about as many evaluations as brentq takes
+    # from [0, 5]
+    def f(x):
+        return math.copysign(abs(x - 0.7) ** 0.3, 0.7 - x)
+
+    brent, handed = _roots._brent, []
+
+    def spy(*args):
+        handed.append(args[-1])
+        return brent(*args)
+
+    monkeypatch.setattr(_roots, "_brent", spy)
+    g, points = _recorded(f)
+    got = _roots.secant(g, 0.71, what="x", xtol=1e-13)
+    assert abs(got - 0.7) <= 1e-13
+    assert handed == [True]  # settling
+    assert len(points) <= 35
+
+
+def test_secant_names_the_band_it_searched():
+    with pytest.raises(ValueError, match=re.escape("no x in [0.95, 1.05]")):
+        _roots.secant(lambda x: math.nan if x > 1.02 else 1.5 - x, 1.0,
+                      what="x", xtol=1e-13)
+    # no sign change: the band's upper end doubles on every step
+    with pytest.raises(ValueError, match=re.escape(
+            f"no x in [0.95, {1.05 * 2.0 ** 98:.6g}]")):
+        _roots.secant(lambda x: 1.0, 1.0, what="x", xtol=1e-13)
 
 
 def test_scan_skips_undefined_cells():

@@ -238,7 +238,7 @@ _DS_BRANCHES = [
 
 @pytest.mark.parametrize("s,x,form,tol", _DS_BRANCHES)
 def test_dlog_gamma_upper_ds_against_mpmath(s, x, form, tol):
-    q, h, dlog = _nvmx_slope._dlog_gamma_upper_ds(s, x)
+    q, h, dlog, _ = _nvmx_slope._dlog_gamma_upper_ds(s, x)
     assert (h is None) == (form == "Q")
     with mpmath.workdps(40):
         if form == "Q":
