@@ -50,22 +50,23 @@ def log_xi(z: float) -> float:
     return -0.5 * z * z + math.log(exp_r2_half_xi(z))
 
 
-def _log_xi_steps(r: float, sigma: float) -> tuple[tuple[float, ...], ...]:
-    """(d1, d2), (w0, w1, w2): the steps d_k = ln xi(z_k) - ln xi(z_0), z_k
-    = r + k sigma, and w_k = z_k**2/2 + ln xi(z_k), whence t_k = d ln
-    xi/dz = sqrt(2/pi) e^-w_k, from one tail evaluation per point.  The
-    -z**2/2 of ln xi in the left tail is taken out of each step in closed
-    form, so the forms' small second differences keep their digits.
+def _log_xi_steps(r: float, sigma: float) -> tuple:
+    """(e1, e2), (w0, w1, w2), tail: w_k = z_k**2/2 + ln xi(z_k), z_k = r
+    + k sigma, whence t_k = d ln xi/dz = sqrt(2/pi) e^-w_k, from one tail
+    evaluation per point, and the steps of ln xi, e_k = ln xi(z_k) - ln
+    xi(z_0), or, where ``tail`` is true, those of w, e_k = w_k - w_0.  In
+    the left tail, where ln xi is -z**2/2 + w, the steps of ln xi are
+    mostly their closed-form z**2/2 parts, which the forms cancel: so
+    their small second differences keep their digits.
     """
     z1, z2 = r + sigma, r + 2.0 * sigma
     if r < -1.0 and z2 < 37.0:
         w0 = math.log(exp_r2_half_xi(r))
         w1, w2 = math.log(exp_r2_half_xi(z1)), math.log(exp_r2_half_xi(z2))
-        return ((w1 - w0 - sigma * (r + 0.5 * sigma),
-                 w2 - w0 - 2.0 * sigma * (r + sigma)), (w0, w1, w2))
+        return (w1 - w0, w2 - w0), (w0, w1, w2), True
     l0, l1, l2 = log_xi(r), log_xi(z1), log_xi(z2)
     return (l1 - l0, l2 - l0), (0.5 * r * r + l0, 0.5 * z1 * z1 + l1,
-                                0.5 * z2 * z2 + l2)
+                                0.5 * z2 * z2 + l2), False
 
 
 def _forms(mu: float, sigma: float, a: float,
@@ -75,33 +76,43 @@ def _forms(mu: float, sigma: float, a: float,
     forms' partials.  Form II is anchored to the mean e^log_M_y (default
     the congruent E[Y]) and is NaN where it has no log variance.
 
-    Form I is 2 sigma**2 + 2 mu + d2 + ln(-expm1(q)), q = -sigma**2 + 2 d1
-    - d2; Form II, Var = M_y**2 expm1(arg), has arg = 2 (ln M_y - ln E[Y])
-    - q, exactly -q at the congruent mean.  Below |q| = 1e-7, where the
-    second differences keep few digits, q and its partials come from their
-    expansions about z_1: at the congruent mean both log variances are
-    within 5e-8 of mpmath for r in [-3, 2] and sigma in [1e-6, 1e-2], and
-    for r in [-10, -6] and sigma in [1e-6, 3e-3] (tested).  With a
-    supplied mean Form II is as accurate as ln M_y, one ulp of which moves
-    it by about 1e-4 at sigma = 1e-6.
+    With d_k the steps of ln xi, ln E[Y] = mu + sigma**2/2 + d1 and ln
+    E[Y**2] = 2 mu + 2 sigma**2 + d2.  Form I is ln E[Y**2] +
+    ln(-expm1(q)), q = -sigma**2 + 2 d1 - d2; Form II, Var = M_y**2
+    expm1(arg), has arg = 2 (ln M_y - ln E[Y]) - q, exactly -q at the
+    congruent mean, formed as 2 (ln M_y - mu) - (4 d1 - d2), whose sigma**2
+    terms cancel (at sigma = 12.9 their rounding left 1e-12 of noise in ln
+    Var).  In the left tail, with the steps e_k of w, sigma r = mu - a
+    cancels too: ln E[Y] = a + e1, ln E[Y**2] = 2 a + e2, q = 2 e1 - e2
+    and arg = 2 (ln M_y - a) - (4 e1 - e2) (at r = -17 and sigma = 5.3 the
+    cancelling terms left 1e-13 of noise in ln Var).  Below |q| = 1e-7,
+    where the second differences keep few digits, q and its partials come
+    from their expansions about z_1: at the congruent mean both log
+    variances are within 5e-8 of mpmath for r in [-3, 2] and sigma in
+    [1e-6, 1e-2], and for r in [-10, -6] and sigma in [1e-6, 3e-3]
+    (tested).  With a supplied mean Form II is as accurate as ln M_y, one
+    ulp of which moves it by about 1e-4 at sigma = 1e-6.
     """
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
     r = (mu - a) / sigma
-    (d1, d2), ws = _log_xi_steps(r, sigma)
-    q = -sigma * sigma + 2.0 * d1 - d2
+    (e1, e2), ws, tail = _log_xi_steps(r, sigma)
+    base, c = (a, 0.0) if tail else (mu, sigma * sigma)
+    q = -c + 2.0 * e1 - e2
+    spread = 4.0 * e1 - e2  # arg = 2 (ln M_y - base) - spread
     core = None
     if q > -1e-7:  # (t, s, Q) at z_1, as _core gives them
         z, t = r + sigma, _SQRT_2_OVER_PI * math.exp(-ws[1])
         core = (t, z + t, 1.0 - z * t - t * t) if z > _TAIL_CUT else _core(z)
         q = -sigma * sigma * core[2]
+        spread = c + 2.0 * e1 + q
     # q -> 0- as sigma -> 0, so 1 - e^q goes through expm1
-    lv1 = 2.0 * sigma * sigma + 2.0 * mu + d2 + math.log(-math.expm1(q))
-    log_mean = 0.5 * sigma * sigma + mu + d1
+    lv1 = 2.0 * c + 2.0 * base + e2 + math.log(-math.expm1(q))
+    log_mean = 0.5 * c + base + e1
     if log_M_y is None:
         log_M_y, arg = log_mean, -q
-    else:  # 2 (ln M_y - ln E[Y]) - q, not paying ln E[Y]'s rounding
-        arg = 2.0 * (log_M_y - mu) - (sigma * sigma + 2.0 * d1 + q)
+    else:  # not paying ln E[Y]'s rounding
+        arg = 2.0 * (log_M_y - base) - spread
     # NaN where arg <= 0, or where expm1(arg) passes the largest double
     lv2 = (2.0 * log_M_y + math.log(math.expm1(arg))
            if 0.0 < arg <= 709.782712893384 else math.nan)

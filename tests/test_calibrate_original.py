@@ -145,6 +145,15 @@ def test_same_results_as_two_scans_on_census_like_requests():
 @settings(max_examples=40, deadline=None)
 @example(mu=10.53367109, sigma=1.02333081, shift=-0.8, seed_off=0.0,
          var_scale=1.0, rounds=3)
+# Form II's roots near sigma = 13.7 and 12.9, where its sigma**2 terms
+# cancelled, and, past round 1, in the left tail (r = -48), where the
+# steps' z**2/2 parts did: the rounding left the roots up to 1.2e-12 apart
+@example(mu=5.0, sigma=2.0, shift=0.0, seed_off=0.25, var_scale=0.5625,
+         rounds=1)
+@example(mu=5.0, sigma=0.5, shift=-1.25, seed_off=-0.25, var_scale=0.5,
+         rounds=1)
+@example(mu=12.0, sigma=0.625, shift=-1.25, seed_off=-0.125, var_scale=2.0,
+         rounds=3)
 def test_same_results_as_two_scans_property(mu, sigma, shift, seed_off,
                                             var_scale, rounds):
     a = mu - shift * sigma
@@ -259,8 +268,12 @@ def test_step_evaluations_on_census_like_requests(monkeypatch):
     for _ in range(150):
         req = _census_like(rng)
         rounds[:] = [[]]
-        _outcome(calibrate_original, *req)
+        got = _outcome(calibrate_original, *req)
         total += sum(map(len, rounds))
+        if isinstance(got, CalibrationResult):
+            # the final back-transform, at mu0, not at the round's mu: it
+            # can meet the last round's sigma to the bit once converged
+            rounds[-1].pop()
         for at in rounds[1:]:
             assert len(set(at)) == len(at)
     assert total <= 6806  # 45.37 a request
