@@ -2,18 +2,18 @@
 
 ``newton`` is the one Newton iteration, for the solves with a closed-form
 slope: ``calibrate.r_from_variance`` in r, ``calibrate.solve_U_approx2``
-in ln(1 - U), ``chi.chi_calibrate`` in ln|r|, and ``chi.double_sigma``,
-Form I of ``calibrate.sigma_newton`` and both sigma-roots of
-``lognormal.calibrate_original`` in ln sigma.  ``secant``, for
-``chi.nvmx_search``, takes secant steps from a close seed and hands a
-bracket on which they stall to Brent's steps.  ``fitting._solve_scalar``
-brackets its root on a grid and calls ``brentq``, which ports scipy's
-Brent solver step for step (same ``xtol + rtol*|x|`` stopping rule, same
-roots bit for bit), so the package need not import ``scipy.optimize``.
-``scan``, the one grid search, finds a function's first sign-change cell
-on a grid by bisecting over the grid's indices.  A missing root or
-bracket is a ValueError naming the quantity and the range searched; an
-evaluation that overflows or divides by zero counts as undefined (NaN).
+in ln(1 - U), ``chi.chi_calibrate`` in ln|r|, and in ln sigma
+``chi.double_sigma``, Form I of ``calibrate.sigma_newton`` and both
+sigma-roots of ``lognormal.calibrate_original``, and the ``fit``
+command's sigma estimates.  ``secant``, for ``chi.nvmx_search``, takes
+secant steps from a close seed and hands a bracket on which they stall to
+Brent's steps, which port scipy's Brent solver step for step (same
+``xtol + rtol*|x|`` stopping rule), so the package need not import
+``scipy.optimize``.  ``scan``, the one grid search, finds a function's
+first sign-change cell on a grid by bisecting over the grid's indices.  A
+missing root or bracket is a ValueError naming the quantity and the range
+searched; an evaluation that overflows or divides by zero counts as
+undefined (NaN).
 """
 
 import functools
@@ -26,36 +26,17 @@ def _fail(what: str, a: float, b: float) -> ValueError:
     return ValueError(f"no {what} in [{min(a, b):.6g}, {max(a, b):.6g}]")
 
 
-def _eval(f, x: float) -> float:
+def _eval(f, x: float, undefined=ArithmeticError) -> float:
+    # f(x), or NaN where it raises ``undefined``; the grid search also
+    # reads a ValueError so
     try:
         return f(x)
-    except ArithmeticError:
-        return math.nan
-
-
-def _value(f, x):
-    # f(x) for the grid search, which also reads a ValueError as undefined
-    try:
-        return f(x)
-    except (ArithmeticError, ValueError):
+    except undefined:
         return math.nan
 
 
 def _straddles(fa: float, fb: float) -> bool:
     return fa <= 0.0 <= fb or fb <= 0.0 <= fa  # False if either is NaN
-
-
-def brentq(f, a: float, b: float, fa: float | None = None,
-           fb: float | None = None, *, what: str,
-           xtol: float = 1e-300) -> float:
-    """Root of f in [a, b]; fa and fb are f(a) and f(b) if already known."""
-    a, b = float(a), float(b)
-    fa = _eval(f, a) if fa is None else fa
-    fb = _eval(f, b) if fb is None else fb
-    x = _brent(f, a, b, fa, fb, xtol, False) if _straddles(fa, fb) else None
-    if x is None:
-        raise _fail(what, a, b)
-    return x
 
 
 def _brent(f, xpre: float, xcur: float, fpre: float, fcur: float,
@@ -255,7 +236,8 @@ def scan(f, grid, *, what: str, start: int | None = None):
     the grid decides instead.  f is evaluated at most once per grid point;
     a grid without such a cell raises the no-root error.
     """
-    g = functools.cache(lambda j: _value(f, grid[j]))
+    g = functools.cache(
+        lambda j: _eval(f, grid[j], (ArithmeticError, ValueError)))
     found = _first_change(g, len(grid), start) or _walk(g, len(grid))
     if found is None:
         raise _fail(what, min(grid), max(grid))

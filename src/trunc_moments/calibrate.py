@@ -349,6 +349,33 @@ def _sigma_at(target_var: float, u: float, d: float, form: VarianceForm,
         what=f"Form I spread sigma for variance {target_var:g} at mu={mu:g}")
 
 
+def _sigma_from_mean(M: float, mu: float, a: float, seed: float) -> float:
+    """The sigma at which the Gaussian at ``mu`` truncated below ``a`` has
+    mean M: Newton steps in ln sigma from ``seed`` on the slope dE/d ln
+    sigma = sigma t (1 + r (r + t)), t the inverse Mills ratio at r = (mu -
+    a)/sigma.  The mean rises with sigma; where no sigma within 1e8 of the
+    seed either way reaches M, ValueError names that range.  So it does
+    where, at the seed, the truncated mass is so small that the rounding
+    of M alone moves the root by more than 1e-8 relative: there the mean
+    pins no sigma."""
+
+    def g(sigma: float) -> tuple[float, float]:
+        r = (mu - a) / sigma
+        t, s, _ = _core(r)  # s = r + t
+        return a + sigma * s, sigma * t * (1.0 + r * s)
+
+    r = (mu - a) / seed
+    if r > 0.0 and abs(M) * sys.float_info.epsilon > 1e-8 * g(seed)[1]:
+        raise ValueError(
+            f"mean-based estimate omitted: the truncated mass "
+            f"{0.5 * math.erfc(r / math.sqrt(2.0)):.3g} (r = {r:.3g}) is "
+            f"too small for the sample mean to determine sigma")
+    return _roots.newton(
+        g, seed, M, increasing=True, domain=(1e-8 * seed, 1e8 * seed),
+        noise_evals=1, log=True, slope=True,
+        what=f"sigma giving mean {M:g} at mu={mu:g}")
+
+
 def _intersect(mu: float, s1: float, s2: float, k1: float, k2: float,
                lines: str = "tangents") -> tuple[float, float]:
     """Where the lines through (mu, s1) and (mu, s2), slopes k1, k2, cross."""

@@ -771,7 +771,12 @@ def _window_sup(n: float, lower: float, upper: float) -> float:
     # n/(n+1) (u^(n+1) - l^(n+1)) / (u^n - l^n) = b e(n+1) / e(n), with
     # e(t) = expm1(t a)/t, a = ln(c/b) and b the end whose powers dominate
     # (c the other): no power underflows, the one positive exponent is at
-    # most |a|/2, and e(0) = a gives the limits at n = 0 and -1
+    # most |a|/2, and e(0) = a gives the limits at n = 0 and -1.  On a
+    # one-sided support, n/(n+1) times the cutoff, but inner (upper = inf)
+    # R^(n-1) has no mean from n = -1 up
+    if lower == 0.0 or upper == math.inf:
+        return (math.inf if upper == math.inf and n >= -1.0
+                else (lower or upper) * (n / (n + 1.0)))
     b, c = (upper, lower) if n > -0.5 else (lower, upper)
     q = c / b  # 0 or inf where u/l passes the double range
     a = math.log(q) if 0.0 < q < math.inf else math.log(c) - math.log(b)
@@ -783,20 +788,31 @@ def _window_sup(n: float, lower: float, upper: float) -> float:
     return b * (e(n + 1.0) / e(n))
 
 
-def double_sigma(M: float, n: float, lower: float, upper: float) -> float:
-    """The sigma that puts the mean of the window [lower, upper] at M.
+def _support_kind(lower: float, upper: float) -> ChiKind:
+    # the truncation that keeps [lower, upper]: inner up to inf, outer from 0
+    return (ChiKind.INNER if upper == math.inf else
+            ChiKind.OUTER if lower == 0.0 else ChiKind.DOUBLE)
 
-    The window mean E rises with sigma from ``lower`` to its limit sup,
-    n/(n+1) (u^(n+1) - l^(n+1)) / (u^n - l^n) for l = lower and u = upper.
+
+def double_sigma(M: float, n: float, lower: float, upper: float) -> float:
+    """The sigma that puts the mean of the support [lower, upper] at M: a
+    window, or with ``lower`` = 0 the outer and with ``upper`` = inf the
+    inner truncation (both: the untruncated law).
+
+    The mean E rises with sigma from ``lower`` to its limit sup as sigma
+    grows, n/(n+1) (u^(n+1) - l^(n+1)) / (u^n - l^n) for l = lower and u =
+    upper: n/(n+1) u outer, and inner n/(n+1) l for n < -1, inf otherwise.
     A target outside (lower, sup), or within E's stated error 5e-14 M
     (``chi_raw_moment``) of either end, is a ValueError naming both ends.
-    Newton steps in ln sigma on ln((E - lower) / (sup - E)), which nears
-    slope 2 at both ends, take the slope from E and the window's two edge
-    densities: 1 to 11 evaluations, 5 in the median, for n from -30 to
-    1e5 on windows 0.07 to 14 times as wide as ``lower``.
+    Newton steps in ln sigma on ln((E - lower) / (sup - E)) (ln(E -
+    lower) where sup = inf), which nears slope 2 at both ends of a window,
+    take the slope from E and the support's edge densities: 1 to 11
+    evaluations, 5 in the median, for n from -30 to 1e5 on windows 0.07
+    to 14 times as wide as ``lower``, and at most 6 on one-sided supports
+    for n from -0.5 to 8.
     """
-    # the spec's check of the window, 0 < lower < upper < inf
-    ScaledChiSpec(1.0, n, lower=lower, upper=upper, kind=ChiKind.DOUBLE)
+    kind = _support_kind(lower, upper)
+    ScaledChiSpec(1.0, n, lower=lower, upper=upper, kind=kind)  # its checks
     try:
         sup = _window_sup(n, lower, upper)
     except OverflowError:  # |a|/2 past 709.78: lower subnormal, n near -1/2
@@ -804,8 +820,9 @@ def double_sigma(M: float, n: float, lower: float, upper: float) -> float:
                          f"at n={n:g} leave the double range") from None
     noise = 5e-14 * M
     if not lower + noise < M < sup - noise:
+        trunc = "doubly " if kind is ChiKind.DOUBLE else f"{kind.value}-"
         raise ValueError(
-            f"the doubly truncated mean on [{lower:g}, {upper:g}] at n={n:g} "
+            f"the {trunc}truncated mean on [{lower:g}, {upper:g}] at n={n:g} "
             f"is confined to ({lower:g}, {sup:g}); got {M:g}"
             + (f", within its rounding noise 5e-14 M = {noise:g} of an end"
                if lower < M < sup else ""))
@@ -825,6 +842,8 @@ def double_sigma(M: float, n: float, lower: float, upper: float) -> float:
                       if 0.0 < y < math.inf else 0.0 for y in (y1, y2))
         except ValueError:  # W(s) out of the double range: no slope
             return mean, math.nan
+        # an edge without density drops out: at upper = inf, 0 * r2 is NaN
+        r2 = r2 if d2 else 0.0
         cov = 0.5 * w1 - d1 * (w1 - r1 / _SQRT2) - d2 * (r2 / _SQRT2 - w1)
         # its rounding, up to about 1e-15 of its terms' size (against
         # mpmath), outgrows it as sigma falls far below lower: below 1e-14
@@ -834,19 +853,55 @@ def double_sigma(M: float, n: float, lower: float, upper: float) -> float:
         return mean, _logit_step(M, mean, lower, sup,
                                  2.0 * _SQRT2 * sigma * cov)
 
-    # the untruncated sigma, or at n <= 0, where it is no number, the one
-    # of the two limits, E - lower ~ sigma^2/lower and sup - E ~ 1/sigma^2
-    sigma = _sigma_limit(M, n) if n > 0.0 else (
-        math.sqrt(lower) * math.sqrt(sup - lower)
-        * math.sqrt((M - lower) / (sup - M)))
+    # the seed: inner, from the limit E - lower ~ sigma^2/lower; else the
+    # untruncated sigma, or at n <= 0, where it is no number, the one of
+    # that limit and sup - E ~ 1/sigma^2
+    if sup == math.inf and lower > 0.0:
+        sigma = math.sqrt(lower) * math.sqrt(M - lower)
+    else:
+        sigma = _sigma_limit(M, n) if n > 0.0 else (
+            math.sqrt(lower) * math.sqrt(sup - lower)
+            * math.sqrt((M - lower) / (sup - M)))
     # the root lies above about 2e-7 lower (or near the untruncated sigma)
-    # and below about 3e6 upper: E is within its noise of an end beyond.
-    # tol is far above that noise, as chi_calibrate's is above V's
+    # and below about 3e6 upper, or inner 1e8 M (where n > 0, below M over
+    # the untruncated mean per sigma): E is within its noise of an end
+    # beyond.  tol is far above that noise, as chi_calibrate's is above V's
     return _roots.newton(
         g, sigma, M, increasing=True,
-        domain=(1e-8 * min(lower, sigma), 1e8 * upper),
+        domain=(1e-8 * min(lower or sigma, sigma),
+                1e8 * (upper if upper < math.inf else max(sigma, M))),
         what=f"sigma giving mean {M:g} on [{lower:g}, {upper:g}] at n={n:g}",
         noise_evals=1, log=True, tol=1e-10 * M)
+
+
+def _form1_sigma(v: float, spec: ScaledChiSpec) -> float:
+    """The sigma that puts the variance m2 - m1^2 of ``spec``'s support at
+    v, by Newton steps in ln sigma from ``spec.sigma`` on the slope dV/d ln
+    sigma = (m4 - m2^2 - 2 m1 (m3 - m1 m2)) / sigma^2.  Where V rises to a
+    peak in sigma and falls to its limit beyond (outer truncation,
+    windows), it is the root on the seed's side of the peak; a v above the
+    peak, or no root to 1e-10 (m2 + v), m2 at the seed, is a ValueError
+    naming the range searched."""
+
+    def var(sigma: float) -> tuple[float, float]:  # V and its slope
+        m1, m2, m3, m4 = (chi_raw_moment(spec._replace(sigma=sigma), k)
+                          for k in (1, 2, 3, 4))
+        return m2 - m1 * m1, (m4 - m2 * m2 - 2.0 * m1 * (m3 - m1 * m2)) / (
+            sigma * sigma)
+
+    def g(sigma: float) -> tuple[float, float]:
+        # a sigma past the peak, seen from the seed, reads as above the
+        # target: the root on the seed's side lies back towards the seed
+        value, slope = var(sigma)
+        return (value, slope) if (slope > 0.0) == rising else (math.inf,
+                                                               math.nan)
+
+    rising = var(spec.sigma)[1] > 0.0  # the seed's side of the peak
+    return _roots.newton(
+        g, spec.sigma, v, increasing=rising, log=True, slope=True,
+        domain=(1e-8 * spec.sigma, 1e8 * spec.sigma), noise_evals=1,
+        tol=1e-10 * (chi_raw_moment(spec, 2) + v), what=f"sigma giving "
+        f"variance {v:g} on [{spec.lower:g}, {spec.upper:g}] at n={spec.n:g}")
 
 
 def _sigma_limit(M: float, n: float) -> float:

@@ -1,26 +1,24 @@
 """Fit a truncated Gaussian or scaled chi model to a sample: sigma three
-ways, their divergence, and the histogram RMSE of the model density."""
+ways, their divergence, and the histogram RMSE of the model density.
+
+Each sigma is one Newton solve at the fixed cutoffs.  The Gaussian's are
+taken at the calibrated location mu0: from the mean by Newton steps in
+ln sigma seeded at the calibrated sigma0, from Form I and Form II by
+``calibrate.sigma_newton``.  The chi's mean-based sigma is
+``chi.double_sigma``'s, on any support; its Form I sigma takes Newton
+steps in ln sigma from the mean-based one, and where the variance rises
+to a peak in sigma and falls again (outer truncation, windows) it is the
+root on the branch of that seed; its Form II sigma is
+``chi.chi_calibrate``'s.  An estimate without a root is None, with the
+solver's message in ``warnings``.
+"""
 
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Sequence
 
-from . import _roots
-
 __all__ = ["fit_sample"]
-
-
-def _solve_scalar(f, lo: float, hi: float):
-    """Root of f in the first sign-changing cell of a 200-point log-spaced
-    scan of [lo, hi]; None if no sign change shows up."""
-    grid = [lo * (hi / lo) ** (k / 199) for k in range(200)]
-    try:
-        return _roots.brentq(f, *_roots.scan(f, grid, what="sigma"),
-                             what="sigma")
-    except ValueError:
-        return None
 
 
 _ESTIMATES = ("mean_based", "form1", "form2")
@@ -30,10 +28,17 @@ _MODEL_SIGMA = {"gauss": ("form2", "form1", "mean_based"),
                 "chi": ("mean_based", "form1")}
 
 
+def _solve(est: dict, key: str, warnings: list[str], solve, *args) -> None:
+    # est[key] from solve(*args), or the solver's no-root message
+    try:
+        est[key] = solve(*args)
+    except ValueError as exc:
+        warnings.append(str(exc))
+
+
 def _fit_gauss(M: float, v: float, a: float, warnings: list[str]):
     from . import calibrate, utgd
     from .specfun import xi
-    from .utgd import TruncatedGaussianSpec
 
     est = dict.fromkeys(_ESTIMATES)
     try:  # names the bound that an unattainable sample misses
@@ -42,31 +47,11 @@ def _fit_gauss(M: float, v: float, a: float, warnings: list[str]):
         warnings.append(str(exc))
         return est, None
     # three single-functional sigma estimates at the calibrated location
-    mu0, sigma0 = res.mu0, res.sigma0
-    r0 = (mu0 - a) / sigma0
-    t = utgd.inverse_mills(r0)
-    # at fixed mu0 the mean moves with sigma at the rate t*(1 + r*(r + t));
-    # once the truncated mass is so small that the rounding of M alone moves
-    # the root by more than 1e-8 relative, the mean pins no sigma
-    if r0 > 0.0 and abs(M) * sys.float_info.epsilon > \
-            1e-8 * sigma0 * t * (1.0 + r0 * (r0 + t)):
-        warnings.append(
-            f"mean-based estimate omitted: the truncated mass "
-            f"{0.5 * math.erfc(r0 / math.sqrt(2.0)):.3g} (r = {r0:.3g}) is "
-            f"too small for the sample mean to determine sigma")
-    elif mu0 == a:
-        est["mean_based"] = utgd.sigma_from_mean_r(M, 0.0, a)
-    else:
-        est["mean_based"] = _solve_scalar(
-            lambda s: utgd.mean_from_params(TruncatedGaussianSpec(mu0, s, a)) - M,
-            1e-6 * (M - a), 1e3 * (M - a))
-    try:
-        est["form1"] = calibrate.sigma_newton(v, mu0, a, M,
-                                              calibrate.VarianceForm.I)
-        est["form2"] = calibrate.sigma_newton(v, mu0, a, M,
-                                              calibrate.VarianceForm.II)
-    except ValueError as exc:
-        warnings.append(str(exc))
+    mu0 = res.mu0
+    _solve(est, "mean_based", warnings, calibrate._sigma_from_mean, M, mu0,
+           a, res.sigma0)
+    for key, form in zip(("form1", "form2"), calibrate.VarianceForm):
+        _solve(est, key, warnings, calibrate.sigma_newton, v, mu0, a, M, form)
 
     def density(sigma: float):
         # (t(r)/sigma) e^(d (r - d/2)), d = (x - a)/sigma >= 0: the Mills-ratio
@@ -86,34 +71,27 @@ def _fit_gauss(M: float, v: float, a: float, warnings: list[str]):
     return est, density
 
 
-def _fit_chi(M: float, v: float, n: float, lo: float | None,
-             up: float | None, warnings: list[str]):
+def _fit_chi(M: float, v: float, n: float, a1: float, a2: float,
+             warnings: list[str]):
+    # the support [a1, a2]: a1 = 0 outer, a2 = inf inner
     from . import chi
     from .chi import ChiKind, ScaledChiSpec
 
-    if lo is not None and up is not None:
-        kind, a1, a2 = ChiKind.DOUBLE, lo, up
-    elif up is not None:
-        kind, a1, a2 = ChiKind.OUTER, 0.0, up
-    else:
-        kind, a1, a2 = ChiKind.INNER, lo if lo is not None else 0.0, math.inf
-
-    def spec(sigma: float) -> ScaledChiSpec:
-        return ScaledChiSpec(sigma, n, lower=a1, upper=a2, kind=kind)
-
+    kind = chi._support_kind(a1, a2)
     est = dict.fromkeys(_ESTIMATES)
-    s_hi = max(M, a1, 0.0 if math.isinf(a2) else a2) * 1e3 + 1.0
-    est["mean_based"] = _solve_scalar(
-        lambda s: chi.chi_raw_moment(spec(s), 1) - M, M * 1e-6, s_hi)
-    est["form1"] = _solve_scalar(
-        lambda s: chi.chi_var_form1(spec(s)) - v, M * 1e-6, s_hi)
+    _solve(est, "mean_based", warnings, chi.double_sigma, M, n, a1, a2)
+    if est["mean_based"] is None:
+        warnings.append("Form I estimate omitted: its Newton steps start "
+                        "from the mean-based sigma")
+    else:  # the root on the mean-based sigma's side of V's peak
+        _solve(est, "form1", warnings, chi._form1_sigma, v,
+               ScaledChiSpec(est["mean_based"], n, a1, a2, kind))
     implied_cutoff = None
     if kind is ChiKind.DOUBLE:
         warnings.append("Form II estimate is undefined for a two-sided window")
     else:
         try:
-            _, s2, implied_cutoff = chi.chi_calibrate(M, v, n, kind)
-            est["form2"] = s2
+            _, est["form2"], implied_cutoff = chi.chi_calibrate(M, v, n, kind)
         except ValueError as exc:
             if kind is ChiKind.INNER and \
                     v < 1.05 * chi.chi_limits(n, kind, "r_to_0", M)[0]:
@@ -128,7 +106,7 @@ def _fit_chi(M: float, v: float, n: float, lo: float | None,
                 warnings.append(f"anomalous: {exc}")
 
     def density(sigma: float):
-        at = spec(sigma)
+        at = ScaledChiSpec(sigma, n, a1, a2, kind)
         return lambda x: chi.chi_density(at, x)
 
     return est, density, implied_cutoff
@@ -164,16 +142,15 @@ def fit_sample(data: Sequence[float], model: str, dim: float | None = None,
 
     M, v = float(values.mean()), float(values.var(ddof=1))
     est, density, implied_cutoff = dict.fromkeys(_ESTIMATES), None, None
-    if model == "gauss":
-        a = lower if lower is not None else float(values.min())
-        if not refused:
-            est, density = _fit_gauss(M, v, a, warnings)
-        window = {"lower": a, "upper": upper}
-    else:
-        if not refused:
-            est, density, implied_cutoff = _fit_chi(M, v, dim, lower, upper,
-                                                    warnings)
-        window = {"lower": lower, "upper": upper}
+    if model == "gauss" and lower is None:
+        lower = float(values.min())
+    window = {"lower": lower, "upper": upper}
+    if model == "gauss" and not refused:
+        est, density = _fit_gauss(M, v, lower, warnings)
+    elif not refused:
+        est, density, implied_cutoff = _fit_chi(
+            M, v, dim, lower or 0.0, math.inf if upper is None else upper,
+            warnings)
 
     present = [s for s in est.values() if s is not None]
     divergence = (max(present) - min(present)) / min(present) \
@@ -183,11 +160,10 @@ def fit_sample(data: Sequence[float], model: str, dim: float | None = None,
 
     rmse = None
     if model_sigma is not None:
-        sigma = est[model_sigma]
         hist, edges = np.histogram(values, bins=bins if bins else "fd",
                                    density=True)
         centers = 0.5 * (edges[1:] + edges[:-1])
-        pdf = density(sigma)
+        pdf = density(est[model_sigma])
         curve = np.array([pdf(c) for c in centers])
         # both curves integrate to 1 over the window by construction
         rmse = float(np.sqrt(np.mean((hist - curve) ** 2)))

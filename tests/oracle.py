@@ -5,8 +5,10 @@ come from adaptive quadrature of the bare density, the truncated Gaussian's
 scaled quantities from their definitions in mpmath, and distributions can
 also be sampled by rejection from their untruncated parents.  Tests compare
 the analytic expressions against these estimates.  ``expand`` is the
-bracket search of the package's former expand-then-Brent solvers, which
-tests rebuild as references for the solvers that replaced them.
+bracket search of the package's former expand-then-Brent solvers,
+``brentq`` their Brent solve and ``grid_root`` the former grid search of
+the ``fit`` command's sigma estimates; tests rebuild the former solvers
+from them as references for the solvers that replaced them.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
-from trunc_moments._roots import _eval, _fail, _straddles
+from trunc_moments._roots import _brent, _eval, _fail, _straddles, scan
 from trunc_moments.chi import ScaledChiSpec
 from trunc_moments.utgd import Side, TruncatedGaussianSpec
 
-__all__ = ["OracleEstimate", "SampleSummary", "expand", "mp_gauss",
-           "quad_moment", "sample_truncated"]
+__all__ = ["OracleEstimate", "SampleSummary", "brentq", "expand",
+           "grid_root", "mp_gauss", "quad_moment", "sample_truncated"]
 
 
 @dataclass(frozen=True)
@@ -123,6 +125,33 @@ def expand(f, a: float, b: float, *, increasing: bool, what: str,
         else:
             a, fa = x, _eval(f, x)
     return a, b, fa, fb
+
+
+def brentq(f, a: float, b: float, fa: float | None = None,
+           fb: float | None = None, *, what: str,
+           xtol: float = 1e-300) -> float:
+    """Root of f in [a, b] by Brent's steps (``_roots._brent``), which port
+    scipy's brentq step for step; fa and fb are f(a) and f(b) if already
+    known.  No sign change over [a, b], or a step where f turns undefined,
+    raises the no-root error."""
+    a, b = float(a), float(b)
+    fa = _eval(f, a) if fa is None else fa
+    fb = _eval(f, b) if fb is None else fb
+    x = _brent(f, a, b, fa, fb, xtol, False) if _straddles(fa, fb) else None
+    if x is None:
+        raise _fail(what, a, b)
+    return x
+
+
+def grid_root(f, lo: float, hi: float):
+    """Root of f in the first sign-changing cell of a 200-point log-spaced
+    grid on [lo, hi] (``_roots.scan``), by ``brentq``; None if no sign
+    change shows up.  This was ``fitting._solve_scalar``."""
+    grid = [lo * (hi / lo) ** (k / 199) for k in range(200)]
+    try:
+        return brentq(f, *scan(f, grid, what="sigma"), what="sigma")
+    except ValueError:
+        return None
 
 
 def _sample_gauss(spec: TruncatedGaussianSpec, count: int,

@@ -103,7 +103,7 @@ def former_sigma_form1(target_var: float, u: float) -> float:
     what = f"Form I offset r for variance {target_var:g}"
     bracket = oracle.expand(f, lo, hi, increasing=u < 0.0, what=what,
                             tiny=1e-280, huge=1e12)
-    return u / _roots.brentq(f, *bracket, what=what)
+    return u / oracle.brentq(f, *bracket, what=what)
 
 
 def q_noise(r: float) -> float:
@@ -296,7 +296,7 @@ def _former_solve_U_approx2(vhat):
         return u * u / w - (vhat + 1.0 - u)
 
     _, lo, _, glo = _roots.scan(g, grid, what="function-2 location U")
-    return _roots.brentq(g, lo, grid[0], glo, what="function-2 location U",
+    return oracle.brentq(g, lo, grid[0], glo, what="function-2 location U",
                          xtol=1e-12)
 
 
@@ -519,7 +519,7 @@ def test_switch_point_value():
     # normalized variance where the two approximating functions hand over,
     # U = r/s(r) = 0.9: the literal is the Brent root that approx_switch_vhat
     # solved for on first use, bit for bit
-    r = _roots.brentq(lambda r: r / utgd._core(r)[1] - 0.9, 0.0, 10.0,
+    r = oracle.brentq(lambda r: r / utgd._core(r)[1] - 0.9, 0.0, 10.0,
                       what="offset r at U = 0.9", xtol=1e-15)
     assert calibrate.approx_switch_vhat() == utgd.normalized_variance(r)
     with mpmath.workdps(40):

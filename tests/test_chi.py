@@ -2,12 +2,13 @@ import math
 import sys
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from trunc_moments import _nvmx_slope, _roots, chi, utgd
+from trunc_moments import _nvmx_slope, chi, utgd
 from trunc_moments.chi import (
     ChiKind,
     ScaledChiSpec,
@@ -705,6 +706,57 @@ class TestCalibrate:
         mean = math.sqrt(2.0) * sigma * mp_window_ratio(n, y1, y2, 1)
         assert mean == pytest.approx(M, rel=1e-12)
 
+    def test_double_sigma_on_every_support(self, monkeypatch):
+        # inner (upper = inf) and outer (lower = 0) supports too: within
+        # 1e-12 of the former grid search's root (200 log-spaced sigmas,
+        # then Brent), in at most 6 kernel evaluations a solve
+        calls, ratio = [], chi._ratio
+
+        def counted(*args):
+            calls.append(args)
+            return ratio(*args)
+
+        monkeypatch.setattr(chi, "_ratio", counted)
+        rng = np.random.default_rng(39)
+        for i in range(300):
+            n = float(rng.uniform(-0.5, 8.0))
+            kind = (ChiKind.INNER, ChiKind.OUTER, ChiKind.DOUBLE)[i % 3]
+            sigma = float(np.exp(rng.uniform(-1.0, 1.0)))
+            if kind is ChiKind.INNER:
+                lower, upper = sigma * float(rng.uniform(0.1, 4.0)), math.inf
+            elif kind is ChiKind.OUTER:
+                n = abs(n) + 0.1
+                lower, upper = 0.0, sigma * float(rng.uniform(0.5, 4.0))
+            else:
+                lower = sigma * float(rng.uniform(0.1, 3.0))
+                upper = lower + sigma * float(rng.uniform(0.5, 3.0))
+
+            def spec(s):
+                return ScaledChiSpec(s, n, lower=lower, upper=upper,
+                                     kind=kind)
+
+            M = chi_raw_moment(spec(sigma), 1)
+            del calls[:]
+            got = double_sigma(M, n, lower, upper)
+            assert len(calls) <= 6, (i, len(calls))
+            want = oracle.grid_root(
+                lambda s: chi_raw_moment(spec(s), 1) - M, 1e-6 * M,
+                1e3 * max(M, lower, 0.0 if kind is ChiKind.INNER
+                          else upper) + 1.0)
+            assert got == pytest.approx(want, rel=1e-12), (i, kind, n)
+
+    def test_double_sigma_untruncated_and_one_sided_bounds(self):
+        # lower = 0 and upper = inf: the untruncated sigma
+        sigma = double_sigma(1.7, 3.0, 0.0, math.inf)
+        assert sigma == pytest.approx(chi._sigma_limit(1.7, 3.0), rel=1e-15)
+        for lower, upper, kind in ((0.0, 2.0, "outer"), (1.0, math.inf,
+                                                          "inner")):
+            with pytest.raises(ValueError, match=(
+                    rf"^the {kind}-truncated mean on \[{lower:g}, "
+                    rf"{upper:g}\] at n=3 is confined to")):
+                double_sigma(5.0 if kind == "outer" else 0.5, 3.0, lower,
+                             upper)
+
     @pytest.mark.parametrize("n", [50.0, 200.0])
     def test_high_dimension_roundtrip(self, n):
         # the variance is flat to rounding over |r| <= 1 at such n
@@ -907,7 +959,7 @@ class TestVmax:
             m = max(nvmx_approx(r) + 1.0, 1e-3)
             a, b, fa, fb = oracle.expand(slope, 0.95 * m, 1.05 * m,
                                          increasing=False, what="n_vmx")
-            return _roots.brentq(slope, a, b, fa, fb, what="n_vmx",
+            return oracle.brentq(slope, a, b, fa, fb, what="n_vmx",
                                  xtol=1e-13 * max(1.0, a)) - 1.0
 
         grid = [10.0 ** (-60.0 + 63.0 * i / 299) for i in range(300)]

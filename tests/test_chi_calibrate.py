@@ -9,7 +9,7 @@ import math
 import pytest
 
 import oracle
-from trunc_moments import _roots, chi
+from trunc_moments import chi
 from trunc_moments.chi import (ChiKind, LimitDirection, chi_calibrate,
                                chi_var_form2)
 
@@ -37,7 +37,7 @@ def former_chi_calibrate(M: float, target_var: float, n: float,
     what = f"offset |r| with {kind.value}-truncation variance {target_var:g}"
     bracket = oracle.expand(g, 1e-10, 1.0, increasing=kind is ChiKind.OUTER,
                             what=what, huge=1e6)
-    return _roots.brentq(g, *bracket, what=what)
+    return oracle.brentq(g, *bracket, what=what)
 
 
 def limits(M: float, n: float, kind: ChiKind) -> tuple[float, float]:

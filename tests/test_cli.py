@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import oracle
 import trunc_moments
 from trunc_moments import cli, fitting, tables
-from trunc_moments.chi import ChiKind
+from trunc_moments.chi import ChiKind, ScaledChiSpec, chi_var_form1
 from trunc_moments.utgd import Side
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -765,8 +765,7 @@ def test_fit_header_column(capsys, tmp_path):
 
 
 def test_fit_chi_double_window(capsys, tmp_path):
-    # small trial sigmas empty the window (its mass underflows); the scan
-    # for the sigma estimates must step over them
+    # a folded normal on [0.5, 4]: both estimates solve on the window
     f = tmp_path / "radii.txt"
     rng = np.random.default_rng(3)
     _write_column(f, (1.5 * np.abs(rng.normal(size=4000))).tolist())
@@ -777,6 +776,47 @@ def test_fit_chi_double_window(capsys, tmp_path):
     est = doc["sigma_estimates"]
     assert est["mean_based"] == pytest.approx(1.5, rel=0.05)
     assert est["form1"] == pytest.approx(1.5, rel=0.05)
+
+
+def _var_slope(spec):
+    """dV/d ln sigma of a chi spec, by a central difference in ln sigma."""
+    h = 1e-3
+    return (chi_var_form1(spec._replace(sigma=spec.sigma * math.exp(h)))
+            - chi_var_form1(spec._replace(sigma=spec.sigma * math.exp(-h)))
+            ) / (2.0 * h)
+
+
+@pytest.mark.parametrize("n, sigma, lower, upper", [
+    # at fixed cutoffs V(sigma) rises to a peak and falls to its limit;
+    # each sigma is about twice the peak's, on the falling branch, where a
+    # search up from small sigma meets the rising branch's root first
+    (2.0, 1.34, 0.0, 1.0), (3.0, 0.91, 0.0, 1.0), (5.0, 0.66, 0.0, 1.0),
+    (8.0, 0.52, 0.0, 1.0), (2.0, 2.47, 0.5, 1.5), (3.0, 1.57, 0.5, 1.5),
+    (5.0, 1.07, 0.5, 1.5), (8.0, 0.80, 0.5, 1.5),
+])
+def test_fit_chi_form1_on_the_generating_branch(n, sigma, lower, upper):
+    kind = ChiKind.OUTER if lower == 0.0 else ChiKind.DOUBLE
+    spec = ScaledChiSpec(sigma, n, lower=lower, upper=upper, kind=kind)
+    x = oracle._sample_chi(spec, 200_000, np.random.default_rng(int(n)))
+    fit = fitting.fit_sample(x, "chi", n, lower or None, upper)
+    s1 = fit["sigma_estimates"]["form1"]
+    slope = _var_slope(spec)
+    assert slope < 0.0
+    assert _var_slope(spec._replace(sigma=s1)) < 0.0, s1
+    # the sample variance's standard error through dV / d ln sigma
+    c = x - x.mean()
+    var_se = math.sqrt((np.mean(c ** 4) - np.var(c) ** 2) / x.size)
+    assert abs(s1 - sigma) <= 4.0 * sigma * var_se / abs(slope), s1
+
+
+def test_fit_chi_names_a_missing_form1_root():
+    # outer at upper = 1, n = 2: V(sigma) peaks at 0.0587 (sigma = 0.67),
+    # far below this sample's variance 0.2045
+    fit = fitting.fit_sample([0.05, 0.95] * 50, "chi", 2.0, upper=1.0)
+    assert fit["sigma_estimates"]["mean_based"] is not None
+    assert fit["sigma_estimates"]["form1"] is None
+    assert any(w.startswith("no sigma giving variance 0.204545 on [0, 1] "
+                            "at n=2 in [") for w in fit["warnings"])
 
 
 def test_fit_chi_requires_dim(capsys, tmp_path):

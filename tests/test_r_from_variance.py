@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from trunc_moments import _roots, calibrate, utgd
+from trunc_moments import calibrate, utgd
 from trunc_moments.calibrate import r_from_variance
 
 HALF_PI_M1 = math.pi / 2.0 - 1.0  # vhat(0), the half-normal
@@ -37,7 +37,7 @@ def former_r_from_variance(vhat_target: float) -> float:
         return utgd.normalized_variance(r) - vhat_target
 
     what = f"offset r with normalized variance {vhat_target:g}"
-    return _roots.brentq(f, *oracle.expand(
+    return oracle.brentq(f, *oracle.expand(
         f, -1.0, 1.0, increasing=False, what=what), what=what)
 
 
