@@ -9,8 +9,10 @@ moments that are ratios of incomplete gamma functions::
 
 with W(t) the integral of y^(t-1) e^-y over the kept support in y: the
 upper, lower or generalized incomplete gamma for inner, outer or double
-truncation.  The dimensionality n is a real number throughout --
-fractional and negative n are first-class, subject to per-operation poles.
+truncation.  The dimensionality n is a real number throughout: fractional
+n are first-class, and so are negative n for inner truncation and windows,
+subject to per-operation poles.  Outer truncation needs n > 0: below, the
+mass on [0, cutoff] diverges at the origin.
 
 The normalized offset is |r| = a/sigma.  For fixed M and |r| the variance
 has an interior maximum in n ("vmx" quantities); for fixed M and n it is
@@ -25,7 +27,7 @@ from enum import Enum
 
 from . import _roots
 from .specfun import (_dompart, _erfcx, _exp, _gamma_inc, _gamma_p_series,
-                      _gamma_upper_scaled, _xs, gamma_lower)
+                      _gamma_upper_scaled, _xs)
 
 __all__ = [
     "ChiKind",
@@ -65,22 +67,27 @@ class LimitDirection(str, Enum):
     R_TO_INF = "r_to_inf"
 
 
-class ScaledChiSpec(namedtuple("ScaledChiSpec",
-                               "sigma n lower upper kind extended")):
+def _outer_n(n: float) -> None:
+    # the one refusal of outer truncation at n <= 0, for every entry point;
+    # also where n/2 rounds to 0 (the smallest subnormal n), as the mass
+    # ~ 2/n leaves the double range and the lower kernels need n/2 > 0
+    if not n / 2.0 > 0.0:
+        raise ValueError(f"outer truncation needs n > 0: at n = {n:g} the "
+                         f"mass on [0, cutoff] diverges at the origin")
+
+
+class ScaledChiSpec(namedtuple("ScaledChiSpec", "sigma n lower upper kind")):
     """Scaled chi distribution with truncated radial support.
 
     Support is [lower, inf) for INNER, [0, upper] for OUTER and
-    [lower, upper] for DOUBLE.  ``extended`` admits the analytic
-    continuation of outer-truncation moments to n <= -k (where the
-    defining integrals diverge); leave it off unless you know you want
-    negative-measure cells.
+    [lower, upper] for DOUBLE.  INNER at n <= 0 needs lower > 0 and OUTER
+    needs n > 0: the mass diverges at the origin otherwise.
     """
 
     __slots__ = ()
 
     def __new__(cls, sigma: float, n: float, lower: float = 0.0,
-                upper: float = math.inf, kind: ChiKind = ChiKind.INNER,
-                extended: bool = False):
+                upper: float = math.inf, kind: ChiKind = ChiKind.INNER):
         if not sigma > 0.0:
             raise ValueError("sigma must be positive")
         if lower < 0.0:
@@ -98,14 +105,11 @@ class ScaledChiSpec(namedtuple("ScaledChiSpec",
                 raise ValueError("outer truncation takes no lower cutoff")
             if not 0.0 < upper < math.inf:
                 raise ValueError("outer truncation needs a finite cutoff")
-            if n <= 0.0 and not extended:
-                raise ValueError(
-                    "outer truncation with n <= 0 exists only as an analytic "
-                    "continuation; set extended=True to opt in")
+            _outer_n(n)
         else:
             if not 0.0 < lower < upper < math.inf:
                 raise ValueError("double truncation needs 0 < lower < upper < inf")
-        return super().__new__(cls, sigma, n, lower, upper, kind, extended)
+        return super().__new__(cls, sigma, n, lower, upper, kind)
 
     @classmethod
     def _make(cls, iterable):
@@ -141,27 +145,35 @@ NVMX_DEFAULT_PARAMS = NvmxFitParams(
     d1=0.005395899517140, d2=0.044337051307607, d3=1.360279573341640)
 
 
+def _lower_edge(n: float, lower: float, upper: float, sigma: float,
+                y1: float) -> None:
+    # a positive lower cutoff whose y1 underflows to 0 would read as outer
+    # truncation, whose mass at n <= 0 diverges at the origin
+    if y1 == 0.0 < lower and n <= 0.0:
+        raise ValueError(
+            f"the window [{lower:g}, {upper:g}] at sigma = {sigma:g}: y1 = "
+            f"(lower/sigma)^2/2 underflows to 0, and at n = {n:g} <= 0 the "
+            f"mass it bounds diverges as y1 -> 0")
+
+
 def chi_density(spec: ScaledChiSpec, R: float) -> float:
     """Probability density of the truncated radius at R; inf where it
-    exceeds the double range (at sigma = 1e-310, say).  On the outer
-    continuation (n <= 0) it carries the sign of the continued mass."""
+    exceeds the double range (at sigma = 1e-310, say).  At n <= 0 a
+    support whose y1 = (lower/sigma)^2/2 underflows to 0 is a ValueError
+    naming it."""
     if R < spec.lower or R > spec.upper or R < 0.0:
         return 0.0
-    s, y1, y2 = spec.n / 2.0, spec.y1, spec.y2
+    y1 = spec.y1
+    _lower_edge(spec.n, spec.lower, spec.upper, spec.sigma, y1)
+    lnorm = _log_mass(spec.n / 2.0, y1, spec.y2)
     z = R / (_SQRT2 * spec.sigma)
-    sign = 1.0
-    if y1 == 0.0 and s <= 0.0:  # the outer continuation: a signed mass
-        norm = _lower_mass(s, y2)
-        sign, lnorm = math.copysign(1.0, norm), math.log(abs(norm))
-    else:
-        lnorm = _log_mass(s, y1, y2)
     if z == 0.0 and spec.n != 1.0:  # the origin: a zero, or a pole below n = 1
-        return 0.0 if spec.n > 1.0 else sign * math.inf
+        return 0.0 if spec.n > 1.0 else math.inf
     # log-space: z**(n-1) alone can overflow long before exp(-z*z) pulls
     # the product back down
     lp = (math.log(2.0) + (spec.n - 1.0) * (math.log(z) if z else 0.0)
           - z * z - math.log(_SQRT2 * spec.sigma) - lnorm)
-    return sign * (_exp(lp) if lp > -745.0 else 0.0)
+    return _exp(lp) if lp > -745.0 else 0.0
 
 
 def chi_raw_moment(spec: ScaledChiSpec, k: int) -> float:
@@ -188,15 +200,16 @@ def chi_raw_moment(spec: ScaledChiSpec, k: int) -> float:
     k <= 3 and n in [-30, 1e4] within 5e-14 relative of mpmath below,
     across and above the bulk (1.5e-14 measured), and narrow windows lose
     no digits (5.6e-15 measured down to a width in y of 1e-10 y(lower)).
-    The outer continuation to n <= 0 (``extended``) divides the raw lower
-    gammas, which have no scaled form, and names their poles.  A moment
-    beyond the double range reads inf, signed as the moment (the second at
-    sigma = 1e160, say).
+    At n <= 0 a support whose y1 underflows to 0 is a ValueError naming
+    it, as in ``chi_density``.  A moment beyond the double range reads inf
+    (the second at sigma = 1e160, say).
     """
     if k < 0:
         raise ValueError("moment order must be nonnegative")
+    y1 = spec.y1
+    _lower_edge(spec.n, spec.lower, spec.upper, spec.sigma, y1)
     scale = _SQRT2 * spec.sigma
-    ratio = _ratio(spec.n / 2.0, spec.y1, spec.y2, k)
+    ratio = _ratio(spec.n / 2.0, y1, spec.y2, k)
     try:
         return scale ** k * ratio
     except OverflowError:  # scale**k alone leaves the double range
@@ -226,12 +239,13 @@ def chi_sigma_from_mean(M: float, r_abs: float, n: float,
     Inner truncation at n <= 0 takes the scaled ratio that
     ``chi_raw_moment`` states: within 1e-14 relative for n in [-40, 0]
     and |r| in [1e-10, 1000] (5.7e-15 measured).  There |r| = 0 raises
-    ValueError: the mass diverges.  The outer continuation to n <= 0
-    divides the raw lower gammas, as ``chi_raw_moment`` does.
+    ValueError: the mass diverges.  So does outer truncation at n <= 0.
     """
     kind = ChiKind(kind)
     if kind is ChiKind.DOUBLE:
         raise ValueError("double truncation is parameterized by cutoffs, not r")
+    if kind is ChiKind.OUTER:
+        _outer_n(n)
     if not M > 0.0:
         raise ValueError("M must be positive")
     if r_abs < 0.0:
@@ -241,7 +255,7 @@ def chi_sigma_from_mean(M: float, r_abs: float, n: float,
         raise ValueError(f"the inner-truncation mass at n = {n:g} <= 0 "
                          f"diverges as |r| -> 0 (|r| = {r_abs:g})")
     if y == 0.0 and kind is ChiKind.OUTER:  # the support shrinks to 0
-        return chi_limits(n, kind, LimitDirection.R_TO_0, M, True)[1]
+        return math.inf
     y1, y2 = (0.0, y) if kind is ChiKind.OUTER else (y, math.inf)
     return (M / _SQRT2) / _ratio(n / 2.0, y1, y2, 1)
 
@@ -407,21 +421,10 @@ def _share(t: float, near: float, far: float, lower: bool) -> float:
     return -math.expm1(math.log(hf / hn) + (near - far) + 2.0 * t * c)
 
 
-def _lower_mass(t: float, y: float) -> float:
-    # gamma(t, y) = Gamma(t) - Gamma(t, y), the outer mass continued to
-    # t <= 0: a signed difference with no scaled form
-    if t <= 0.0 and t == round(t):
-        raise ValueError(f"the outer-truncation mass continued to order "
-                         f"(n + k)/2 = {t:g} hits a gamma pole")
-    return gamma_lower(t, y)
-
-
 def _ratio(s: float, y1: float, y2: float, k: int) -> float:
     # W(s + k/2) / W(s), W(t) the integral of y^(t-1) e^-y over the support
     # [y1, y2] (inner y2 = inf, outer y1 = 0): the one-sided ratio at the
     # edge on the bulk's side times each order's share of it
-    if y1 == 0.0 and s <= 0.0 and y2 < math.inf:  # the outer continuation
-        return _lower_mass(s + 0.5 * k, y2) / _lower_mass(s, y2)
     near, far, lower = _edges(s, y1, y2)
     return (_edge_ratio(s, near, k, lower) / _share(s, near, far, lower)
             * _share(s + 0.5 * k, near, far, lower))
@@ -431,8 +434,8 @@ def _log_mass(s: float, y1: float, y2: float) -> float:
     # ln W(s), W as in _ratio, from the same H, Q or P: W itself under- or
     # overflows long before the density does
     near, far, lower = _edges(s, y1, y2)
-    if math.isinf(near):  # untruncated
-        return math.lgamma(s)
+    if math.isinf(near):  # untruncated; Gamma(s) overflows where s rounds to 0
+        return math.lgamma(s) if s else math.inf
     p, q, h = _gamma_inc(s, near, lower)
     return math.log(_share(s, near, far, lower)) + (
         math.log(h) + s * math.log(near) - near if h is not None
@@ -498,8 +501,7 @@ def _ratio_m1(s: float, y: float,
 
 
 def chi_var_form2(M: float, r_abs: float, n: float,
-                  kind: ChiKind = ChiKind.INNER,
-                  extended: bool = False) -> float:
+                  kind: ChiKind = ChiKind.INNER) -> float:
     """Variance from (M, |r|, n) without solving for sigma first.
 
     Inner and outer truncation with n > 0 take the ratio of two upper or
@@ -525,24 +527,16 @@ def chi_var_form2(M: float, r_abs: float, n: float,
     NaN or inf: for n within about 0.004 of 0 at |r| = 1e-153, 0.08 at
     1e-160, and all of [-2, 0] from 1e-200 down.  At |r| = 0 the inner
     variance is its limit, at n <= 0 infinite from n = -2 up and
-    M^2/(n(n+2)) below.  The outer continuation to n <= 0 divides the raw
-    lower gammas, as ``chi_raw_moment`` does.
+    M^2/(n(n+2)) below.  Outer truncation at n <= 0 is a ValueError: its
+    mass diverges.
     """
     kind = ChiKind(kind)
     if kind is ChiKind.DOUBLE:
         raise ValueError("double truncation is parameterized by cutoffs, not r")
-    if kind is ChiKind.OUTER and n <= -2.0 and not extended:
-        raise ValueError("outer-truncation variance diverges for n <= -2; "
-                         "set extended=True for the analytic continuation")
+    if kind is ChiKind.OUTER:
+        _outer_n(n)
     y = r_abs * r_abs / 2.0
-    if n > 0.0 or kind is ChiKind.INNER:
-        return M * M * _ratio_m1(n / 2.0, y, kind is ChiKind.OUTER)[0]
-    if y == 0.0:
-        return chi_limits(n, kind, LimitDirection.R_TO_0, M, extended)[0]
-    # the outer continuation as two ratios: the square of a mass underflows
-    # long before either ratio does
-    s = n / 2.0
-    return M * M * (_ratio(s + 0.5, 0.0, y, 1) / _ratio(s, 0.0, y, 1) - 1.0)
+    return M * M * _ratio_m1(n / 2.0, y, kind is ChiKind.OUTER)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -551,17 +545,15 @@ def chi_var_form2(M: float, r_abs: float, n: float,
 
 def _var_untruncated(n: float) -> float:
     # V(s) = R(s) - 1 with R(s) = Gamma(s) Gamma(s+1) / Gamma(s+1/2)^2 and
-    # s = n/2, the untruncated variance over M^2, continued to any non-pole
-    # n.  For s > 0: expm1(-2 A - log1p(-1/(4z))), A = _fields(z) at
+    # s = n/2 > 0, the untruncated variance over M^2:
+    # expm1(-2 A - log1p(-1/(4z))), A = _fields(z) at
     # z = s + m >= 10, not at _wallis's 6, as V's relative error is 8z times
     # A's (eight terms from z >= 8 were 5e-15 off); then down to s by
     # V(s) = V(s+1) + (1 + V(s+1)) / (4s(s+1)), a sum of positive terms.
-    # For s <= 0 (n/2 is 0 also for the smallest subnormal n) it is
-    # 2 Gamma(s+1)^2 / (n Gamma(s+1/2)^2) - 1.
+    # n/2 is 0 for the smallest subnormal n, where V is infinite
     s = n / 2.0
-    if s <= 0.0:
-        ratio = math.gamma(s + 1.0) / math.gamma((n + 1.0) / 2.0)
-        return 2.0 * ratio * ratio / n - 1.0
+    if s == 0.0:
+        return math.inf
     m = math.ceil(10.0 - s) if s < 10.0 else 0
     v = math.expm1(-2.0 * _fields(s + m) - math.log1p(-0.25 / (s + m)))
     for j in range(m - 1, -1, -1):
@@ -722,8 +714,8 @@ def chi_calibrate(M: float, target_var: float, n: float,
         raise ValueError("target variance must be positive")
     if kind is ChiKind.DOUBLE:
         raise ValueError("double truncation has no single-|r| calibration")
-    if kind is ChiKind.OUTER and not n > 0.0:
-        raise ValueError("outer-truncation calibration requires n > 0")
+    if kind is ChiKind.OUTER:
+        _outer_n(n)
     lo, sup = sorted(_var_limit(M, n, kind, w) for w in LimitDirection)
     if kind is ChiKind.INNER and target_var >= sup:
         raise ValueError(
@@ -831,6 +823,7 @@ def double_sigma(M: float, n: float, lower: float, upper: float) -> float:
     def g(sigma: float) -> tuple[float, float]:
         r1, r2 = lower / sigma, upper / sigma
         y1, y2 = r1 * r1 / 2.0, r2 * r2 / 2.0
+        _lower_edge(n, lower, upper, sigma, y1)
         w1 = _ratio(s, y1, y2, 1)
         mean = _SQRT2 * sigma * w1
         # dE/dsigma = 2 sqrt(2) (W3 - W1 W2), W_k = _ratio's, and W(t + 1)
@@ -905,31 +898,24 @@ def _form1_sigma(v: float, spec: ScaledChiSpec) -> float:
 
 
 def _sigma_limit(M: float, n: float) -> float:
-    # M Gamma(n/2) / (sqrt(2) Gamma((n+1)/2)), the untruncated sigma; the
-    # ratio is 0 where n/2 rounds to 0, and the sigma there infinite
-    if n > 0.0:
-        c = _complete_ratio(n / 2.0, 1)
-        return (M / _SQRT2) / c if c else math.inf
-    return (M / _SQRT2) * math.gamma(n / 2.0) / math.gamma((n + 1.0) / 2.0)
+    # M Gamma(n/2) / (sqrt(2) Gamma((n+1)/2)) for n > 0, the untruncated
+    # sigma; the ratio is 0 where n/2 rounds to 0, and the sigma there
+    # infinite
+    c = _complete_ratio(n / 2.0, 1)
+    return (M / _SQRT2) / c if c else math.inf
 
 
 def chi_limits(n: float, kind: ChiKind, which: LimitDirection | str,
-               M: float = 1.0,
-               extended: bool = False) -> tuple[float, float, float]:
-    """Closed-form (variance, sigma, cutoff) limits as |r| -> 0 or inf."""
+               M: float = 1.0) -> tuple[float, float, float]:
+    """Closed-form (variance, sigma, cutoff) limits as |r| -> 0 or inf;
+    outer truncation needs n > 0."""
     kind = ChiKind(kind)
     which = LimitDirection(which)
     if kind is ChiKind.DOUBLE:
         raise ValueError("limits are tabulated for single-sided truncation")
-    to_0 = which is LimitDirection.R_TO_0
     if kind is ChiKind.OUTER:
-        if not extended and not n > 0.0:
-            raise ValueError("outer-truncation limits for n <= 0 require "
-                             "extended=True")
-        if n <= 0.0 and float(n / 2.0 if to_0 else n).is_integer():
-            raise ValueError(f"outer r->0 variance limit has a pole at n={n}"
-                             if to_0 else
-                             f"outer r->inf limits have a pole at n={n}")
+        _outer_n(n)
+    to_0 = which is LimitDirection.R_TO_0
     var = _var_limit(M, n, kind, which)
     if kind is ChiKind.INNER:
         if not to_0:
@@ -938,7 +924,5 @@ def chi_limits(n: float, kind: ChiKind, which: LimitDirection | str,
             return var, _sigma_limit(M, n), 0.0
         return var, math.inf, 0.0 if n >= -1.0 else M * (n + 1.0) / n
     if to_0:
-        ok = n > 0.0 or n < -1.0
-        return (var, math.inf if ok else math.nan,
-                M * (n + 1.0) / n if ok else math.nan)
+        return var, math.inf, M * (n + 1.0) / n
     return var, _sigma_limit(M, n), math.inf

@@ -10,15 +10,14 @@ Everything here runs on the standard library's ``math`` module:
   complementary error function it is exact down to arbitrarily negative r.
 * upper/lower incomplete gamma for *real* order, including order <= 0,
   where the regularized ratios are useless.  Negative order is needed for
-  truncated chi distributions continued to negative dimension counts.
+  truncated chi distributions at negative dimension counts.
   For s > 0 they rest on pure-Python regularized P(s, x) and Q(s, x):
   power series, Legendre continued fraction and Temme's uniform expansion
   (Gil, Segura & Temme 2012; DiDonato & Morris 1986).  For s <= 0 the
   upper one rests on the scaled Gamma(s, x) e^x x^-s.
-  ``gamma_upper`` stays public, but no other module calls it
-  (``gamma_lower`` reads it): ``chi`` takes its ratios from the scaled and
-  regularized forms, and ``gamma_lower`` only for the outer continuation
-  to n <= 0.
+  ``gamma_upper`` and ``gamma_lower`` stay public, but no other module
+  calls them (``gamma_lower`` reads ``gamma_upper``): ``chi`` takes its
+  ratios from the scaled and regularized forms (``_gamma_inc``).
 * ``lambert_w0`` -- principal branch Lambert W on [0, inf), by Newton
   steps on w + ln w = ln x; ``_w0_exp(L)`` gives W(e^L) by the same steps
   where e^L would overflow.

@@ -27,6 +27,11 @@ from trunc_moments.chi import (
 )
 
 
+# the one message of every outer entry point at n <= 0
+OUTER_REFUSAL = (r"^outer truncation needs n > 0: at n = \S+ the mass on "
+                 r"\[0, cutoff\] diverges at the origin$")
+
+
 def mp_raw_moment(sigma, n, y1, y2, k, kind, dps=50):
     """Reference moment straight from the radial-density integral."""
     with mpmath.workdps(dps):
@@ -121,17 +126,19 @@ class TestRawMoments:
         assert 50.0 < m1 < 50.1  # mean hugs the cutoff, exponential-tail style
         assert chi_var_form1(spec) > 0.0
 
-    def test_outer_negative_n_needs_opt_in(self):
-        with pytest.raises(ValueError, match="extended"):
-            ScaledChiSpec(1.0, -1.0, upper=1.0, kind=ChiKind.OUTER)
-        ext = ScaledChiSpec(1.0, -1.0, upper=1.0, kind=ChiKind.OUTER,
-                            extended=True)
-        assert math.isfinite(chi_raw_moment(ext, 2))
-        # (n + k)/2 a nonpositive integer is a genuine gamma pole
-        pole = ScaledChiSpec(1.0, -2.0, upper=1.0, kind=ChiKind.OUTER,
-                             extended=True)
-        with pytest.raises(ValueError, match="pole"):
-            chi_raw_moment(pole, 2)
+    def test_outer_negative_n_is_refused(self):
+        # the mass on [0, cutoff] diverges at the origin from n = 0 down;
+        # the former opt-in continuation to n <= 0 is gone.  n/2 rounds to
+        # 0 at the smallest subnormal n, where chi_var_form2 read negative
+        # outer variances
+        for n in (0.0, -0.5, -1.0, -2.0, -1e300, math.nan, 5e-324):
+            with pytest.raises(ValueError, match=OUTER_REFUSAL) as exc:
+                ScaledChiSpec(1.0, n, upper=1.0, kind=ChiKind.OUTER)
+            assert "extended" not in str(exc.value)
+        assert ScaledChiSpec._fields == ("sigma", "n", "lower", "upper",
+                                         "kind")
+        with pytest.raises(TypeError):
+            ScaledChiSpec(1.0, 1.0, 0.0, 1.0, ChiKind.OUTER, True)
 
 
 class TestDensity:
@@ -178,28 +185,14 @@ class TestDensity:
         assert got == pytest.approx(chi_density(ScaledChiSpec(1.0, n), 1.0),
                                     rel=1e-13)
 
-    def test_outer_continuation_keeps_the_sign_of_its_mass(self):
-        # n = -1: the continued mass gamma(-1/2, 1/2) is negative.  The
-        # density went through z**(n - 1) directly: OverflowError at
-        # R = 1e-300, where it is -inf in log space
-        spec = ScaledChiSpec(1.0, -1.0, upper=1.0, kind=ChiKind.OUTER,
-                             extended=True)
-        assert chi_density(spec, 1e-300) == -math.inf
-        assert chi_density(spec, 0.0) == -math.inf
-        with mpmath.workdps(40):
-            mass = mpmath.gammainc(-0.5, 0, 0.5)
-
-            def want(R):
-                z = mpmath.mpf(R) / mpmath.sqrt(2)
-                return float(2 * z ** -2 * mpmath.exp(-z * z)
-                             / (mpmath.sqrt(2) * mass))
-
-            # ln z**(n - 1) of size 460 is rounded before its exp
-            assert chi_density(spec, 1e-100) == pytest.approx(
-                want(1e-100), rel=2e-13, abs=0.0)
-            for R in (1e-3, 0.1, 0.5, 0.999):
-                assert chi_density(spec, R) == pytest.approx(
-                    want(R), rel=3e-15, abs=0.0)
+    def test_untruncated_where_half_n_rounds_to_zero(self):
+        # n/2 of the smallest subnormal is 0: the mass Gamma(n/2) overflows
+        # and sits at the origin.  Read a gamma-pole error of the outer
+        # continuation, which the untruncated support took
+        spec = ScaledChiSpec(0.7, 5e-324)
+        assert chi_density(spec, 0.0) == math.inf
+        assert chi_density(spec, 0.5) == 0.0
+        assert chi_raw_moment(spec, 1) == 0.0
 
 
 class TestSigmaAndForms:
@@ -374,24 +367,23 @@ class TestInnerAtNonpositiveN:
             assert got == pytest.approx(want, rel=2e-14, abs=0.0)
 
     @pytest.mark.parametrize("n", [-10.0, -0.5, 0.0, 0.3, 3.0])
-    def test_never_takes_raw_masses(self, monkeypatch, n):
-        # only the outer continuation to n <= 0 reads the raw gamma_lower;
-        # inner truncation and windows take the scaled kernel at every n
-        def raw(*args):
-            raise AssertionError("a raw incomplete gamma was divided")
-
-        monkeypatch.setattr(chi, "gamma_lower", raw)
+    def test_never_takes_raw_masses(self, n):
+        # the raw gamma_lower served only the outer continuation to n <= 0,
+        # which is gone: inner truncation and windows take the scaled
+        # kernel at every n, and chi no longer imports it
+        assert not hasattr(chi, "gamma_lower")
+        assert not hasattr(chi, "_lower_mass")
         for r_abs in (1e-10, 0.5, 5.0, 38.0):
             spec = ScaledChiSpec(1.0, n, lower=r_abs)
             window = ScaledChiSpec(1.0, n, lower=r_abs, upper=1.5 * r_abs + 1,
                                    kind=ChiKind.DOUBLE)
-            for k in (1, 2, 3):
-                chi_raw_moment(spec, k)
-                chi_raw_moment(window, k)
-            chi_sigma_from_mean(1.0, r_abs, n)
-            chi_var_form2(1.0, r_abs, n)
-            chi_density(spec, 1.5 * r_abs)
-            chi_density(window, 1.2 * r_abs + 0.5)
+            got = [chi_raw_moment(s, k) for s in (spec, window)
+                   for k in (1, 2, 3)]
+            got += [chi_sigma_from_mean(1.0, r_abs, n),
+                    chi_var_form2(1.0, r_abs, n),
+                    chi_density(spec, 1.5 * r_abs),
+                    chi_density(window, 1.2 * r_abs + 0.5)]
+            assert all(0.0 <= v < math.inf for v in got), got
 
     @pytest.mark.parametrize("n", [0.0, -0.5, -3.0])
     @pytest.mark.parametrize("r_abs", [0.0, 1e-200])
@@ -460,20 +452,20 @@ class TestOuter:
                                    -4.0])
     def test_r_to_0_takes_the_limit(self, n):
         # raised a bare ZeroDivisionError at n = 3 and -1.5: the support
-        # [0, 0] holds no mass.  The answer is chi_limits' or its named pole
-        calls = (lambda: chi_var_form2(2.0, 0.0, n, ChiKind.OUTER,
-                                       extended=True),
-                 lambda: chi_sigma_from_mean(2.0, 0.0, n, ChiKind.OUTER))
-        try:
-            limits = chi_limits(n, ChiKind.OUTER, "r_to_0", 2.0, True)[:2]
-        except ValueError:
+        # [0, 0] holds no mass.  The answer is chi_limits', or at n <= 0
+        # the one refusal of outer truncation
+        calls = (lambda: chi_var_form2(2.0, 0.0, n, ChiKind.OUTER),
+                 lambda: chi_sigma_from_mean(2.0, 0.0, n, ChiKind.OUTER),
+                 lambda: chi_limits(n, ChiKind.OUTER, "r_to_0", 2.0))
+        if n <= 0.0:
             for f in calls:
-                with pytest.raises(ValueError, match="has a pole at n="):
+                with pytest.raises(ValueError, match=OUTER_REFUSAL):
                     f()
-        else:
-            for f, want in zip(calls, limits):
-                got = f()
-                assert got == want or math.isnan(got) and math.isnan(want)
+            return
+        limits = calls[2]()
+        assert limits[1] == math.inf
+        for f, want in zip(calls[:2], limits):
+            assert f() == want
 
     @pytest.mark.parametrize("n", [31.0, 400.0, 1e4])
     @pytest.mark.parametrize("frac", [0.01, 0.5, 0.99])
@@ -561,15 +553,12 @@ class TestDouble:
         ScaledChiSpec(1e160, 3.0),
         ScaledChiSpec(1e160, 3.0, lower=1e150, upper=2e160,
                       kind=ChiKind.DOUBLE),
-        ScaledChiSpec(1e160, -1.5, upper=1e160, kind=ChiKind.OUTER,
-                      extended=True),
     ])
     def test_moment_beyond_the_double_range_reads_inf(self, spec):
-        # (sqrt(2) sigma)**2 raised OverflowError; the moment's sign stays
+        # (sqrt(2) sigma)**2 raised OverflowError
         unit = ScaledChiSpec(1.0, spec.n, spec.lower / spec.sigma,
-                             spec.upper / spec.sigma, spec.kind, spec.extended)
-        assert chi_raw_moment(spec, 2) == math.copysign(
-            math.inf, chi_raw_moment(unit, 2))
+                             spec.upper / spec.sigma, spec.kind)
+        assert chi_raw_moment(spec, 2) == math.inf
         # the first moment stays in range and scales with sigma
         assert chi_raw_moment(spec, 1) == pytest.approx(
             1e160 * chi_raw_moment(unit, 1), rel=1e-13)
@@ -609,23 +598,44 @@ class TestDouble:
 
     @pytest.mark.parametrize("n", [-1.0, -2.0, -3.0, -4.0])
     def test_outer_continuation_poles_are_named(self, n):
-        # "gamma_lower has a pole at non-positive integer s=..." leaked
-        spec = ScaledChiSpec(1.0, n, upper=1.0, kind=ChiKind.OUTER,
-                             extended=True)
-        for f in (lambda: chi_sigma_from_mean(1.0, 1.0, n, ChiKind.OUTER),
-                  lambda: chi_var_form2(1.0, 1.0, n, ChiKind.OUTER,
-                                        extended=True),
-                  lambda: chi_raw_moment(spec, 1),
-                  lambda: chi_var_form1(spec),
-                  lambda: chi_density(spec, 0.5)):
-            try:
-                got = f()
-            except ValueError as exc:
-                assert str(exc).startswith(
-                    "the outer-truncation mass continued to order (n + k)/2")
-                assert "gamma pole" in str(exc)
-            else:
-                assert math.isfinite(got)
+        # the former continuation's gamma poles, and every other n <= 0,
+        # get the one refusal from every outer entry point.  Without an
+        # opt-in, chi_sigma_from_mean read sigma -1.261 at n = -0.5 and
+        # chi_var_form2 variances -1.376 and -1.559 at n = -0.5 and -1.5
+        for m in (n, n + 0.5):
+            for f in (lambda: chi_sigma_from_mean(1.0, 1.0, m, ChiKind.OUTER),
+                      lambda: chi_var_form2(1.0, 1.0, m, ChiKind.OUTER),
+                      lambda: chi_limits(m, ChiKind.OUTER, "r_to_0"),
+                      lambda: chi_calibrate(1.0, 0.1, m, ChiKind.OUTER),
+                      lambda: double_sigma(0.5, m, 0.0, 1.0),
+                      lambda: ScaledChiSpec(1.0, m, upper=1.0,
+                                            kind=ChiKind.OUTER)):
+                with pytest.raises(ValueError, match=OUTER_REFUSAL):
+                    f()
+
+    def test_window_whose_lower_edge_underflows(self):
+        # y1 = (lower/sigma)^2/2 underflows to 0, so the window read as
+        # outer truncation, and at n <= 0 as the signed continuation: the
+        # mean read 1e-18, above the supremum 3.6e-321 of any sigma
+        spec = ScaledChiSpec(1.2533e-25, -1.0000001, 5e-324, 1e-9, "double")
+        assert spec.y1 == 0.0
+        msg = (r"^the window \[4.94066e-324, 1e-09\] at sigma = 1.2533e-25: "
+               r"y1 = \(lower/sigma\)\^2/2 underflows to 0, and at n = -1 "
+               r"<= 0 the mass it bounds diverges as y1 -> 0$")
+        for f in (lambda: chi_raw_moment(spec, 1), lambda: chi_var_form1(spec),
+                  lambda: chi_density(spec, 1e-10)):
+            with pytest.raises(ValueError, match=msg):
+                f()
+        # an inner support too: chi_density read -0.484 at R = 1
+        inner = ScaledChiSpec(1.0, -1.0, lower=1e-170)
+        for f in (lambda: chi_raw_moment(inner, 1),
+                  lambda: chi_density(inner, 1.0)):
+            with pytest.raises(ValueError, match="underflows to 0"):
+                f()
+        # at n > 0 the mass below the underflowed edge is negligible
+        window = ScaledChiSpec(1.0, 0.5, 1e-170, 1.0, "double")
+        outer = ScaledChiSpec(1.0, 0.5, upper=1.0, kind=ChiKind.OUTER)
+        assert chi_raw_moment(window, 1) == chi_raw_moment(outer, 1)
 
 
 class TestCalibrate:
@@ -1021,6 +1031,37 @@ class TestVmax:
         # exp(d2 r^d3) overflowed past |r| = 1233
         assert vmax_fixed_r_approx(r) == 0.0
 
+    @pytest.mark.parametrize("r", [1e-8, 1e-30, 1e-60, 1e-150])
+    def test_search_approaches_its_small_r_limit(self, r):
+        # with L = ln(2/r^2): (1 + n_vmx) L^2 -> 24 (1 - ln 2) and
+        # vmax |r| L^2 -> 2 sqrt(2 pi), both at a rate of about 1/L.  The
+        # error times L reads -3.2 to -10.8 and 6.1 to 5.8 on these r
+        L = math.log(2.0 / (r * r))
+        rep = nvmx_search(1.0, r)
+        assert abs((1.0 + rep.n_vmx_real) * L * L
+                   - 24.0 * (1.0 - math.log(2.0))) <= 12.0 / L
+        assert abs(rep.vmax_real * r * L * L
+                   - 2.0 * math.sqrt(2.0 * math.pi)) <= 7.0 / L
+
+    @pytest.mark.parametrize("r", [10.0, 100.0, 1000.0])
+    def test_search_approaches_its_gaussian_limit(self, r):
+        # chi_n nears N(sqrt(n - 1/2), 1/2) at large n: with rho the
+        # Gaussian offset sqrt(2) (sqrt(n - 1/2) - |r|), V/M^2 nears
+        # Q(rho) / (sqrt(2) |r| + s(rho))^2, s and Q the truncated normal's
+        # mean excess and variance.  Its maximum rho* gives n_vmx near
+        # (|r| + rho*/sqrt(2))^2 + 1/2, relative error 0.29 to 0.38
+        # ln|r| / r^2 here
+        with mpmath.workdps(30):
+            def log_v(p):
+                t = mpmath.npdf(p) / mpmath.ncdf(p)
+                return (mpmath.log(1 - p * t - t * t)
+                        - 2 * mpmath.log(mpmath.sqrt(2) * r + p + t))
+
+            rho = mpmath.findroot(lambda p: mpmath.diff(log_v, p), 2.0)
+            want = float((r + rho / mpmath.sqrt(2)) ** 2 + 0.5)
+        got = nvmx_search(1.0, r).n_vmx_real
+        assert abs(got - want) <= 0.45 * math.log(r) / (r * r) * got
+
     def test_search_small_r(self):
         rep = nvmx_search(1.0, 0.1)
         assert rep.n_vmx_real < 0.0
@@ -1179,10 +1220,13 @@ class TestLimits:
 
     @pytest.mark.parametrize("n", [-1.0, -2.0, -3.0, -4.0])
     def test_outer_r_to_inf_poles_are_named(self, n):
-        # odd n leaked "math domain error" from Gamma((n+1)/2)
-        with pytest.raises(ValueError, match=r"^outer r->inf limits have a "
-                           r"pole at n="):
-            chi_limits(n, ChiKind.OUTER, "r_to_inf", extended=True)
+        # odd n leaked "math domain error" from Gamma((n+1)/2); now every
+        # n <= 0 gets the one refusal of outer truncation, never a NaN or
+        # negative sigma
+        for m in (n, n + 0.5):
+            for which in ("r_to_0", "r_to_inf"):
+                with pytest.raises(ValueError, match=OUTER_REFUSAL):
+                    chi_limits(m, ChiKind.OUTER, which)
 
     def test_sigma_where_half_n_rounds_to_zero(self):
         # n/2 of the smallest subnormal is 0, where the complete gamma

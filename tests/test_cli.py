@@ -415,6 +415,16 @@ def test_calibrate_chi_infeasible(capsys):
     assert "confined to (0.333333, 0.570796);" in err
 
 
+OUTER_REFUSAL = ("outer truncation needs n > 0: at n = -1 the mass on "
+                 "[0, cutoff] diverges at the origin")
+
+
+def test_calibrate_chi_outer_refuses_negative_dim(capsys):
+    code, out, err = run(capsys, "calibrate-chi", "--trunc", "outer",
+                         "--dim", "-1", "--mean", "1", "--var", "0.1")
+    assert (code, out, err) == (2, "", f"infeasible: {OUTER_REFUSAL}\n")
+
+
 def test_calibrate_chi_infeasible_bound_from_the_series(capsys):
     # at n = 62.858 the untruncated variance comes from the Wallis series
     n = 62.858
@@ -513,11 +523,9 @@ def test_calibrate_chi_one_ulp_inside_each_limit(capsys, trunc, dim, mean):
     # variance at its limit, a root past the searched offsets.  Each ends
     # in an answer or a named diagnostic, never a traceback
     from trunc_moments.chi import LimitDirection, _var_limit
-    try:
-        ends = [_var_limit(mean, dim, ChiKind(trunc), w)
-                for w in LimitDirection]
-    except ValueError:  # outer at n = -40: at a pole of the limit
-        ends = [1.0, 2.0]
+    refused = trunc == "outer" and dim <= 0.0  # the mass diverges at 0
+    ends = [1.0, 2.0] if refused else [_var_limit(mean, dim, ChiKind(trunc), w)
+                                       for w in LimitDirection]
     for end, other in (ends, ends[::-1]):
         var = math.nextafter(end, other if other != end else math.inf)
         var = min(max(var, 5e-324), sys.float_info.max)
@@ -531,6 +539,8 @@ def test_calibrate_chi_one_ulp_inside_each_limit(capsys, trunc, dim, mean):
             assert "math domain" not in err and "division" not in err
         else:
             assert json.loads(out)["residuals"]["mean"] < 1e-12
+        if refused:
+            assert err.startswith("infeasible: outer truncation needs n > 0")
 
 
 @pytest.mark.parametrize("var", ["1e-17", "5e-324"])
@@ -817,6 +827,18 @@ def test_fit_chi_names_a_missing_form1_root():
     assert fit["sigma_estimates"]["form1"] is None
     assert any(w.startswith("no sigma giving variance 0.204545 on [0, 1] "
                             "at n=2 in [") for w in fit["warnings"])
+
+
+def test_fit_chi_outer_refuses_negative_dim(capsys, tmp_path):
+    # the warnings told a CLI user to "set extended=True to opt in"
+    f = tmp_path / "data.txt"
+    _write_column(f, [0.5, 1.0, 1.5, 0.2, 1.8, 0.9] * 7)
+    code, doc, err = run_json(capsys, "fit", "--input", str(f), "--model",
+                              "chi", "--dim", "-1", "--upper", "2")
+    assert code == 0
+    assert set(doc["sigma_estimates"].values()) == {None}
+    assert doc["warnings"][0] == OUTER_REFUSAL
+    assert not any("extended" in w for w in doc["warnings"])
 
 
 def test_fit_chi_requires_dim(capsys, tmp_path):

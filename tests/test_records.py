@@ -100,7 +100,6 @@ class ScaledChiSpec:
     lower: float = 0.0
     upper: float = math.inf
     kind: ChiKind = ChiKind.INNER
-    extended: bool = False
 
     def __post_init__(self) -> None:
         if not self.sigma > 0.0:
@@ -120,10 +119,10 @@ class ScaledChiSpec:
                 raise ValueError("outer truncation takes no lower cutoff")
             if not 0.0 < self.upper < math.inf:
                 raise ValueError("outer truncation needs a finite cutoff")
-            if self.n <= 0.0 and not self.extended:
+            if not self.n / 2.0 > 0.0:
                 raise ValueError(
-                    "outer truncation with n <= 0 exists only as an analytic "
-                    "continuation; set extended=True to opt in")
+                    f"outer truncation needs n > 0: at n = {self.n:g} the "
+                    f"mass on [0, cutoff] diverges at the origin")
         else:
             if not 0.0 < self.lower < self.upper < math.inf:
                 raise ValueError("double truncation needs 0 < lower < upper < inf")
@@ -200,8 +199,8 @@ VALID = {
     "ScaledChiSpec": [
         (1.0, 3.0), (2.0, 0.5, 0.1), (1.0, -4.0, 2.0, math.inf, "inner"),
         (1.0, 3.0, 0.0, 2.0, ChiKind.OUTER),
-        (1.0, -1.0, 0.0, 1.5, ChiKind.OUTER, True),
-        (0.3, 2.0, 0.5, 1.5, ChiKind.DOUBLE, False),
+        (1.0, 0.5, 0.0, 1.5, ChiKind.OUTER),
+        (0.3, 2.0, 0.5, 1.5, ChiKind.DOUBLE),
         (1.0, 2.0, 0.5, 1.5, "double")],
     "VmaxReport": [(2.2, 3.7, 4, 0.08, 0.079), (0.1, -0.5, 1, 1.0, 0.5)],
     "NvmxFitParams": [
@@ -226,16 +225,17 @@ INVALID = {
         (1.0, 3.0, 0.0, math.inf, "bogus"),
         # inner
         (1.0, 3.0, 0.0, 2.0), (1.0, 3.0, 1.0, 2.0, ChiKind.INNER),
-        (1.0, 0.0), (1.0, -2.5, 0.0, math.inf, ChiKind.INNER, True),
+        (1.0, 0.0), (1.0, -2.5, 0.0, math.inf, ChiKind.INNER),
         # outer
         (1.0, 3.0, 0.5, 2.0, ChiKind.OUTER), (1.0, 3.0, 0.0, math.inf, "outer"),
         (1.0, 3.0, 0.0, 0.0, ChiKind.OUTER), (1.0, 3.0, 0.0, -1.0, "outer"),
         (1.0, 0.0, 0.0, 2.0, ChiKind.OUTER),
-        (1.0, -3.0, 0.0, 2.0, ChiKind.OUTER, False),
-        # double, extended or not
+        (1.0, -3.0, 0.0, 2.0, ChiKind.OUTER), (1.0, 5e-324, 0.0, 2.0, "outer"),
+        (1.0, math.nan, 0.0, 2.0, ChiKind.OUTER),
+        # double
         (1.0, 3.0, 0.0, 2.0, ChiKind.DOUBLE),
         (1.0, 3.0, 2.0, 2.0, ChiKind.DOUBLE),
-        (1.0, 3.0, 2.5, 2.0, "double", True),
+        (1.0, 3.0, 2.5, 2.0, "double"),
         (1.0, 3.0, 1.0, math.inf, ChiKind.DOUBLE),
         (1.0, 3.0, 1.0, math.nan, ChiKind.DOUBLE)],
 }
@@ -319,9 +319,11 @@ def test_spec_validation_messages(name):
         assert _built(new, args) == expect, args
         assert _built(new, (), _as_kwargs(old, args)) == expect, args
         assert _built(base._replace, (), _as_kwargs(old, args)) == expect, args
-    # the same cases reach ValueError through each check named above
+    # the same cases reach ValueError through each check named above; the
+    # outer refusal names n after its colon
     if name == "ScaledChiSpec":
-        messages = {_built(old, args)[1] for args in INVALID[name]}
+        messages = {_built(old, args)[1].split(":")[0]
+                    for args in INVALID[name]}
         assert len(messages) == 9
 
 
